@@ -4,11 +4,17 @@ Every operation records its parents and an exact backward closure on the
 produced tensor; `backward` on a scalar walks the graph once in reverse
 topological order, accumulating gradients additively across fan-out. Tensors
 are float64 unless a float32 mode is selected (training speed); gradient
-checks always run in float64.
+checks always run in float64. `matmul` takes 2-d operands or 3-d operands
+batched over a shared leading axis, and `permute` reorders axes, so all
+attention heads run as one product; a backward skips the product for any
+operand that needs no gradient.
 
-Also home to the Adam update rule and the binary checkpoint format (magic
-``WFT1``: u32 tensor count, then per tensor u16 name length + name bytes,
-u8 ndims, u32 dims, float32 little-endian row-major data).
+Also home to the Adam update rule, which updates the moments and the
+parameters in place in fixed-size blocks, and the binary checkpoint format
+(magic ``WFT1``: u32 tensor count, then per tensor u16 name length + name
+bytes, u8 ndims, u32 dims, float32 little-endian row-major data), which is
+parsed strictly: a short, overlong or duplicate-name file is a
+`RecordFormatError`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import NumericalError, RecordFormatError, ShapeError
 
 _DEFAULT_DTYPE = np.float64
 
@@ -159,8 +165,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward_fn(grad, grads):
-        grads(a, _unbroadcast(grad, a.shape))
-        grads(b, _unbroadcast(grad, b.shape))
+        if a.requires_grad:
+            grads(a, _unbroadcast(grad, a.shape))
+        if b.requires_grad:
+            grads(b, _unbroadcast(grad, b.shape))
 
     return Tensor._result(data, (a, b), backward_fn, "add")
 
@@ -172,23 +180,30 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward_fn(grad, grads):
-        grads(a, _unbroadcast(grad * b.data, a.shape))
-        grads(b, _unbroadcast(grad * a.data, b.shape))
+        if a.requires_grad:
+            grads(a, _unbroadcast(grad * b.data, a.shape))
+        if b.requires_grad:
+            grads(b, _unbroadcast(grad * a.data, b.shape))
 
     return Tensor._result(data, (a, b), backward_fn, "mul")
 
 
 def matmul(a, b) -> Tensor:
+    """Product of two 2-d operands, or of two 3-d operands batched over axis 0."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim != b.ndim or a.ndim not in (2, 3):
+        raise ShapeError(f"matmul expects two 2-d or two 3-d operands, got {a.shape} @ {b.shape}")
+    if a.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeError(f"matmul: batch axes differ, {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
     def backward_fn(grad, grads):
-        grads(a, grad @ b.data.T)
-        grads(b, a.data.T @ grad)
+        if a.requires_grad:
+            grads(a, grad @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            grads(b, np.swapaxes(a.data, -1, -2) @ grad)
 
     return Tensor._result(data, (a, b), backward_fn, "matmul")
 
@@ -214,6 +229,22 @@ def reshape(a, shape) -> Tensor:
         grads(a, grad.reshape(a.shape))
 
     return Tensor._result(data, (a,), backward_fn, "reshape")
+
+
+def permute(a, axes) -> Tensor:
+    """Reorder axes as `np.transpose` does; value and gradient are C-contiguous."""
+    a = as_tensor(a)
+    axes = tuple(int(i) for i in axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"permute: {axes} is not a permutation of the axes of shape {a.shape}")
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    data = np.ascontiguousarray(np.transpose(a.data, axes))
+
+    def backward_fn(grad, grads):
+        # A strided gradient would change the order of later axis sums.
+        grads(a, np.ascontiguousarray(np.transpose(grad, inverse)))
+
+    return Tensor._result(data, (a,), backward_fn, "permute")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -466,7 +497,7 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor] | None = None):
         node._backward(g, grads)
 
     if wanted is not None:
-        return {name: acc.get(id(t), np.zeros_like(t.data)) for name, t in wanted.items()}
+        return {name: acc[id(t)] if id(t) in acc else np.zeros_like(t.data) for name, t in wanted.items()}
     for node in _topo_order(loss):
         if node._backward is None and node.requires_grad and id(node) in acc:
             node.grad = acc[id(node)] if node.grad is None else node.grad + acc[id(node)]
@@ -489,6 +520,21 @@ def adam_init(params: dict[str, Tensor]) -> dict:
     }
 
 
+# Adam runs over flat blocks of this many elements, so its temporaries stay
+# cache-sized instead of parameter-sized.
+ADAM_BLOCK = 1 << 15
+
+
+def _blocks(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray):
+    """Matching slices of four same-shape arrays; p, m and v slices are views."""
+    if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+        yield p, m, v, g
+        return
+    flat = [x.reshape(-1) for x in (p, m, v, g)]
+    for start in range(0, p.size, ADAM_BLOCK):
+        yield tuple(x[start : start + ADAM_BLOCK] for x in flat)
+
+
 def adam_step(
     params: dict[str, Tensor],
     grads: dict[str, np.ndarray],
@@ -498,19 +544,41 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """Bias-corrected Adam update, applied in place in sorted name order."""
+    """Bias-corrected Adam update, applied in place in sorted name order.
+
+    m, v and the parameters are overwritten block by block with the textbook
+    update's operations in its order, so the numbers are bitwise those of
+    the allocating form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr * (m/c1) / (sqrt(v/c2) + eps). The update runs in the
+    parameter's dtype; the hyperparameters are taken as Python floats.
+    """
+    lr, beta1, beta2, eps = float(lr), float(beta1), float(beta2), float(eps)
     state["t"] += 1
     t = state["t"]
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
     for name in sorted(grads):
         p = params[name]
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"adam_step: gradient {g.shape} vs parameter {p.shape} for {name!r}")
-        m = state["m"][name] = beta1 * state["m"][name] + (1.0 - beta1) * g
-        v = state["v"][name] = beta2 * state["v"][name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        if g.dtype != p.data.dtype:
+            raise ShapeError(f"adam_step: gradient dtype {g.dtype} vs parameter dtype {p.data.dtype} for {name!r}")
+        for pb, mb, vb, gb in _blocks(p.data, state["m"][name], state["v"][name], g):
+            tmp = np.multiply(gb, 1.0 - beta1)
+            mb *= beta1
+            mb += tmp
+            np.multiply(gb, 1.0 - beta2, out=tmp)
+            tmp *= gb
+            vb *= beta2
+            vb += tmp
+            np.divide(vb, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            step = np.divide(mb, c1)
+            step *= lr
+            step /= tmp
+            pb -= step
     return params, state
 
 
@@ -536,26 +604,44 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a WFT1 file back into float64 arrays (exact float32 embedding)."""
+    """Read a WFT1 file back into float64 arrays (exact float32 embedding).
+
+    The file must hold exactly the tensors its count announces, each name
+    once: a short file, trailing bytes or a repeated name raise
+    RecordFormatError, and dims are checked against the bytes left before
+    anything is allocated.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise NumericalError(f"{path}: not a WFT1 checkpoint")
     pos = 4
-    (count,) = struct.unpack_from("<I", blob, pos)
-    pos += 4
+
+    def take(size: int, what: str) -> int:
+        """Offset of the next `size` bytes, which must all be in the file."""
+        nonlocal pos
+        if size > len(blob) - pos:
+            raise RecordFormatError(f"{path}: WFT1 checkpoint truncated in {what} at byte {pos}")
+        pos += size
+        return pos - size
+
+    (count,) = struct.unpack_from("<I", blob, take(4, "the tensor count"))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndims,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndims}I", blob, pos) if ndims else ()
-        pos += 4 * ndims
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=pos).reshape(shape)
-        pos += 4 * size
+        (name_len,) = struct.unpack_from("<H", blob, take(2, "a name length"))
+        start = take(name_len, "a name")
+        try:
+            name = blob[start:pos].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RecordFormatError(f"{path}: WFT1 tensor name at byte {start} is not UTF-8") from exc
+        if name in out:
+            raise RecordFormatError(f"{path}: WFT1 tensor {name!r} appears twice")
+        (ndims,) = struct.unpack_from("<B", blob, take(1, f"the rank of {name!r}"))
+        shape = struct.unpack_from(f"<{ndims}I", blob, take(4 * ndims, f"the dims of {name!r}"))
+        size = math.prod(shape)
+        start = take(4 * size, f"the data of {name!r}")
+        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=start).reshape(shape)
         out[name] = arr.astype(np.float64)
+    if pos != len(blob):
+        raise RecordFormatError(f"{path}: {len(blob) - pos} trailing bytes after the last WFT1 tensor")
     return out

@@ -91,7 +91,8 @@ def cmd_train(args) -> int:
             raise ArgumentRangeError("--folds is required when training per-fold")
         assignment = stratify.load_folds(_require(args.folds, "fold file"), manifest.record_ids())
         _write_run_sidecars(out_dir, config)
-        cv = train.run_cv(manifest, assignment, model_config, preprocess_config, train_config, weights, out_dir)
+        cv = train.run_cv(manifest, assignment, model_config, preprocess_config, train_config, weights, out_dir,
+                          feature_config)
         for report in cv.fold_reports:
             # Fold directories are self-describing so predict/attention can
             # point straight at them.

@@ -237,30 +237,24 @@ def _attention_block(
     capture: list | None,
 ) -> Tensor:
     p = f"layers.{layer}.attn."
-    t = x.shape[0]
-    q = _linear(x, params, p + "w_q")
-    k = _linear(x, params, p + "w_k")
-    v = _linear(x, params, p + "w_v")
-    scale = 1.0 / math.sqrt(config.head_dim)
+    t, heads, dh = x.shape[0], config.num_heads, config.head_dim
 
-    head_outputs = []
-    head_maps = [] if capture is not None else None
-    for h in range(config.num_heads):
-        cols = slice(h * config.head_dim, (h + 1) * config.head_dim)
-        qh, kh, vh = q[:, cols], k[:, cols], v[:, cols]
-        scores = ag.mul(ag.matmul(qh, ag.transpose(kh)), scale)
-        if key_mask is not None:
-            # Padded-token keys are pushed to -inf-like scores before softmax.
-            bias = np.where(key_mask, 0.0, -1e30)[None, :]
-            scores = ag.add(scores, Tensor(np.broadcast_to(bias, (t, t)).copy()))
-        attn = ag.softmax(scores)
-        if head_maps is not None:
-            head_maps.append(attn.data.copy())
-        attn = ag.dropout(attn, config.dropout_encoder, rng, training)
-        head_outputs.append(ag.matmul(attn, vh))
-    if head_maps is not None:
-        capture.append(np.stack(head_maps))
-    merged = ag.concat(head_outputs, axis=1)
+    def split_heads(y: Tensor) -> Tensor:
+        # [T, D] -> [H, T, d_h]: head h holds columns h*d_h .. (h+1)*d_h.
+        return ag.permute(ag.reshape(y, (t, heads, dh)), (1, 0, 2))
+
+    q = split_heads(_linear(x, params, p + "w_q"))
+    k = split_heads(_linear(x, params, p + "w_k"))
+    v = split_heads(_linear(x, params, p + "w_v"))
+    scores = ag.mul(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(dh))
+    if key_mask is not None:
+        # Padded-token keys are pushed to -inf-like scores before softmax.
+        scores = ag.add(scores, Tensor(np.where(key_mask, 0.0, -1e30)))
+    attn = ag.softmax(scores)
+    if capture is not None:
+        capture.append(attn.data.copy())
+    attn = ag.dropout(attn, config.dropout_encoder, rng, training)
+    merged = ag.reshape(ag.permute(ag.matmul(attn, v), (1, 0, 2)), (t, config.d_model))
     return _linear(merged, params, p + "w_o")
 
 
@@ -321,10 +315,17 @@ def forward(
 
 def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig) -> ModelParams:
     """Rebuild ModelParams (e.g. from a checkpoint) with trainability flags."""
+    shapes = expected_shapes(config)
+    unexpected = sorted(set(arrays) - set(shapes))
+    if unexpected:
+        raise ShapeError(f"checkpoint has unexpected parameters {unexpected}")
     tensors = {}
-    for name, shape in expected_shapes(config).items():
+    for name, shape in shapes.items():
         if name not in arrays:
             raise ShapeError(f"checkpoint is missing parameter {name!r}")
+        data = np.asarray(arrays[name], dtype=np.float64)
+        if data.shape != shape:
+            raise ShapeError(f"checkpoint parameter {name!r} has shape {data.shape}, expected {shape}")
         trainable = not (name == "positional_embedding" and config.positional == "sinusoidal")
-        tensors[name] = Tensor(np.asarray(arrays[name], dtype=np.float64).reshape(shape), requires_grad=trainable)
+        tensors[name] = Tensor(data, requires_grad=trainable)
     return ModelParams(tensors, config)

@@ -369,13 +369,14 @@ def train_fold(
                 except NumericalError as exc:
                     raise NumericalError(f"training diverged at step {step}: {exc}") from exc
                 scale = 1.0 / len(batch)
-                mean_grads = {name: g * scale for name, g in total_grads.items()}
+                for g in total_grads.values():  # the batch mean, in place
+                    g *= scale
                 mean_loss = loss_sum * scale
                 if not math.isfinite(mean_loss):
                     raise NumericalError(f"training loss diverged at step {step}")
                 loss_curve.append(mean_loss)
                 trained_ids.update(cache[rec_idx].record_id for rec_idx, _ in batch)
-                ag.adam_step(trainable, mean_grads, state, lr=train_config.learning_rate)
+                ag.adam_step(trainable, total_grads, state, lr=train_config.learning_rate)
 
                 if (step + 1) % train_config.eval_every == 0 or step + 1 == train_config.max_steps:
                     current = val_metric_at_half()
@@ -471,6 +472,7 @@ def run_cv(
     train_config: TrainConfig,
     weights: metrics.WeightMatrix,
     out_root,
+    feature_config: features.FeatureConfig | None = None,
 ) -> CVReport:
     """Train every fold; per-fold artifacts land in out_root/fold<id>/."""
     out_root = Path(out_root)
@@ -478,7 +480,7 @@ def run_cv(
     for fold_id in range(fold_assignment.k):
         _, _, report = train_fold(
             manifest, fold_assignment, fold_id, model_config, preprocess_config,
-            train_config, weights, out_root / f"fold{fold_id}",
+            train_config, weights, out_root / f"fold{fold_id}", feature_config,
         )
         reports.append(report)
     cv = CVReport(reports, list(manifest.class_list))

@@ -91,3 +91,77 @@ def straight_line_stats(x):
     skew = m3 / m2 ** 1.5 if m2 > 1e-24 else 0.0
     kurt = m4 / m2 ** 2 - 3.0 if m2 > 1e-24 else 0.0
     return mean, std, skew, kurt, float(np.min(x)), float(np.max(x))
+
+
+def per_head_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, num_heads, key_mask=None, drop=0.0, rng=None):
+    """Multi-head self-attention one head at a time: column slices, then concat.
+
+    x is [T, D]. key_mask (bool [T]) sends masked keys to -1e30 before the
+    softmax; with drop > 0 each head draws its own [T, T] inverted-dropout
+    mask from rng, head 0 first. Returns the output, the per-head attention
+    maps [H, T, T] and a cache for `per_head_attention_backward`.
+    """
+    t, d = x.shape
+    dh = d // num_heads
+    q = x @ wq + bq
+    k = x @ wk + bk
+    v = x @ wv + bv
+    scale = 1.0 / np.sqrt(dh)
+    heads, maps, masks, dropped = [], [], [], []
+    for h in range(num_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = (q[:, cols] @ k[:, cols].T) * scale
+        if key_mask is not None:
+            scores = scores + np.where(key_mask, 0.0, -1e30)[None, :]
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        maps.append(probs)
+        if drop > 0.0:
+            mask = (rng.random((t, t)) < 1.0 - drop).astype(x.dtype) / (1.0 - drop)
+            masks.append(mask)
+            probs = probs * mask
+        dropped.append(probs)
+        heads.append(probs @ v[:, cols])
+    merged = np.concatenate(heads, axis=1)
+    cache = dict(x=x, q=q, k=k, v=v, wq=wq, wk=wk, wv=wv, wo=wo, maps=maps, masks=masks,
+                 dropped=dropped, merged=merged, dh=dh, scale=scale)
+    return merged @ wo + bo, np.stack(maps), cache
+
+
+def per_head_attention_backward(grad, cache):
+    """Gradients of `per_head_attention`: (dx, [dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo]).
+
+    The three contributions to dx are summed q, then k, then v.
+    """
+    c = cache
+    dh = c["dh"]
+    dmerged = grad @ c["wo"].T
+    dq, dk, dv = np.zeros_like(c["q"]), np.zeros_like(c["k"]), np.zeros_like(c["v"])
+    for h, probs in enumerate(c["maps"]):
+        cols = slice(h * dh, (h + 1) * dh)
+        g = dmerged[:, cols]
+        ddropped = g @ c["v"][:, cols].T
+        dv[:, cols] = c["dropped"][h].T @ g
+        dprobs = ddropped * c["masks"][h] if c["masks"] else ddropped
+        dscores = (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True)) * probs
+        dscores = dscores * c["scale"]
+        dq[:, cols] = dscores @ c["k"][:, cols]
+        dk[:, cols] = (c["q"][:, cols].T @ dscores).T
+    x = c["x"]
+    dx = dq @ c["wq"].T + dk @ c["wk"].T + dv @ c["wv"].T
+    dparams = [x.T @ dq, dq.sum(axis=0), x.T @ dk, dk.sum(axis=0), x.T @ dv, dv.sum(axis=0),
+               c["merged"].T @ grad, grad.sum(axis=0)]
+    return dx, dparams
+
+
+def textbook_adam(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Allocating Adam over one gradient per step; returns the final p, m and v."""
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return p, m, v

@@ -1,12 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgformer import autograd as ag
-from ecgformer.errors import NumericalError, ShapeError
+from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import central_difference_grad, max_rel_err
+from oracles import central_difference_grad, max_rel_err, textbook_adam
 
 GRAD_TOL = 1e-6
 
@@ -151,6 +153,19 @@ class TestGradientsAgainstFiniteDifferences:
     def test_matmul(self):
         check_op_gradient(lambda a, b: ag.tensor_sum(ag.matmul(a, b)), (3, 4), (4, 2))
 
+    def test_batched_matmul(self):
+        check_op_gradient(lambda a, b: ag.tensor_sum(ag.mul(ag.matmul(a, b), ag.matmul(a, b))), (3, 4, 5), (3, 5, 2))
+
+    def test_batched_matmul_one_operand_constant(self):
+        rng = np.random.default_rng(12)
+        c = rng.normal(size=(2, 3, 4))
+        check_op_gradient(lambda b: ag.tensor_sum(ag.mul(ag.matmul(ag.Tensor(c), b), ag.matmul(ag.Tensor(c), b))), (2, 4, 3))
+
+    def test_permute(self):
+        rng = np.random.default_rng(13)
+        w = rng.normal(size=(4, 2, 3))
+        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(ag.permute(a, (2, 0, 1)), ag.Tensor(w))), (2, 3, 4))
+
     def test_transpose(self):
         check_op_gradient(lambda a, b: ag.tensor_sum(ag.matmul(ag.transpose(a), b)), (4, 3), (4, 2))
 
@@ -238,7 +253,81 @@ class TestGradientsAgainstFiniteDifferences:
         np.testing.assert_allclose(b.grad, w.sum(axis=(0, 1)), atol=1e-12)
 
 
+class TestBatchedOps:
+    def test_batched_matmul_equals_per_slice_products(self):
+        rng = np.random.default_rng(14)
+        a, b = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 4, 6))
+        out = ag.matmul(ag.Tensor(a), ag.Tensor(b)).data
+        for i in range(3):
+            assert np.array_equal(out[i], a[i] @ b[i])
+
+    def test_batched_matmul_mismatched_batch_axes(self):
+        with pytest.raises(ShapeError, match="batch"):
+            ag.matmul(ag.Tensor(np.zeros((2, 3, 4))), ag.Tensor(np.zeros((3, 4, 5))))
+
+    def test_matmul_mixed_ranks_rejected(self):
+        with pytest.raises(ShapeError):
+            ag.matmul(ag.Tensor(np.zeros((3, 4))), ag.Tensor(np.zeros((2, 4, 5))))
+        with pytest.raises(ShapeError):
+            ag.matmul(ag.Tensor(np.zeros((2, 2, 3, 4))), ag.Tensor(np.zeros((2, 2, 4, 5))))
+
+    def test_permute_value_and_gradient_are_c_contiguous(self):
+        rng = np.random.default_rng(15)
+        a = ag.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        out = ag.permute(a, (1, 0, 2))
+        assert np.array_equal(out.data, a.data.transpose(1, 0, 2))
+        assert out.data.flags.c_contiguous
+        # The incoming gradient is a strided view; the one handed on is not.
+        loss = ag.tensor_sum(ag.transpose(ag.permute(ag.transpose(out), (1, 0, 2))))
+        grads = ag.collect_gradients(loss, {"a": a})
+        assert grads["a"].flags.c_contiguous
+        np.testing.assert_array_equal(grads["a"], 1.0)
+
+    def test_permute_rejects_non_permutation(self):
+        with pytest.raises(ShapeError):
+            ag.permute(ag.Tensor(np.zeros((2, 3))), (0, 0))
+        with pytest.raises(ShapeError):
+            ag.permute(ag.Tensor(np.zeros((2, 3))), (1, 0, 2))
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(7, 3), (ag.ADAM_BLOCK + 123,), (3, ag.ADAM_BLOCK // 2 + 5)])
+    def test_bitwise_equal_to_textbook_update(self, dtype, shape):
+        rng = np.random.default_rng(16)
+        start = rng.normal(size=shape).astype(dtype)
+        grads = [(rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 1, size=shape)).astype(dtype) for _ in range(3)]
+        param = ag.Tensor(start.copy(), requires_grad=True, dtype=dtype)
+        state = ag.adam_init({"w": param})
+        for g in grads:
+            ag.adam_step({"w": param}, {"w": g}, state, lr=3e-3)
+        want_p, want_m, want_v = textbook_adam(start, grads, lr=3e-3)
+        for got, want in ((param.data, want_p), (state["m"]["w"], want_m), (state["v"]["w"], want_v)):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_updates_in_place(self):
+        p = {"w": ag.Tensor(np.ones(5), requires_grad=True)}
+        state = ag.adam_init(p)
+        arrays = (p["w"].data, state["m"]["w"], state["v"]["w"])
+        ag.adam_step(p, {"w": np.full(5, 0.5)}, state, lr=0.1)
+        assert p["w"].data is arrays[0] and state["m"]["w"] is arrays[1] and state["v"]["w"] is arrays[2]
+
+    def test_non_contiguous_parameter(self):
+        start = np.random.default_rng(17).normal(size=(4, 6))
+        g = np.linspace(-1.0, 1.0, 24).reshape(6, 4)
+        param = ag.Tensor(start.copy().T, requires_grad=True)  # a strided view
+        state = ag.adam_init({"w": param})
+        ag.adam_step({"w": param}, {"w": g}, state, lr=0.01)
+        want_p, _, _ = textbook_adam(start.T, [g], lr=0.01)
+        assert np.array_equal(param.data, want_p)
+
+    def test_dtype_mismatch_rejected(self):
+        p = {"w": ag.Tensor(np.ones(3, dtype=np.float32), requires_grad=True, dtype=np.float32)}
+        state = ag.adam_init(p)
+        with pytest.raises(ShapeError, match="dtype"):
+            ag.adam_step(p, {"w": np.ones(3)}, state, lr=0.1)
+
     def test_zero_gradient_leaves_params(self):
         p = {"w": ag.Tensor(np.array([1.0, 2.0]), requires_grad=True)}
         state = ag.adam_init(p)
@@ -297,6 +386,68 @@ class TestCheckpoint:
         loaded = ag.load_checkpoint(path)
         assert set(loaded) == {"a.b.c", "d"}
         assert loaded["a.b.c"].shape == (2, 3, 4)
+
+
+def _wft1(*tensors, count=None):
+    """Hand-built WFT1 bytes from (name, dims, float32 payload) triples."""
+    blob = ag.CHECKPOINT_MAGIC + struct.pack("<I", len(tensors) if count is None else count)
+    for name, dims, payload in tensors:
+        encoded = name.encode("utf-8")
+        blob += struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", len(dims))
+        blob += b"".join(struct.pack("<I", d) for d in dims) + payload
+    return blob
+
+
+class TestCheckpointStrictParsing:
+    def _saved(self, tmp_path):
+        path = tmp_path / "ok.ckpt"
+        ag.save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(3)})
+        return path.read_bytes()
+
+    def test_every_truncation_is_a_record_format_error(self, tmp_path):
+        blob = self._saved(tmp_path)
+        path = tmp_path / "cut.ckpt"
+        for size in range(4, len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(RecordFormatError, match="truncated"):
+                ag.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(self._saved(tmp_path) + b"\x00")
+        with pytest.raises(RecordFormatError, match="trailing"):
+            ag.load_checkpoint(path)
+
+    def test_fewer_tensors_than_counted_rejected(self, tmp_path):
+        path = tmp_path / "count.ckpt"
+        path.write_bytes(_wft1(("w", (1,), b"\x00" * 4), count=2))
+        with pytest.raises(RecordFormatError):
+            ag.load_checkpoint(path)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.ckpt"
+        path.write_bytes(_wft1(("w", (1,), b"\x00" * 4), ("w", (1,), b"\x00" * 4)))
+        with pytest.raises(RecordFormatError, match="twice"):
+            ag.load_checkpoint(path)
+
+    def test_huge_dims_fail_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(_wft1(("w", (2**32 - 1, 2**32 - 1, 2**32 - 1), b"\x00" * 16)))
+        with pytest.raises(RecordFormatError, match="truncated"):
+            ag.load_checkpoint(path)
+
+    def test_undecodable_name_rejected(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(_wft1(("w", (1,), b"\x00" * 4)).replace(b"\x01\x00w", b"\x01\x00\xff"))
+        with pytest.raises(RecordFormatError, match="UTF-8"):
+            ag.load_checkpoint(path)
+
+    def test_hand_built_file_loads(self, tmp_path):
+        path = tmp_path / "hand.ckpt"
+        path.write_bytes(_wft1(("s", (), struct.pack("<f", 1.5)), ("v", (2,), struct.pack("<2f", 1.0, -2.0))))
+        loaded = ag.load_checkpoint(path)
+        assert loaded["s"].shape == () and loaded["s"] == 1.5
+        np.testing.assert_array_equal(loaded["v"], [1.0, -2.0])
 
 
 class TestDtypeMode:

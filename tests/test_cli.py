@@ -123,6 +123,19 @@ class TestChain:
                          "--run", str(run / "fold1"), "--format", "csv", "--out", str(maps)]) == 0
         assert (maps / "synth00002_L1_mean.csv").exists()
 
+    def test_fold_all_honours_features_section(self, workspace, tmp_path):
+        # `--fold all` trains each fold exactly as `--fold N` alone does,
+        # including the [features] section.
+        root, data, ini, manifest, folds = workspace
+        wide_ini = tmp_path / "wide.ini"
+        wide_ini.write_text(TOY_INI.replace("d_wide = 4", "d_wide = 22") + "\n[features]\nfeature_lead = I\n")
+        common = ["--manifest", str(manifest), "--folds", str(folds), "--weights", str(data / "weights.csv"),
+                  "--config", str(wide_ini), "--threads", "1"]
+        assert cli.main(["train", "--fold", "all", "--out", str(tmp_path / "cv"), *common]) == 0
+        assert cli.main(["train", "--fold", "0", "--out", str(tmp_path / "f0"), *common]) == 0
+        for name in ("checkpoint.wft1", "thresholds.csv"):
+            assert (tmp_path / "cv" / "fold0" / name).read_bytes() == (tmp_path / "f0" / name).read_bytes(), name
+
     def test_attention_export(self, workspace, tmp_path):
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run_att"
@@ -163,6 +176,22 @@ class TestErrors:
                          "--config", str(ini)])
         assert code == 4
         assert capsys.readouterr().err.startswith("ERROR ArgumentRangeError:")
+
+    def test_damaged_checkpoint_exit_code(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run_damaged"
+        assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(run), "--config", str(ini), "--threads", "1"]) == 0
+        checkpoint = run / "checkpoint.wft1"
+        blob = checkpoint.read_bytes()
+        predict = ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                   "--out", str(tmp_path / "p.csv")]
+        capsys.readouterr()
+        for damaged in (blob[:-5], blob[:9], blob + b"\x00\x00"):
+            checkpoint.write_bytes(damaged)
+            assert cli.main(predict) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1
 
     def test_bad_override_exit_code(self, workspace, tmp_path, capsys):
         root, data, ini, manifest, folds = workspace

@@ -6,7 +6,7 @@ from ecgformer import model as wm
 from ecgformer.dsp import ProcessedWindow
 from ecgformer.errors import ConfigError, ShapeError
 
-from oracles import central_difference_grad, max_rel_err
+from oracles import central_difference_grad, max_rel_err, per_head_attention, per_head_attention_backward
 
 TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
@@ -234,3 +234,81 @@ class TestModelGradients:
             numeric = central_difference_grad(f, base)
             err = max_rel_err(analytic[name], numeric)
             assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def _oracle_attention_block(x, params, layer, config, training, rng, key_mask, capture):
+    """Drop-in for wm._attention_block: the per-head oracle as one graph node."""
+    prefix = f"layers.{layer}.attn."
+    tensors = [params[prefix + f"{m}.{kind}"] for m in ("w_q", "w_k", "w_v", "w_o") for kind in ("weight", "bias")]
+    drop = config.dropout_encoder if training else 0.0
+    out, maps, cache = per_head_attention(x.data, *[t.data for t in tensors], config.num_heads, key_mask, drop, rng)
+    if capture is not None:
+        capture.append(maps)
+
+    def backward_fn(grad, grads):
+        dx, dparams = per_head_attention_backward(grad, cache)
+        grads(x, dx)
+        for t, g in zip(tensors, dparams):
+            grads(t, g)
+
+    return ag.Tensor._result(out, (x, *tensors), backward_fn, "oracle_attention")
+
+
+class TestFusedAttentionOracle:
+    """The batched all-heads attention reproduces the per-head slice/concat form bit for bit."""
+
+    def _run(self, config, mode, pad_start):
+        rng = np.random.default_rng(31)
+        params = wm.init_params(config, seed=4)
+        sig = rng.uniform(-1.0, 1.0, size=(config.num_leads, config.window_samples))
+        sig[:, pad_start:] = 0.0
+        window = ProcessedWindow(signal=sig, pad_start=pad_start, source_offset=0)
+        wide = rng.normal(size=config.d_wide)
+        targets = rng.integers(0, 2, size=config.d_class).astype(float)
+        out = wm.forward(window, wide, params, config, mode=mode, rng=7, capture_attention=True)
+        loss = ag.binary_cross_entropy(out.probabilities, targets)
+        return out, ag.collect_gradients(loss, params.trainable())
+
+    @pytest.mark.parametrize("mask_padding", [False, True])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("shape", ["toy", "four_heads", "paper_width"])
+    def test_bitwise_equal_to_per_head_oracle(self, monkeypatch, shape, mode, mask_padding):
+        base = {
+            "toy": TOY,
+            "four_heads": wm.ModelConfig(num_leads=3, d_model=24, num_layers=2, num_heads=4, d_ff=20,
+                                         d_deep=8, d_wide=4, d_class=3, window_samples=320),
+            # The paper's attention shape (12 heads, width 768, 121 tokens) in one layer.
+            "paper_width": wm.ModelConfig(num_leads=1, d_model=768, num_layers=1, num_heads=12, d_ff=8,
+                                          d_deep=8, d_wide=4, d_class=3, window_samples=7680),
+        }[shape]
+        config = wm.ModelConfig(**{**base.__dict__, "mask_padding": mask_padding})
+        pad_start = config.window_samples - config.d_patch - 7
+        fused_out, fused_grads = self._run(config, mode, pad_start)
+        monkeypatch.setattr(wm, "_attention_block", _oracle_attention_block)
+        oracle_out, oracle_grads = self._run(config, mode, pad_start)
+
+        assert np.array_equal(fused_out.probabilities.data, oracle_out.probabilities.data)
+        assert len(fused_out.attention_maps) == config.num_layers
+        for fused_map, oracle_map in zip(fused_out.attention_maps, oracle_out.attention_maps):
+            assert fused_map.shape == (config.num_heads, config.num_patches + 1, config.num_patches + 1)
+            assert np.array_equal(fused_map, oracle_map)
+        assert fused_grads.keys() == oracle_grads.keys()
+        for name in fused_grads:
+            assert np.array_equal(fused_grads[name], oracle_grads[name]), name
+        if mask_padding:
+            # The last patch starts past pad_start, so no query attends to it.
+            assert (fused_out.attention_maps[0][:, :, -1] == 0.0).all()
+
+
+class TestParamsFromArrays:
+    def test_unexpected_name_rejected(self):
+        arrays = wm.init_params(TOY, seed=1).copy_arrays()
+        arrays["layers.9.attn.w_q.weight"] = np.zeros((16, 16))
+        with pytest.raises(ShapeError, match="unexpected"):
+            wm.params_from_arrays(arrays, TOY)
+
+    def test_wrong_shape_rejected(self):
+        arrays = wm.init_params(TOY, seed=1).copy_arrays()
+        arrays["class_token"] = np.zeros((1, 16))
+        with pytest.raises(ShapeError, match="class_token"):
+            wm.params_from_arrays(arrays, TOY)
