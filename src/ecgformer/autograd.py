@@ -13,7 +13,7 @@ Also home to the Adam update rule, which updates the moments and the
 parameters in place in fixed-size blocks, and the binary checkpoint format
 (magic ``WFT1``: u32 tensor count, then per tensor u16 name length + name
 bytes, u8 ndims, u32 dims, float32 little-endian row-major data), which is
-parsed strictly: a short, overlong or duplicate-name file is a
+parsed strictly: a wrong-magic, short, overlong or duplicate-name file is a
 `RecordFormatError`.
 """
 
@@ -606,15 +606,15 @@ def save_checkpoint(path, named_arrays: dict[str, np.ndarray]):
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a WFT1 file back into float64 arrays (exact float32 embedding).
 
-    The file must hold exactly the tensors its count announces, each name
-    once: a short file, trailing bytes or a repeated name raise
-    RecordFormatError, and dims are checked against the bytes left before
+    The file must start with the magic and hold exactly the tensors its count
+    announces, each name once: a wrong magic, a short file, trailing bytes or
+    a repeated name raise RecordFormatError, and dims are checked against the bytes left before
     anything is allocated.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise NumericalError(f"{path}: not a WFT1 checkpoint")
+        raise RecordFormatError(f"{path}: not a WFT1 checkpoint")
     pos = 4
 
     def take(size: int, what: str) -> int:

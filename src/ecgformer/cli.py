@@ -217,8 +217,11 @@ def cmd_predict(args) -> int:
 def _class_codes_from_thresholds(run_dir: Path) -> list[str]:
     import csv as _csv
 
-    with open(_require(run_dir / "thresholds.csv", "thresholds file"), newline="") as fh:
-        return [row[0] for row in list(_csv.reader(fh))[1:]]
+    path = _require(run_dir / "thresholds.csv", "thresholds file")
+    with open(path, newline="") as fh:
+        codes = [row[0] if row else "" for row in list(_csv.reader(fh))[1:]]
+    train.load_thresholds(path, codes)  # the same strict rows evaluate reads
+    return codes
 
 
 def cmd_attention(args) -> int:
@@ -259,14 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, threads=False):
-        if config:
-            p.add_argument("--config", help="INI config file (see README for the schema)")
-            p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                           help="override one config value (repeatable)")
-        if threads:
-            p.add_argument("--threads", type=int, default=_default_threads(),
-                           help="worker threads; results are independent of this")
+    def common(p):
+        p.add_argument("--config", help="INI config file (see README for the schema)")
+        p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                       help="override one config value (repeatable)")
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic labeled corpus")
     p.add_argument("--out", required=True, help="output directory")
@@ -295,7 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold", default="0", help="fold id, 'all', or -1 for overfit/smoke mode")
     p.add_argument("--weights", required=True, help="reward matrix CSV")
     p.add_argument("--out", required=True, help="run directory")
-    common(p, threads=True)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for per-sample gradients (default 1: the graphs hold Python's GIL, "
+                        "so more threads help only large models, at one gradient set of memory each); "
+                        "results are independent of this")
+    common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score trained runs and write the per-fold report")

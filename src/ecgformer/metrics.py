@@ -74,6 +74,10 @@ def synthetic_weight_matrix(class_codes: list[str], normal_class: str) -> Weight
     return WeightMatrix(w, class_codes, class_codes.index(normal_class))
 
 
+# Terms (records x classes^2) per cumulative-sum block in confusion_weighted: 16 MB of float64.
+CONFUSION_CHUNK_CELLS = 2**21
+
+
 def _check_binary(name: str, m: np.ndarray):
     if not np.isin(m, (0, 1)).all():
         raise ShapeError(f"{name} must be a binary matrix")
@@ -84,19 +88,21 @@ def confusion_weighted(labels: np.ndarray, predictions: np.ndarray) -> np.ndarra
 
     n_r = |true positive set union predicted positive set|, floored at 1.
     A[i, j] accumulates 1/n_r for every true class i and predicted class j.
+    Each cell is summed over the records in record order (a cumulative sum
+    over the record axis), so A is bitwise the record-by-record loop's.
     """
-    labels = np.asarray(labels)
-    predictions = np.asarray(predictions)
+    labels = np.asarray(labels) != 0
+    predictions = np.asarray(predictions) != 0
     if labels.shape != predictions.shape:
         raise ShapeError(f"labels {labels.shape} vs predictions {predictions.shape}")
     num_records, num_classes = labels.shape
+    n_r = np.maximum((labels | predictions).sum(axis=1), 1)
+    credit = predictions / n_r[:, None]
     a = np.zeros((num_classes, num_classes))
-    for r in range(num_records):
-        true_idx = np.flatnonzero(labels[r])
-        pred_idx = np.flatnonzero(predictions[r])
-        n_r = max(len(set(true_idx) | set(pred_idx)), 1)
-        if len(true_idx) and len(pred_idx):
-            a[np.ix_(true_idx, pred_idx)] += 1.0 / n_r
+    chunk = max(1, CONFUSION_CHUNK_CELLS // max(num_classes * num_classes, 1))
+    for start in range(0, num_records, chunk):
+        terms = labels[start : start + chunk, :, None] * credit[start : start + chunk, None, :]
+        a = np.cumsum(np.concatenate([a[None], terms]), axis=0)[-1]
     return a
 
 
@@ -137,17 +143,11 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float | None:
     n = len(labels) - p
     if p == 0 or n == 0:
         return None
-    # Average ranks give the Mann-Whitney U statistic exactly, ties included.
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Average ranks give the Mann-Whitney U statistic exactly, ties included:
+    # a group of equal scores at sorted positions i..j (0-based) ranks (i + j) / 2 + 1.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    ranks = (0.5 * (2 * ends - counts - 1) + 1.0)[group]
     rank_sum_pos = float(ranks[labels == 1].sum())
     u = rank_sum_pos - p * (p + 1) / 2.0
     return u / (p * n)

@@ -12,14 +12,15 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
 from . import dsp, features, metrics, model
-from .errors import ArgumentRangeError, ConfigError, EmptyDatasetError, NumericalError, ShapeError
+from .errors import (ArgumentRangeError, ConfigError, EmptyDatasetError, NumericalError, RecordFormatError,
+                     ShapeError)
 from .record_io import DatasetManifest, LeadSubset, lead_subset, parse_record, select_leads
 from .stratify import FoldAssignment
 
@@ -84,6 +85,15 @@ def fit_thresholds(
     Starts from 0.5 everywhere and cycles the classes twice; metric ties pick
     the threshold closest to 0.5 (then the smaller one). Classes with no
     positive labels keep 0.5 and are reported as degenerate.
+
+    Only column c of the predictions changes while class c is scanned, so each
+    record's credit with c off and with c on is computed once and the whole
+    grid is scored as one [grid, records] sum. That sum rounds differently
+    from `metrics.challenge_metric`, so it only shortlists: every prediction
+    column within a bound on both rounding errors of the best one. When more
+    than one column is short-listed, they are re-scored with
+    `metrics.challenge_metric`'s own arithmetic, so the chosen thresholds are
+    exactly those of scoring every grid point that way.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     labels = np.asarray(labels)
@@ -91,7 +101,7 @@ def fit_thresholds(
         raise ShapeError(f"probabilities {probs.shape} vs labels {labels.shape}")
     if probs.min(initial=0.0) < 0.0 or probs.max(initial=0.0) > 1.0:
         raise ShapeError("probabilities must lie in [0, 1]")
-    num_classes = probs.shape[1]
+    num_records, num_classes = probs.shape
     if normal_class_index is None:
         normal_class_index = weights.normal_class_index
 
@@ -103,25 +113,46 @@ def fit_thresholds(
     if correct == inactive:
         raise metrics.UndefinedScoreError("threshold fitting target metric is undefined on this data")
 
-    def score(thresholds: np.ndarray) -> float:
-        preds = (probs >= thresholds).astype(np.int64)
+    def score(preds: np.ndarray) -> float:
         observed = float(np.sum(w * metrics.confusion_weighted(labels, preds)))
         return (observed - inactive) / (correct - inactive)
 
+    truth = labels != 0
+    truth_weights = truth @ w  # [records, classes]: sum of w[i, j] over true classes i
+    # The score rises with the raw weighted sum when correct > inactive, falls otherwise.
+    sign = 1.0 if correct > inactive else -1.0
+    # Rounding bound: the grid sum below and challenge_metric's sum each round
+    # fewer than records + classes^2 + 2 * classes + 8 times, on partial sums
+    # no larger than `magnitude`; 4x covers both errors twice and the division.
+    magnitude = float((truth @ np.abs(w)).sum())
+    tolerance = 4.0 * (num_records + num_classes**2 + 2 * num_classes + 8) * np.finfo(np.float64).eps * magnitude
+
     thresholds = np.full(num_classes, 0.5)
     degenerate = [c for c in range(num_classes) if labels[:, c].sum() == 0]
+    preds = (probs >= thresholds).astype(np.int64)
     for _ in range(passes):
         for c in range(num_classes):
             if c in degenerate:
                 continue
-            candidates = []
-            for t in THRESHOLD_GRID:
-                trial = thresholds.copy()
-                trial[c] = t
-                candidates.append((score(trial), t))
-            best_metric = max(m for m, _ in candidates)
-            winners = [t for m, t in candidates if m == best_metric]
+            rest = preds.copy()
+            rest[:, c] = 0
+            union_off = (truth | (rest != 0)).sum(axis=1)
+            credit_off = (truth_weights * rest).sum(axis=1)
+            off = credit_off / np.maximum(union_off, 1)
+            on = (credit_off + truth_weights[:, c]) / (union_off + ~truth[:, c])
+            predicted = probs[:, c][None, :] >= THRESHOLD_GRID[:, None]  # [grid, records]
+            fast = sign * np.where(predicted, on, off).sum(axis=1)
+            counts = predicted.sum(axis=1)  # nested sets: the count fixes the column
+            near = np.unique(counts[~(fast < fast.max() - tolerance)])  # a NaN bound keeps every point
+            if len(near) > 1:
+                exact = []
+                for count in near:
+                    rest[:, c] = predicted[np.argmax(counts == count)]
+                    exact.append(score(rest))
+                near = near[np.array(exact) == max(exact)]
+            winners = THRESHOLD_GRID[np.isin(counts, near)]
             thresholds[c] = min(winners, key=lambda t: (abs(t - 0.5), t))
+            preds[:, c] = probs[:, c] >= thresholds[c]
     return ThresholdVector(thresholds, degenerate)
 
 
@@ -134,10 +165,28 @@ def save_thresholds(path, thresholds: ThresholdVector, class_codes: list[str]):
 
 
 def load_thresholds(path, class_codes: list[str]) -> ThresholdVector:
-    mapping = {}
+    """Read thresholds.csv strictly: exactly one `class_code,threshold` row per class."""
     with open(path, newline="") as fh:
-        for row in list(csv.reader(fh))[1:]:
-            mapping[row[0]] = float(row[1])
+        rows = list(csv.reader(fh))[1:]
+    mapping = {}
+    for row in rows:
+        code = row[0] if row else ""
+        if len(row) != 2:
+            raise RecordFormatError(f"{path}: thresholds row for class {code!r} has {len(row)} fields, expected 2")
+        if code not in class_codes:
+            raise RecordFormatError(f"{path}: unknown class {code!r}")
+        if code in mapping:
+            raise RecordFormatError(f"{path}: class {code!r} appears twice")
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise RecordFormatError(f"{path}: threshold {row[1]!r} for class {code!r} is not a number") from None
+        if not 0.0 < value < 1.0:
+            raise RecordFormatError(f"{path}: threshold {row[1]!r} for class {code!r} is not strictly inside (0, 1)")
+        mapping[code] = value
+    missing = [c for c in class_codes if c not in mapping]
+    if missing:
+        raise RecordFormatError(f"{path}: no threshold for class {missing[0]!r}")
     return ThresholdVector(np.array([mapping[c] for c in class_codes]))
 
 
@@ -263,6 +312,15 @@ def _partition(manifest: DatasetManifest, fold_assignment: FoldAssignment, fold_
     return train, val
 
 
+def _check_shapes(manifest: DatasetManifest, model_config: model.ModelConfig, train_config: TrainConfig) -> LeadSubset:
+    if model_config.d_class != len(manifest.class_list):
+        raise ConfigError(f"model d_class {model_config.d_class} vs {len(manifest.class_list)} manifest classes")
+    subset = train_config.subset()
+    if model_config.num_leads != len(subset.leads):
+        raise ConfigError(f"model num_leads {model_config.num_leads} vs lead subset of {len(subset.leads)}")
+    return subset
+
+
 def train_fold(
     manifest: DatasetManifest,
     fold_assignment: FoldAssignment,
@@ -273,19 +331,18 @@ def train_fold(
     weights: metrics.WeightMatrix,
     out_dir,
     feature_config: features.FeatureConfig | None = None,
+    prepared: dict[int, PreparedRecord] | None = None,
 ) -> tuple[model.ModelParams, ThresholdVector, FoldReport]:
     """Train one fold and fit thresholds on its validation partition.
 
     fold_id == -1 is the overfit/smoke mode: train and validate on all records.
+    `prepared` (from `prepare_records`, covering both partitions) skips this
+    fold's own preprocessing; it is read, never changed.
     """
     feature_config = feature_config or features.FeatureConfig()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if model_config.d_class != len(manifest.class_list):
-        raise ConfigError(f"model d_class {model_config.d_class} vs {len(manifest.class_list)} manifest classes")
-    subset = train_config.subset()
-    if model_config.num_leads != len(subset.leads):
-        raise ConfigError(f"model num_leads {model_config.num_leads} vs lead subset of {len(subset.leads)}")
+    subset = _check_shapes(manifest, model_config, train_config)
 
     train_idx, val_idx = _partition(manifest, fold_assignment, fold_id)
     val_ids = [manifest.entries[int(i)].record_id for i in val_idx]
@@ -293,7 +350,7 @@ def train_fold(
     old_dtype = ag.default_dtype()
     ag.set_default_dtype(np.float32 if train_config.precision == "float32" else np.float64)
     try:
-        cache = prepare_records(
+        cache = prepared if prepared is not None else prepare_records(
             manifest,
             np.union1d(train_idx, val_idx),
             subset,
@@ -304,8 +361,8 @@ def train_fold(
         )
         if train_config.standardize_wide:
             scaler = _fit_wide_scaler([cache[int(i)] for i in train_idx])
-            for p in cache.values():
-                p.wide = (p.wide - scaler[0]) / scaler[1]
+            # Fold-private copies: the records may be shared with other folds.
+            cache = {i: replace(p, wide=(p.wide - scaler[0]) / scaler[1]) for i, p in cache.items()}
             _save_wide_scaler(out_dir / "wide_scaler.csv", scaler, model_config.d_wide)
 
         params = model.init_params(model_config, train_config.seed)
@@ -346,11 +403,11 @@ def train_fold(
 
                 def sample_grad(slot_and_item):
                     slot, (rec_idx, rec_epoch) = slot_and_item
-                    prepared = cache[rec_idx]
-                    window = _window_for(prepared, preprocess_config, _stable_seed(seed, 13, rec_epoch, rec_idx), "random")
+                    record = cache[rec_idx]
+                    window = _window_for(record, preprocess_config, _stable_seed(seed, 13, rec_epoch, rec_idx), "random")
                     rng = np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot]))
-                    out = model.forward(window, prepared.wide, params, model_config, mode="train", rng=rng)
-                    loss = ag.binary_cross_entropy(out.probabilities, prepared.labels)
+                    out = model.forward(window, record.wide, params, model_config, mode="train", rng=rng)
+                    loss = ag.binary_cross_entropy(out.probabilities, record.labels)
                     grads = ag.collect_gradients(loss, trainable)
                     return loss.item(), grads
 
@@ -474,13 +531,22 @@ def run_cv(
     out_root,
     feature_config: features.FeatureConfig | None = None,
 ) -> CVReport:
-    """Train every fold; per-fold artifacts land in out_root/fold<id>/."""
+    """Train every fold; per-fold artifacts land in out_root/fold<id>/.
+
+    Every manifest row is parsed, filtered and featurized once, up front, and
+    the same records serve every fold.
+    """
     out_root = Path(out_root)
+    subset = _check_shapes(manifest, model_config, train_config)
+    prepared = prepare_records(
+        manifest, np.arange(len(manifest.entries)), subset, preprocess_config,
+        feature_config or features.FeatureConfig(), model_config.d_wide, train_config.threads,
+    )
     reports = []
     for fold_id in range(fold_assignment.k):
         _, _, report = train_fold(
             manifest, fold_assignment, fold_id, model_config, preprocess_config,
-            train_config, weights, out_root / f"fold{fold_id}", feature_config,
+            train_config, weights, out_root / f"fold{fold_id}", feature_config, prepared,
         )
         reports.append(report)
     cv = CVReport(reports, list(manifest.class_list))

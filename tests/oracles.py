@@ -28,6 +28,62 @@ def brute_challenge_metric(labels, predictions, w, normal_idx):
     return (observed - inactive) / (correct - inactive)
 
 
+def brute_confusion_weighted(labels, predictions):
+    """Record-by-record generalized confusion matrix: += 1/n_r on each (true, predicted) cell."""
+    num_records, num_classes = labels.shape
+    a = np.zeros((num_classes, num_classes))
+    for r in range(num_records):
+        true_idx = np.flatnonzero(labels[r])
+        pred_idx = np.flatnonzero(predictions[r])
+        n_r = max(len(set(true_idx) | set(pred_idx)), 1)
+        if len(true_idx) and len(pred_idx):
+            a[np.ix_(true_idx, pred_idx)] += 1.0 / n_r
+    return a
+
+
+def loop_challenge_metric(labels, predictions, w, normal_idx):
+    """The challenge metric as sum(w * A) of `brute_confusion_weighted`, normalized.
+
+    Same value as `brute_challenge_metric`, but rounded the way the package
+    rounds it, so ties between different predictions resolve alike.
+    """
+    normal_only = np.zeros_like(labels)
+    normal_only[:, normal_idx] = 1
+    observed, correct, inactive = (float(np.sum(w * brute_confusion_weighted(labels, p)))
+                                   for p in (predictions, labels, normal_only))
+    return (observed - inactive) / (correct - inactive)
+
+
+THRESHOLD_GRID = [round(0.02 * k, 2) for k in range(1, 50)]  # 0.02 .. 0.98
+
+
+def brute_fit_thresholds(probs, labels, w, normal_idx, metric=brute_challenge_metric, passes=2):
+    """Coordinate ascent over the 0.02 grid, every grid point scored by `metric`.
+
+    Starts at 0.5; classes without a positive label stay there. Metric ties go
+    to the threshold closest to 0.5, then the smaller one.
+    """
+    num_classes = labels.shape[1]
+    thresholds = [0.5] * num_classes
+    scores = {}
+    for _ in range(passes):
+        for c in range(num_classes):
+            if labels[:, c].sum() == 0:
+                continue
+            candidates = []
+            for t in THRESHOLD_GRID:
+                trial = list(thresholds)
+                trial[c] = t
+                preds = (probs >= np.array(trial)).astype(np.int64)
+                key = preds.tobytes()
+                if key not in scores:
+                    scores[key] = metric(labels, preds, w, normal_idx)
+                candidates.append((scores[key], t))
+            best = max(m for m, _ in candidates)
+            thresholds[c] = min((t for m, t in candidates if m == best), key=lambda t: (abs(t - 0.5), t))
+    return np.array(thresholds)
+
+
 def brute_auroc(scores, labels):
     """All (positive, negative) pairs, ties half-credited."""
     pos = [s for s, y in zip(scores, labels) if y == 1]

@@ -376,7 +376,7 @@ class TestCheckpoint:
     def test_magic_rejected(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"NOPE" + b"\x00" * 10)
-        with pytest.raises(NumericalError):
+        with pytest.raises(RecordFormatError):
             ag.load_checkpoint(bad)
 
     def test_names_and_shapes_preserved(self, tmp_path):

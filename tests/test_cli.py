@@ -136,6 +136,21 @@ class TestChain:
         for name in ("checkpoint.wft1", "thresholds.csv"):
             assert (tmp_path / "cv" / "fold0" / name).read_bytes() == (tmp_path / "f0" / name).read_bytes(), name
 
+    def test_fold_all_standardized_matches_single_folds(self, workspace, tmp_path):
+        # Records are preprocessed once for all folds; each fold still fits and
+        # applies its own wide-feature scaler.
+        root, data, ini, manifest, folds = workspace
+        std_ini = tmp_path / "std.ini"
+        std_ini.write_text(TOY_INI + "standardize_wide = true\n")
+        common = ["--manifest", str(manifest), "--folds", str(folds), "--weights", str(data / "weights.csv"),
+                  "--config", str(std_ini), "--threads", "1"]
+        assert cli.main(["train", "--fold", "all", "--out", str(tmp_path / "cv"), *common]) == 0
+        for fold in (0, 1):
+            assert cli.main(["train", "--fold", str(fold), "--out", str(tmp_path / f"f{fold}"), *common]) == 0
+            for name in ("checkpoint.wft1", "thresholds.csv", "wide_scaler.csv"):
+                single = (tmp_path / f"f{fold}" / name).read_bytes()
+                assert (tmp_path / "cv" / f"fold{fold}" / name).read_bytes() == single, (fold, name)
+
     def test_attention_export(self, workspace, tmp_path):
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run_att"
@@ -192,6 +207,65 @@ class TestErrors:
             assert cli.main(predict) == 5
             err = capsys.readouterr().err
             assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1
+
+    def test_wrong_checkpoint_magic_exit_code(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run_magic"
+        assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(run), "--config", str(ini)]) == 0
+        checkpoint = run / "checkpoint.wft1"
+        checkpoint.write_bytes(b"WFT2" + checkpoint.read_bytes()[4:])
+        capsys.readouterr()
+        assert cli.main(["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                         "--out", str(tmp_path / "p.csv")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR RecordFormatError:") and "WFT1" in err and err.count("\n") == 1
+
+    def test_malformed_thresholds_exit_code(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run_thr"
+        assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(run), "--config", str(ini)]) == 0
+        path = run / "thresholds.csv"
+        header, *rows = path.read_text().splitlines()
+        first, second = (r.split(",")[0] for r in rows[:2])
+        damaged = [
+            (f"no threshold for class {second!r}", [rows[0]] + rows[2:]),
+            (f"class {first!r} appears twice", rows + [rows[0]]),
+            ("unknown class 'XYZ'", rows + ["XYZ,0.5"]),
+            (f"class {second!r} has 1 fields", [rows[0], second] + rows[2:]),
+            (f"for class {second!r} is not a number", [rows[0], f"{second},high"] + rows[2:]),
+            (f"for class {second!r} is not strictly inside (0, 1)", [rows[0], f"{second},1.5"] + rows[2:]),
+        ]
+        evaluate = ["evaluate", "--manifest", str(manifest), "--runs", str(run), "--weights", str(data / "weights.csv"),
+                    "--out", str(tmp_path / "report.csv"), "--threads", "1"]
+        capsys.readouterr()
+        for needle, lines in damaged:
+            path.write_text("\n".join([header, *lines]) + "\n")
+            assert cli.main(evaluate) == 5, needle
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1, err
+            assert "thresholds.csv" in err and needle in err, err
+
+    def test_predict_rejects_malformed_thresholds(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run_thr_predict"
+        assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(run), "--config", str(ini)]) == 0
+        path = run / "thresholds.csv"
+        header, first, *rows = path.read_text().splitlines()
+        predict = ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                   "--out", str(tmp_path / "p.csv")]
+        capsys.readouterr()
+        for lines in ([first, "", *rows], [first, first, *rows], [first.split(",")[0], *rows]):
+            path.write_text("\n".join([header, *lines]) + "\n")
+            assert cli.main(predict) == 5, lines
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1, err
+
+    def test_train_threads_default_to_one(self):
+        args = cli.build_parser().parse_args(["train", "--manifest", "m", "--weights", "w", "--out", "o"])
+        assert args.threads == 1
 
     def test_bad_override_exit_code(self, workspace, tmp_path, capsys):
         root, data, ini, manifest, folds = workspace

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ecgformer import metrics
 from ecgformer.errors import UndefinedScoreError
 
-from oracles import brute_auroc, brute_challenge_metric
+from oracles import brute_auroc, brute_challenge_metric, brute_confusion_weighted
 
 
 def random_weights(rng, c):
@@ -111,6 +111,48 @@ class TestChallengeMetric:
         # No predictions at all contributes nothing (n_r floor guards, no NaN).
         a = metrics.confusion_weighted(np.array([[0, 0]]), np.array([[0, 0]]))
         assert a.sum() == 0.0
+
+
+def binary_rows(num_classes):
+    """0/1 rows, with the empty and the all-ones row drawn often."""
+    return st.one_of(
+        st.just([0] * num_classes),
+        st.just([1] * num_classes),
+        st.lists(st.integers(0, 1), min_size=num_classes, max_size=num_classes),
+    )
+
+
+@st.composite
+def label_prediction_pairs(draw):
+    c = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=30))
+    labels = np.array(draw(st.lists(binary_rows(c), min_size=n, max_size=n)), dtype=np.int64)
+    preds = np.array(draw(st.lists(binary_rows(c), min_size=n, max_size=n)), dtype=np.int64)
+    return labels, preds
+
+
+class TestConfusionWeighted:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=label_prediction_pairs())
+    def test_matches_record_loop(self, pair):
+        labels, preds = pair
+        got = metrics.confusion_weighted(labels, preds)
+        want = brute_confusion_weighted(labels, preds)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        # Cells are summed in record order, so the match is also bitwise.
+        assert got.tobytes() == want.tobytes()
+
+    def test_blocks_keep_record_order(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        labels = rng.integers(0, 2, size=(97, 6))
+        preds = rng.integers(0, 2, size=(97, 6))
+        want = brute_confusion_weighted(labels, preds)
+        monkeypatch.setattr(metrics, "CONFUSION_CHUNK_CELLS", 5 * 36)  # blocks of 5 records
+        assert metrics.confusion_weighted(labels, preds).tobytes() == want.tobytes()
+
+    def test_no_records(self):
+        a = metrics.confusion_weighted(np.zeros((0, 3), dtype=int), np.zeros((0, 3), dtype=int))
+        assert a.shape == (3, 3) and not a.any()
 
 
 class TestAuroc:

@@ -3,8 +3,10 @@ import pytest
 
 from ecgformer import autograd as ag
 from ecgformer import dsp, metrics, model, record_io, stratify, synth, train
-from ecgformer.errors import ArgumentRangeError, ConfigError
+from ecgformer.errors import ArgumentRangeError, ConfigError, UndefinedScoreError
 from ecgformer.features import FeatureConfig
+
+from oracles import brute_challenge_metric, brute_fit_thresholds, loop_challenge_metric
 
 TOY_PREPROCESS = dsp.PreprocessConfig(window_samples=192)
 
@@ -80,6 +82,50 @@ class TestFitThresholds:
         tv = train.fit_thresholds(probs, labels, wm)
         assert 1 in tv.degenerate_classes
         assert tv.values[1] == 0.5
+
+
+def random_fit_instance(rng, dyadic):
+    """Small labels/probabilities; probabilities on a coarse lattice so that grid ties occur."""
+    n = int(rng.integers(1, 13))
+    c = int(rng.integers(2, 5))
+    codes = [f"c{i}" for i in range(c)]
+    normal = int(rng.integers(0, c))
+    if dyadic:
+        wm = metrics.synthetic_weight_matrix(codes, codes[normal])
+    else:
+        w = rng.uniform(0.0, 1.0, size=(c, c))
+        w = 0.5 * (w + w.T)
+        np.fill_diagonal(w, 1.0)
+        wm = metrics.WeightMatrix(w, codes, normal)
+    step = [0.1, 0.125, 0.25, 0.5][int(rng.integers(0, 4))]
+    probs = np.round(rng.uniform(size=(n, c)) / step) * step
+    labels = (rng.random((n, c)) < 0.4).astype(np.int64)
+    return probs, labels, wm
+
+
+class TestFitThresholdsOracle:
+    def _compare(self, seed, dyadic, metric):
+        rng = np.random.default_rng(seed)
+        fitted = 0
+        for _ in range(220):
+            probs, labels, wm = random_fit_instance(rng, dyadic)
+            try:
+                got = train.fit_thresholds(probs, labels, wm).values
+            except UndefinedScoreError:
+                continue
+            want = brute_fit_thresholds(probs, labels, wm.w, wm.normal_class_index, metric)
+            assert got.tolist() == want.tolist(), (probs, labels, wm.w)
+            fitted += 1
+        assert fitted >= 200
+
+    def test_equals_brute_force_ascent(self):
+        self._compare(21, dyadic=False, metric=brute_challenge_metric)
+
+    def test_equals_record_loop_ascent_with_dyadic_weights(self):
+        # The synthetic reward matrix holds powers of two, so different
+        # predictions often score exactly alike; ties must resolve as a
+        # grid search over the record-loop metric resolves them.
+        self._compare(22, dyadic=True, metric=loop_challenge_metric)
 
 
 class TestTrainFold:
@@ -190,6 +236,20 @@ class TestRunCV:
         assert len(lines) == 1 + 2 + 1  # header + 2 folds + mean
         assert lines[-1].startswith("mean,")
         assert lines[0].split(",")[:3] == ["fold", "challenge_metric", "auroc_macro"]
+
+    def test_each_record_parsed_once(self, ten_record_corpus, tmp_path, monkeypatch):
+        manifest, weights = ten_record_corpus
+        fa = stratify.stratified_folds(manifest.label_matrix(), k=3, seed=4)
+        parsed = []
+
+        def counting_parse(path):
+            parsed.append(str(path))
+            return record_io.parse_record(path)
+
+        monkeypatch.setattr(train, "parse_record", counting_parse)
+        train.run_cv(manifest, fa, toy_model_config(), TOY_PREPROCESS,
+                     toy_train_config(max_steps=2, eval_every=2, standardize_wide=True), weights, tmp_path / "cv")
+        assert sorted(parsed) == sorted(e.file_path for e in manifest.entries)
 
     def test_partition_degeneracy(self, ten_record_corpus, tmp_path):
         # Validation == training data: the reported fold metric equals the
