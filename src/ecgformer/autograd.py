@@ -2,7 +2,8 @@
 
 Every operation records its parents and an exact backward closure on the
 produced tensor; `backward` on a scalar walks the graph once in reverse
-topological order, accumulating gradients additively across fan-out. Tensors
+topological order, accumulating gradients additively across fan-out and
+dropping each one as soon as nothing left in the pass needs it. Tensors
 are float64 unless a float32 mode is selected (training speed); gradient
 checks always run in float64. `matmul` takes 2-d operands or 3-d operands
 batched over a shared leading axis, and `permute` reorders axes, so all
@@ -455,17 +456,34 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
+        # Leaf parents go below the others, so a leaf is popped only after the
+        # subgraphs of its consumer's other parents: it lands in `order` just
+        # before its first consumer, and the reverse pass reaches it just after
+        # its last consumer has run. Non-leaves keep their relative order.
         for parent in node._parents:
-            if parent.requires_grad:
+            if parent.requires_grad and parent._backward is None:
+                stack.append((parent, False))
+        for parent in node._parents:
+            if parent._backward is not None:
                 stack.append((parent, False))
     return order
 
 
-def collect_gradients(loss: Tensor, wanted: dict[str, Tensor] | None = None):
+def collect_gradients(
+    loss: Tensor,
+    wanted: dict[str, Tensor] | None = None,
+    into: dict[str, np.ndarray] | None = None,
+):
     """Reverse pass without touching `.grad`; returns {name: gradient array}.
 
-    With wanted=None, gradients are written to `.grad` of every requires_grad
-    leaf instead (accumulating across calls on separate graphs).
+    Each intermediate gradient is dropped as soon as its node's backward has
+    run, and each leaf gradient is handed out as soon as its last consumer
+    has run (see `_topo_order`), so a pass holds one gradient set at most.
+    Every array handed out is distinct and owns its memory. With `into`,
+    each gradient is added in place to `into[name]` (or becomes it, when the
+    name is new) and `into` is returned. With wanted=None, gradients are
+    written to `.grad` of every requires_grad leaf instead (accumulating
+    across calls on separate graphs).
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -475,7 +493,11 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor] | None = None):
         raise RuntimeError("backward already ran for this graph; run forward again first")
     loss._consumed = True
 
+    names = None if wanted is None else {id(t): name for name, t in wanted.items()}
     acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    out: dict[str, np.ndarray] = {} if into is None else into
+    kept: set[int] = set()  # arrays handed out by reference, so alive until the pass ends
+    done: set[int] = set()  # leaves handed out
 
     def grads(t: Tensor, g: np.ndarray):
         if not t.requires_grad:
@@ -487,21 +509,38 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor] | None = None):
         else:
             acc[id(t)] = g
 
+    def keep(g: np.ndarray) -> np.ndarray:
+        # One backward may pass the same array, or a view of it, to several tensors.
+        if g.base is not None or id(g) in kept:
+            g = g.copy()
+        kept.add(id(g))
+        return g
+
+    def hand_out(leaf: Tensor, g: np.ndarray):
+        done.add(id(leaf))
+        if names is None:
+            leaf.grad = keep(g) if leaf.grad is None else leaf.grad + g
+        elif names[id(leaf)] in out:
+            out[names[id(leaf)]] += g
+        else:
+            out[names[id(leaf)]] = keep(g)
+
     for node in reversed(_topo_order(loss)):
-        if node._backward is None:
-            continue
-        g = acc.get(id(node))
+        g = acc.pop(id(node), None)
         if g is None:
             continue
-        _check_finite(g, f"backward of {node._op}")
-        node._backward(g, grads)
+        if node._backward is not None:
+            _check_finite(g, f"backward of {node._op}")
+            node._backward(g, grads)
+        elif names is None or id(node) in names:
+            hand_out(node, g)
 
-    if wanted is not None:
-        return {name: acc[id(t)] if id(t) in acc else np.zeros_like(t.data) for name, t in wanted.items()}
-    for node in _topo_order(loss):
-        if node._backward is None and node.requires_grad and id(node) in acc:
-            node.grad = acc[id(node)] if node.grad is None else node.grad + acc[id(node)]
-    return None
+    if names is None:
+        return None
+    for t in wanted.values():
+        if id(t) not in done:  # no gradient reaches it
+            hand_out(t, np.zeros_like(t.data))
+    return out if into is not None else {name: out[name] for name in wanted}
 
 
 def backward(loss: Tensor):

@@ -8,7 +8,6 @@ success, and on failure prints exactly one machine-parseable line to stderr
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -29,10 +28,6 @@ def _require(path, kind: str) -> Path:
 def _load_config(args) -> RunConfig:
     path = getattr(args, "config", None)
     return RunConfig.load(_require(path, "config file") if path else None, getattr(args, "set", None) or [])
-
-
-def _default_threads() -> int:
-    return max(os.cpu_count() or 1, 1)
 
 
 # -- subcommand implementations ------------------------------------------------
@@ -254,6 +249,10 @@ def cmd_attention(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+THREADS_HELP = ("worker threads for per-record graphs (default 1: the graphs hold Python's GIL, so more threads "
+                "help only large models, at one gradient set or evaluation graph of memory each); "
+                "results are independent of this")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -294,10 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fold", default="0", help="fold id, 'all', or -1 for overfit/smoke mode")
     p.add_argument("--weights", required=True, help="reward matrix CSV")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for per-sample gradients (default 1: the graphs hold Python's GIL, "
-                        "so more threads help only large models, at one gradient set of memory each); "
-                        "results are independent of this")
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--out", required=True, help="report CSV to write")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="probabilities for one record")

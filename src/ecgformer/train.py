@@ -46,6 +46,8 @@ class TrainConfig:
             raise ConfigError("batch sizes must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        if self.max_steps < 1 or self.eval_every < 1:
+            raise ConfigError(f"max_steps and eval_every must be >= 1, got {self.max_steps} and {self.eval_every}")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(f"precision must be float64|float32, got {self.precision!r}")
         if self.threads < 1:
@@ -321,6 +323,111 @@ def _check_shapes(manifest: DatasetManifest, model_config: model.ModelConfig, tr
     return subset
 
 
+def _train_steps(
+    cache: dict[int, PreparedRecord],
+    train_idx: np.ndarray,
+    val_prepared: list[PreparedRecord],
+    val_labels: np.ndarray,
+    model_config: model.ModelConfig,
+    preprocess_config: dsp.PreprocessConfig,
+    train_config: TrainConfig,
+    weights: metrics.WeightMatrix,
+) -> tuple[dict[str, np.ndarray], float, list[float], set[str]]:
+    """Initialise and train the parameters; returns the best checkpoint's arrays
+    (float32, as WFT1 stores them), its validation metric, the loss curve and
+    the trained record ids.
+
+    The parameters, Adam's moments and the gradients live only in here, so
+    they are released before the caller writes and reloads the checkpoint.
+    """
+    params = model.init_params(model_config, train_config.seed)
+    trainable = params.trainable()
+    state = ag.adam_init(trainable)
+    seed = train_config.seed
+
+    loss_curve: list[float] = []
+    trained_ids: set[str] = set()
+    best_metric = -math.inf
+    best_arrays = {}  # set by the first evaluation; max_steps >= 1 and the last step evaluates
+
+    def val_metric_at_half() -> float:
+        probs = predict_probabilities(val_prepared, params, model_config, preprocess_config,
+                                      train_config.threads, train_config.batch_size_val)
+        preds = (probs >= 0.5).astype(np.int64)
+        try:
+            return metrics.challenge_metric(val_labels.astype(np.int64), preds, weights)
+        except metrics.UndefinedScoreError:
+            # Degenerate tiny validation sets: fall back to negative BCE.
+            p = np.clip(probs, ag.BCE_EPS, 1 - ag.BCE_EPS)
+            return float((val_labels * np.log(p) + (1 - val_labels) * np.log1p(-p)).mean())
+
+    def sample_grad(step, slot_and_item, into=None):
+        slot, (rec_idx, rec_epoch) = slot_and_item
+        record = cache[rec_idx]
+        window = _window_for(record, preprocess_config, _stable_seed(seed, 13, rec_epoch, rec_idx), "random")
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot]))
+        out = model.forward(window, record.wide, params, model_config, mode="train", rng=rng)
+        loss = ag.binary_cross_entropy(out.probabilities, record.labels)
+        grads = ag.collect_gradients(loss, trainable, into)
+        return loss.item(), grads
+
+    def train_step(step: int, batch: list[tuple[int, int]]) -> float:
+        """One Adam update from the batch-mean gradient; returns the mean loss."""
+        items = list(enumerate(batch))
+        total_grads: dict[str, np.ndarray] = {}
+        loss_sum = 0.0
+        try:
+            if pool is None:
+                # One running total: each sample's finished gradients are added to it during its reverse pass.
+                for item in items:
+                    loss_sum += sample_grad(step, item, total_grads)[0]
+            else:
+                # One gradient set per sample in flight, summed in slot order: thread-count independent.
+                for loss_value, grads in pool.map(lambda item: sample_grad(step, item), items):
+                    loss_sum += loss_value
+                    if not total_grads:
+                        total_grads = grads
+                    else:
+                        for name in total_grads:
+                            total_grads[name] += grads[name]
+        except NumericalError as exc:
+            raise NumericalError(f"training diverged at step {step}: {exc}") from exc
+        scale = 1.0 / len(batch)
+        for g in total_grads.values():  # the batch mean, in place
+            g *= scale
+        mean_loss = loss_sum * scale
+        if not math.isfinite(mean_loss):
+            raise NumericalError(f"training loss diverged at step {step}")
+        ag.adam_step(trainable, total_grads, state, lr=train_config.learning_rate)
+        return mean_loss
+
+    pool = ThreadPoolExecutor(max_workers=train_config.threads) if train_config.threads > 1 else None
+    try:
+        epoch = -1
+        stream: list[int] = []
+        for step in range(train_config.max_steps):
+            batch: list[tuple[int, int]] = []  # (record index, epoch it came from)
+            while len(batch) < min(train_config.batch_size_train, len(train_idx)):
+                if not stream:
+                    epoch += 1
+                    order = np.random.default_rng(_stable_seed(seed, 11, epoch)).permutation(len(train_idx))
+                    stream = [int(train_idx[j]) for j in order]
+                batch.append((stream.pop(), epoch))
+            loss_curve.append(train_step(step, batch))
+            trained_ids.update(cache[rec_idx].record_id for rec_idx, _ in batch)
+
+            if (step + 1) % train_config.eval_every == 0 or step + 1 == train_config.max_steps:
+                current = val_metric_at_half()
+                # Ties go to the later checkpoint (more training at equal metric).
+                if current >= best_metric:
+                    best_metric = current
+                    best_arrays = {k: t.data.astype(np.float32) for k, t in params.tensors.items()}
+    finally:
+        if pool:
+            pool.shutdown()
+    return best_arrays, best_metric, loss_curve, trained_ids
+
+
 def train_fold(
     manifest: DatasetManifest,
     fold_assignment: FoldAssignment,
@@ -365,85 +472,11 @@ def train_fold(
             cache = {i: replace(p, wide=(p.wide - scaler[0]) / scaler[1]) for i, p in cache.items()}
             _save_wide_scaler(out_dir / "wide_scaler.csv", scaler, model_config.d_wide)
 
-        params = model.init_params(model_config, train_config.seed)
-        trainable = params.trainable()
-        state = ag.adam_init(trainable)
-        seed = train_config.seed
-
-        loss_curve: list[float] = []
-        trained_ids: set[str] = set()
-        best_metric = -math.inf
-        best_arrays = params.copy_arrays()
         val_prepared = [cache[int(i)] for i in val_idx]
         val_labels = np.stack([p.labels for p in val_prepared])
-
-        def val_metric_at_half() -> float:
-            probs = predict_probabilities(val_prepared, params, model_config, preprocess_config,
-                                          train_config.threads, train_config.batch_size_val)
-            preds = (probs >= 0.5).astype(np.int64)
-            try:
-                return metrics.challenge_metric(val_labels.astype(np.int64), preds, weights)
-            except metrics.UndefinedScoreError:
-                # Degenerate tiny validation sets: fall back to negative BCE.
-                p = np.clip(probs, ag.BCE_EPS, 1 - ag.BCE_EPS)
-                return float((val_labels * np.log(p) + (1 - val_labels) * np.log1p(-p)).mean())
-
-        pool = ThreadPoolExecutor(max_workers=train_config.threads) if train_config.threads > 1 else None
-        try:
-            epoch = -1
-            stream: list[int] = []
-            for step in range(train_config.max_steps):
-                batch: list[tuple[int, int]] = []  # (record index, epoch it came from)
-                while len(batch) < min(train_config.batch_size_train, len(train_idx)):
-                    if not stream:
-                        epoch += 1
-                        order = np.random.default_rng(_stable_seed(seed, 11, epoch)).permutation(len(train_idx))
-                        stream = [int(train_idx[j]) for j in order]
-                    batch.append((stream.pop(), epoch))
-
-                def sample_grad(slot_and_item):
-                    slot, (rec_idx, rec_epoch) = slot_and_item
-                    record = cache[rec_idx]
-                    window = _window_for(record, preprocess_config, _stable_seed(seed, 13, rec_epoch, rec_idx), "random")
-                    rng = np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot]))
-                    out = model.forward(window, record.wide, params, model_config, mode="train", rng=rng)
-                    loss = ag.binary_cross_entropy(out.probabilities, record.labels)
-                    grads = ag.collect_gradients(loss, trainable)
-                    return loss.item(), grads
-
-                items = list(enumerate(batch))
-                results = pool.map(sample_grad, items) if pool else map(sample_grad, items)
-                total_grads: dict[str, np.ndarray] | None = None
-                loss_sum = 0.0
-                try:
-                    for loss_value, grads in results:  # slot order: deterministic reduction
-                        loss_sum += loss_value
-                        if total_grads is None:
-                            total_grads = grads
-                        else:
-                            for name in total_grads:
-                                total_grads[name] += grads[name]
-                except NumericalError as exc:
-                    raise NumericalError(f"training diverged at step {step}: {exc}") from exc
-                scale = 1.0 / len(batch)
-                for g in total_grads.values():  # the batch mean, in place
-                    g *= scale
-                mean_loss = loss_sum * scale
-                if not math.isfinite(mean_loss):
-                    raise NumericalError(f"training loss diverged at step {step}")
-                loss_curve.append(mean_loss)
-                trained_ids.update(cache[rec_idx].record_id for rec_idx, _ in batch)
-                ag.adam_step(trainable, total_grads, state, lr=train_config.learning_rate)
-
-                if (step + 1) % train_config.eval_every == 0 or step + 1 == train_config.max_steps:
-                    current = val_metric_at_half()
-                    # Ties go to the later checkpoint (more training at equal metric).
-                    if current >= best_metric:
-                        best_metric = current
-                        best_arrays = params.copy_arrays()
-        finally:
-            if pool:
-                pool.shutdown()
+        best_arrays, best_metric, loss_curve, trained_ids = _train_steps(
+            cache, train_idx, val_prepared, val_labels, model_config, preprocess_config, train_config, weights,
+        )
 
         # Report everything from the checkpoint actually written to disk, so a
         # later load + evaluate reproduces these numbers bitwise.
@@ -495,11 +528,32 @@ def _save_wide_scaler(path, scaler: tuple[np.ndarray, np.ndarray], d_wide: int):
 
 
 def load_wide_scaler(path, d_wide: int) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.zeros(d_wide)
-    std = np.ones(d_wide)
+    """Read wide_scaler.csv strictly: one `feature,mean,std` row per wide feature, in feature order."""
     with open(path, newline="") as fh:
-        for i, row in enumerate(list(csv.reader(fh))[1:]):
+        rows = list(csv.reader(fh))[1:]
+    if d_wide > features.D_WIDE:
+        raise ConfigError(f"d_wide {d_wide} exceeds the {features.D_WIDE} available wide features")
+    if len(rows) > d_wide:
+        extra = rows[d_wide][0] if rows[d_wide] else ""
+        raise RecordFormatError(f"{path}: extra scaler row for feature {extra!r} beyond the {d_wide} wide features")
+    mean = np.empty(d_wide)
+    std = np.empty(d_wide)
+    for i, row in enumerate(rows):
+        name = features.FEATURE_NAMES[i]
+        if len(row) != 3:
+            raise RecordFormatError(f"{path}: scaler row for feature {name!r} has {len(row)} fields, expected 3")
+        if row[0] != name:
+            raise RecordFormatError(f"{path}: scaler row {i + 1} names feature {row[0]!r}, expected {name!r}")
+        try:
             mean[i], std[i] = float(row[1]), float(row[2])
+        except ValueError:
+            raise RecordFormatError(f"{path}: scaler values for feature {name!r} are not numbers") from None
+        if not math.isfinite(mean[i]):
+            raise RecordFormatError(f"{path}: scaler mean {row[1]!r} for feature {name!r} is not finite")
+        if not (math.isfinite(std[i]) and std[i] > 0.0):
+            raise RecordFormatError(f"{path}: scaler std {row[2]!r} for feature {name!r} is not finite and positive")
+    if len(rows) < d_wide:
+        raise RecordFormatError(f"{path}: no scaler row for feature {features.FEATURE_NAMES[len(rows)]!r}")
     return mean, std
 
 

@@ -221,3 +221,31 @@ def textbook_adam(p, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1.0 - beta2**t)
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return p, m, v
+
+
+def allocating_collect_gradients(loss, wanted):
+    """The reverse pass that keeps every gradient until it ends: {name: gradient}.
+
+    Gradients of one tensor are summed as they arrive, each sum a new array;
+    a wanted tensor that no gradient reaches gets zeros. Arrays are handed
+    out as the backward closures made them, so two names may share one.
+    """
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if p.requires_grad)
+    acc = {id(loss): np.ones_like(loss.data)}
+
+    def grads(t, g):
+        if t.requires_grad:
+            acc[id(t)] = acc[id(t)] + g if id(t) in acc else g
+
+    for node in reversed(order):
+        if node._backward is not None and id(node) in acc:
+            node._backward(acc[id(node)], grads)
+    return {name: acc[id(t)] if id(t) in acc else np.zeros_like(t.data) for name, t in wanted.items()}

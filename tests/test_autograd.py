@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import central_difference_grad, max_rel_err, textbook_adam
+from oracles import allocating_collect_gradients, central_difference_grad, max_rel_err, textbook_adam
 
 GRAD_TOL = 1e-6
 
@@ -141,6 +141,114 @@ class TestBackwardBasics:
         loss2 = ag.tensor_sum(ag.mul(ag.add(x2, b2), ag.Tensor(w)))
         ag.backward(loss2)
         np.testing.assert_allclose(b.grad, b2.grad.sum(axis=0))
+
+
+def _accumulated(build, samples, use_into):
+    """Batch-mean gradients over `samples` the way training sums them: in place."""
+    total = {}
+    for seed in samples:
+        loss, wanted = build(seed)
+        if use_into:
+            ag.collect_gradients(loss, wanted, into=total)
+        else:
+            for name, g in ag.collect_gradients(loss, wanted).items():
+                if name in total:
+                    total[name] += g
+                else:
+                    total[name] = g
+    for g in total.values():
+        g *= 1.0 / len(samples)
+    return total
+
+
+def _allocating_reference(build, samples):
+    """The same batch mean from the oracle, every sum a new array."""
+    total = None
+    for seed in samples:
+        grads = allocating_collect_gradients(*build(seed))
+        total = grads if total is None else {name: total[name] + grads[name] for name in grads}
+    return {name: g * (1.0 / len(samples)) for name, g in total.items()}
+
+
+def _shared_add(seed):
+    # One add hands the same gradient array to both of its same-shape leaves.
+    rng = np.random.default_rng(seed)
+    a = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    loss = ag.tensor_sum(ag.mul(ag.add(a, b), ag.Tensor(3.0 + rng.normal(size=(3, 4)))))
+    return loss, {"a": a, "b": b}
+
+
+def _reshaped_leaf(seed):
+    # c's gradient is a reshaped view of the array d receives.
+    rng = np.random.default_rng(seed)
+    c = ag.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    d = ag.Tensor(rng.normal(size=6), requires_grad=True)
+    loss = ag.tensor_sum(ag.mul(ag.add(ag.reshape(c, (6,)), d), ag.Tensor(rng.normal(size=6))))
+    return loss, {"c": c, "d": d}
+
+
+def _fan_out(seed):
+    # x feeds four ops, w two; u is wanted but never used.
+    rng = np.random.default_rng(seed)
+    x = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = ag.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    u = ag.Tensor(rng.normal(size=5), requires_grad=True)
+    h = ag.add(ag.mul(x, x), ag.gelu(x))
+    y = ag.add(ag.matmul(h, w), ag.matmul(ag.softmax(x), w))
+    loss = ag.mean(ag.add(ag.mul(y, y), ag.tensor_sum(x)))
+    return loss, {"w": w, "u": u, "x": x}
+
+
+class TestGradientHandout:
+    """collect_gradients hands out distinct, owned arrays, each once it is final."""
+
+    @pytest.mark.parametrize("build", [_shared_add, _reshaped_leaf, _fan_out])
+    def test_single_pass_bitwise_equal_to_oracle(self, build):
+        loss, wanted = build(0)
+        grads = ag.collect_gradients(loss, wanted)
+        expected = allocating_collect_gradients(*build(0))
+        assert list(grads) == list(expected)
+        for name in expected:
+            assert grads[name].tobytes() == expected[name].tobytes(), name
+            assert grads[name].base is None, name
+        assert len({id(g) for g in grads.values()}) == len(grads)
+
+    @pytest.mark.parametrize("use_into", [False, True])
+    @pytest.mark.parametrize("build", [_shared_add, _reshaped_leaf, _fan_out])
+    def test_in_place_accumulation_matches_allocating_reference(self, build, use_into):
+        total = _accumulated(build, [1, 2, 3], use_into)
+        expected = _allocating_reference(build, [1, 2, 3])
+        assert sorted(total) == sorted(expected)
+        for name in expected:
+            assert total[name].tobytes() == expected[name].tobytes(), name
+
+    def test_into_returns_the_running_total(self):
+        loss, wanted = _fan_out(4)
+        total = {}
+        assert ag.collect_gradients(loss, wanted, into=total) is total
+        np.testing.assert_array_equal(total["u"], np.zeros(5))
+
+    def test_unreachable_leaf_adds_zeros(self):
+        loss, wanted = _fan_out(5)
+        total = {"u": np.full(5, -0.0), "w": np.zeros((4, 2)), "x": np.zeros((3, 4))}
+        ag.collect_gradients(loss, wanted, into=total)
+        assert total["u"].tobytes() == np.zeros(5).tobytes()  # -0.0 + 0.0 is +0.0, as with a zeros array
+
+    def test_backward_fills_distinct_grad_arrays(self):
+        loss, wanted = _shared_add(6)
+        ag.backward(loss)
+        a, b = wanted["a"], wanted["b"]
+        assert a.grad is not b.grad
+        expected = allocating_collect_gradients(*_shared_add(6))
+        assert a.grad.tobytes() == expected["a"].tobytes() and b.grad.tobytes() == expected["b"].tobytes()
+
+    def test_leaf_loss_gets_ones(self):
+        x = ag.Tensor(np.array(2.0), requires_grad=True)
+        assert ag.collect_gradients(x, {"x": x})["x"].tobytes() == np.ones(()).tobytes()
+        y = ag.Tensor(np.array(2.0), requires_grad=True)
+        ag.backward(y)
+        assert y.grad.tobytes() == np.ones(()).tobytes()
 
 
 class TestGradientsAgainstFiniteDifferences:

@@ -263,6 +263,58 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("override", ["train.max_steps=0", "train.eval_every=0"])
+    def test_step_counts_below_one_exit_code(self, workspace, tmp_path, capsys, override):
+        root, data, ini, manifest, folds = workspace
+        code = cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(tmp_path / "z"), "--config", str(ini), "--set", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ConfigError:") and "max_steps and eval_every" in err and err.count("\n") == 1
+
+    def test_malformed_wide_scaler_exit_code(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        std_ini = tmp_path / "std.ini"
+        std_ini.write_text(TOY_INI + "standardize_wide = true\n")
+        run = tmp_path / "run_scaler"
+        assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(run), "--config", str(std_ini)]) == 0
+        path = run / "wide_scaler.csv"
+        header, *rows = path.read_text().splitlines()
+        assert len(rows) == 4
+        names = [r.split(",")[0] for r in rows]
+        mean, std = rows[1].split(",")[1:]
+        damaged = [
+            ("extra scaler row for feature 'extra'", rows + ["extra,0.0,1.0"]),
+            (f"row for feature {names[1]!r} has 2 fields", [rows[0], f"{names[1]},{mean}"] + rows[2:]),
+            (f"no scaler row for feature {names[3]!r}", rows[:3]),
+            (f"no scaler row for feature {names[0]!r}", []),
+            (f"names feature 'bogus', expected {names[1]!r}", [rows[0], f"bogus,{mean},{std}"] + rows[2:]),
+            (f"values for feature {names[1]!r} are not numbers", [rows[0], f"{names[1]},abc,{std}"] + rows[2:]),
+            (f"mean 'nan' for feature {names[1]!r} is not finite", [rows[0], f"{names[1]},nan,{std}"] + rows[2:]),
+            (f"std '0.0' for feature {names[1]!r} is not finite", [rows[0], f"{names[1]},{mean},0.0"] + rows[2:]),
+            (f"std '-1' for feature {names[1]!r} is not finite", [rows[0], f"{names[1]},{mean},-1"] + rows[2:]),
+            (f"std 'inf' for feature {names[1]!r} is not finite", [rows[0], f"{names[1]},{mean},inf"] + rows[2:]),
+        ]
+        commands = [
+            ["evaluate", "--manifest", str(manifest), "--runs", str(run), "--weights", str(data / "weights.csv"),
+             "--out", str(tmp_path / "report.csv")],
+            ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run), "--out", str(tmp_path / "p.csv")],
+        ]
+        capsys.readouterr()
+        for needle, lines in damaged:
+            path.write_text("\n".join([header, *lines]) + "\n")
+            for argv in commands:
+                assert cli.main(argv) == 5, (argv[0], needle)
+                err = capsys.readouterr().err
+                assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1, err
+                assert "wide_scaler.csv" in err and needle in err, err
+
+    def test_evaluate_threads_default_to_one(self):
+        args = cli.build_parser().parse_args(["evaluate", "--manifest", "m", "--runs", "r", "--weights", "w",
+                                              "--out", "o"])
+        assert args.threads == 1
+
     def test_train_threads_default_to_one(self):
         args = cli.build_parser().parse_args(["train", "--manifest", "m", "--weights", "w", "--out", "o"])
         assert args.threads == 1

@@ -6,7 +6,8 @@ from ecgformer import model as wm
 from ecgformer.dsp import ProcessedWindow
 from ecgformer.errors import ConfigError, ShapeError
 
-from oracles import central_difference_grad, max_rel_err, per_head_attention, per_head_attention_backward
+from oracles import (allocating_collect_gradients, central_difference_grad, max_rel_err, per_head_attention,
+                     per_head_attention_backward)
 
 TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
@@ -298,6 +299,43 @@ class TestFusedAttentionOracle:
         if mask_padding:
             # The last patch starts past pad_start, so no query attends to it.
             assert (fused_out.attention_maps[0][:, :, -1] == 0.0).all()
+
+
+FOUR_HEADS = wm.ModelConfig(num_leads=3, d_model=24, num_layers=2, num_heads=4, d_ff=20,
+                            d_deep=8, d_wide=4, d_class=3, window_samples=320)
+
+
+class TestReversePassOracle:
+    """Gradients handed out during the reverse pass equal the keep-everything pass bit for bit."""
+
+    def _sample(self, config, params, sample):
+        rng = np.random.default_rng(40 + sample)
+        pad_start = config.window_samples - config.d_patch - 7
+        sig = rng.uniform(-1.0, 1.0, size=(config.num_leads, config.window_samples))
+        sig[:, pad_start:] = 0.0
+        window = ProcessedWindow(signal=sig, pad_start=pad_start, source_offset=0)
+        out = wm.forward(window, rng.normal(size=config.d_wide), params, config, mode="train", rng=sample)
+        return ag.binary_cross_entropy(out.probabilities, rng.integers(0, 2, size=config.d_class).astype(float))
+
+    @pytest.mark.parametrize("mask_padding", [False, True])
+    @pytest.mark.parametrize("base", [TOY, FOUR_HEADS], ids=["toy", "four_heads"])
+    def test_bitwise_equal_with_and_without_into(self, base, mask_padding):
+        config = wm.ModelConfig(**{**base.__dict__, "mask_padding": mask_padding})
+        params = wm.init_params(config, seed=6)
+        trainable = params.trainable()
+        total, expected_total = {}, None
+        for sample in range(3):
+            expected = allocating_collect_gradients(self._sample(config, params, sample), trainable)
+            grads = ag.collect_gradients(self._sample(config, params, sample), trainable)
+            assert list(grads) == list(expected)
+            for name in expected:
+                assert grads[name].tobytes() == expected[name].tobytes(), (sample, name)
+            ag.collect_gradients(self._sample(config, params, sample), trainable, into=total)
+            expected_total = expected if expected_total is None else {
+                name: expected_total[name] + expected[name] for name in expected}
+        assert sorted(total) == sorted(expected_total)
+        for name in expected_total:
+            assert total[name].tobytes() == expected_total[name].tobytes(), name
 
 
 class TestParamsFromArrays:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,42 @@ class TestTrainFold:
         train.train_fold(manifest, fa, -1, toy_model_config(), TOY_PREPROCESS, cfg, weights, tmp_path / "s")
         mean, std = train.load_wide_scaler(tmp_path / "s" / "wide_scaler.csv", 4)
         assert mean.shape == (4,) and np.all(std > 0)
+
+
+class TestStepMemory:
+    def test_step_holds_one_gradient_set(self, corpus, tmp_path):
+        # At a width where parameters dominate, a step holds the parameters,
+        # Adam's m and v, one running gradient total and one sample's graph.
+        # Keeping a gradient set per sample and a float64 best copy beside
+        # them costs about 3 more parameter sets.
+        manifest, weights = corpus
+        config = model.ModelConfig(num_leads=2, d_model=128, num_layers=2, num_heads=2, d_ff=128, d_deep=8,
+                                   d_wide=4, d_class=len(manifest.class_list), window_samples=192)
+        prepared = train.prepare_records(manifest, np.arange(len(manifest.entries)), record_io.lead_subset("two"),
+                                         TOY_PREPROCESS, FeatureConfig(), config.d_wide)
+        param_bytes = model.parameter_count(config) * 8
+
+        params = model.init_params(config, seed=1)
+        record = prepared[0]
+        window = train._window_for(record, TOY_PREPROCESS, 1, "random")
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = model.forward(window, record.wide, params, config, mode="train", rng=0)
+            loss = ag.binary_cross_entropy(out.probabilities, record.labels)
+            graph_bytes = tracemalloc.get_traced_memory()[1] - start
+            del out, loss
+
+            fa = stratify.FoldAssignment(np.zeros(len(manifest.entries), dtype=int), 1)
+            cfg = toy_train_config(batch_size_train=2, max_steps=2, eval_every=2)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            train.train_fold(manifest, fa, -1, config, TOY_PREPROCESS, cfg, weights, tmp_path / "m", prepared=prepared)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        margin = 0.5 * param_bytes  # the largest weight's gradient in flight, Python objects, small arrays
+        assert peak < 4 * param_bytes + graph_bytes + margin, (peak / param_bytes, graph_bytes / param_bytes)
 
 
 @pytest.fixture(scope="module")
