@@ -4,11 +4,11 @@ Every operation records its parents and an exact backward closure on the
 produced tensor; `backward` on a scalar walks the graph once in reverse
 topological order, accumulating gradients additively across fan-out and
 dropping each one as soon as nothing left in the pass needs it. Tensors
-are float64 unless a float32 mode is selected (training speed); gradient
-checks always run in float64. `matmul` takes 2-d operands or 3-d operands
-batched over a shared leading axis, and `permute` reorders axes, so all
-attention heads run as one product; a backward skips the product for any
-operand that needs no gradient.
+are float64 unless built with another dtype (float32 training runs on
+float32 parameters); gradient checks always run in float64. `matmul` takes
+2-d operands or 3-d operands batched over a shared leading axis, and
+`permute` reorders axes, so all attention heads run as one product; a
+backward skips the product for any operand that needs no gradient.
 
 Also home to the Adam update rule, which updates the moments and the
 parameters in place in fixed-size blocks, and the binary checkpoint format
@@ -27,21 +27,6 @@ import numpy as np
 
 from .errors import NumericalError, RecordFormatError, ShapeError
 
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype):
-    """Switch new-tensor precision; float64 (default) or float32."""
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ShapeError("default dtype must be float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 def _check_finite(data: np.ndarray, op: str):
     if not np.isfinite(data).all():
         raise NumericalError(f"{op} produced non-finite values")
@@ -53,7 +38,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, _op: str = "leaf"):
-        self.data = np.asarray(data, dtype=dtype or _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=dtype or np.float64)
         _check_finite(self.data, _op)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -72,6 +57,13 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
+
+    def detach(self) -> "Tensor":
+        """A constant over the same array (no copy, no finiteness scan): ops on it record no graph."""
+        out = Tensor.__new__(Tensor)
+        out.data, out.requires_grad, out.grad = self.data, False, None
+        out._parents, out._backward, out._op, out._consumed = (), None, "leaf", False
+        return out
 
     def item(self) -> float:
         if self.data.size != 1:

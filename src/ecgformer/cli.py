@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import attention_viz, autograd, dsp, features, metrics, model, record_io, stratify, synth, train
+from . import attention_viz, autograd, dsp, metrics, model, record_io, stratify, synth, train
 from .errors import ArgumentRangeError, EcgFormerError, MissingFileError
 from .runconfig import RunConfig
 
@@ -113,32 +114,51 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_run_dir(run_dir: Path, manifest, config: RunConfig):
-    model_config = model.ModelConfig.from_text((run_dir / "model_config.txt").read_text())
-    params = model.params_from_arrays(autograd.load_checkpoint(_require(run_dir / "checkpoint.wft1", "checkpoint")), model_config)
-    thresholds = train.load_thresholds(_require(run_dir / "thresholds.csv", "thresholds file"), manifest.class_list)
-    scaler = None
-    if (run_dir / "wide_scaler.csv").exists():
-        scaler = train.load_wide_scaler(run_dir / "wide_scaler.csv", model_config.d_wide)
-    return params, model_config, thresholds, scaler
+def _run_config(run_dir: Path, args) -> RunConfig:
+    ini = run_dir / "config_used.ini"
+    return RunConfig.load(ini if ini.exists() else None, getattr(args, "set", None) or [])
 
 
-def _prepared_for(manifest, indices, config: RunConfig, model_config, threads, scaler=None):
-    train_config = config.train_config(threads)
-    prepared = train.prepare_records(
-        manifest, np.asarray(indices), train_config.subset(), config.preprocess_config(),
-        config.feature_config(), model_config.d_wide, threads,
-    )
-    if scaler is not None:
-        for p in prepared.values():
-            p.wide = (p.wide - scaler[0]) / scaler[1]
-    return [prepared[int(i)] for i in indices]
+@dataclass
+class RunArtifacts:
+    """A trained run directory as inference reads it: every file read once, the
+    checkpoint loaded as float64 parameters whatever precision trained it."""
+
+    config: RunConfig
+    subset: record_io.LeadSubset
+    model_config: model.ModelConfig
+    params: model.ModelParams
+    class_codes: list[str]
+    thresholds: train.ThresholdVector
+    scaler: tuple[np.ndarray, np.ndarray] | None
+
+    @classmethod
+    def load(cls, run_dir: Path, config: RunConfig, class_codes: list[str] | None = None) -> "RunArtifacts":
+        """Load `run_dir` under `config`; with `class_codes`, thresholds.csv must hold exactly those classes."""
+        config_path = _require(run_dir / "model_config.txt", "model config")
+        model_config = model.ModelConfig.from_text(config_path.read_text(), str(config_path))
+        arrays = autograd.load_checkpoint(_require(run_dir / "checkpoint.wft1", "checkpoint"))
+        params = model.params_from_arrays(arrays, model_config)
+        codes, thresholds = train.load_thresholds(_require(run_dir / "thresholds.csv", "thresholds file"), class_codes)
+        scaler_path = run_dir / "wide_scaler.csv"
+        scaler = train.load_wide_scaler(scaler_path, model_config.d_wide) if scaler_path.exists() else None
+        return cls(config, config.train_config().subset(), model_config, params, codes, thresholds, scaler)
+
+    def inputs(self, record: record_io.EcgRecord) -> tuple[dsp.ProcessedWindow, np.ndarray]:
+        """One record's start window (the whole chain, `dsp.preprocess`) and wide row."""
+        selected, wide = train.prepare_record(record, self.subset, self.config.feature_config(),
+                                              self.model_config.d_wide, self.scaler)
+        return dsp.preprocess(selected.signal, selected.sampling_rate_hz, self.config.preprocess_config()), wide
+
+    def prepare_rows(self, manifest, indices, threads: int) -> list[train.PreparedRecord]:
+        prepared = train.prepare_records(manifest, indices, self.subset, self.config.preprocess_config(),
+                                         self.config.feature_config(), self.model_config.d_wide, threads, self.scaler)
+        return [prepared[int(i)] for i in indices]
 
 
 def cmd_evaluate(args) -> int:
     runs = _require(args.runs, "run directory")
-    config = RunConfig.load(runs / "config_used.ini" if (runs / "config_used.ini").exists() else None,
-                            getattr(args, "set", None) or [])
+    config = _run_config(runs, args)
     manifest = record_io.load_manifest(_require(args.manifest, "manifest"))
     normal = config["train"]["normal_class"] or manifest.class_list[0]
     weights = metrics.load_weight_matrix(_require(args.weights, "weight matrix"), normal)
@@ -157,17 +177,17 @@ def cmd_evaluate(args) -> int:
     labels_all = manifest.label_matrix()
     reports = []
     for fold, run_dir in fold_dirs:
-        params, model_config, thresholds, scaler = _load_run_dir(run_dir, manifest, config)
+        run = RunArtifacts.load(run_dir, config, manifest.class_list)
         indices = np.arange(len(manifest.entries)) if fold == -1 else assignment.records_in_fold(fold)
-        prepared = _prepared_for(manifest, indices, config, model_config, args.threads, scaler)
-        probs = train.predict_probabilities(prepared, params, model_config, config.preprocess_config(), args.threads)
+        probs = train.predict_probabilities(run.prepare_rows(manifest, indices, args.threads), run.params,
+                                            run.model_config, config.preprocess_config(), args.threads)
         labels = labels_all[indices]
-        challenge = metrics.challenge_metric(labels, train.apply_thresholds(probs, thresholds), weights)
+        challenge = metrics.challenge_metric(labels, train.apply_thresholds(probs, run.thresholds), weights)
         auroc_by_class = metrics.per_class_auroc(probs, labels)
         reports.append(
             train.FoldReport(
                 fold_id=fold, challenge=challenge, auroc_by_class=auroc_by_class,
-                auroc_macro=metrics.macro_auroc(auroc_by_class), thresholds=thresholds,
+                auroc_macro=metrics.macro_auroc(auroc_by_class), thresholds=run.thresholds,
                 loss_curve=[], best_val_metric_at_half=float("nan"),
                 trained_record_ids=[], val_record_ids=[manifest.entries[int(i)].record_id for i in indices],
                 checkpoint_path=str(run_dir / "checkpoint.wft1"), steps_run=0,
@@ -183,64 +203,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def _run_and_record(args) -> tuple[RunArtifacts, record_io.EcgRecord]:
     run_dir = _require(args.run, "run directory")
-    config = RunConfig.load(run_dir / "config_used.ini" if (run_dir / "config_used.ini").exists() else None,
-                            getattr(args, "set", None) or [])
-    record = record_io.parse_record(_require(args.record, "record header"))
-    model_config = model.ModelConfig.from_text((run_dir / "model_config.txt").read_text())
-    params = model.params_from_arrays(autograd.load_checkpoint(_require(run_dir / "checkpoint.wft1", "checkpoint")), model_config)
+    run = RunArtifacts.load(run_dir, _run_config(run_dir, args))
+    return run, record_io.parse_record(_require(args.record, "record header"))
 
-    train_config = config.train_config(1)
-    selected = record_io.select_leads(record, train_config.subset())
-    preprocess_config = config.preprocess_config()
-    wide = features.record_features(record, config.feature_config()).values[: model_config.d_wide]
-    if (run_dir / "wide_scaler.csv").exists():
-        mean, std = train.load_wide_scaler(run_dir / "wide_scaler.csv", model_config.d_wide)
-        wide = (wide - mean) / std
-    window = dsp.preprocess(selected.signal, selected.sampling_rate_hz, preprocess_config, "start")
-    out = model.forward(window, wide, params, model_config, mode="eval")
 
-    codes = _class_codes_from_thresholds(run_dir)
-    lines = ["record_id," + ",".join(codes),
-             record.record_id + "," + ",".join(repr(float(p)) for p in out.probabilities.data)]
+def cmd_predict(args) -> int:
+    run, record = _run_and_record(args)
+    window, wide = run.inputs(record)
+    probs = model.forward(window, wide, run.params, run.model_config, mode="eval").probabilities.data
+    lines = ["record_id," + ",".join(run.class_codes),
+             record.record_id + "," + ",".join(repr(float(p)) for p in probs)]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"probabilities for {record.record_id} -> {args.out}")
     return 0
 
 
-def _class_codes_from_thresholds(run_dir: Path) -> list[str]:
-    import csv as _csv
-
-    path = _require(run_dir / "thresholds.csv", "thresholds file")
-    with open(path, newline="") as fh:
-        codes = [row[0] if row else "" for row in list(_csv.reader(fh))[1:]]
-    train.load_thresholds(path, codes)  # the same strict rows evaluate reads
-    return codes
-
-
 def cmd_attention(args) -> int:
-    run_dir = _require(args.run, "run directory")
-    config = RunConfig.load(run_dir / "config_used.ini" if (run_dir / "config_used.ini").exists() else None,
-                            getattr(args, "set", None) or [])
-    record = record_io.parse_record(_require(args.record, "record header"))
-    model_config = model.ModelConfig.from_text((run_dir / "model_config.txt").read_text())
-    params = model.params_from_arrays(autograd.load_checkpoint(_require(run_dir / "checkpoint.wft1", "checkpoint")), model_config)
+    run, record = _run_and_record(args)
+    window, wide = run.inputs(record)
 
-    train_config = config.train_config(1)
-    subset = train_config.subset()
-    selected = record_io.select_leads(record, subset)
-    preprocess_config = config.preprocess_config()
-    wide = features.record_features(record, config.feature_config()).values[: model_config.d_wide]
-    if (run_dir / "wide_scaler.csv").exists():
-        mean, std = train.load_wide_scaler(run_dir / "wide_scaler.csv", model_config.d_wide)
-        wide = (wide - mean) / std
-    window = dsp.preprocess(selected.signal, selected.sampling_rate_hz, preprocess_config, "start")
-
-    layer = args.layer if args.layer >= 0 else model_config.num_layers - 1
-    amap = attention_viz.extract_attention(window, wide, params, model_config, layer, args.head)
-    feature_lead = config["features"]["feature_lead"]
-    trace_row = subset.leads.index(feature_lead) if feature_lead in subset.leads else 0
+    layer = args.layer if args.layer >= 0 else run.model_config.num_layers - 1
+    amap = attention_viz.extract_attention(window, wide, run.params, run.model_config, layer, args.head)
+    feature_lead = run.config["features"]["feature_lead"]
+    trace_row = run.subset.leads.index(feature_lead) if feature_lead in run.subset.leads else 0
     out_path = Path(args.out) / attention_viz.attention_filename(record.record_id, layer, amap.head_mode, args.format)
     attention_viz.export_heatmap(amap, window.signal[trace_row], out_path, fmt=args.format, region=args.region)
     print(f"attention map -> {out_path}")
@@ -249,8 +236,8 @@ def cmd_attention(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-THREADS_HELP = ("worker threads for per-record graphs (default 1: the graphs hold Python's GIL, so more threads "
-                "help only large models, at one gradient set or evaluation graph of memory each); "
+THREADS_HELP = ("worker threads for per-record forwards (default 1: they hold Python's GIL, so more threads "
+                "help only large models, at one gradient set of memory each in training); "
                 "results are independent of this")
 
 

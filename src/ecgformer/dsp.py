@@ -189,19 +189,32 @@ def extract_window(signal, config: PreprocessConfig, offset_policy: str = "start
     return ProcessedWindow(signal=out, pad_start=pad_start, source_offset=offset)
 
 
+def _normalize_at(signal: np.ndarray, config: PreprocessConfig, scope: str) -> np.ndarray:
+    """Normalize when the chain has reached the configured normalize_scope."""
+    return normalize(signal) if config.normalize_scope == scope else signal
+
+
+def process_recording(signal, from_hz: float, config: PreprocessConfig, taps: np.ndarray | None = None) -> np.ndarray:
+    """Recording half of the chain: resample -> bandpass -> normalize (scope "recording").
+
+    taps, when given, must be `design_bandpass(config)`; callers that process
+    many recordings design it once.
+    """
+    taps = design_bandpass(config) if taps is None else taps
+    sig = filter_signal(resample(signal, from_hz, config.target_rate_hz), taps)
+    return _normalize_at(sig, config, "recording")
+
+
+def cut_window(recording, config: PreprocessConfig, offset_policy: str = "start", seed: int | None = None) -> ProcessedWindow:
+    """Window half of the chain: cut the window -> normalize (scope "window")."""
+    window = extract_window(recording, config, offset_policy, seed)
+    return ProcessedWindow(_normalize_at(window.signal, config, "window"), window.pad_start, window.source_offset)
+
+
 def preprocess(signal, from_hz: float, config: PreprocessConfig, offset_policy: str = "start", seed: int | None = None) -> ProcessedWindow:
     """Full chain: resample -> bandpass -> normalize -> window.
 
     With normalize_scope == "window" the normalization runs on the extracted
     window instead of the whole filtered recording.
     """
-    sig = resample(signal, from_hz, config.target_rate_hz)
-    sig = filter_signal(sig, design_bandpass(config))
-    if config.normalize_scope == "recording":
-        sig = normalize(sig)
-        window = extract_window(sig, config, offset_policy, seed)
-    else:
-        window = extract_window(sig, config, offset_policy, seed)
-        normalized = normalize(window.signal)
-        window = ProcessedWindow(normalized, window.pad_start, window.source_offset)
-    return window
+    return cut_window(process_recording(signal, from_hz, config), config, offset_policy, seed)

@@ -12,7 +12,7 @@ probability per diagnosis class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,19 +72,24 @@ class ModelConfig:
         return "".join(f"{k}={getattr(self, k)}\n" for k in keys)
 
     @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
+    def from_text(cls, text: str, source: str = "model config") -> "ModelConfig":
+        """Parse `to_text` output strictly: each line a known key, once, with a value of the key's type."""
+        casts = {"int": int, "float": float, "str": str, "bool": {"True": True, "False": False}.__getitem__}
+        types = {f.name: casts[f.type] for f in fields(cls)}
         kwargs = {}
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            kwargs[key.strip()] = value.strip()
-        casts = {"dropout_encoder": float, "dropout_head": float, "positional": str,
-                 "dropout_positional": lambda v: v == "True", "mask_padding": lambda v: v == "True",
-                 "gelu_exact": lambda v: v == "True"}
-        for k in list(kwargs):
-            kwargs[k] = casts.get(k, int)(kwargs[k])
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in types or key in kwargs:
+                raise ConfigError(f"{source}: {'unknown' if key not in types else 'repeated'} key {key!r}")
+            try:
+                kwargs[key] = types[key](value)
+            except (KeyError, ValueError):
+                raise ConfigError(f"{source}: bad value {value!r} for {key}") from None
+        if "num_leads" not in kwargs:
+            raise ConfigError(f"{source}: no num_leads")
         return cls(**kwargs)
 
 
@@ -125,6 +130,12 @@ class ModelParams:
 
     def copy_arrays(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self.tensors.items()}
+
+    def no_grad(self) -> "ModelParams":
+        """The same arrays as constants: a forward through them records no graph."""
+        out = ModelParams.__new__(ModelParams)  # shapes were checked when self was built
+        out.tensors, out.config = {k: t.detach() for k, t in self.tensors.items()}, self.config
+        return out
 
 
 def expected_shapes(config: ModelConfig) -> dict[str, tuple]:
@@ -183,9 +194,10 @@ def _truncated_normal(rng: np.random.Generator, shape, sigma: float = 0.02) -> n
     return out
 
 
-def init_params(config: ModelConfig, seed: int) -> ModelParams:
+def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams:
     """Deterministic initialization: truncated normal for projections and
-    embeddings, zeros for biases, ones for layer-norm gains."""
+    embeddings, zeros for biases, ones for layer-norm gains; drawn in float64,
+    then stored as `dtype`."""
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
     for name, shape in expected_shapes(config).items():
@@ -198,7 +210,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
         else:
             data = _truncated_normal(rng, shape)
         trainable = not (name == "positional_embedding" and config.positional == "sinusoidal")
-        tensors[name] = Tensor(data, requires_grad=trainable)
+        tensors[name] = Tensor(data, requires_grad=trainable, dtype=dtype)
     return ModelParams(tensors, config)
 
 
@@ -249,7 +261,7 @@ def _attention_block(
     scores = ag.mul(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(dh))
     if key_mask is not None:
         # Padded-token keys are pushed to -inf-like scores before softmax.
-        scores = ag.add(scores, Tensor(np.where(key_mask, 0.0, -1e30)))
+        scores = ag.add(scores, Tensor(np.where(key_mask, 0.0, -1e30), dtype=x.data.dtype))
     attn = ag.softmax(scores)
     if capture is not None:
         capture.append(attn.data.copy())
@@ -267,17 +279,24 @@ def forward(
     rng: np.random.Generator | int | None = None,
     capture_attention: bool = False,
 ) -> ModelOutput:
-    """One record through the network; mode is 'train' (dropout live) or 'eval'."""
+    """One record through the network; mode is 'train' (dropout live) or 'eval'.
+
+    Eval runs on `params.no_grad()`, so it records no graph. The inputs become
+    constants of the parameters' dtype.
+    """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train|eval, got {mode!r}")
     training = mode == "train"
-    if training and rng is not None and not isinstance(rng, np.random.Generator):
+    if not training:
+        params = params.no_grad()
+    elif rng is not None and not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    dtype = params["patch_projection.weight"].data.dtype
     wide = np.asarray(wide, dtype=np.float64)
     if wide.shape != (config.d_wide,):
         raise ShapeError(f"wide feature vector has shape {wide.shape}, expected ({config.d_wide},)")
 
-    tokens = Tensor(patchify(window, config))
+    tokens = Tensor(patchify(window, config), dtype=dtype)
     projected = _linear(tokens, params, "patch_projection")
     cls = ag.reshape(params["class_token"], (1, config.d_model))
     seq = ag.concat([cls, projected], axis=0)
@@ -307,7 +326,7 @@ def forward(
     cls_state = ag.reshape(x[0, :], (1, config.d_model))
     deep = ag.gelu(_linear(cls_state, params, "head.fc1"), config.gelu_exact)
     deep = ag.dropout(deep, config.dropout_head, rng, training)
-    combined = ag.concat([deep, Tensor(wide.reshape(1, config.d_wide))], axis=1)
+    combined = ag.concat([deep, Tensor(wide.reshape(1, config.d_wide), dtype=dtype)], axis=1)
     logits = ag.reshape(_linear(combined, params, "head.fc2"), (config.d_class,))
     probabilities = ag.sigmoid(logits)
     return ModelOutput(probabilities=probabilities, logits=logits, attention_maps=attention_maps)

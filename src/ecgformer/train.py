@@ -21,7 +21,7 @@ from . import autograd as ag
 from . import dsp, features, metrics, model
 from .errors import (ArgumentRangeError, ConfigError, EmptyDatasetError, NumericalError, RecordFormatError,
                      ShapeError)
-from .record_io import DatasetManifest, LeadSubset, lead_subset, parse_record, select_leads
+from .record_io import DatasetManifest, EcgRecord, LeadSubset, lead_subset, parse_record, select_leads
 from .stratify import FoldAssignment
 
 
@@ -166,8 +166,9 @@ def save_thresholds(path, thresholds: ThresholdVector, class_codes: list[str]):
             out.writerow([code, repr(float(t))])
 
 
-def load_thresholds(path, class_codes: list[str]) -> ThresholdVector:
-    """Read thresholds.csv strictly: exactly one `class_code,threshold` row per class."""
+def load_thresholds(path, class_codes: list[str] | None = None) -> tuple[list[str], ThresholdVector]:
+    """Read thresholds.csv strictly: exactly one `class_code,threshold` row per class; returns the codes
+    and their thresholds, in `class_codes` order when given (then the file must hold exactly those)."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     mapping = {}
@@ -175,7 +176,7 @@ def load_thresholds(path, class_codes: list[str]) -> ThresholdVector:
         code = row[0] if row else ""
         if len(row) != 2:
             raise RecordFormatError(f"{path}: thresholds row for class {code!r} has {len(row)} fields, expected 2")
-        if code not in class_codes:
+        if class_codes is not None and code not in class_codes:
             raise RecordFormatError(f"{path}: unknown class {code!r}")
         if code in mapping:
             raise RecordFormatError(f"{path}: class {code!r} appears twice")
@@ -186,10 +187,11 @@ def load_thresholds(path, class_codes: list[str]) -> ThresholdVector:
         if not 0.0 < value < 1.0:
             raise RecordFormatError(f"{path}: threshold {row[1]!r} for class {code!r} is not strictly inside (0, 1)")
         mapping[code] = value
-    missing = [c for c in class_codes if c not in mapping]
+    codes = list(mapping) if class_codes is None else list(class_codes)
+    missing = [c for c in codes if c not in mapping]
     if missing:
         raise RecordFormatError(f"{path}: no threshold for class {missing[0]!r}")
-    return ThresholdVector(np.array([mapping[c] for c in class_codes]))
+    return codes, ThresholdVector(np.array([mapping[c] for c in codes]))
 
 
 # -- data assembly --------------------------------------------------------------
@@ -203,10 +205,20 @@ class PreparedRecord:
     labels: np.ndarray
 
 
-def _wide_slice(values: np.ndarray, d_wide: int) -> np.ndarray:
+def _wide_row(values: np.ndarray, d_wide: int, scaler: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The first d_wide wide features, standardized by scaler = (mean, std) when given."""
     if d_wide > features.D_WIDE:
         raise ConfigError(f"d_wide {d_wide} exceeds the {features.D_WIDE} available wide features")
-    return values[:d_wide].copy()
+    wide = values[:d_wide].copy()
+    return wide if scaler is None else (wide - scaler[0]) / scaler[1]
+
+
+def prepare_record(record: EcgRecord, subset: LeadSubset, feature_config: features.FeatureConfig, d_wide: int,
+                   scaler: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[EcgRecord, np.ndarray]:
+    """What the model reads of a parsed record: its subset's leads (still to be
+    preprocessed) and its wide feature row."""
+    wide = _wide_row(features.record_features(record, feature_config).values, d_wide, scaler)
+    return select_leads(record, subset), wide
 
 
 def prepare_records(
@@ -217,21 +229,18 @@ def prepare_records(
     feature_config: features.FeatureConfig,
     d_wide: int,
     threads: int = 1,
+    scaler: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[int, PreparedRecord]:
-    """Parse, filter and featurize the given manifest rows (order independent)."""
+    """Parse and prepare the given manifest rows, with their labels, each
+    recording through the recording half of the chain (order independent)."""
     label_matrix = manifest.label_matrix()
     taps = dsp.design_bandpass(preprocess_config)
 
     def build(i: int) -> tuple[int, PreparedRecord]:
         entry = manifest.entries[i]
-        record = parse_record(entry.file_path)
-        wide = features.record_features(record, feature_config).values
-        selected = select_leads(record, subset)
-        sig = dsp.resample(selected.signal, selected.sampling_rate_hz, preprocess_config.target_rate_hz)
-        sig = dsp.filter_signal(sig, taps)
-        if preprocess_config.normalize_scope == "recording":
-            sig = dsp.normalize(sig)
-        return i, PreparedRecord(entry.record_id, sig, _wide_slice(wide, d_wide), label_matrix[i].astype(np.float64))
+        selected, wide = prepare_record(parse_record(entry.file_path), subset, feature_config, d_wide, scaler)
+        processed = dsp.process_recording(selected.signal, selected.sampling_rate_hz, preprocess_config, taps)
+        return i, PreparedRecord(entry.record_id, processed, wide, label_matrix[i].astype(np.float64))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -239,13 +248,6 @@ def prepare_records(
     else:
         built = [build(int(i)) for i in indices]
     return dict(built)
-
-
-def _window_for(prepared: PreparedRecord, preprocess_config: dsp.PreprocessConfig, window_seed: int | None, policy: str) -> dsp.ProcessedWindow:
-    window = dsp.extract_window(prepared.processed, preprocess_config, policy, window_seed)
-    if preprocess_config.normalize_scope == "window":
-        window = dsp.ProcessedWindow(dsp.normalize(window.signal), window.pad_start, window.source_offset)
-    return window
 
 
 def _stable_seed(*parts: int) -> int:
@@ -258,27 +260,18 @@ def predict_probabilities(
     model_config: model.ModelConfig,
     preprocess_config: dsp.PreprocessConfig,
     threads: int = 1,
-    batch_size: int | None = None,
 ) -> np.ndarray:
-    """Eval-mode probabilities for each record (deterministic start windows).
-
-    batch_size only bounds how many graphs are in flight; it cannot change
-    the numbers.
-    """
+    """Eval-mode probabilities for each record (deterministic start windows)."""
 
     def run(p: PreparedRecord) -> np.ndarray:
-        window = _window_for(p, preprocess_config, None, "start")
+        window = dsp.cut_window(p.processed, preprocess_config)
         return model.forward(window, p.wide, params, model_config, mode="eval").probabilities.data.copy()
 
-    chunk = batch_size or len(prepared) or 1
-    rows: list[np.ndarray] = []
-    for start in range(0, len(prepared), chunk):
-        part = prepared[start : start + chunk]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows.extend(pool.map(run, part))
-        else:
-            rows.extend(run(p) for p in part)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(run, prepared))
+    else:
+        rows = [run(p) for p in prepared]
     return np.stack(rows) if rows else np.zeros((0, model_config.d_class))
 
 
@@ -340,7 +333,7 @@ def _train_steps(
     The parameters, Adam's moments and the gradients live only in here, so
     they are released before the caller writes and reloads the checkpoint.
     """
-    params = model.init_params(model_config, train_config.seed)
+    params = model.init_params(model_config, train_config.seed, np.dtype(train_config.precision))
     trainable = params.trainable()
     state = ag.adam_init(trainable)
     seed = train_config.seed
@@ -351,8 +344,7 @@ def _train_steps(
     best_arrays = {}  # set by the first evaluation; max_steps >= 1 and the last step evaluates
 
     def val_metric_at_half() -> float:
-        probs = predict_probabilities(val_prepared, params, model_config, preprocess_config,
-                                      train_config.threads, train_config.batch_size_val)
+        probs = predict_probabilities(val_prepared, params, model_config, preprocess_config, train_config.threads)
         preds = (probs >= 0.5).astype(np.int64)
         try:
             return metrics.challenge_metric(val_labels.astype(np.int64), preds, weights)
@@ -364,7 +356,8 @@ def _train_steps(
     def sample_grad(step, slot_and_item, into=None):
         slot, (rec_idx, rec_epoch) = slot_and_item
         record = cache[rec_idx]
-        window = _window_for(record, preprocess_config, _stable_seed(seed, 13, rec_epoch, rec_idx), "random")
+        window_seed = _stable_seed(seed, 13, rec_epoch, rec_idx)
+        window = dsp.cut_window(record.processed, preprocess_config, "random", window_seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot]))
         out = model.forward(window, record.wide, params, model_config, mode="train", rng=rng)
         loss = ag.binary_cross_entropy(out.probabilities, record.labels)
@@ -454,61 +447,49 @@ def train_fold(
     train_idx, val_idx = _partition(manifest, fold_assignment, fold_id)
     val_ids = [manifest.entries[int(i)].record_id for i in val_idx]
 
-    old_dtype = ag.default_dtype()
-    ag.set_default_dtype(np.float32 if train_config.precision == "float32" else np.float64)
-    try:
-        cache = prepared if prepared is not None else prepare_records(
-            manifest,
-            np.union1d(train_idx, val_idx),
-            subset,
-            preprocess_config,
-            feature_config,
-            model_config.d_wide,
-            train_config.threads,
-        )
-        if train_config.standardize_wide:
-            scaler = _fit_wide_scaler([cache[int(i)] for i in train_idx])
-            # Fold-private copies: the records may be shared with other folds.
-            cache = {i: replace(p, wide=(p.wide - scaler[0]) / scaler[1]) for i, p in cache.items()}
-            _save_wide_scaler(out_dir / "wide_scaler.csv", scaler, model_config.d_wide)
+    cache = prepared if prepared is not None else prepare_records(
+        manifest, np.union1d(train_idx, val_idx), subset, preprocess_config, feature_config, model_config.d_wide,
+        train_config.threads)
+    if train_config.standardize_wide:
+        scaler = _fit_wide_scaler([cache[int(i)] for i in train_idx])
+        # Fold-private copies: the records may be shared with other folds.
+        cache = {i: replace(p, wide=_wide_row(p.wide, model_config.d_wide, scaler)) for i, p in cache.items()}
+        _save_wide_scaler(out_dir / "wide_scaler.csv", scaler, model_config.d_wide)
 
-        val_prepared = [cache[int(i)] for i in val_idx]
-        val_labels = np.stack([p.labels for p in val_prepared])
-        best_arrays, best_metric, loss_curve, trained_ids = _train_steps(
-            cache, train_idx, val_prepared, val_labels, model_config, preprocess_config, train_config, weights,
-        )
+    val_prepared = [cache[int(i)] for i in val_idx]
+    val_labels = np.stack([p.labels for p in val_prepared])
+    best_arrays, best_metric, loss_curve, trained_ids = _train_steps(
+        cache, train_idx, val_prepared, val_labels, model_config, preprocess_config, train_config, weights,
+    )
 
-        # Report everything from the checkpoint actually written to disk, so a
-        # later load + evaluate reproduces these numbers bitwise.
-        checkpoint_path = out_dir / "checkpoint.wft1"
-        ag.save_checkpoint(checkpoint_path, best_arrays)
-        (out_dir / "model_config.txt").write_text(model_config.to_text())
-        final_params = model.params_from_arrays(ag.load_checkpoint(checkpoint_path), model_config)
+    # Report everything from the checkpoint actually written to disk, so a
+    # later load + evaluate reproduces these numbers bitwise.
+    checkpoint_path = out_dir / "checkpoint.wft1"
+    ag.save_checkpoint(checkpoint_path, best_arrays)
+    (out_dir / "model_config.txt").write_text(model_config.to_text())
+    final_params = model.params_from_arrays(ag.load_checkpoint(checkpoint_path), model_config)
 
-        val_probs = predict_probabilities(val_prepared, params=final_params, model_config=model_config,
-                                          preprocess_config=preprocess_config, threads=train_config.threads,
-                                          batch_size=train_config.batch_size_val)
-        thresholds = fit_thresholds(val_probs, val_labels.astype(np.int64), weights)
-        save_thresholds(out_dir / "thresholds.csv", thresholds, manifest.class_list)
-        challenge = metrics.challenge_metric(val_labels.astype(np.int64), apply_thresholds(val_probs, thresholds), weights)
-        auroc_by_class = metrics.per_class_auroc(val_probs, val_labels.astype(np.int64))
+    val_probs = predict_probabilities(val_prepared, params=final_params, model_config=model_config,
+                                      preprocess_config=preprocess_config, threads=train_config.threads)
+    thresholds = fit_thresholds(val_probs, val_labels.astype(np.int64), weights)
+    save_thresholds(out_dir / "thresholds.csv", thresholds, manifest.class_list)
+    challenge = metrics.challenge_metric(val_labels.astype(np.int64), apply_thresholds(val_probs, thresholds), weights)
+    auroc_by_class = metrics.per_class_auroc(val_probs, val_labels.astype(np.int64))
 
-        report = FoldReport(
-            fold_id=fold_id,
-            challenge=challenge,
-            auroc_by_class=auroc_by_class,
-            auroc_macro=metrics.macro_auroc(auroc_by_class),
-            thresholds=thresholds,
-            loss_curve=loss_curve,
-            best_val_metric_at_half=best_metric,
-            trained_record_ids=sorted(trained_ids),
-            val_record_ids=val_ids,
-            checkpoint_path=str(checkpoint_path),
-            steps_run=len(loss_curve),
-        )
-        return final_params, thresholds, report
-    finally:
-        ag.set_default_dtype(old_dtype)
+    report = FoldReport(
+        fold_id=fold_id,
+        challenge=challenge,
+        auroc_by_class=auroc_by_class,
+        auroc_macro=metrics.macro_auroc(auroc_by_class),
+        thresholds=thresholds,
+        loss_curve=loss_curve,
+        best_val_metric_at_half=best_metric,
+        trained_record_ids=sorted(trained_ids),
+        val_record_ids=val_ids,
+        checkpoint_path=str(checkpoint_path),
+        steps_run=len(loss_curve),
+    )
+    return final_params, thresholds, report
 
 
 def _fit_wide_scaler(prepared: list[PreparedRecord]) -> tuple[np.ndarray, np.ndarray]:

@@ -61,7 +61,9 @@ def test_a1_gradient_integrity():
     arrays = params.copy_arrays()
 
     live = model.params_from_arrays(arrays, TOY)
-    out = model.forward(window, wide, live, TOY, mode="eval")
+    # An eval forward records no graph; train mode without dropout is the same forward with one.
+    no_dropout = model.ModelConfig(**{**TOY.__dict__, "dropout_encoder": 0.0, "dropout_head": 0.0})
+    out = model.forward(window, wide, live, no_dropout, mode="train")
     loss = ag.binary_cross_entropy(out.probabilities, targets)
     analytic = ag.collect_gradients(loss, live.trainable())
 

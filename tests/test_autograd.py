@@ -560,12 +560,11 @@ class TestCheckpointStrictParsing:
 
 class TestDtypeMode:
     def test_float32_mode(self):
-        ag.set_default_dtype(np.float32)
-        try:
-            t = ag.Tensor([1.0, 2.0])
-            assert t.data.dtype == np.float32
-        finally:
-            ag.set_default_dtype(np.float64)
+        # Precision belongs to the tensors: float32 leaves give float32 values and gradients.
+        a = ag.Tensor([1.0, 2.0], requires_grad=True, dtype=np.float32)
+        loss = ag.binary_cross_entropy(ag.sigmoid(ag.mul(a, 0.5)), [0.0, 1.0])
+        assert loss.data.dtype == np.float32
+        assert ag.collect_gradients(loss, {"a": a})["a"].dtype == np.float32
 
     def test_default_is_float64(self):
         assert ag.Tensor([1.0]).data.dtype == np.float64

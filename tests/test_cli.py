@@ -1,10 +1,13 @@
+import dataclasses
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from ecgformer import cli
+from ecgformer import autograd, cli, model, record_io, train
+from ecgformer.runconfig import RunConfig
 
 TOY_INI = """\
 [preprocess]
@@ -45,6 +48,15 @@ def workspace(tmp_path_factory):
     assert cli.main(["folds", "--manifest", str(manifest), "--k", "2", "--seed", "3",
                      "--out", str(folds)]) == 0
     return root, data, ini, manifest, folds
+
+
+@pytest.fixture(scope="module")
+def overfit_run(workspace, tmp_path_factory):
+    root, data, ini, manifest, folds = workspace
+    run = tmp_path_factory.mktemp("overfit") / "run"
+    assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                     "--out", str(run), "--config", str(ini)]) == 0
+    return run
 
 
 class TestSynth:
@@ -150,6 +162,34 @@ class TestChain:
             for name in ("checkpoint.wft1", "thresholds.csv", "wide_scaler.csv"):
                 single = (tmp_path / f"f{fold}" / name).read_bytes()
                 assert (tmp_path / "cv" / f"fold{fold}" / name).read_bytes() == single, (fold, name)
+
+    @pytest.mark.parametrize("standardize", ["false", "true"])
+    @pytest.mark.parametrize("scope", ["recording", "window"])
+    def test_predict_row_equals_predict_probabilities(self, workspace, tmp_path, scope, standardize):
+        # `predict` on a record gives, bit for bit, the probabilities the
+        # manifest path (validation, `evaluate`) computes for that record.
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(run), "--config", str(ini), "--set", f"preprocess.normalize_scope={scope}",
+                         "--set", f"train.standardize_wide={standardize}"]) == 0
+        config = RunConfig.load(run / "config_used.ini")
+        model_config = model.ModelConfig.from_text((run / "model_config.txt").read_text())
+        params = model.params_from_arrays(autograd.load_checkpoint(run / "checkpoint.wft1"), model_config)
+        loaded = record_io.load_manifest(manifest)
+        prepared = train.prepare_records(loaded, np.arange(len(loaded.entries)), config.train_config().subset(),
+                                         config.preprocess_config(), config.feature_config(), model_config.d_wide)
+        records = [prepared[i] for i in range(len(loaded.entries))]
+        if standardize == "true":
+            mean, std = train.load_wide_scaler(run / "wide_scaler.csv", model_config.d_wide)
+            records = [dataclasses.replace(p, wide=(p.wide - mean) / std) for p in records]
+        expected = train.predict_probabilities(records, params, model_config, config.preprocess_config())
+        for entry, row in zip(loaded.entries, expected):
+            out = tmp_path / f"{entry.record_id}.csv"
+            assert cli.main(["predict", "--record", entry.file_path, "--run", str(run), "--out", str(out)]) == 0
+            record_id, *values = out.read_text().splitlines()[1].split(",")
+            assert record_id == entry.record_id
+            assert np.array_equal(np.array([float(v) for v in values]), row), record_id
 
     def test_attention_export(self, workspace, tmp_path):
         root, data, ini, manifest, folds = workspace
@@ -262,6 +302,38 @@ class TestErrors:
             assert cli.main(predict) == 5, lines
             err = capsys.readouterr().err
             assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("damage, code, needle", [
+        (None, 3, "ERROR MissingFileError: model config not found"),
+        (("gelu_exact=False\n", "gelu_exact=False\nd_modle=16\n"), 2, "unknown key 'd_modle'"),
+        (("d_model=16\n", "d_model=16.5\n"), 2, "bad value '16.5' for d_model"),
+        (("mask_padding=False", "mask_padding=false"), 2, "bad value 'false' for mask_padding"),
+    ], ids=["missing", "unknown_key", "non_integer", "bad_bool"])
+    def test_malformed_model_config_exit_code(self, workspace, overfit_run, tmp_path, capsys, command, damage, code,
+                                              needle):
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        shutil.copytree(overfit_run, run)
+        path = run / "model_config.txt"
+        if damage is None:
+            path.unlink()
+        else:
+            text = path.read_text()
+            assert damage[0] in text
+            path.write_text(text.replace(*damage))
+        argv = {
+            "predict": ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                        "--out", str(tmp_path / "p.csv")],
+            "evaluate": ["evaluate", "--manifest", str(manifest), "--runs", str(run),
+                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "report.csv")],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ") and err.count("\n") == 1 and needle in err, err
+        if code == 2:
+            assert err.startswith("ERROR ConfigError:") and "model_config.txt" in err, err
 
     @pytest.mark.parametrize("override", ["train.max_steps=0", "train.eval_every=0"])
     def test_step_counts_below_one_exit_code(self, workspace, tmp_path, capsys, override):

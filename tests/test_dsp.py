@@ -221,3 +221,18 @@ class TestPipeline:
         w_then_select = dsp.extract_window(x, cfg, "random", seed=11).signal[sub]
         select_then_w = dsp.extract_window(x[sub], cfg, "random", seed=11).signal
         np.testing.assert_array_equal(w_then_select, select_then_w)
+
+    @pytest.mark.parametrize("scope", ["recording", "window"])
+    def test_halves_compose_to_the_whole_chain(self, scope):
+        # Training caches the recording half and cuts windows from it; predict
+        # runs the whole chain. Both must give the same window bytes.
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 9000))
+        cfg = dsp.PreprocessConfig(normalize_scope=scope)
+        recording = dsp.process_recording(x, 977.0, cfg, dsp.design_bandpass(cfg))
+        assert recording.tobytes() == dsp.process_recording(x, 977.0, cfg).tobytes()
+        for policy, seed in [("start", None), ("random", 5)]:
+            whole = dsp.preprocess(x, 977.0, cfg, policy, seed)
+            halves = dsp.cut_window(recording, cfg, policy, seed)
+            assert whole.signal.tobytes() == halves.signal.tobytes()
+            assert (whole.pad_start, whole.source_offset) == (halves.pad_start, halves.source_offset)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
     d_deep=8, d_wide=4, d_class=3, window_samples=192,
 )
+# An eval forward records no graph; train mode without dropout is the same forward with one.
+NO_DROPOUT = wm.ModelConfig(**{**TOY.__dict__, "dropout_encoder": 0.0, "dropout_head": 0.0})
 
 
 def toy_window(rng, pad_start=None):
@@ -218,7 +222,7 @@ class TestModelGradients:
 
         arrays = params.copy_arrays()
         live = wm.params_from_arrays(arrays, TOY)
-        out = wm.forward(window, wide, live, TOY)
+        out = wm.forward(window, wide, live, NO_DROPOUT, mode="train")
         loss = ag.binary_cross_entropy(out.probabilities, targets)
         analytic = ag.collect_gradients(loss, live.trainable())
 
@@ -267,7 +271,15 @@ class TestFusedAttentionOracle:
         wide = rng.normal(size=config.d_wide)
         targets = rng.integers(0, 2, size=config.d_class).astype(float)
         out = wm.forward(window, wide, params, config, mode=mode, rng=7, capture_attention=True)
-        loss = ag.binary_cross_entropy(out.probabilities, targets)
+        if mode == "eval":
+            # An eval forward records no graph: take the gradients from the same
+            # forward with a graph, train mode without dropout.
+            no_dropout = wm.ModelConfig(**{**config.__dict__, "dropout_encoder": 0.0, "dropout_head": 0.0})
+            graph_out = wm.forward(window, wide, params, no_dropout, mode="train", rng=7)
+            assert graph_out.probabilities.data.tobytes() == out.probabilities.data.tobytes()
+        else:
+            graph_out = out
+        loss = ag.binary_cross_entropy(graph_out.probabilities, targets)
         return out, ag.collect_gradients(loss, params.trainable())
 
     @pytest.mark.parametrize("mask_padding", [False, True])
@@ -336,6 +348,50 @@ class TestReversePassOracle:
         assert sorted(total) == sorted(expected_total)
         for name in expected_total:
             assert total[name].tobytes() == expected_total[name].tobytes(), name
+
+
+class TestEvalForward:
+    def test_records_no_graph(self):
+        # At 12 leads, 7680 samples, width 128 and 2 layers, an eval forward
+        # that recorded its graph would keep about 13 MB alive in its outputs.
+        config = wm.ModelConfig(num_leads=12, d_model=128, num_layers=2, num_heads=8, d_ff=128, d_deep=8,
+                                d_wide=4, d_class=3, window_samples=7680)
+        params = wm.init_params(config, seed=2)
+        rng = np.random.default_rng(3)
+        window = ProcessedWindow(rng.uniform(-1.0, 1.0, size=(12, 7680)), 7680, 0)
+        wide = rng.normal(size=config.d_wide)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = wm.forward(window, wide, params, config, mode="eval")
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5e6, held
+        assert out.probabilities._parents == () and out.logits._parents == ()
+        assert not out.probabilities.requires_grad
+        assert all(t.requires_grad for t in params.trainable().values())
+
+        # The same forward with a graph: train mode without dropout, bitwise equal.
+        no_dropout = wm.ModelConfig(**{**config.__dict__, "dropout_encoder": 0.0, "dropout_head": 0.0})
+        graph_out = wm.forward(window, wide, params, no_dropout, mode="train")
+        assert np.array_equal(graph_out.probabilities.data, out.probabilities.data)
+        loss = ag.binary_cross_entropy(graph_out.probabilities, np.array([1.0, 0.0, 1.0]))
+        grads = ag.collect_gradients(loss, params.trainable())
+        assert grads.keys() == params.trainable().keys()
+        assert np.any(grads["patch_projection.weight"] != 0.0)
+
+    def test_float32_params_give_float32_outputs_and_gradients(self):
+        params = wm.init_params(TOY, seed=1, dtype=np.float32)
+        assert all(t.data.dtype == np.float32 for t in params.tensors.values())
+        window = toy_window(np.random.default_rng(4))
+        wide = np.ones(TOY.d_wide)
+        assert wm.forward(window, wide, params, TOY, mode="eval").probabilities.data.dtype == np.float32
+        out = wm.forward(window, wide, params, TOY, mode="train", rng=1)
+        assert out.probabilities.data.dtype == np.float32
+        loss = ag.binary_cross_entropy(out.probabilities, np.zeros(TOY.d_class))
+        grads = ag.collect_gradients(loss, params.trainable())
+        assert all(g.dtype == np.float32 for g in grads.values())
 
 
 class TestParamsFromArrays:

@@ -206,7 +206,29 @@ class TestTrainFold:
         params, _, report = train.train_fold(manifest, fa, -1, toy_model_config(), TOY_PREPROCESS, cfg,
                                              weights, tmp_path / "f32")
         assert all(np.isfinite(v) for v in report.loss_curve)
-        assert ag.default_dtype() == np.float64  # restored afterwards
+
+    def test_float32_run_reports_what_evaluate_recomputes(self, corpus, tmp_path):
+        # Training steps run in float32; the validation pass that fits the
+        # thresholds runs the reloaded checkpoint in float64, as evaluate does.
+        manifest, weights = corpus
+        fa = stratify.stratified_folds(manifest.label_matrix(), k=2, seed=2)
+        cfg = toy_train_config(max_steps=10, precision="float32")
+        params, thresholds, report = train.train_fold(manifest, fa, 0, toy_model_config(), TOY_PREPROCESS, cfg,
+                                                      weights, tmp_path / "f32")
+        assert all(t.data.dtype == np.float64 for t in params.tensors.values())
+        reloaded = model.params_from_arrays(ag.load_checkpoint(report.checkpoint_path), toy_model_config())
+        val_idx = fa.records_in_fold(0)
+        prepared = train.prepare_records(manifest, val_idx, record_io.lead_subset("two"), TOY_PREPROCESS,
+                                         FeatureConfig(), 4)
+        probs = train.predict_probabilities([prepared[int(i)] for i in val_idx], reloaded, toy_model_config(),
+                                            TOY_PREPROCESS)
+        assert probs.dtype == np.float64
+        labels = manifest.label_matrix()[val_idx]
+        refit = train.fit_thresholds(probs, labels, weights)
+        _, written = train.load_thresholds(tmp_path / "f32" / "thresholds.csv", manifest.class_list)
+        assert np.array_equal(refit.values, thresholds.values)
+        assert np.array_equal(written.values, thresholds.values)
+        assert metrics.challenge_metric(labels, train.apply_thresholds(probs, written), weights) == report.challenge
 
     def test_standardize_wide_writes_scaler(self, corpus, tmp_path):
         manifest, weights = corpus
@@ -232,7 +254,7 @@ class TestStepMemory:
 
         params = model.init_params(config, seed=1)
         record = prepared[0]
-        window = train._window_for(record, TOY_PREPROCESS, 1, "random")
+        window = dsp.cut_window(record.processed, TOY_PREPROCESS, "random", 1)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
