@@ -1,14 +1,20 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every operation records its parents and an exact backward closure on the
-produced tensor; `backward` on a scalar walks the graph once in reverse
+produced tensor; `collect_gradients` walks the graph once in reverse
 topological order, accumulating gradients additively across fan-out and
 dropping each one as soon as nothing left in the pass needs it. Tensors
 are float64 unless built with another dtype (float32 training runs on
 float32 parameters); gradient checks always run in float64. `matmul` takes
-2-d operands or 3-d operands batched over a shared leading axis, and
-`permute` reorders axes, so all attention heads run as one product; a
-backward skips the product for any operand that needs no gradient.
+2-d operands, 3-d operands batched over a shared leading axis, or a 3-d
+operand times a shared 2-d matrix, and `permute` reorders axes, so all
+attention heads run as one product; a backward skips the product for any
+operand that needs no gradient.
+
+Graphs are batch-first: the leading axis of an activation holds one record
+per slot. A parameter shared by every slot gets the gradient each slot would
+give it alone, summed over the slots in slot order, so a minibatch in one
+graph yields the bytes of one graph per record added into a running total.
 
 Also home to the Adam update rule, which updates the moments and the
 parameters in place in fixed-size blocks, and the binary checkpoint format
@@ -35,13 +41,12 @@ def _check_finite(data: np.ndarray, op: str):
 class Tensor:
     """n-d array that can participate in gradient recording."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_consumed")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward", "_op", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, _op: str = "leaf"):
         self.data = np.asarray(data, dtype=dtype or np.float64)
         _check_finite(self.data, _op)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._op = _op
@@ -55,13 +60,10 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def zero_grad(self):
-        self.grad = None
-
     def detach(self) -> "Tensor":
         """A constant over the same array (no copy, no finiteness scan): ops on it record no graph."""
         out = Tensor.__new__(Tensor)
-        out.data, out.requires_grad, out.grad = self.data, False, None
+        out.data, out.requires_grad = self.data, False
         out._parents, out._backward, out._op, out._consumed = (), None, "leaf", False
         return out
 
@@ -81,7 +83,6 @@ class Tensor:
         out.data = data
         _check_finite(data, op)
         out.requires_grad = any(p.requires_grad for p in parents)
-        out.grad = None
         out._op = op
         out._consumed = False
         if out.requires_grad:
@@ -122,22 +123,27 @@ class Tensor:
     def transpose(self):
         return transpose(self)
 
-    def backward(self):
-        backward(self)
-
 
 def as_tensor(x, dtype=None) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to `shape` by summing the broadcast leading axes."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
+    """Reduce a gradient back to `shape` by summing the broadcast axes.
+
+    When `grad` has more axes than `shape`, its first axis is the slot axis:
+    each slot is reduced on its own, then the slots are summed in order.
+    (NumPy sums a C-ordered array over an outer axis one index after the
+    other, so `g.sum(axis=1)[s]` is `g[s].sum(axis=0)` bit for bit, and
+    `g.sum(axis=0)` is `g[0] + g[1] + ...` in that order.)
+    """
+    slots = grad.ndim > len(shape)
+    while grad.ndim > len(shape) + slots:
+        grad = grad.sum(axis=1)
+    for axis, size in enumerate(shape, start=slots):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+    return grad.sum(axis=0) if slots else grad
 
 
 def _check_trailing_broadcast(a: Tensor, b: Tensor, op: str):
@@ -182,11 +188,12 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Product of two 2-d operands, or of two 3-d operands batched over axis 0."""
+    """Product of two 2-d operands, of two 3-d operands batched over axis 0, or
+    of a 3-d operand and a 2-d matrix shared by every slot of its axis 0."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects two 2-d or two 3-d operands, got {a.shape} @ {b.shape}")
-    if a.ndim == 3 and a.shape[0] != b.shape[0]:
+    if (a.ndim, b.ndim) not in ((2, 2), (3, 3), (3, 2)):
+        raise ShapeError(f"matmul expects 2-d @ 2-d, 3-d @ 3-d or 3-d @ 2-d operands, got {a.shape} @ {b.shape}")
+    if a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise ShapeError(f"matmul: batch axes differ, {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
@@ -196,7 +203,13 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             grads(a, grad @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            grads(b, np.swapaxes(a.data, -1, -2) @ grad)
+            if b.ndim < a.ndim:  # each slot's own product, then the slots in order
+                if a.shape[0] == 1:
+                    grads(b, np.swapaxes(a.data[0], -1, -2) @ grad[0])
+                else:
+                    grads(b, (np.swapaxes(a.data, -1, -2) @ grad).sum(axis=0))
+            else:
+                grads(b, np.swapaxes(a.data, -1, -2) @ grad)
 
     return Tensor._result(data, (a, b), backward_fn, "matmul")
 
@@ -256,6 +269,17 @@ def concat(tensors, axis: int = 0) -> Tensor:
             start += size
 
     return Tensor._result(data, tuple(tensors), backward_fn, "concat")
+
+
+def broadcast_to(a, shape) -> Tensor:
+    """`a` repeated over new leading axes (or along its size-1 axes) as a read-only view."""
+    a = as_tensor(a)
+    data = np.broadcast_to(a.data, shape)
+
+    def backward_fn(grad, grads):
+        grads(a, _unbroadcast(grad, a.shape))
+
+    return Tensor._result(data, (a,), backward_fn, "broadcast_to")
 
 
 def tensor_slice(a, key) -> Tensor:
@@ -321,9 +345,8 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         sum_dxhat = dxhat.sum(axis=-1, keepdims=True)
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=-1, keepdims=True)
         grads(a, (inv_std / d) * (d * dxhat - sum_dxhat - xhat * sum_dxhat_xhat))
-        lead = tuple(range(grad.ndim - 1))
-        grads(gain, (grad * xhat).sum(axis=lead))
-        grads(bias, grad.sum(axis=lead))
+        grads(gain, _unbroadcast(grad * xhat, gain.shape))
+        grads(bias, _unbroadcast(grad, bias.shape))
 
     return Tensor._result(data, (a, gain, bias), backward_fn, "layer_norm")
 
@@ -367,8 +390,17 @@ def sigmoid(a) -> Tensor:
     return Tensor._result(data, (a,), backward_fn, "sigmoid")
 
 
+def as_generator(rng) -> np.random.Generator:
+    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+
+
 def dropout(a, p: float, rng=None, training: bool = True) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-p); identity in eval mode."""
+    """Inverted dropout: scales kept units by 1/(1-p); identity in eval mode.
+
+    `rng` is a generator or seed, or a list with one per slot: the leading
+    axis is then cut into that many equal slots, and each slot draws its mask
+    from its own generator, as it would alone.
+    """
     a = as_tensor(a)
     if not training or p == 0.0:
         return a
@@ -376,9 +408,17 @@ def dropout(a, p: float, rng=None, training: bool = True) -> Tensor:
         raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
     if rng is None:
         raise ShapeError("training-mode dropout requires an rng or seed")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if isinstance(rng, list):
+        if a.ndim == 0 or a.shape[0] % len(rng):
+            raise ShapeError(f"dropout: {len(rng)} generators do not split the leading axis of shape {a.shape}")
+        draws = np.empty(a.shape)
+        rows = a.shape[0] // len(rng)
+        for slot, gen in enumerate(rng):
+            as_generator(gen).random(out=draws[slot * rows : (slot + 1) * rows])
+    else:
+        draws = as_generator(rng).random(a.shape)
     keep = 1.0 - p
-    mask = (gen.random(a.shape) < keep).astype(a.data.dtype) / keep
+    mask = (draws < keep).astype(a.data.dtype) / keep
     data = a.data * mask
 
     def backward_fn(grad, grads):
@@ -401,33 +441,24 @@ def mean(a, axis: int | None = None) -> Tensor:
     return Tensor._result(np.asarray(data), (a,), backward_fn, "mean")
 
 
-def tensor_sum(a) -> Tensor:
-    """Total sum to a scalar."""
-    a = as_tensor(a)
-    data = np.asarray(a.data.sum())
-
-    def backward_fn(grad, grads):
-        grads(a, np.full_like(a.data, 1.0) * grad)
-
-    return Tensor._result(data, (a,), backward_fn, "sum")
-
-
 BCE_EPS = 1e-7
 
 
-def binary_cross_entropy(predictions, targets) -> Tensor:
-    """Mean BCE over all elements; probabilities clamped to [1e-7, 1 - 1e-7]."""
+def binary_cross_entropy(predictions, targets, per_slot: bool = False) -> Tensor:
+    """Mean BCE over all elements, or with `per_slot` over the last axis only
+    (one loss per slot); probabilities clamped to [1e-7, 1 - 1e-7]."""
     predictions = as_tensor(predictions)
     t = np.asarray(targets, dtype=predictions.data.dtype)
     if t.shape != predictions.shape:
         raise ShapeError(f"binary_cross_entropy: predictions {predictions.shape} vs targets {t.shape}")
     p = np.clip(predictions.data, BCE_EPS, 1.0 - BCE_EPS)
-    data = np.asarray(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)).mean())
+    data = np.asarray(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)).mean(axis=-1 if per_slot else None))
+    count = p.shape[-1] if per_slot else p.size
     inside = (predictions.data > BCE_EPS) & (predictions.data < 1.0 - BCE_EPS)
 
     def backward_fn(grad, grads):
-        dp = (p - t) / (p * (1.0 - p)) / p.size
-        grads(predictions, grad * dp * inside)
+        dp = (p - t) / (p * (1.0 - p)) / count
+        grads(predictions, (grad[..., None] if per_slot else grad) * dp * inside)
 
     return Tensor._result(data, (predictions,), backward_fn, "binary_cross_entropy")
 
@@ -463,29 +494,29 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def collect_gradients(
     loss: Tensor,
-    wanted: dict[str, Tensor] | None = None,
+    wanted: dict[str, Tensor],
     into: dict[str, np.ndarray] | None = None,
-):
-    """Reverse pass without touching `.grad`; returns {name: gradient array}.
+) -> dict[str, np.ndarray]:
+    """Reverse pass from `loss`; returns {name: gradient array} for `wanted`.
 
+    `loss` is a scalar or a vector of per-slot losses; the pass is seeded
+    with ones, so every slot's loss is differentiated as if it were alone.
     Each intermediate gradient is dropped as soon as its node's backward has
     run, and each leaf gradient is handed out as soon as its last consumer
     has run (see `_topo_order`), so a pass holds one gradient set at most.
     Every array handed out is distinct and owns its memory. With `into`,
     each gradient is added in place to `into[name]` (or becomes it, when the
-    name is new) and `into` is returned. With wanted=None, gradients are
-    written to `.grad` of every requires_grad leaf instead (accumulating
-    across calls on separate graphs).
+    name is new) and `into` is returned.
     """
-    if loss.data.size != 1:
-        raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.ndim > 1:
+        raise ShapeError(f"backward needs a scalar or per-slot loss vector, got shape {loss.shape}")
     if not loss.requires_grad:
         raise NumericalError("loss is detached from any gradient-tracked input")
     if loss._consumed:
         raise RuntimeError("backward already ran for this graph; run forward again first")
     loss._consumed = True
 
-    names = None if wanted is None else {id(t): name for name, t in wanted.items()}
+    names = {id(t): name for name, t in wanted.items()}
     acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     out: dict[str, np.ndarray] = {} if into is None else into
     kept: set[int] = set()  # arrays handed out by reference, so alive until the pass ends
@@ -501,21 +532,17 @@ def collect_gradients(
         else:
             acc[id(t)] = g
 
-    def keep(g: np.ndarray) -> np.ndarray:
+    def hand_out(leaf: Tensor, g: np.ndarray):
+        done.add(id(leaf))
+        name = names[id(leaf)]
+        if name in out:
+            out[name] += g
+            return
         # One backward may pass the same array, or a view of it, to several tensors.
         if g.base is not None or id(g) in kept:
             g = g.copy()
         kept.add(id(g))
-        return g
-
-    def hand_out(leaf: Tensor, g: np.ndarray):
-        done.add(id(leaf))
-        if names is None:
-            leaf.grad = keep(g) if leaf.grad is None else leaf.grad + g
-        elif names[id(leaf)] in out:
-            out[names[id(leaf)]] += g
-        else:
-            out[names[id(leaf)]] = keep(g)
+        out[name] = g
 
     for node in reversed(_topo_order(loss)):
         g = acc.pop(id(node), None)
@@ -524,20 +551,13 @@ def collect_gradients(
         if node._backward is not None:
             _check_finite(g, f"backward of {node._op}")
             node._backward(g, grads)
-        elif names is None or id(node) in names:
+        elif id(node) in names:
             hand_out(node, g)
 
-    if names is None:
-        return None
     for t in wanted.values():
         if id(t) not in done:  # no gradient reaches it
             hand_out(t, np.zeros_like(t.data))
     return out if into is not None else {name: out[name] for name in wanted}
-
-
-def backward(loss: Tensor):
-    """Populate `.grad` on every requires_grad leaf reachable from the loss."""
-    collect_gradients(loss, wanted=None)
 
 
 # -- optimizer ----------------------------------------------------------------

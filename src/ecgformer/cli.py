@@ -180,7 +180,7 @@ def cmd_evaluate(args) -> int:
         run = RunArtifacts.load(run_dir, config, manifest.class_list)
         indices = np.arange(len(manifest.entries)) if fold == -1 else assignment.records_in_fold(fold)
         probs = train.predict_probabilities(run.prepare_rows(manifest, indices, args.threads), run.params,
-                                            run.model_config, config.preprocess_config(), args.threads)
+                                            run.model_config, config.preprocess_config())
         labels = labels_all[indices]
         challenge = metrics.challenge_metric(labels, train.apply_thresholds(probs, run.thresholds), weights)
         auroc_by_class = metrics.per_class_auroc(probs, labels)
@@ -236,9 +236,8 @@ def cmd_attention(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-THREADS_HELP = ("worker threads for per-record forwards (default 1: they hold Python's GIL, so more threads "
-                "help only large models, at one gradient set of memory each in training); "
-                "results are independent of this")
+THREADS_HELP = ("worker threads for reading and preprocessing records (default 1); forwards run batched in "
+                "the calling thread; results are independent of this")
 
 
 def build_parser() -> argparse.ArgumentParser:

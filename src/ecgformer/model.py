@@ -52,6 +52,10 @@ class ModelConfig:
             raise ConfigError(f"window_samples {self.window_samples} not divisible by d_patch {self.d_patch}")
         if self.positional not in ("learned", "sinusoidal"):
             raise ConfigError(f"positional must be learned|sinusoidal, got {self.positional!r}")
+        for name in ("dropout_encoder", "dropout_head"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {rate}")
 
     @property
     def num_patches(self) -> int:
@@ -234,6 +238,25 @@ class ModelOutput:
     attention_maps: list[np.ndarray] | None = None
 
 
+# A forward takes as many records as fit this many bytes of training graph
+# (`graph_bytes`): a paper-size record runs alone, a toy batch as one graph.
+GRAPH_BUDGET = 1 << 25
+
+
+def graph_bytes(config: ModelConfig, itemsize: int = 8) -> int:
+    """Estimated bytes of one record's training graph: the activations and
+    dropout masks its ops keep for the reverse pass, about 27 token-width and
+    5 feed-forward-width arrays and 6 attention maps per layer."""
+    t, d = config.num_patches + 1, config.d_model
+    per_layer = t * (27 * d + 5 * config.d_ff + 6 * config.num_heads * t)
+    return itemsize * (config.num_patches * config.d_token + 5 * t * d + config.num_layers * per_layer)
+
+
+def records_per_forward(config: ModelConfig, records: int, itemsize: int = 8) -> int:
+    """How many of `records` one forward takes under GRAPH_BUDGET (at least one)."""
+    return max(1, min(records, GRAPH_BUDGET // graph_bytes(config, itemsize)))
+
+
 def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return ag.add(ag.matmul(x, params[prefix + ".weight"]), params[prefix + ".bias"])
 
@@ -249,58 +272,74 @@ def _attention_block(
     capture: list | None,
 ) -> Tensor:
     p = f"layers.{layer}.attn."
-    t, heads, dh = x.shape[0], config.num_heads, config.head_dim
+    b, t = x.shape[0], x.shape[1]
+    heads, dh = config.num_heads, config.head_dim
 
     def split_heads(y: Tensor) -> Tensor:
-        # [T, D] -> [H, T, d_h]: head h holds columns h*d_h .. (h+1)*d_h.
-        return ag.permute(ag.reshape(y, (t, heads, dh)), (1, 0, 2))
+        # [B, T, D] -> [B*H, T, d_h]: row b*H + h holds slot b's columns h*d_h .. (h+1)*d_h.
+        return ag.reshape(ag.permute(ag.reshape(y, (b, t, heads, dh)), (0, 2, 1, 3)), (b * heads, t, dh))
 
     q = split_heads(_linear(x, params, p + "w_q"))
     k = split_heads(_linear(x, params, p + "w_k"))
     v = split_heads(_linear(x, params, p + "w_v"))
     scores = ag.mul(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(dh))
     if key_mask is not None:
-        # Padded-token keys are pushed to -inf-like scores before softmax.
-        scores = ag.add(scores, Tensor(np.where(key_mask, 0.0, -1e30), dtype=x.data.dtype))
+        # Masked keys are pushed to -inf-like scores before softmax: one bias row per slot and head.
+        bias = np.repeat(np.where(key_mask, 0.0, -1e30)[:, None, :], heads, axis=0)
+        scores = ag.add(scores, Tensor(bias, dtype=x.data.dtype))
     attn = ag.softmax(scores)
     if capture is not None:
-        capture.append(attn.data.copy())
+        capture.append(attn.data.reshape(b, heads, t, t).copy())
     attn = ag.dropout(attn, config.dropout_encoder, rng, training)
-    merged = ag.reshape(ag.permute(ag.matmul(attn, v), (1, 0, 2)), (t, config.d_model))
+    heads_out = ag.reshape(ag.matmul(attn, v), (b, heads, t, dh))
+    merged = ag.reshape(ag.permute(heads_out, (0, 2, 1, 3)), (b, t, config.d_model))
     return _linear(merged, params, p + "w_o")
 
 
 def forward(
-    window: ProcessedWindow,
+    window: ProcessedWindow | list[ProcessedWindow],
     wide: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
     mode: str = "eval",
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator | int | list | None = None,
     capture_attention: bool = False,
 ) -> ModelOutput:
-    """One record through the network; mode is 'train' (dropout live) or 'eval'.
+    """A batch of records through the network as one graph; mode is 'train'
+    (dropout live) or 'eval'.
 
-    Eval runs on `params.no_grad()`, so it records no graph. The inputs become
-    constants of the parameters' dtype.
+    `window` is a list of B windows with `wide` [B, d_wide] and `rng` a list
+    of B generators or seeds (slot b draws every dropout mask from rng[b], as
+    a forward of its record alone would); outputs are [B, d_class] and the
+    attention maps [B, H, T, T]. Every slot's outputs and gradients are those
+    of its record in a batch of one. One window with `wide` [d_wide] and one
+    generator or seed is a batch of one with the batch axis dropped from the
+    outputs. Eval runs on `params.no_grad()`, so it records no graph. The
+    inputs become constants of the parameters' dtype.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train|eval, got {mode!r}")
     training = mode == "train"
+    single = isinstance(window, ProcessedWindow)
+    windows = [window] if single else list(window)
+    batch = len(windows)
     if not training:
-        params = params.no_grad()
-    elif rng is not None and not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        params, rng = params.no_grad(), None
+    elif rng is not None:
+        rng = [ag.as_generator(r) for r in ([rng] if single else rng)]
+        if len(rng) != batch:
+            raise ShapeError(f"{len(rng)} dropout generators for a batch of {batch}")
     dtype = params["patch_projection.weight"].data.dtype
     wide = np.asarray(wide, dtype=np.float64)
-    if wide.shape != (config.d_wide,):
-        raise ShapeError(f"wide feature vector has shape {wide.shape}, expected ({config.d_wide},)")
+    if wide.shape != ((config.d_wide,) if single else (batch, config.d_wide)):
+        raise ShapeError(f"wide features have shape {wide.shape}, expected {batch} row(s) of {config.d_wide}")
 
-    tokens = Tensor(patchify(window, config), dtype=dtype)
+    d, n = config.d_model, config.num_patches
+    tokens = Tensor(np.stack([patchify(w, config) for w in windows]), dtype=dtype)
     projected = _linear(tokens, params, "patch_projection")
-    cls = ag.reshape(params["class_token"], (1, config.d_model))
-    seq = ag.concat([cls, projected], axis=0)
-    positions = ag.embedding_row_select(params["positional_embedding"], np.arange(config.num_patches + 1))
+    cls = ag.broadcast_to(params["class_token"], (batch, 1, d))
+    seq = ag.concat([cls, projected], axis=1)
+    positions = ag.embedding_row_select(params["positional_embedding"], np.arange(n + 1))
     x = ag.add(seq, positions)
     if config.dropout_positional:
         x = ag.dropout(x, config.dropout_encoder, rng, training)
@@ -308,10 +347,10 @@ def forward(
     key_mask = None
     if config.mask_padding:
         # Token t covers samples [t*d_patch, (t+1)*d_patch); it is a padding
-        # token when it starts at or past pad_start. The class token (row 0)
-        # is always attendable.
-        starts = np.arange(config.num_patches) * config.d_patch
-        key_mask = np.concatenate([[True], starts < window.pad_start])
+        # token when it starts at or past its window's pad_start. The class
+        # token (column 0) is always attendable. One row per slot.
+        starts = np.arange(n) * config.d_patch
+        key_mask = np.array([np.concatenate([[True], starts < w.pad_start]) for w in windows])
 
     attention_maps: list[np.ndarray] | None = [] if capture_attention else None
     for layer in range(config.num_layers):
@@ -323,12 +362,17 @@ def forward(
         x = ag.add(x, ag.dropout(ff, config.dropout_encoder, rng, training))
 
     x = ag.layer_norm(x, params["final_norm.gain"], params["final_norm.bias"])
-    cls_state = ag.reshape(x[0, :], (1, config.d_model))
+    # Each slot's class token as a one-row matrix [B, 1, D]: a one-row product
+    # takes another BLAS kernel than a row of a larger one, so it stays one row.
+    cls_state = x[:, :1, :]
     deep = ag.gelu(_linear(cls_state, params, "head.fc1"), config.gelu_exact)
     deep = ag.dropout(deep, config.dropout_head, rng, training)
-    combined = ag.concat([deep, Tensor(wide.reshape(1, config.d_wide), dtype=dtype)], axis=1)
-    logits = ag.reshape(_linear(combined, params, "head.fc2"), (config.d_class,))
+    combined = ag.concat([deep, Tensor(wide.reshape(batch, 1, config.d_wide), dtype=dtype)], axis=2)
+    out_shape = (config.d_class,) if single else (batch, config.d_class)
+    logits = ag.reshape(_linear(combined, params, "head.fc2"), out_shape)
     probabilities = ag.sigmoid(logits)
+    if single and attention_maps is not None:
+        attention_maps = [maps[0] for maps in attention_maps]
     return ModelOutput(probabilities=probabilities, logits=logits, attention_maps=attention_maps)
 
 

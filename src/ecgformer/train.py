@@ -1,10 +1,11 @@
 """Training loop, per-class threshold fitting, and cross-validation driver.
 
 Each training step draws the next batch from a seeded epoch shuffle, cuts a
-fresh random window per (epoch, record), averages per-sample BCE gradients in
-slot order (thread-count independent), and applies one Adam update. The
-validation partition never contributes a gradient; it selects the best
-checkpoint and fits the per-class probability thresholds.
+fresh random window per (epoch, record), runs the batch as one graph (or, when
+that graph would outgrow `model.GRAPH_BUDGET`, one graph per sample), averages
+the per-sample BCE gradients summed in slot order, and applies one Adam
+update. The validation partition never contributes a gradient; it selects
+the best checkpoint and fits the per-class probability thresholds.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size_train < 1 or self.batch_size_val < 1:
             raise ConfigError("batch sizes must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.max_steps < 1 or self.eval_every < 1:
             raise ConfigError(f"max_steps and eval_every must be >= 1, got {self.max_steps} and {self.eval_every}")
         if self.precision not in ("float64", "float32"):
@@ -259,20 +260,46 @@ def predict_probabilities(
     params: model.ModelParams,
     model_config: model.ModelConfig,
     preprocess_config: dsp.PreprocessConfig,
-    threads: int = 1,
 ) -> np.ndarray:
-    """Eval-mode probabilities for each record (deterministic start windows)."""
+    """Eval-mode probabilities for each record (deterministic start windows),
+    as many records per forward as `model.records_per_forward` allows."""
+    chunk = model.records_per_forward(model_config, len(prepared), params["patch_projection.weight"].data.itemsize)
+    rows = []
+    for start in range(0, len(prepared), chunk):
+        batch = prepared[start : start + chunk]
+        windows = [dsp.cut_window(p.processed, preprocess_config) for p in batch]
+        wide = np.stack([p.wide for p in batch])
+        rows.append(model.forward(windows, wide, params, model_config, mode="eval").probabilities.data)
+    return np.concatenate(rows) if rows else np.zeros((0, model_config.d_class))
 
-    def run(p: PreparedRecord) -> np.ndarray:
-        window = dsp.cut_window(p.processed, preprocess_config)
-        return model.forward(window, p.wide, params, model_config, mode="eval").probabilities.data.copy()
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, prepared))
-    else:
-        rows = [run(p) for p in prepared]
-    return np.stack(rows) if rows else np.zeros((0, model_config.d_class))
+def batch_gradients(
+    windows: list[dsp.ProcessedWindow],
+    wide: np.ndarray,
+    labels: np.ndarray,
+    rngs: list[np.random.Generator],
+    params: model.ModelParams,
+    model_config: model.ModelConfig,
+    into: dict[str, np.ndarray],
+) -> list[float]:
+    """Add the summed BCE gradients of a minibatch to `into`; returns each sample's loss.
+
+    The whole batch runs as one graph when it fits `model.GRAPH_BUDGET`, else
+    one graph per sample. Either way each parameter's gradient is summed over
+    the samples in slot order, so the bytes do not depend on the split.
+    """
+    batch = len(windows)
+    itemsize = params["patch_projection.weight"].data.itemsize
+    per_graph = batch if model.records_per_forward(model_config, batch, itemsize) == batch else 1
+    losses: list[float] = []
+    for start in range(0, batch, per_graph):
+        part = slice(start, start + per_graph)
+        out = model.forward(windows[part], wide[part], params, model_config, mode="train", rng=rngs[part])
+        loss = ag.binary_cross_entropy(out.probabilities, labels[part], per_slot=True)
+        ag.collect_gradients(loss, params.trainable(), into)
+        losses.extend(float(v) for v in loss.data)
+        del out, loss  # before the next forward, so one graph is alive at a time
+    return losses
 
 
 # -- the fold trainer ------------------------------------------------------------
@@ -344,7 +371,7 @@ def _train_steps(
     best_arrays = {}  # set by the first evaluation; max_steps >= 1 and the last step evaluates
 
     def val_metric_at_half() -> float:
-        probs = predict_probabilities(val_prepared, params, model_config, preprocess_config, train_config.threads)
+        probs = predict_probabilities(val_prepared, params, model_config, preprocess_config)
         preds = (probs >= 0.5).astype(np.int64)
         try:
             return metrics.challenge_metric(val_labels.astype(np.int64), preds, weights)
@@ -353,71 +380,49 @@ def _train_steps(
             p = np.clip(probs, ag.BCE_EPS, 1 - ag.BCE_EPS)
             return float((val_labels * np.log(p) + (1 - val_labels) * np.log1p(-p)).mean())
 
-    def sample_grad(step, slot_and_item, into=None):
-        slot, (rec_idx, rec_epoch) = slot_and_item
-        record = cache[rec_idx]
-        window_seed = _stable_seed(seed, 13, rec_epoch, rec_idx)
-        window = dsp.cut_window(record.processed, preprocess_config, "random", window_seed)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot]))
-        out = model.forward(window, record.wide, params, model_config, mode="train", rng=rng)
-        loss = ag.binary_cross_entropy(out.probabilities, record.labels)
-        grads = ag.collect_gradients(loss, trainable, into)
-        return loss.item(), grads
-
     def train_step(step: int, batch: list[tuple[int, int]]) -> float:
         """One Adam update from the batch-mean gradient; returns the mean loss."""
-        items = list(enumerate(batch))
+        records = [cache[rec_idx] for rec_idx, _ in batch]
+        windows = [dsp.cut_window(cache[rec_idx].processed, preprocess_config, "random",
+                                  _stable_seed(seed, 13, rec_epoch, rec_idx)) for rec_idx, rec_epoch in batch]
+        rngs = [np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot])) for slot in range(len(batch))]
+        wide, labels = np.stack([r.wide for r in records]), np.stack([r.labels for r in records])
         total_grads: dict[str, np.ndarray] = {}
-        loss_sum = 0.0
         try:
-            if pool is None:
-                # One running total: each sample's finished gradients are added to it during its reverse pass.
-                for item in items:
-                    loss_sum += sample_grad(step, item, total_grads)[0]
-            else:
-                # One gradient set per sample in flight, summed in slot order: thread-count independent.
-                for loss_value, grads in pool.map(lambda item: sample_grad(step, item), items):
-                    loss_sum += loss_value
-                    if not total_grads:
-                        total_grads = grads
-                    else:
-                        for name in total_grads:
-                            total_grads[name] += grads[name]
+            losses = batch_gradients(windows, wide, labels, rngs, params, model_config, total_grads)
         except NumericalError as exc:
             raise NumericalError(f"training diverged at step {step}: {exc}") from exc
         scale = 1.0 / len(batch)
         for g in total_grads.values():  # the batch mean, in place
             g *= scale
+        loss_sum = 0.0
+        for value in losses:  # in slot order; sum() compensates its rounding from Python 3.12 on
+            loss_sum += value
         mean_loss = loss_sum * scale
         if not math.isfinite(mean_loss):
             raise NumericalError(f"training loss diverged at step {step}")
         ag.adam_step(trainable, total_grads, state, lr=train_config.learning_rate)
         return mean_loss
 
-    pool = ThreadPoolExecutor(max_workers=train_config.threads) if train_config.threads > 1 else None
-    try:
-        epoch = -1
-        stream: list[int] = []
-        for step in range(train_config.max_steps):
-            batch: list[tuple[int, int]] = []  # (record index, epoch it came from)
-            while len(batch) < min(train_config.batch_size_train, len(train_idx)):
-                if not stream:
-                    epoch += 1
-                    order = np.random.default_rng(_stable_seed(seed, 11, epoch)).permutation(len(train_idx))
-                    stream = [int(train_idx[j]) for j in order]
-                batch.append((stream.pop(), epoch))
-            loss_curve.append(train_step(step, batch))
-            trained_ids.update(cache[rec_idx].record_id for rec_idx, _ in batch)
+    epoch = -1
+    stream: list[int] = []
+    for step in range(train_config.max_steps):
+        batch: list[tuple[int, int]] = []  # (record index, epoch it came from)
+        while len(batch) < min(train_config.batch_size_train, len(train_idx)):
+            if not stream:
+                epoch += 1
+                order = np.random.default_rng(_stable_seed(seed, 11, epoch)).permutation(len(train_idx))
+                stream = [int(train_idx[j]) for j in order]
+            batch.append((stream.pop(), epoch))
+        loss_curve.append(train_step(step, batch))
+        trained_ids.update(cache[rec_idx].record_id for rec_idx, _ in batch)
 
-            if (step + 1) % train_config.eval_every == 0 or step + 1 == train_config.max_steps:
-                current = val_metric_at_half()
-                # Ties go to the later checkpoint (more training at equal metric).
-                if current >= best_metric:
-                    best_metric = current
-                    best_arrays = {k: t.data.astype(np.float32) for k, t in params.tensors.items()}
-    finally:
-        if pool:
-            pool.shutdown()
+        if (step + 1) % train_config.eval_every == 0 or step + 1 == train_config.max_steps:
+            current = val_metric_at_half()
+            # Ties go to the later checkpoint (more training at equal metric).
+            if current >= best_metric:
+                best_metric = current
+                best_arrays = {k: t.data.astype(np.float32) for k, t in params.tensors.items()}
     return best_arrays, best_metric, loss_curve, trained_ids
 
 
@@ -470,7 +475,7 @@ def train_fold(
     final_params = model.params_from_arrays(ag.load_checkpoint(checkpoint_path), model_config)
 
     val_probs = predict_probabilities(val_prepared, params=final_params, model_config=model_config,
-                                      preprocess_config=preprocess_config, threads=train_config.threads)
+                                      preprocess_config=preprocess_config)
     thresholds = fit_thresholds(val_probs, val_labels.astype(np.int64), weights)
     save_thresholds(out_dir / "thresholds.csv", thresholds, manifest.class_list)
     challenge = metrics.challenge_metric(val_labels.astype(np.int64), apply_thresholds(val_probs, thresholds), weights)

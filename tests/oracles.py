@@ -249,3 +249,13 @@ def allocating_collect_gradients(loss, wanted):
         if node._backward is not None and id(node) in acc:
             node._backward(acc[id(node)], grads)
     return {name: acc[id(t)] if id(t) in acc else np.zeros_like(t.data) for name, t in wanted.items()}
+
+
+def tensor_sum(a):
+    """Total sum of a tensor to a scalar tensor, as one graph node whose gradient is all ones."""
+    data = np.asarray(a.data.sum())
+
+    def backward_fn(grad, grads):
+        grads(a, np.full_like(a.data, 1.0) * grad)
+
+    return type(a)._result(data, (a,), backward_fn, "sum")

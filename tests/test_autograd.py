@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import allocating_collect_gradients, central_difference_grad, max_rel_err, textbook_adam
+from oracles import allocating_collect_gradients, central_difference_grad, max_rel_err, tensor_sum, textbook_adam
 
 GRAD_TOL = 1e-6
 
@@ -71,6 +71,16 @@ class TestForwardValues:
         b = ag.dropout(x, 0.4, rng=123).data
         np.testing.assert_array_equal(a, b)
 
+    def test_dropout_slots_draw_from_their_own_generators(self):
+        # Three slots of four rows (say, heads): slot s draws its whole mask from generator s, as it would alone.
+        x = ag.Tensor(np.random.default_rng(21).normal(size=(12, 5, 5)))
+        out = ag.dropout(x, 0.3, rng=[np.random.default_rng(seed) for seed in (7, 8, 9)])
+        for slot, seed in enumerate((7, 8, 9)):
+            alone = ag.dropout(ag.Tensor(x.data[4 * slot : 4 * slot + 4]), 0.3, rng=seed)
+            assert alone.data.tobytes() == out.data[4 * slot : 4 * slot + 4].tobytes()
+        with pytest.raises(ShapeError, match="generators"):
+            ag.dropout(x, 0.3, rng=[np.random.default_rng(seed) for seed in range(5)])
+
     def test_dropout_expectation(self):
         # Mean of dropout(x) over 1e4 trials stays within 3 sigma of x.
         p, trials = 0.3, 10_000
@@ -90,39 +100,54 @@ class TestForwardValues:
 class TestBackwardBasics:
     def test_sum_gives_ones(self):
         x = ag.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ag.backward(ag.tensor_sum(x))
-        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        grads = ag.collect_gradients(tensor_sum(x), {"x": x})
+        np.testing.assert_array_equal(grads["x"], np.ones((2, 3)))
 
     def test_product_rule(self):
         rng = np.random.default_rng(2)
         xv, yv = rng.normal(size=5), rng.normal(size=5)
         x = ag.Tensor(xv, requires_grad=True)
         y = ag.Tensor(yv, requires_grad=True)
-        ag.backward(ag.tensor_sum(x * y))
-        np.testing.assert_allclose(x.grad, yv)
-        np.testing.assert_allclose(y.grad, xv)
+        grads = ag.collect_gradients(tensor_sum(x * y), {"x": x, "y": y})
+        np.testing.assert_allclose(grads["x"], yv)
+        np.testing.assert_allclose(grads["y"], xv)
 
     def test_fanout_accumulates(self):
         x = ag.Tensor(np.ones(3), requires_grad=True)
-        loss = ag.tensor_sum(ag.add(x, x))
-        ag.backward(loss)
-        np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+        loss = tensor_sum(ag.add(x, x))
+        grads = ag.collect_gradients(loss, {"x": x})
+        np.testing.assert_array_equal(grads["x"], np.full(3, 2.0))
 
     def test_second_backward_is_error(self):
         x = ag.Tensor(np.ones(3), requires_grad=True)
-        loss = ag.tensor_sum(x)
-        ag.backward(loss)
+        loss = tensor_sum(x)
+        ag.collect_gradients(loss, {"x": x})
         with pytest.raises(RuntimeError, match="already ran"):
-            ag.backward(loss)
+            ag.collect_gradients(loss, {"x": x})
 
     def test_non_scalar_loss_rejected(self):
-        x = ag.Tensor(np.ones(3), requires_grad=True)
+        # A loss is a scalar or a vector of per-slot losses; a matrix is neither.
+        x = ag.Tensor(np.ones((3, 2)), requires_grad=True)
         with pytest.raises(ShapeError):
-            ag.backward(x * 2.0)
+            ag.collect_gradients(x * 2.0, {"x": x})
+
+    def test_per_slot_loss_vector_is_seeded_with_ones(self):
+        # Each slot's loss and gradient are those of its row differentiated alone.
+        x = ag.Tensor(np.arange(6.0).reshape(3, 2) - 2.5, requires_grad=True)
+        targets = np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+        loss = ag.binary_cross_entropy(ag.sigmoid(x), targets, per_slot=True)
+        assert loss.shape == (3,)
+        grads = ag.collect_gradients(loss, {"x": x})
+        for row in range(3):
+            alone = ag.Tensor(x.data[row], requires_grad=True)
+            one = ag.binary_cross_entropy(ag.sigmoid(alone), targets[row])
+            assert one.data.tobytes() == loss.data[row].tobytes()
+            assert ag.collect_gradients(one, {"x": alone})["x"].tobytes() == grads["x"][row].tobytes()
 
     def test_detached_loss_rejected(self):
         with pytest.raises(NumericalError, match="detached"):
-            ag.backward(ag.tensor_sum(ag.Tensor(np.ones(3))))
+            x = ag.Tensor(np.ones(3))
+            ag.collect_gradients(tensor_sum(x), {"x": x})
 
     def test_broadcast_add_backward_preserves_grad_sum(self):
         # Gradient of the broadcast operand equals the explicit-tiling gradient.
@@ -131,16 +156,17 @@ class TestBackwardBasics:
         bv = rng.normal(size=3)
         x = ag.Tensor(xv, requires_grad=True)
         b = ag.Tensor(bv, requires_grad=True)
-        ag.backward(ag.tensor_sum(ag.mul(ag.add(x, b), ag.Tensor(rng.normal(size=(4, 3))))))
+        grads = ag.collect_gradients(tensor_sum(ag.mul(ag.add(x, b), ag.Tensor(rng.normal(size=(4, 3))))),
+                                     {"x": x, "b": b})
         x2 = ag.Tensor(xv, requires_grad=True)
         b2 = ag.Tensor(np.tile(bv, (4, 1)), requires_grad=True)
         # Same weights for an apples-to-apples comparison.
         rng = np.random.default_rng(3)
         rng.normal(size=(4, 3)), rng.normal(size=3)
         w = rng.normal(size=(4, 3))
-        loss2 = ag.tensor_sum(ag.mul(ag.add(x2, b2), ag.Tensor(w)))
-        ag.backward(loss2)
-        np.testing.assert_allclose(b.grad, b2.grad.sum(axis=0))
+        loss2 = tensor_sum(ag.mul(ag.add(x2, b2), ag.Tensor(w)))
+        grads2 = ag.collect_gradients(loss2, {"x": x2, "b": b2})
+        np.testing.assert_allclose(grads["b"], grads2["b"].sum(axis=0))
 
 
 def _accumulated(build, samples, use_into):
@@ -175,7 +201,7 @@ def _shared_add(seed):
     rng = np.random.default_rng(seed)
     a = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = ag.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    loss = ag.tensor_sum(ag.mul(ag.add(a, b), ag.Tensor(3.0 + rng.normal(size=(3, 4)))))
+    loss = tensor_sum(ag.mul(ag.add(a, b), ag.Tensor(3.0 + rng.normal(size=(3, 4)))))
     return loss, {"a": a, "b": b}
 
 
@@ -184,7 +210,7 @@ def _reshaped_leaf(seed):
     rng = np.random.default_rng(seed)
     c = ag.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     d = ag.Tensor(rng.normal(size=6), requires_grad=True)
-    loss = ag.tensor_sum(ag.mul(ag.add(ag.reshape(c, (6,)), d), ag.Tensor(rng.normal(size=6))))
+    loss = tensor_sum(ag.mul(ag.add(ag.reshape(c, (6,)), d), ag.Tensor(rng.normal(size=6))))
     return loss, {"c": c, "d": d}
 
 
@@ -196,7 +222,7 @@ def _fan_out(seed):
     u = ag.Tensor(rng.normal(size=5), requires_grad=True)
     h = ag.add(ag.mul(x, x), ag.gelu(x))
     y = ag.add(ag.matmul(h, w), ag.matmul(ag.softmax(x), w))
-    loss = ag.mean(ag.add(ag.mul(y, y), ag.tensor_sum(x)))
+    loss = ag.mean(ag.add(ag.mul(y, y), tensor_sum(x)))
     return loss, {"w": w, "u": u, "x": x}
 
 
@@ -237,92 +263,92 @@ class TestGradientHandout:
 
     def test_backward_fills_distinct_grad_arrays(self):
         loss, wanted = _shared_add(6)
-        ag.backward(loss)
-        a, b = wanted["a"], wanted["b"]
-        assert a.grad is not b.grad
+        grads = ag.collect_gradients(loss, wanted)
+        assert grads["a"] is not grads["b"]
         expected = allocating_collect_gradients(*_shared_add(6))
-        assert a.grad.tobytes() == expected["a"].tobytes() and b.grad.tobytes() == expected["b"].tobytes()
+        assert grads["a"].tobytes() == expected["a"].tobytes() and grads["b"].tobytes() == expected["b"].tobytes()
 
     def test_leaf_loss_gets_ones(self):
         x = ag.Tensor(np.array(2.0), requires_grad=True)
         assert ag.collect_gradients(x, {"x": x})["x"].tobytes() == np.ones(()).tobytes()
         y = ag.Tensor(np.array(2.0), requires_grad=True)
-        ag.backward(y)
-        assert y.grad.tobytes() == np.ones(()).tobytes()
+        total = {}
+        ag.collect_gradients(y, {"y": y}, into=total)
+        assert total["y"].tobytes() == np.ones(()).tobytes()
 
 
 class TestGradientsAgainstFiniteDifferences:
     def test_add_broadcast(self):
-        check_op_gradient(lambda a, b: ag.tensor_sum(ag.mul(ag.add(a, b), ag.add(a, b))), (3, 4), (4,))
+        check_op_gradient(lambda a, b: tensor_sum(ag.mul(ag.add(a, b), ag.add(a, b))), (3, 4), (4,))
 
     def test_mul(self):
-        check_op_gradient(lambda a, b: ag.tensor_sum(ag.mul(a, b)), (3, 4), (3, 4))
+        check_op_gradient(lambda a, b: tensor_sum(ag.mul(a, b)), (3, 4), (3, 4))
 
     def test_matmul(self):
-        check_op_gradient(lambda a, b: ag.tensor_sum(ag.matmul(a, b)), (3, 4), (4, 2))
+        check_op_gradient(lambda a, b: tensor_sum(ag.matmul(a, b)), (3, 4), (4, 2))
 
     def test_batched_matmul(self):
-        check_op_gradient(lambda a, b: ag.tensor_sum(ag.mul(ag.matmul(a, b), ag.matmul(a, b))), (3, 4, 5), (3, 5, 2))
+        check_op_gradient(lambda a, b: tensor_sum(ag.mul(ag.matmul(a, b), ag.matmul(a, b))), (3, 4, 5), (3, 5, 2))
 
     def test_batched_matmul_one_operand_constant(self):
         rng = np.random.default_rng(12)
         c = rng.normal(size=(2, 3, 4))
-        check_op_gradient(lambda b: ag.tensor_sum(ag.mul(ag.matmul(ag.Tensor(c), b), ag.matmul(ag.Tensor(c), b))), (2, 4, 3))
+        check_op_gradient(lambda b: tensor_sum(ag.mul(ag.matmul(ag.Tensor(c), b), ag.matmul(ag.Tensor(c), b))), (2, 4, 3))
 
     def test_permute(self):
         rng = np.random.default_rng(13)
         w = rng.normal(size=(4, 2, 3))
-        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(ag.permute(a, (2, 0, 1)), ag.Tensor(w))), (2, 3, 4))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.permute(a, (2, 0, 1)), ag.Tensor(w))), (2, 3, 4))
 
     def test_transpose(self):
-        check_op_gradient(lambda a, b: ag.tensor_sum(ag.matmul(ag.transpose(a), b)), (4, 3), (4, 2))
+        check_op_gradient(lambda a, b: tensor_sum(ag.matmul(ag.transpose(a), b)), (4, 3), (4, 2))
 
     def test_reshape(self):
-        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(ag.reshape(a, (6,)), ag.reshape(a, (6,)))), (2, 3))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.reshape(a, (6,)), ag.reshape(a, (6,)))), (2, 3))
 
     def test_concat(self):
         check_op_gradient(
-            lambda a, b: ag.tensor_sum(ag.mul(ag.concat([a, b], axis=1), ag.concat([a, b], axis=1))),
+            lambda a, b: tensor_sum(ag.mul(ag.concat([a, b], axis=1), ag.concat([a, b], axis=1))),
             (2, 3),
             (2, 2),
         )
 
     def test_slice(self):
-        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(a[1:3, :2], a[1:3, :2])), (4, 3))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(a[1:3, :2], a[1:3, :2])), (4, 3))
 
     def test_softmax(self):
         rng = np.random.default_rng(5)
         w = rng.normal(size=(3, 5))
-        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(ag.softmax(a), ag.Tensor(w))), (3, 5))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.softmax(a), ag.Tensor(w))), (3, 5))
 
     def test_layer_norm(self):
         rng = np.random.default_rng(6)
         w = rng.normal(size=(3, 5))
         check_op_gradient(
-            lambda a, g, b: ag.tensor_sum(ag.mul(ag.layer_norm(a, g, b), ag.Tensor(w))),
+            lambda a, g, b: tensor_sum(ag.mul(ag.layer_norm(a, g, b), ag.Tensor(w))),
             (3, 5),
             (5,),
             (5,),
         )
 
     def test_gelu_tanh(self):
-        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(ag.gelu(a), ag.gelu(a))), (4, 4))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.gelu(a), ag.gelu(a))), (4, 4))
 
     def test_gelu_exact(self):
-        check_op_gradient(lambda a: ag.tensor_sum(ag.gelu(a, exact=True)), (4, 4))
+        check_op_gradient(lambda a: tensor_sum(ag.gelu(a, exact=True)), (4, 4))
 
     def test_sigmoid(self):
-        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(ag.sigmoid(a), ag.sigmoid(a))), (3, 3))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.sigmoid(a), ag.sigmoid(a))), (3, 3))
 
     def test_mean_all(self):
         check_op_gradient(lambda a: ag.mean(ag.mul(a, a)), (3, 4))
 
     def test_mean_axis(self):
-        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(ag.mean(a, axis=0), ag.mean(a, axis=0))), (3, 4))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.mean(a, axis=0), ag.mean(a, axis=0))), (3, 4))
 
     def test_embedding_row_select(self):
         idx = np.array([0, 2, 2, 1])
-        check_op_gradient(lambda a: ag.tensor_sum(ag.mul(ag.embedding_row_select(a, idx), ag.embedding_row_select(a, idx))), (4, 3))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.embedding_row_select(a, idx), ag.embedding_row_select(a, idx))), (4, 3))
 
     def test_binary_cross_entropy(self):
         rng = np.random.default_rng(7)
@@ -338,8 +364,8 @@ class TestGradientsAgainstFiniteDifferences:
         x = ag.Tensor(xv, requires_grad=True)
         out = ag.dropout(x, 0.4, rng=99)
         mask = out.data / np.where(xv == 0, 1.0, xv)
-        ag.backward(ag.tensor_sum(out))
-        np.testing.assert_allclose(x.grad, mask)
+        grads = ag.collect_gradients(tensor_sum(out), {"x": x})
+        np.testing.assert_allclose(grads["x"], mask)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -356,9 +382,9 @@ class TestGradientsAgainstFiniteDifferences:
         w = rng.normal(size=big.shape)
         a = ag.Tensor(big, requires_grad=True)
         b = ag.Tensor(small, requires_grad=True)
-        ag.backward(ag.tensor_sum(ag.mul(ag.add(a, b), ag.Tensor(w))))
-        np.testing.assert_allclose(a.grad, w, atol=1e-12)
-        np.testing.assert_allclose(b.grad, w.sum(axis=(0, 1)), atol=1e-12)
+        grads = ag.collect_gradients(tensor_sum(ag.mul(ag.add(a, b), ag.Tensor(w))), {"a": a, "b": b})
+        np.testing.assert_allclose(grads["a"], w, atol=1e-12)
+        np.testing.assert_allclose(grads["b"], w.sum(axis=(0, 1)), atol=1e-12)
 
 
 class TestBatchedOps:
@@ -386,10 +412,56 @@ class TestBatchedOps:
         assert np.array_equal(out.data, a.data.transpose(1, 0, 2))
         assert out.data.flags.c_contiguous
         # The incoming gradient is a strided view; the one handed on is not.
-        loss = ag.tensor_sum(ag.transpose(ag.permute(ag.transpose(out), (1, 0, 2))))
+        loss = tensor_sum(ag.transpose(ag.permute(ag.transpose(out), (1, 0, 2))))
         grads = ag.collect_gradients(loss, {"a": a})
         assert grads["a"].flags.c_contiguous
         np.testing.assert_array_equal(grads["a"], 1.0)
+
+    @pytest.mark.parametrize("rows, d, f", [(1, 768, 64), (1, 86, 26), (5, 16, 16), (121, 64, 48)])
+    def test_shared_matrix_product_equals_per_slot_products(self, rows, d, f):
+        # [B, T, D] @ W: each slot's value and input gradient are those of its 2-d product alone, and W's
+        # gradient is the slot-order sum of the slots' own gradients. T = 1 is the head's one-row product,
+        # which BLAS computes with another kernel than a row of a larger product.
+        rng = np.random.default_rng(18)
+        x = ag.Tensor(rng.normal(size=(4, rows, d)), requires_grad=True)
+        w = ag.Tensor(rng.normal(size=(d, f)), requires_grad=True)
+        seed = rng.normal(size=(4, rows, f))
+        out = ag.matmul(x, w)
+        grads = ag.collect_gradients(tensor_sum(ag.mul(out, ag.Tensor(seed))), {"x": x, "w": w})
+        total = {}
+        for slot in range(4):
+            xs, ws = ag.Tensor(x.data[slot], requires_grad=True), ag.Tensor(w.data, requires_grad=True)
+            alone = ag.matmul(xs, ws)
+            assert alone.data.tobytes() == out.data[slot].tobytes()
+            slot_grads = ag.collect_gradients(tensor_sum(ag.mul(alone, ag.Tensor(seed[slot]))), {"x": xs, "w": ws})
+            assert slot_grads["x"].tobytes() == grads["x"][slot].tobytes()
+            ag.collect_gradients(tensor_sum(ag.mul(ag.matmul(xs, ws), ag.Tensor(seed[slot]))), {"w": ws}, into=total)
+        assert grads["w"].tobytes() == total["w"].tobytes()
+
+    def test_shared_vector_gradients_sum_each_slot_first(self):
+        # A bias or layer-norm gain shared by every slot: each slot's sum over its rows, then the slots in order.
+        rng = np.random.default_rng(19)
+        x = ag.Tensor(rng.normal(size=(3, 7, 5)), requires_grad=True)
+        gain = ag.Tensor(rng.normal(size=5), requires_grad=True)
+        bias = ag.Tensor(rng.normal(size=5), requires_grad=True)
+        seed = rng.normal(size=(3, 7, 5))
+        named = {"gain": gain, "bias": bias}
+        grads = ag.collect_gradients(tensor_sum(ag.mul(ag.layer_norm(x, gain, bias), ag.Tensor(seed))), named)
+        total = {}
+        for slot in range(3):
+            normed = ag.layer_norm(ag.Tensor(x.data[slot]), gain, bias)
+            ag.collect_gradients(tensor_sum(ag.mul(normed, ag.Tensor(seed[slot]))), named, into=total)
+        for name in named:
+            assert grads[name].tobytes() == total[name].tobytes(), name
+
+    def test_broadcast_to_gradient_sums_slots_in_order(self):
+        rng = np.random.default_rng(20)
+        token = ag.Tensor(rng.normal(size=4), requires_grad=True)
+        seed = rng.normal(size=(3, 1, 4))
+        out = ag.broadcast_to(token, (3, 1, 4))
+        assert np.array_equal(out.data, np.broadcast_to(token.data, (3, 1, 4)))
+        grads = ag.collect_gradients(tensor_sum(ag.mul(out, ag.Tensor(seed))), {"token": token})
+        assert grads["token"].tobytes() == ((seed[0, 0] + seed[1, 0]) + seed[2, 0]).tobytes()
 
     def test_permute_rejects_non_permutation(self):
         with pytest.raises(ShapeError):

@@ -344,6 +344,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ConfigError:") and "max_steps and eval_every" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("override, needle", [
+        ("model.dropout_encoder=1.5", "dropout_encoder must be in [0, 1)"),
+        ("model.dropout_encoder=-0.1", "dropout_encoder must be in [0, 1)"),
+        ("model.dropout_head=1.0", "dropout_head must be in [0, 1)"),
+        ("model.dropout_head=nan", "dropout_head must be in [0, 1)"),
+        ("train.learning_rate=nan", "learning_rate must be finite and positive"),
+        ("train.learning_rate=inf", "learning_rate must be finite and positive"),
+        ("train.learning_rate=0", "learning_rate must be finite and positive"),
+    ])
+    def test_bad_rate_exit_code(self, workspace, tmp_path, capsys, override, needle):
+        # Rejected before any record is read, not at the first forward or step.
+        root, data, ini, manifest, folds = workspace
+        code = cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(tmp_path / "z"), "--config", str(ini), "--set", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ConfigError:") and needle in err and err.count("\n") == 1, err
+        assert not (tmp_path / "z").exists()
+
     def test_malformed_wide_scaler_exit_code(self, workspace, tmp_path, capsys):
         root, data, ini, manifest, folds = workspace
         std_ini = tmp_path / "std.ini"

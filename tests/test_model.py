@@ -242,21 +242,23 @@ class TestModelGradients:
 
 
 def _oracle_attention_block(x, params, layer, config, training, rng, key_mask, capture):
-    """Drop-in for wm._attention_block: the per-head oracle as one graph node."""
+    """Drop-in for wm._attention_block on a batch of one: the per-head oracle as one graph node."""
+    assert x.shape[0] == 1
     prefix = f"layers.{layer}.attn."
     tensors = [params[prefix + f"{m}.{kind}"] for m in ("w_q", "w_k", "w_v", "w_o") for kind in ("weight", "bias")]
     drop = config.dropout_encoder if training else 0.0
-    out, maps, cache = per_head_attention(x.data, *[t.data for t in tensors], config.num_heads, key_mask, drop, rng)
+    out, maps, cache = per_head_attention(x.data[0], *[t.data for t in tensors], config.num_heads,
+                                          None if key_mask is None else key_mask[0], drop, rng[0] if rng else None)
     if capture is not None:
-        capture.append(maps)
+        capture.append(maps[None])
 
     def backward_fn(grad, grads):
-        dx, dparams = per_head_attention_backward(grad, cache)
-        grads(x, dx)
+        dx, dparams = per_head_attention_backward(grad[0], cache)
+        grads(x, dx[None])
         for t, g in zip(tensors, dparams):
             grads(t, g)
 
-    return ag.Tensor._result(out, (x, *tensors), backward_fn, "oracle_attention")
+    return ag.Tensor._result(out[None], (x, *tensors), backward_fn, "oracle_attention")
 
 
 class TestFusedAttentionOracle:
@@ -348,6 +350,78 @@ class TestReversePassOracle:
         assert sorted(total) == sorted(expected_total)
         for name in expected_total:
             assert total[name].tobytes() == expected_total[name].tobytes(), name
+
+
+def _batch_inputs(config, batch, seed=50):
+    """`batch` windows, each with its own padding start (so each slot masks other keys), wide rows and targets."""
+    rng = np.random.default_rng(seed)
+    windows = []
+    for slot in range(batch):
+        pad_start = max(1, config.window_samples - 7 - 23 * slot)
+        sig = rng.uniform(-1.0, 1.0, size=(config.num_leads, config.window_samples))
+        sig[:, pad_start:] = 0.0
+        windows.append(ProcessedWindow(signal=sig, pad_start=pad_start, source_offset=0))
+    wide = rng.normal(size=(batch, config.d_wide))
+    targets = rng.integers(0, 2, size=(batch, config.d_class)).astype(float)
+    return windows, wide, targets
+
+
+class TestBatchedEngineOracle:
+    """A batch as one graph gives, slot by slot, the bytes of a forward and reverse pass of its record alone;
+    the parameter gradients are the slot-order running total of those passes."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("mask_padding", [False, True])
+    @pytest.mark.parametrize("base", [TOY, FOUR_HEADS], ids=["toy", "four_heads"])
+    def test_train_batch_equals_slot_order_sum_of_single_passes(self, base, mask_padding, batch, dtype):
+        config = wm.ModelConfig(**{**base.__dict__, "mask_padding": mask_padding})
+        params = wm.init_params(config, seed=8, dtype=dtype)
+        trainable = params.trainable()
+        windows, wide, targets = _batch_inputs(config, batch)
+        seeds = [100 + slot for slot in range(batch)]
+        # Dropout is live: each slot must draw its masks from its own generator, in the order a lone record would.
+        out = wm.forward(windows, wide, params, config, mode="train", rng=[np.random.default_rng(s) for s in seeds])
+        assert out.probabilities.shape == (batch, config.d_class)
+        loss = ag.binary_cross_entropy(out.probabilities, targets, per_slot=True)
+        grads = ag.collect_gradients(loss, trainable)
+
+        total = {}
+        for slot in range(batch):
+            one = wm.forward(windows[slot], wide[slot], params, config, mode="train", rng=seeds[slot])
+            assert one.probabilities.data.tobytes() == out.probabilities.data[slot].tobytes(), slot
+            one_loss = ag.binary_cross_entropy(one.probabilities, targets[slot])
+            assert one_loss.data.tobytes() == loss.data[slot].tobytes(), slot
+            ag.collect_gradients(one_loss, trainable, into=total)
+        assert sorted(grads) == sorted(total)
+        for name in total:
+            assert grads[name].dtype == dtype
+            assert grads[name].tobytes() == total[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("mask_padding", [False, True])
+    @pytest.mark.parametrize("base", [TOY, FOUR_HEADS], ids=["toy", "four_heads"])
+    def test_eval_batch_rows_equal_single_records(self, base, mask_padding, batch, dtype):
+        config = wm.ModelConfig(**{**base.__dict__, "mask_padding": mask_padding})
+        params = wm.init_params(config, seed=9, dtype=dtype)
+        windows, wide, _ = _batch_inputs(config, batch)
+        out = wm.forward(windows, wide, params, config, mode="eval", capture_attention=True)
+        for slot in range(batch):
+            one = wm.forward(windows[slot], wide[slot], params, config, mode="eval", capture_attention=True)
+            assert one.probabilities.data.tobytes() == out.probabilities.data[slot].tobytes(), slot
+            assert one.logits.data.tobytes() == out.logits.data[slot].tobytes(), slot
+            for one_map, maps in zip(one.attention_maps, out.attention_maps):
+                assert maps.shape == (batch, config.num_heads, config.num_patches + 1, config.num_patches + 1)
+                assert one_map.tobytes() == maps[slot].tobytes(), slot
+
+    def test_batch_inputs_are_checked(self):
+        params = wm.init_params(TOY, seed=1)
+        windows, wide, _ = _batch_inputs(TOY, 2)
+        with pytest.raises(ShapeError):
+            wm.forward(windows, wide[:1], params, TOY)
+        with pytest.raises(ShapeError):
+            wm.forward(windows, wide, params, TOY, mode="train", rng=[1, 2, 3])
 
 
 class TestEvalForward:

@@ -275,6 +275,49 @@ class TestStepMemory:
         assert peak < 4 * param_bytes + graph_bytes + margin, (peak / param_bytes, graph_bytes / param_bytes)
 
 
+# One sample's training graph (about 18 MB) outweighs these parameters (2.5 MB) several times over.
+WIDE_WINDOW = model.ModelConfig(num_leads=12, d_model=128, num_layers=2, num_heads=8, d_ff=128, d_deep=8,
+                                d_wide=4, d_class=3, window_samples=7680)
+
+
+class TestGraphBudget:
+    def test_paper_runs_one_sample_per_graph_and_toy_the_whole_batch(self):
+        paper = model.ModelConfig(num_leads=12)
+        assert model.graph_bytes(paper) > model.GRAPH_BUDGET
+        assert model.records_per_forward(paper, 2) == 1
+        assert model.records_per_forward(paper, 8) == 1
+        assert model.records_per_forward(WIDE_WINDOW, 2) == 1
+        assert model.records_per_forward(toy_model_config(), 8) == 8
+        twelve_lead_toy = model.ModelConfig(**{**toy_model_config().__dict__, "num_leads": 12})
+        assert model.records_per_forward(twelve_lead_toy, 8) == 8
+        assert model.records_per_forward(toy_model_config(), 3) == 3
+
+    def test_batch_of_two_holds_one_sample_graph(self):
+        params = model.init_params(WIDE_WINDOW, seed=1)
+        param_bytes = model.parameter_count(WIDE_WINDOW) * 8
+        rng = np.random.default_rng(5)
+        windows = [dsp.ProcessedWindow(rng.uniform(-1.0, 1.0, size=(12, 7680)), 7680, 0) for _ in range(2)]
+        wide = rng.normal(size=(2, WIDE_WINDOW.d_wide))
+        labels = rng.integers(0, 2, size=(2, WIDE_WINDOW.d_class)).astype(float)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = model.forward(windows[:1], wide[:1], params, WIDE_WINDOW, mode="train", rng=[0])
+            loss = ag.binary_cross_entropy(out.probabilities, labels[:1], per_slot=True)
+            graph_bytes = tracemalloc.get_traced_memory()[0] - start
+            del out, loss
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            train.batch_gradients(windows, wide, labels, [np.random.default_rng(s) for s in (0, 1)], params,
+                                  WIDE_WINDOW, {})
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert graph_bytes > 4 * param_bytes
+        # One graph, the running gradient total and what one reverse pass has in flight; two graphs exceed it.
+        assert peak < 1.25 * graph_bytes + 2 * param_bytes, (peak / graph_bytes, param_bytes / graph_bytes)
+
+
 @pytest.fixture(scope="module")
 def ten_record_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("cv_corpus")
