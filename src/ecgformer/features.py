@@ -5,6 +5,10 @@ to the QRS band, differentiate, square, integrate over a 150 ms window, then
 walk the envelope peaks with an adaptive signal/noise threshold and a 200 ms
 refractory period. All filter stages are zero-phase aligned so detected
 indices line up with the raw waveform.
+
+The feature lead's moments are population moments of `centered = x - mean`,
+with the powers as products: `squared = centered * centered` gives m2,
+`squared * centered` m3 and `squared * squared` m4.
 """
 
 from __future__ import annotations
@@ -150,13 +154,15 @@ def detect_r_peaks(lead_signal, fs_hz: float) -> RPeakTrain:
 
 
 def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean, std, skewness and excess kurtosis; all but the mean are 0 when m2 < 1e-24."""
     mean = float(x.mean())
     centered = x - mean
-    m2 = float((centered**2).mean())
+    squared = centered * centered
+    m2 = float(squared.mean())
     if m2 < 1e-24:
         return mean, 0.0, 0.0, 0.0
-    m3 = float((centered**3).mean())
-    m4 = float((centered**4).mean())
+    m3 = float((squared * centered).mean())
+    m4 = float((squared * squared).mean())
     return mean, m2**0.5, m3 / m2**1.5, m4 / m2**2 - 3.0
 
 

@@ -38,17 +38,30 @@ class WeightMatrix:
 
 
 def load_weight_matrix(path, normal_class: str) -> WeightMatrix:
-    """Read a reward matrix CSV (header row and column of class codes)."""
+    """Read a reward matrix CSV strictly: a header row of class codes, then one row per code,
+    in header order, holding the code and one finite weight per column."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise RecordFormatError(f"{path}: empty weight matrix file")
     codes = [c.strip() for c in rows[0][1:]]
+    if len(set(codes)) != len(codes):
+        raise RecordFormatError(f"{path}: header repeats a class code: {codes}")
+    if len(rows) - 1 != len(codes):
+        raise RecordFormatError(f"{path}: {len(rows) - 1} rows for {len(codes)} class codes")
     mat = np.zeros((len(codes), len(codes)))
-    for i, row in enumerate(rows[1:]):
-        if row[0].strip() != codes[i]:
-            raise RecordFormatError(f"{path}: row label {row[0]!r} does not match column order")
-        mat[i] = [float(v) for v in row[1:]]
+    for i, (code, row) in enumerate(zip(codes, rows[1:])):
+        label = row[0].strip() if row else ""
+        if label != code:
+            raise RecordFormatError(f"{path}: row label {label!r} does not match column order (expected {code!r})")
+        if len(row) != len(codes) + 1:
+            raise RecordFormatError(f"{path}: row for class {code!r} has {len(row) - 1} weights, expected {len(codes)}")
+        try:
+            mat[i] = [float(v) for v in row[1:]]
+        except ValueError:
+            raise RecordFormatError(f"{path}: row for class {code!r} holds a weight that is not a number") from None
+        if not np.isfinite(mat[i]).all():
+            raise RecordFormatError(f"{path}: row for class {code!r} holds a non-finite weight")
     if normal_class not in codes:
         raise ArgumentRangeError(f"normal class {normal_class!r} not among weight matrix codes")
     return WeightMatrix(mat, codes, codes.index(normal_class))

@@ -15,6 +15,7 @@ s0_lead0, s0_lead1, ..., s1_lead0, ... Physical millivolts are recovered as
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -187,11 +188,13 @@ def parse_record(header_path) -> EcgRecord:
     if len(signal_names) != 1:
         raise RecordFormatError(f"{header_path}: all leads must share one signal file, got {sorted(signal_names)}")
     sig_path = header_path.parent / leads[0][0]
-    raw = np.frombuffer(sig_path.read_bytes(), dtype="<i2")
-    if raw.size != num_samples * num_leads:
+    blob = sig_path.read_bytes()
+    if len(blob) != 2 * num_samples * num_leads:
         raise TruncationError(
-            f"{sig_path}: expected {num_samples * num_leads} samples ({num_samples} x {num_leads}), found {raw.size}"
+            f"{sig_path}: expected {num_samples * num_leads} samples ({num_samples} x {num_leads}, "
+            f"{2 * num_samples * num_leads} bytes), found {len(blob)} bytes"
         )
+    raw = np.frombuffer(blob, dtype="<i2")
     adc = raw.reshape(num_samples, num_leads).T.astype(np.float64)
 
     signal = np.empty_like(adc)
@@ -368,24 +371,59 @@ def save_manifest(path, manifest: DatasetManifest):
 
 
 def load_manifest(path) -> DatasetManifest:
-    entries, class_list, unmapped = [], [], []
+    """Read a manifest CSV strictly: a malformed row is a `RecordFormatError` naming the line and record."""
+    entries, class_list, unmapped = [], None, []
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    for row in rows[1:]:
-        if row[0] == "#classes":
+        rows = list(enumerate(csv.reader(fh), start=1))[1:]
+    for lineno, row in rows:
+        where = f"{path}: line {lineno}"
+        kind = row[0] if row else ""
+        if kind == "#classes":
+            if len(row) < 2:
+                raise RecordFormatError(f"{where}: #classes row has no class list")
             class_list = row[1].split(";")
-        elif row[0] == "#unmapped":
+        elif kind == "#unmapped":
+            if len(row) < 3:
+                raise RecordFormatError(f"{where}: #unmapped row has {len(row)} fields, expected 'record_id,code'")
             unmapped.append((row[1], row[2]))
         else:
-            entries.append(
-                ManifestEntry(
-                    record_id=row[0],
-                    file_path=row[1],
-                    dx_codes=set(filter(None, row[4].split(";"))),
-                    num_samples=int(row[2]),
-                    sampling_rate_hz=float(row[3]),
-                )
-            )
-    if not class_list:
+            entries.append((where, _manifest_entry(row, where)))
+    if class_list is None:
         raise RecordFormatError(f"{path}: manifest has no #classes row")
-    return DatasetManifest(entries=entries, class_list=class_list, unmapped=unmapped)
+    if not entries:
+        raise EmptyDatasetError(f"{path}: manifest lists no records")
+    seen = set()
+    for where, entry in entries:
+        if entry.record_id in seen:
+            raise RecordFormatError(f"{where}: record {entry.record_id!r} appears twice")
+        seen.add(entry.record_id)
+        extra = sorted(entry.dx_codes.difference(class_list))
+        if extra:
+            raise RecordFormatError(f"{where}: record {entry.record_id!r} has code {extra[0]!r} outside the #classes row")
+    return DatasetManifest(entries=[e for _, e in entries], class_list=class_list, unmapped=unmapped)
+
+
+def _manifest_entry(row: list[str], where: str) -> ManifestEntry:
+    record_id = row[0] if row else ""
+    if len(row) != 5:
+        raise RecordFormatError(f"{where}: record {record_id!r} has {len(row)} fields, expected 5 "
+                                "(record_id,file_path,num_samples,sampling_rate_hz,dx_codes)")
+    try:
+        num_samples = int(row[2])
+    except ValueError:
+        num_samples = 0
+    if num_samples < 1:
+        raise RecordFormatError(f"{where}: record {record_id!r} has num_samples {row[2]!r}, expected a positive integer")
+    try:
+        rate = float(row[3])
+    except ValueError:
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise RecordFormatError(f"{where}: record {record_id!r} has sampling rate {row[3]!r}, expected a positive number")
+    return ManifestEntry(
+        record_id=record_id,
+        file_path=row[1],
+        dx_codes=set(filter(None, row[4].split(";"))),
+        num_samples=num_samples,
+        sampling_rate_hz=rate,
+    )

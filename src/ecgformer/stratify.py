@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentRangeError, ShapeError
+from .errors import ArgumentRangeError, RecordFormatError, ShapeError
 
 
 @dataclass
@@ -104,12 +104,24 @@ def save_folds(path, record_ids: list[str], assignment: FoldAssignment):
 
 
 def load_folds(path, record_ids: list[str]) -> FoldAssignment:
-    """Read a fold CSV and align it to the manifest's record order."""
+    """Read a fold CSV strictly and align it to the manifest's record order.
+
+    Each row is `record_id,fold`, one per record; a fold is an integer from 0
+    to below the file's record count (k folds need at least k records).
+    """
     mapping: dict[str, int] = {}
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    for row in rows[1:]:
-        mapping[row[0]] = int(row[1])
+        rows = list(enumerate(csv.reader(fh), start=1))[1:]
+    for lineno, row in rows:
+        record_id = row[0] if row else ""
+        where = f"{path}: line {lineno}: record {record_id!r}"
+        if len(row) != 2:
+            raise RecordFormatError(f"{where} has {len(row)} fields, expected 2 (record_id,fold)")
+        if record_id in mapping:
+            raise RecordFormatError(f"{where} appears twice")
+        if not (row[1].isascii() and row[1].isdecimal() and int(row[1]) < len(rows)):
+            raise RecordFormatError(f"{where} has fold {row[1]!r}, expected an integer in [0, {len(rows)})")
+        mapping[record_id] = int(row[1])
     missing = [r for r in record_ids if r not in mapping]
     if missing:
         raise ArgumentRangeError(f"fold file lacks assignments for records {missing[:5]}")

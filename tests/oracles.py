@@ -259,3 +259,65 @@ def tensor_sum(a):
         grads(a, np.full_like(a.data, 1.0) * grad)
 
     return type(a)._result(data, (a,), backward_fn, "sum")
+
+
+GELU_C = (2.0 / np.pi) ** 0.5
+GELU_A = 0.044715
+
+
+def product_gelu(x, grad):
+    """Tanh-form GELU of x and its input gradient for an upstream `grad`, the cube as (x * x) * x.
+
+    Spelled out term by term in the order the package evaluates them, so the
+    bytes must match exactly.
+    """
+    cube = x * x
+    cube = cube * x
+    inner = GELU_C * (x + GELU_A * cube)
+    t = np.tanh(inner)
+    y = 0.5 * x * (1.0 + t)
+    square = x * x
+    dinner = GELU_C * (1.0 + 3.0 * GELU_A * square)
+    t_squared = t * t
+    dx = grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t_squared) * dinner)
+    return y, dx
+
+
+def pow_form_wide_features(lead, fs, num_samples, age_years, sex, peak_indices, impute_age_years=60.0,
+                           age_scale=100.0, heart_rate_scale=300.0):
+    """The 22 wide features with every power through `**`, as they were computed before the
+    moments became products: a frozen reference for the columns that must keep their bytes."""
+    values = np.zeros(22)
+    age = impute_age_years if age_years is None else age_years
+    values[0] = age / age_scale
+    values[1] = 1.0 if sex == "male" else 0.0
+    idx = np.asarray(peak_indices, dtype=np.int64)
+    if idx.size >= 2:
+        rr = np.diff(idx) / fs
+        values[2] = rr.mean()
+        values[3] = float(np.median(rr))
+        values[4] = rr.std()
+        values[5] = rr.min()
+        values[6] = rr.max()
+        values[7] = rr.max() - rr.min()
+        values[8] = (60.0 / rr.mean()) / heart_rate_scale
+        drr = np.diff(rr)
+        values[9] = float(np.sqrt((drr**2).mean())) if drr.size else 0.0
+        values[10] = float((np.abs(drr) > 0.05).mean()) if drr.size else 0.0
+        values[11] = idx.size / (num_samples / fs)
+        amps = lead[idx]
+        values[12] = amps.mean()
+        values[13] = amps.std()
+        values[14] = amps.min()
+        values[15] = amps.max()
+    mean = float(lead.mean())
+    centered = lead - mean
+    m2 = float((centered**2).mean())
+    values[16] = mean
+    if m2 >= 1e-24:
+        values[17] = m2**0.5
+        values[18] = float((centered**3).mean()) / m2**1.5
+        values[19] = float((centered**4).mean()) / m2**2 - 3.0
+    values[20] = lead.min()
+    values[21] = lead.max()
+    return values

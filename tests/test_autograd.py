@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import allocating_collect_gradients, central_difference_grad, max_rel_err, tensor_sum, textbook_adam
+from oracles import (allocating_collect_gradients, central_difference_grad, max_rel_err, product_gelu, tensor_sum,
+                     textbook_adam)
 
 GRAD_TOL = 1e-6
 
@@ -385,6 +386,83 @@ class TestGradientsAgainstFiniteDifferences:
         grads = ag.collect_gradients(tensor_sum(ag.mul(ag.add(a, b), ag.Tensor(w))), {"a": a, "b": b})
         np.testing.assert_allclose(grads["a"], w, atol=1e-12)
         np.testing.assert_allclose(grads["b"], w.sum(axis=(0, 1)), atol=1e-12)
+
+
+def _gelu_and_grad(x, upstream):
+    """Tanh-form `gelu` forward of x and the input gradient it passes back for `upstream`.
+
+    The input goes through `mul` by ones (exact), so the gradient `gelu`
+    passes back reaches a node that checks it is finite, as in a model.
+    """
+    a = ag.Tensor(x, requires_grad=True, dtype=x.dtype)
+    out = ag.gelu(ag.mul(a, ag.Tensor(np.ones_like(x), dtype=x.dtype)))
+    loss = tensor_sum(ag.mul(out, ag.Tensor(upstream, dtype=x.dtype)))
+    return out.data, ag.collect_gradients(loss, {"a": a})["a"]
+
+
+def _pow_form_gelu(x):
+    """The tanh form with the cube through NumPy's general pow."""
+    t = np.tanh(ag._GELU_C * (x + ag._GELU_A * x**3))
+    return 0.5 * x * (1.0 + t)
+
+
+class TestGeluNumerics:
+    """The tanh form cubes with products; these pin its bytes and its accuracy."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_product_form_oracle_bitwise(self, dtype):
+        rng = np.random.default_rng(21)
+        x = np.concatenate([rng.normal(scale=3.0, size=(4, 600)).ravel(), np.linspace(-12, 12, 2401),
+                            [0.0, -0.0, 1e-300, -1e-300, 1e3, -1e3]]).astype(dtype)
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        y, dx = _gelu_and_grad(x, upstream)
+        want_y, want_dx = product_gelu(x, upstream)
+        assert y.dtype == dx.dtype == dtype
+        assert y.tobytes() == want_y.tobytes()
+        assert dx.tobytes() == want_dx.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_within_two_ulps_of_mpmath(self, dtype):
+        # Measured maxima on these points: 1.0 ulp(x) in float64, 1.33 ulp(x) and
+        # 1.49 ulp(y) for x > 0 in float32. The error is counted in ulps of x
+        # because for x << 0 the result is a cancelled tail (1 + tanh near 0).
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 200
+        c, a = mpmath.mpf(ag._GELU_C), mpmath.mpf(ag._GELU_A)
+        info = np.finfo(dtype)
+        big = [1e3, 1e10, float(info.max) ** (1 / 3) * 1.01, float(info.max) ** 0.5 * 1.01, float(info.max) / 4]
+        x = np.concatenate([np.linspace(-10, 10, 2001), np.random.default_rng(22).uniform(-10, 10, 2000),
+                            big, [-v for v in big]]).astype(dtype)
+        with np.errstate(over="ignore"):
+            y = ag.gelu(ag.Tensor(x, dtype=dtype)).data
+        ref = np.array([float(0.5 * v * (1 + mpmath.tanh(c * (v + a * v**3))))
+                        for v in map(mpmath.mpf, x.astype(np.float64))])
+        err = np.abs(y.astype(np.float64) - ref)
+        assert np.max(err / np.spacing(np.abs(x)).astype(np.float64)) <= 2.0
+        pos = x > 0
+        assert np.max(err[pos] / np.spacing(np.abs(ref[pos]).astype(dtype)).astype(np.float64)) <= 2.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_large_inputs_saturate_and_fail_as_the_pow_form(self, dtype):
+        # Past |x| ~ 20 tanh is exactly +-1, so the forward is x or -0 whether
+        # the cube overflows or not; the backward is non-finite, a
+        # NumericalError, exactly where x**2 overflows, as before.
+        info = np.finfo(dtype)
+        cube_overflow, square_overflow = float(info.max) ** (1 / 3), float(info.max) ** 0.5
+        for v in (20.0, 1e3, cube_overflow * 0.99, cube_overflow * 1.01, square_overflow * 0.99,
+                  square_overflow * 1.01, float(info.max)):
+            for x in (np.array([v], dtype=dtype), np.array([-v], dtype=dtype)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y = ag.gelu(ag.Tensor(x, dtype=dtype)).data
+                    assert y.tobytes() == _pow_form_gelu(x).tobytes()
+                    _, want_dx = product_gelu(x, np.ones_like(x))
+                    if np.isfinite(want_dx).all():
+                        _, dx = _gelu_and_grad(x, np.ones_like(x))
+                        assert dx.tobytes() == want_dx.tobytes()
+                    else:
+                        assert not np.isfinite(x * x).all()
+                        with pytest.raises(NumericalError, match="non-finite"):
+                            _gelu_and_grad(x, np.ones_like(x))
 
 
 class TestBatchedOps:

@@ -401,6 +401,88 @@ class TestErrors:
                 assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1, err
                 assert "wide_scaler.csv" in err and needle in err, err
 
+    def _train_argv(self, data, ini, manifest, out, folds=None, weights=None):
+        fold = ["--folds", str(folds), "--fold", "0"] if folds else ["--fold", "-1"]
+        return ["train", "--manifest", str(manifest), *fold, "--weights", str(weights or data / "weights.csv"),
+                "--out", str(out), "--config", str(ini)]
+
+    def _assert_one_error(self, capsys, kind, *needles):
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR {kind}:") and err.count("\n") == 1, err
+        for needle in needles:
+            assert needle in err, (needle, err)
+
+    def test_malformed_manifest_exit_code(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        header, first, row, *rest = manifest.read_text().splitlines()
+        record_id, path, samples, rate, codes = row.split(",")
+        damaged = [
+            ("has 3 fields, expected 5", f"{record_id},{path},{samples}"),
+            ("has sampling rate 'abc'", f"{record_id},{path},{samples},abc,{codes}"),
+            ("has sampling rate '-500'", f"{record_id},{path},{samples},-500,{codes}"),
+            ("has num_samples '1.5'", f"{record_id},{path},1.5,{rate},{codes}"),
+            ("has code 'NOPE' outside the #classes row", f"{record_id},{path},{samples},{rate},NOPE"),
+        ]
+        bad = tmp_path / "manifest.csv"
+        capsys.readouterr()
+        for needle, line in damaged:
+            bad.write_text("\n".join([header, first, line, *rest]) + "\n")
+            assert cli.main(self._train_argv(data, ini, bad, tmp_path / "run")) == 5, needle
+            self._assert_one_error(capsys, "RecordFormatError", "manifest.csv", "line 3", repr(record_id), needle)
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_fold_file_exit_code(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        header, first, row, *rest = folds.read_text().splitlines()
+        record_id = row.split(",")[0]
+        damaged = [(f"fold {v!r}", f"{record_id},{v}") for v in ("x", "2.5", "", "-3", " 1", "99")]
+        damaged += [("has 1 fields, expected 2", record_id), ("appears twice", first)]
+        bad = tmp_path / "folds.csv"
+        capsys.readouterr()
+        for needle, line in damaged:
+            bad.write_text("\n".join([header, first, line, *rest]) + "\n")
+            assert cli.main(self._train_argv(data, ini, manifest, tmp_path / "run", folds=bad)) == 5, needle
+            rid = first.split(",")[0] if needle == "appears twice" else record_id
+            self._assert_one_error(capsys, "RecordFormatError", "folds.csv", "line 3", repr(rid), needle)
+        assert not (tmp_path / "run").exists()
+
+    def test_malformed_weight_matrix_exit_code(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        header, *rows = (data / "weights.csv").read_text().splitlines()
+        code = rows[1].split(",")[0]
+        cells = rows[1].split(",")
+        damaged = [
+            (f"row for class {code!r} holds a weight that is not a number", [rows[0], ",".join(cells[:2] + ["high"] + cells[3:])] + rows[2:]),
+            (f"row for class {code!r} holds a non-finite weight", [rows[0], ",".join(cells[:2] + ["nan"] + cells[3:])] + rows[2:]),
+            (f"row for class {code!r} has {len(cells) - 2} weights", [rows[0], ",".join(cells[:-1])] + rows[2:]),
+            (f"{len(rows) + 1} rows for {len(rows)} class codes", rows + [rows[-1]]),
+            (f"{len(rows) - 1} rows for {len(rows)} class codes", rows[:-1]),
+        ]
+        bad = tmp_path / "weights.csv"
+        capsys.readouterr()
+        for needle, lines in damaged:
+            bad.write_text("\n".join([header, *lines]) + "\n")
+            assert cli.main(self._train_argv(data, ini, manifest, tmp_path / "run", weights=bad)) == 5, needle
+            self._assert_one_error(capsys, "RecordFormatError", "weights.csv", needle)
+        assert not (tmp_path / "run").exists()
+
+    def test_odd_length_signal_file_exit_code(self, workspace, overfit_run, tmp_path, capsys):
+        # One byte short of a whole sample is a truncation, like two bytes too many.
+        root, data, ini, manifest, folds = workspace
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        dat = copy / "synth00001.dat"
+        blob = dat.read_bytes()
+        capsys.readouterr()
+        for damaged in (blob + b"\x00", blob[:-1], blob + b"\x00\x00"):
+            dat.write_bytes(damaged)
+            assert cli.main(["manifest", "--data", str(copy), "--class-map", str(copy / "class_map.csv"),
+                             "--out", str(tmp_path / "m.csv")]) == 5
+            self._assert_one_error(capsys, "TruncationError", "synth00001.dat", f"found {len(damaged)} bytes")
+            assert cli.main(["predict", "--record", str(copy / "synth00001.hea"), "--run", str(overfit_run),
+                             "--out", str(tmp_path / "p.csv")]) == 5
+            self._assert_one_error(capsys, "TruncationError", "synth00001.dat", f"found {len(damaged)} bytes")
+
     def test_evaluate_threads_default_to_one(self):
         args = cli.build_parser().parse_args(["evaluate", "--manifest", "m", "--runs", "r", "--weights", "w",
                                               "--out", "o"])

@@ -6,7 +6,7 @@ from ecgformer import features
 from ecgformer.errors import ArgumentRangeError
 from ecgformer.record_io import EcgRecord
 
-from oracles import straight_line_stats
+from oracles import pow_form_wide_features, straight_line_stats
 
 
 def impulse_train(fs=500.0, duration_s=15.0, period_s=1.0, amplitude=1.0, first_at_s=0.5):
@@ -195,3 +195,49 @@ class TestWideFeatures:
         assert lines[0] == "record_id," + ",".join(features.FEATURE_NAMES)
         assert len(lines) == 4
         assert float(lines[1].split(",")[1]) == rows[0][1].values[0]
+
+
+def _moment_leads():
+    """(name, lead, fs, moments_defined): ECG-like leads at both benchmark rates, a constant
+    lead, and skewed leads whose m2 sits just above and just below the 1e-24 cutoff."""
+    rng = np.random.default_rng(31)
+    leads = [(f"ecg{i}", synthetic_ecg(rng, fs=fs, duration_s=10.0, rate_hz=rng.uniform(0.8, 2.2)), fs, True)
+             for i, fs in enumerate([500.0, 1000.0, 500.0, 1000.0, 257.0])]
+    leads.append(("constant", np.full(1200, 0.37), 500.0, False))
+    tail = rng.exponential(size=1500)
+    leads.append(("m2_above_cutoff", 2e-12 * tail, 500.0, True))  # m2 ~ 4e-24
+    leads.append(("m2_below_cutoff", 0.5e-12 * tail, 500.0, False))  # m2 ~ 2.5e-25
+    return leads
+
+
+MOMENT_LEADS = _moment_leads()
+MOMENT_IDS = [name for name, *_ in MOMENT_LEADS]
+
+
+class TestMomentProducts:
+    """`_moments` forms its powers as products; only skewness and kurtosis may move."""
+
+    @pytest.mark.parametrize("name, lead, fs, defined", MOMENT_LEADS, ids=MOMENT_IDS)
+    def test_other_columns_equal_pow_form_bitwise(self, name, lead, fs, defined):
+        for age, sex in ((61.0, "male"), (None, "female")):
+            rec = make_record(lead, fs, age=age, sex=sex)
+            peaks = features.detect_r_peaks(lead, fs)
+            got = features.compute_wide_features(rec, peaks).values
+            want = pow_form_wide_features(lead, fs, rec.num_samples, age, sex, peaks.peak_indices)
+            keep = [c for c in range(features.D_WIDE) if c not in (18, 19)]
+            assert got[keep].tobytes() == want[keep].tobytes()
+            # The two moved columns differ from the pow form by rounding only.
+            np.testing.assert_allclose(got[18:20], want[18:20], rtol=4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("name, lead, fs, defined", MOMENT_LEADS, ids=MOMENT_IDS)
+    def test_skewness_and_kurtosis_match_references(self, name, lead, fs, defined):
+        got = features.compute_wide_features(make_record(lead, fs), features.detect_r_peaks(lead, fs)).values
+        _, _, skew, kurt, _, _ = straight_line_stats(lead)
+        if not defined:
+            assert got[17:20].tolist() == [0.0, 0.0, 0.0] and (skew, kurt) == (0.0, 0.0)
+            return
+        assert abs(skew) > 0.1 and abs(kurt) > 0.1  # so that a relative bound means something
+        assert got[18] == pytest.approx(skew, rel=1e-12, abs=0.0)
+        assert got[19] == pytest.approx(kurt, rel=1e-12, abs=0.0)
+        assert got[18] == pytest.approx(sstats.skew(lead, bias=True), rel=1e-12, abs=0.0)
+        assert got[19] == pytest.approx(sstats.kurtosis(lead, bias=True, fisher=True), rel=1e-12, abs=0.0)
