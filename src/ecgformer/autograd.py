@@ -18,17 +18,20 @@ per slot. A parameter shared by every slot gets the gradient each slot would
 give it alone, summed over the slots in slot order, so a minibatch in one
 graph yields the bytes of one graph per record added into a running total.
 
-Also home to the Adam update rule, which updates the moments and the
-parameters in place in fixed-size blocks, and the binary checkpoint format
-(magic ``WFT1``: u32 tensor count, then per tensor u16 name length + name
-bytes, u8 ndims, u32 dims, float32 little-endian row-major data), which is
-parsed strictly: a wrong-magic, short, overlong or duplicate-name file is a
-`RecordFormatError`.
+Also home to Adam. `adam_init` moves the parameters into one flat buffer
+and rebinds each `Tensor.data` to its view of it; the moments and the step's
+gradient total get flat buffers of the same layout, so `adam_step` updates
+every parameter in one pass of fixed-size blocks, in place. Last comes the
+binary checkpoint format (magic ``WFT1``: u32 tensor count, then per tensor
+u16 name length + name bytes, u8 ndims, u32 dims, float32 little-endian
+row-major data), which is parsed strictly: a wrong-magic, short, overlong
+or duplicate-name file is a `RecordFormatError`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -571,26 +574,40 @@ def collect_gradients(
 
 
 def adam_init(params: dict[str, Tensor]) -> dict:
-    return {
-        "m": {k: np.zeros_like(p.data) for k, p in params.items()},
-        "v": {k: np.zeros_like(p.data) for k, p in params.items()},
-        "t": 0,
-    }
+    """Adam's state for `params`, which this moves into one flat buffer.
+
+    Each parameter's values are copied into a flat buffer of the parameters'
+    shared dtype and its `Tensor.data` is rebound to its reshaped view of that
+    buffer. The parameters move one at a time, before anything else is
+    allocated, so the move holds two parameter sets at most. Adam's m and v
+    and the step's gradient total then get zeroed flat buffers of the same
+    layout. The state holds the four buffers under "flat" (parameters, m, v,
+    gradient total), {name: view} dicts under "m", "v" and "grad", and the
+    step count under "t".
+    """
+    dtypes = {p.data.dtype for p in params.values()}
+    if len(dtypes) > 1:
+        raise ShapeError(f"adam_init: parameters mix the dtypes {sorted(str(d) for d in dtypes)}")
+    dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+    spans, size = {}, 0
+    for name, p in params.items():
+        spans[name] = (size, p.shape)
+        size += p.data.size
+
+    def views(flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[start : start + math.prod(shape)].reshape(shape) for name, (start, shape) in spans.items()}
+
+    flat_params = np.empty(size, dtype)
+    for name, view in views(flat_params).items():
+        view[...] = params[name].data
+        params[name].data = view  # the old array goes here, before the next one is copied
+    flat = (flat_params, *(np.zeros_like(flat_params) for _ in range(3)))  # written now, not at the first step
+    return {"flat": flat, "m": views(flat[1]), "v": views(flat[2]), "grad": views(flat[3]), "t": 0}
 
 
 # Adam runs over flat blocks of this many elements, so its temporaries stay
 # cache-sized instead of parameter-sized.
 ADAM_BLOCK = 1 << 15
-
-
-def _blocks(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray):
-    """Matching slices of four same-shape arrays; p, m and v slices are views."""
-    if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-        yield p, m, v, g
-        return
-    flat = [x.reshape(-1) for x in (p, m, v, g)]
-    for start in range(0, p.size, ADAM_BLOCK):
-        yield tuple(x[start : start + ADAM_BLOCK] for x in flat)
 
 
 def adam_step(
@@ -602,41 +619,63 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """Bias-corrected Adam update, applied in place in sorted name order.
+    """Bias-corrected Adam update of every parameter in `state`, in place.
 
-    m, v and the parameters are overwritten block by block with the textbook
-    update's operations in its order, so the numbers are bitwise those of
-    the allocating form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    p -= lr * (m/c1) / (sqrt(v/c2) + eps). The update runs in the
-    parameter's dtype; the hyperparameters are taken as Python floats.
+    `params` are the tensors `adam_init` built `state` from, so their data
+    are views of its flat parameter buffer. `grads` holds one gradient per
+    name: the state's own "grad" views, as training passes them, or arrays of
+    the parameters' shapes and dtype, which are first copied into those views.
+    The flat gradient total is checked once before anything changes: a NaN
+    or Inf raises NumericalError and leaves the parameters, m, v and t as
+    they were. Then m, v and the parameters are overwritten block by block
+    over the flat buffers with the textbook update's operations in its
+    order, so the numbers are bitwise those of the allocating form
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr * (m/c1) / (sqrt(v/c2) + eps) applied to each tensor on its own.
+    The update runs in the parameters' dtype; the hyperparameters are taken
+    as Python floats.
     """
     lr, beta1, beta2, eps = float(lr), float(beta1), float(beta2), float(eps)
+    views = state["grad"]
+    if grads.keys() != views.keys() or params.keys() != views.keys():
+        raise ShapeError(f"adam_step: gradients for {sorted(grads)} and parameters {sorted(params)}, "
+                         f"but the state holds {sorted(views)}")
+    for name, g in grads.items():
+        view = views[name]
+        if g is view:
+            continue
+        if g.shape != view.shape:
+            raise ShapeError(f"adam_step: gradient {g.shape} vs parameter {view.shape} for {name!r}")
+        if g.dtype != view.dtype:
+            raise ShapeError(f"adam_step: gradient dtype {g.dtype} vs parameter dtype {view.dtype} for {name!r}")
+        view[...] = g
+    flat_params, flat_m, flat_v, flat_grad = state["flat"]
+    # A sum is NaN or Inf when any term is, and needs no temporary; only a
+    # sum that overflowed on finite terms needs the exact scan.
+    if not math.isfinite(flat_grad.sum()) and not np.isfinite(flat_grad).all():
+        bad = next(name for name, g in views.items() if not np.isfinite(g).all())
+        raise NumericalError(f"adam_step: the gradient of {bad!r} is not finite")
     state["t"] += 1
     t = state["t"]
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for name in sorted(grads):
-        p = params[name]
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeError(f"adam_step: gradient {g.shape} vs parameter {p.shape} for {name!r}")
-        if g.dtype != p.data.dtype:
-            raise ShapeError(f"adam_step: gradient dtype {g.dtype} vs parameter dtype {p.data.dtype} for {name!r}")
-        for pb, mb, vb, gb in _blocks(p.data, state["m"][name], state["v"][name], g):
-            tmp = np.multiply(gb, 1.0 - beta1)
-            mb *= beta1
-            mb += tmp
-            np.multiply(gb, 1.0 - beta2, out=tmp)
-            tmp *= gb
-            vb *= beta2
-            vb += tmp
-            np.divide(vb, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += eps
-            step = np.divide(mb, c1)
-            step *= lr
-            step /= tmp
-            pb -= step
+    for start in range(0, flat_params.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        pb, mb, vb, gb = flat_params[block], flat_m[block], flat_v[block], flat_grad[block]
+        tmp = np.multiply(gb, 1.0 - beta1)
+        mb *= beta1
+        mb += tmp
+        np.multiply(gb, 1.0 - beta2, out=tmp)
+        tmp *= gb
+        vb *= beta2
+        vb += tmp
+        np.divide(vb, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        step = np.divide(mb, c1)
+        step *= lr
+        step /= tmp
+        pb -= step
     return params, state
 
 
@@ -666,40 +705,40 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     The file must start with the magic and hold exactly the tensors its count
     announces, each name once: a wrong magic, a short file, trailing bytes or
-    a repeated name raise RecordFormatError, and dims are checked against the bytes left before
-    anything is allocated.
+    a repeated name raise RecordFormatError, and dims are checked against the
+    bytes left before anything is allocated. The file is read one field at a
+    time, so loading holds the float64 arrays and one tensor's float32 bytes.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise RecordFormatError(f"{path}: not a WFT1 checkpoint")
-    pos = 4
+        length = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != CHECKPOINT_MAGIC:
+            raise RecordFormatError(f"{path}: not a WFT1 checkpoint")
+        pos = 4
 
-    def take(size: int, what: str) -> int:
-        """Offset of the next `size` bytes, which must all be in the file."""
-        nonlocal pos
-        if size > len(blob) - pos:
-            raise RecordFormatError(f"{path}: WFT1 checkpoint truncated in {what} at byte {pos}")
-        pos += size
-        return pos - size
+        def take(size: int, what: str) -> bytes:
+            """The next `size` bytes, which must all be in the file."""
+            nonlocal pos
+            data = fh.read(size) if size <= length - pos else b""
+            if len(data) != size:
+                raise RecordFormatError(f"{path}: WFT1 checkpoint truncated in {what} at byte {pos}")
+            pos += size
+            return data
 
-    (count,) = struct.unpack_from("<I", blob, take(4, "the tensor count"))
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, take(2, "a name length"))
-        start = take(name_len, "a name")
-        try:
-            name = blob[start:pos].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise RecordFormatError(f"{path}: WFT1 tensor name at byte {start} is not UTF-8") from exc
-        if name in out:
-            raise RecordFormatError(f"{path}: WFT1 tensor {name!r} appears twice")
-        (ndims,) = struct.unpack_from("<B", blob, take(1, f"the rank of {name!r}"))
-        shape = struct.unpack_from(f"<{ndims}I", blob, take(4 * ndims, f"the dims of {name!r}"))
-        size = math.prod(shape)
-        start = take(4 * size, f"the data of {name!r}")
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=start).reshape(shape)
-        out[name] = arr.astype(np.float64)
-    if pos != len(blob):
-        raise RecordFormatError(f"{path}: {len(blob) - pos} trailing bytes after the last WFT1 tensor")
+        (count,) = struct.unpack("<I", take(4, "the tensor count"))
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2, "a name length"))
+            start = pos
+            try:
+                name = take(name_len, "a name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise RecordFormatError(f"{path}: WFT1 tensor name at byte {start} is not UTF-8") from exc
+            if name in out:
+                raise RecordFormatError(f"{path}: WFT1 tensor {name!r} appears twice")
+            (ndims,) = struct.unpack("<B", take(1, f"the rank of {name!r}"))
+            shape = struct.unpack(f"<{ndims}I", take(4 * ndims, f"the dims of {name!r}"))
+            data = take(4 * math.prod(shape), f"the data of {name!r}")
+            out[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
+    if pos != length:
+        raise RecordFormatError(f"{path}: {length - pos} trailing bytes after the last WFT1 tensor")
     return out

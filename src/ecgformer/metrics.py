@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentRangeError, RecordFormatError, ShapeError, UndefinedScoreError
+from .record_io import read_csv
 
 
 @dataclass
@@ -40,8 +41,7 @@ class WeightMatrix:
 def load_weight_matrix(path, normal_class: str) -> WeightMatrix:
     """Read a reward matrix CSV strictly: a header row of class codes, then one row per code,
     in header order, holding the code and one finite weight per column."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = read_csv(path)
     if not rows:
         raise RecordFormatError(f"{path}: empty weight matrix file")
     codes = [c.strip() for c in rows[0][1:]]

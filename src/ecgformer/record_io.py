@@ -15,6 +15,7 @@ s0_lead0, s0_lead1, ..., s1_lead0, ... Physical millivolts are recovered as
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +26,21 @@ from .errors import ArgumentRangeError, EmptyDatasetError, RecordFormatError, Tr
 
 ADC_MIN = -32768
 ADC_MAX = 32767
+
+
+def read_text(path) -> str:
+    """The file at `path` as UTF-8 text, line ends untranslated; a file that is
+    not UTF-8 raises RecordFormatError naming it."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RecordFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def read_csv(path) -> list[list[str]]:
+    """The rows of the CSV file at `path`, read by `read_text`."""
+    return list(csv.reader(io.StringIO(read_text(path), newline="")))
+
 
 STANDARD_12_LEADS = ["I", "II", "III", "aVR", "aVL", "aVF", "V1", "V2", "V3", "V4", "V5", "V6"]
 
@@ -113,7 +129,7 @@ def select_leads(record: EcgRecord, subset: LeadSubset) -> EcgRecord:
 
 
 def _parse_header_text(path: Path) -> tuple[str, int, float, int, list[tuple[str, float, float, str]], dict]:
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise RecordFormatError(f"{path}: line 1: empty header")
     head = lines[0].split()
@@ -266,25 +282,24 @@ def load_class_map(path) -> ClassMap:
     path = Path(path)
     code_to_index: dict[str, int] = {}
     index_to_code: dict[int, str] = {}
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if lineno == 1 and row[0].strip().lower() == "code":
-                continue
-            if len(row) != 3:
-                raise RecordFormatError(f"{path}: line {lineno}: expected 'code,class_index,class_code'")
-            code, idx_s, class_code = (c.strip() for c in row)
-            try:
-                idx = int(idx_s)
-            except ValueError as exc:
-                raise RecordFormatError(f"{path}: line {lineno}: bad class index {idx_s!r}") from exc
-            if code in code_to_index:
-                raise RecordFormatError(f"{path}: line {lineno}: duplicate code {code!r}")
-            if idx in index_to_code and index_to_code[idx] != class_code:
-                raise RecordFormatError(f"{path}: line {lineno}: class index {idx} maps to two class codes")
-            code_to_index[code] = idx
-            index_to_code[idx] = class_code
+    for lineno, row in enumerate(read_csv(path), start=1):
+        if not row or row[0].startswith("#"):
+            continue
+        if lineno == 1 and row[0].strip().lower() == "code":
+            continue
+        if len(row) != 3:
+            raise RecordFormatError(f"{path}: line {lineno}: expected 'code,class_index,class_code'")
+        code, idx_s, class_code = (c.strip() for c in row)
+        try:
+            idx = int(idx_s)
+        except ValueError as exc:
+            raise RecordFormatError(f"{path}: line {lineno}: bad class index {idx_s!r}") from exc
+        if code in code_to_index:
+            raise RecordFormatError(f"{path}: line {lineno}: duplicate code {code!r}")
+        if idx in index_to_code and index_to_code[idx] != class_code:
+            raise RecordFormatError(f"{path}: line {lineno}: class index {idx} maps to two class codes")
+        code_to_index[code] = idx
+        index_to_code[idx] = class_code
     if not code_to_index:
         raise RecordFormatError(f"{path}: empty class map")
     indices = sorted(index_to_code)
@@ -373,9 +388,7 @@ def save_manifest(path, manifest: DatasetManifest):
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest CSV strictly: a malformed row is a `RecordFormatError` naming the line and record."""
     entries, class_list, unmapped = [], None, []
-    with open(path, newline="") as fh:
-        rows = list(enumerate(csv.reader(fh), start=1))[1:]
-    for lineno, row in rows:
+    for lineno, row in list(enumerate(read_csv(path), start=1))[1:]:
         where = f"{path}: line {lineno}"
         kind = row[0] if row else ""
         if kind == "#classes":

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentRangeError, RecordFormatError, ShapeError
+from .record_io import read_csv
 
 
 @dataclass
@@ -110,8 +111,7 @@ def load_folds(path, record_ids: list[str]) -> FoldAssignment:
     to below the file's record count (k folds need at least k records).
     """
     mapping: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        rows = list(enumerate(csv.reader(fh), start=1))[1:]
+    rows = list(enumerate(read_csv(path), start=1))[1:]
     for lineno, row in rows:
         record_id = row[0] if row else ""
         where = f"{path}: line {lineno}: record {record_id!r}"

@@ -22,7 +22,7 @@ from . import autograd as ag
 from . import dsp, features, metrics, model
 from .errors import (ArgumentRangeError, ConfigError, EmptyDatasetError, NumericalError, RecordFormatError,
                      ShapeError)
-from .record_io import DatasetManifest, EcgRecord, LeadSubset, lead_subset, parse_record, select_leads
+from .record_io import DatasetManifest, EcgRecord, LeadSubset, lead_subset, parse_record, read_csv, select_leads
 from .stratify import FoldAssignment
 
 
@@ -170,8 +170,7 @@ def save_thresholds(path, thresholds: ThresholdVector, class_codes: list[str]):
 def load_thresholds(path, class_codes: list[str] | None = None) -> tuple[list[str], ThresholdVector]:
     """Read thresholds.csv strictly: exactly one `class_code,threshold` row per class; returns the codes
     and their thresholds, in `class_codes` order when given (then the file must hold exactly those)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+    rows = read_csv(path)[1:]
     mapping = {}
     for row in rows:
         code = row[0] if row else ""
@@ -357,12 +356,15 @@ def _train_steps(
     (float32, as WFT1 stores them), its validation metric, the loss curve and
     the trained record ids.
 
-    The parameters, Adam's moments and the gradients live only in here, so
-    they are released before the caller writes and reloads the checkpoint.
+    The parameters, Adam's moments and the gradient total live only in here,
+    in the flat buffers of `ag.adam_init`, so they are released before the
+    caller writes and reloads the checkpoint. Every graph of a step adds its
+    gradients in place into the zeroed total.
     """
     params = model.init_params(model_config, train_config.seed, np.dtype(train_config.precision))
     trainable = params.trainable()
     state = ag.adam_init(trainable)
+    grads, grad_total = state["grad"], state["flat"][3]  # the step's gradient total: views and their flat buffer
     seed = train_config.seed
 
     loss_curve: list[float] = []
@@ -387,21 +389,20 @@ def _train_steps(
                                   _stable_seed(seed, 13, rec_epoch, rec_idx)) for rec_idx, rec_epoch in batch]
         rngs = [np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot])) for slot in range(len(batch))]
         wide, labels = np.stack([r.wide for r in records]), np.stack([r.labels for r in records])
-        total_grads: dict[str, np.ndarray] = {}
+        grad_total.fill(0.0)
+        scale = 1.0 / len(batch)
         try:
-            losses = batch_gradients(windows, wide, labels, rngs, params, model_config, total_grads)
+            losses = batch_gradients(windows, wide, labels, rngs, params, model_config, grads)
+            np.multiply(grad_total, scale, out=grad_total)  # the batch mean, in place
+            loss_sum = 0.0
+            for value in losses:  # in slot order; sum() compensates its rounding from Python 3.12 on
+                loss_sum += value
+            mean_loss = loss_sum * scale
+            if not math.isfinite(mean_loss):
+                raise NumericalError("the mean training loss is not finite")
+            ag.adam_step(trainable, grads, state, lr=train_config.learning_rate)
         except NumericalError as exc:
             raise NumericalError(f"training diverged at step {step}: {exc}") from exc
-        scale = 1.0 / len(batch)
-        for g in total_grads.values():  # the batch mean, in place
-            g *= scale
-        loss_sum = 0.0
-        for value in losses:  # in slot order; sum() compensates its rounding from Python 3.12 on
-            loss_sum += value
-        mean_loss = loss_sum * scale
-        if not math.isfinite(mean_loss):
-            raise NumericalError(f"training loss diverged at step {step}")
-        ag.adam_step(trainable, total_grads, state, lr=train_config.learning_rate)
         return mean_loss
 
     epoch = -1
@@ -515,8 +516,7 @@ def _save_wide_scaler(path, scaler: tuple[np.ndarray, np.ndarray], d_wide: int):
 
 def load_wide_scaler(path, d_wide: int) -> tuple[np.ndarray, np.ndarray]:
     """Read wide_scaler.csv strictly: one `feature,mean,std` row per wide feature, in feature order."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
+    rows = read_csv(path)[1:]
     if d_wide > features.D_WIDE:
         raise ConfigError(f"d_wide {d_wide} exceeds the {features.D_WIDE} available wide features")
     if len(rows) > d_wide:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -614,6 +615,107 @@ class TestAdam:
         assert np.linalg.norm(w.data - c) < 1e-3
 
 
+FLAT_SHAPES = {"a": (1000, 7), "b": (ag.ADAM_BLOCK,), "c": (3, 11), "d": (5,), "e": (), "f": (ag.ADAM_BLOCK // 3, 4)}
+
+
+def _offset(view: np.ndarray, flat: np.ndarray) -> int:
+    """Element offset of a view into the flat buffer it was cut from."""
+    return (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // flat.itemsize
+
+
+def _flat_problem(dtype, steps=3, seed=21):
+    """Start values and `steps` gradient dicts over FLAT_SHAPES, with some gradient entries -0.0."""
+    rng = np.random.default_rng(seed)
+    start = {k: rng.normal(size=s).astype(dtype) for k, s in FLAT_SHAPES.items()}
+    grads = []
+    for _ in range(steps):
+        step = {}
+        for k, s in FLAT_SHAPES.items():
+            g = np.array(rng.normal(size=s) * 10.0 ** rng.uniform(-4, 1, size=s))
+            g[rng.uniform(size=s) < 0.1] = -0.0
+            step[k] = np.asarray(g, dtype=dtype)
+        grads.append(step)
+    return start, grads
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("pass_views", [False, True])
+    def test_bitwise_equal_to_textbook_update_per_tensor(self, dtype, pass_views):
+        start, grads = _flat_problem(dtype)
+        params = {k: ag.Tensor(v.copy(), requires_grad=True, dtype=dtype) for k, v in start.items()}
+        state = ag.adam_init(params)
+        flat = state["flat"][0]
+        bounds = {k: (_offset(p.data, flat), _offset(p.data, flat) + p.data.size) for k, p in params.items()}
+        cuts = range(ag.ADAM_BLOCK, flat.size, ag.ADAM_BLOCK)
+        assert any(lo < cut < hi for lo, hi in bounds.values() for cut in cuts)  # a block ends inside a tensor
+        for step in grads:
+            if pass_views:
+                for k, g in step.items():
+                    state["grad"][k][...] = g
+                ag.adam_step(params, state["grad"], state, lr=3e-3)
+            else:
+                ag.adam_step(params, {k: g.copy() for k, g in step.items()}, state, lr=3e-3)
+        for k in FLAT_SHAPES:
+            want_p, want_m, want_v = textbook_adam(start[k], [step[k] for step in grads], lr=3e-3)
+            for got, want in ((params[k].data, want_p), (state["m"][k], want_m), (state["v"][k], want_v)):
+                assert got.dtype == want.dtype == dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), k
+
+    def test_init_rebinds_parameter_data_to_flat_views(self):
+        start, _ = _flat_problem(np.float64, steps=0)
+        params = {k: ag.Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+        state = ag.adam_init(params)
+        flat_params, flat_m, flat_v, flat_grad = state["flat"]
+        assert flat_params.size == sum(v.size for v in start.values())
+        assert not (flat_m.any() or flat_v.any() or flat_grad.any())
+        for k, p in params.items():
+            assert p.data.base is flat_params and p.data.flags.c_contiguous
+            assert p.data.tobytes() == start[k].tobytes()
+            for views, flat in ((state["m"], flat_m), (state["v"], flat_v), (state["grad"], flat_grad)):
+                assert views[k].base is flat and _offset(views[k], flat) == _offset(p.data, flat_params)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("pass_views", [False, True])
+    def test_non_finite_gradient_changes_nothing(self, bad, pass_views):
+        start, grads = _flat_problem(np.float64, steps=2)
+        params = {k: ag.Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+        state = ag.adam_init(params)
+        ag.adam_step(params, grads[0], state, lr=3e-3)
+        before = [flat.copy() for flat in state["flat"][:3]]
+        grads[1]["c"][2, 5] = bad
+        if pass_views:
+            for k, g in grads[1].items():
+                state["grad"][k][...] = g
+        with pytest.raises(NumericalError, match="'c'"):
+            ag.adam_step(params, state["grad"] if pass_views else grads[1], state, lr=3e-3)
+        assert state["t"] == 1
+        for flat, old in zip(state["flat"][:3], before):
+            assert flat.tobytes() == old.tobytes()
+
+    def test_overflowing_finite_gradient_sum_is_accepted(self):
+        params = {"w": ag.Tensor(np.zeros(2), requires_grad=True)}
+        state = ag.adam_init(params)
+        with np.errstate(over="ignore"):
+            ag.adam_step(params, {"w": np.array([1.5e308, 1.5e308])}, state, lr=0.1)
+        assert state["t"] == 1 and np.isfinite(params["w"].data).all()
+
+    def test_mixed_dtypes_rejected(self):
+        params = {"a": ag.Tensor(np.ones(2), requires_grad=True),
+                  "b": ag.Tensor(np.ones(2, dtype=np.float32), requires_grad=True, dtype=np.float32)}
+        with pytest.raises(ShapeError, match="dtype"):
+            ag.adam_init(params)
+
+    def test_gradient_names_must_match_the_state(self):
+        params = {"a": ag.Tensor(np.ones(2), requires_grad=True), "b": ag.Tensor(np.ones(3), requires_grad=True)}
+        state = ag.adam_init(params)
+        with pytest.raises(ShapeError, match="state holds"):
+            ag.adam_step(params, {"a": np.ones(2)}, state, lr=0.1)
+        with pytest.raises(ShapeError, match=r"\(4,\)"):
+            ag.adam_step(params, {"a": np.ones(2), "b": np.ones(4)}, state, lr=0.1)
+        assert state["t"] == 0
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -644,6 +746,23 @@ class TestCheckpoint:
         loaded = ag.load_checkpoint(path)
         assert set(loaded) == {"a.b.c", "d"}
         assert loaded["a.b.c"].shape == (2, 3, 4)
+
+    def test_load_holds_one_tensors_bytes_beside_the_arrays(self, tmp_path):
+        # Reading the whole file first would hold its float32 bytes (half the float64 arrays) on top.
+        rng = np.random.default_rng(11)
+        arrays = {f"w{i}": rng.normal(size=(64, 256)) for i in range(8)}
+        path = tmp_path / "m.ckpt"
+        ag.save_checkpoint(path, arrays)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            loaded = ag.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        total = sum(a.nbytes for a in loaded.values())
+        assert total == sum(a.nbytes for a in arrays.values())
+        assert peak < total + 2 * 64 * 256 * 4, peak / total
 
 
 def _wft1(*tensors, count=None):

@@ -1,9 +1,11 @@
 """The parts of the program that the benchmark in ecgbench/ reads, pinned so a refactor cannot blind it.
 
 `ecgbench/child.py` counts one training step per return of `autograd.adam_step`,
-and `ecgbench/tracer.py` names each `model.forward` span by its `mode`, read as a
-keyword or as the fifth positional argument. Both wrap a function by rebinding
-it in every ecgformer module that holds it.
+reading the step number from its third argument's `state["t"]`, and
+`ecgbench/tracer.py` names each `model.forward` span by its `mode`, read as a
+keyword or as the fifth positional argument, and sums the `nbytes` of the dict
+`autograd.collect_gradients` returns. Both wrap a function by rebinding it in
+every ecgformer module that holds it.
 """
 
 import inspect
@@ -102,3 +104,26 @@ def test_tracer_finds_every_function_and_both_forward_modes(bench, corpus):
     assert calls["model.forward.eval"] == 4
     assert "model.forward" not in calls and "model.forward.None" not in calls
     assert counts["counts"]["train.predict_probabilities.records"] == 3 * 6
+
+
+def test_traced_train_stamps_each_step_and_collects_one_parameter_set(bench, corpus):
+    # child.py's stamp reads state["t"] after each adam_step; the tracer sums the nbytes of the dict that
+    # collect_gradients returns, which is the step's gradient total: one parameter set per call.
+    tracer = bench.Tracer()
+    tracer.install()
+    steps = []
+    traced = autograd.adam_step
+
+    def stamped(params, grads, state, *args, **kwargs):
+        out = traced(params, grads, state, *args, **kwargs)
+        steps.append(state["t"])
+        return out
+
+    bench.replace_everywhere(traced, stamped)
+    assert cli.main(_train(corpus, corpus / "run")) == 0
+    counts = tracer.take_counts()
+    assert steps == [1, 2, 3] and counts["calls"]["autograd.adam_step"] == 3
+    config = model.ModelConfig.from_text((corpus / "run" / "model_config.txt").read_text(), "model_config.txt")
+    parameter_set = sum(t.data.nbytes for t in model.init_params(config, 0).trainable().values())
+    calls = counts["calls"]["autograd.collect_gradients"]
+    assert calls == 3 and counts["counts"]["autograd.collect_gradients.bytes"] == calls * parameter_set

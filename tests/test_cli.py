@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ecgformer import autograd, cli, model, record_io, train
+from ecgformer import autograd, cli, errors, model, record_io, train
 from ecgformer.runconfig import RunConfig
 
 TOY_INI = """\
@@ -465,6 +465,62 @@ class TestErrors:
             assert cli.main(self._train_argv(data, ini, manifest, tmp_path / "run", weights=bad)) == 5, needle
             self._assert_one_error(capsys, "RecordFormatError", "weights.csv", needle)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("target", ["manifest", "folds", "class_map", "weights", "thresholds", "wide_scaler",
+                                        "header"])
+    def test_non_utf8_file_exit_code(self, workspace, overfit_run, tmp_path, capsys, target):
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        shutil.copytree(overfit_run, run)
+        out = tmp_path / "out"
+
+        def predict(record=data / "synth00000.hea"):
+            return ["predict", "--record", str(record), "--run", str(run), "--out", str(tmp_path / "p.csv")]
+
+        bad, argv = {
+            "manifest": (tmp_path / "manifest.csv", self._train_argv(data, ini, tmp_path / "manifest.csv", out)),
+            "folds": (tmp_path / "folds.csv", self._train_argv(data, ini, manifest, out, folds=tmp_path / "folds.csv")),
+            "class_map": (tmp_path / "class_map.csv", ["manifest", "--data", str(data), "--class-map",
+                                                       str(tmp_path / "class_map.csv"), "--out", str(out)]),
+            "weights": (tmp_path / "weights.csv",
+                        self._train_argv(data, ini, manifest, out, weights=tmp_path / "weights.csv")),
+            "thresholds": (run / "thresholds.csv", predict()),
+            "wide_scaler": (run / "wide_scaler.csv", predict()),
+            "header": (tmp_path / "rec.hea", predict(tmp_path / "rec.hea")),
+        }[target]
+        bad.write_bytes(b"\xff\xfe")
+        capsys.readouterr()
+        assert cli.main(argv) == 5
+        self._assert_one_error(capsys, "RecordFormatError", str(bad), "not UTF-8")
+        assert not out.exists()
+
+    def test_non_finite_gradient_stops_training_before_adam_moves(self, workspace, tmp_path, capsys, monkeypatch):
+        root, data, ini, manifest, folds = workspace
+        collect, adam_step = autograd.collect_gradients, autograd.adam_step
+        calls, untouched = [], []
+
+        def planting_collect(loss, wanted, into=None):
+            out = collect(loss, wanted, into)
+            calls.append(loss)
+            if len(calls) == 2:  # step 1: one update has already set the moments
+                out[next(iter(wanted))].flat[3] = np.inf
+            return out
+
+        def watched_adam_step(params, grads, state, *args, **kwargs):
+            before = [flat.copy() for flat in state["flat"][:3]]
+            try:
+                return adam_step(params, grads, state, *args, **kwargs)
+            except errors.NumericalError:
+                untouched.append(state["t"] == 1 and all(
+                    flat.tobytes() == old.tobytes() for flat, old in zip(state["flat"][:3], before)))
+                raise
+
+        monkeypatch.setattr(autograd, "collect_gradients", planting_collect)
+        monkeypatch.setattr(autograd, "adam_step", watched_adam_step)
+        capsys.readouterr()
+        assert cli.main(self._train_argv(data, ini, manifest, tmp_path / "run")) == 8
+        self._assert_one_error(capsys, "NumericalError", "training diverged at step 1", "not finite")
+        assert len(calls) == 2 and untouched == [True]
 
     def test_odd_length_signal_file_exit_code(self, workspace, overfit_run, tmp_path, capsys):
         # One byte short of a whole sample is a truncation, like two bytes too many.

@@ -1,12 +1,15 @@
 """Fuzz the manifest, fold and reward-matrix CSV loaders: whatever the text,
-a loader returns a usable object or raises an `EcgFormerError` subclass."""
+a loader returns a usable object or raises an `EcgFormerError` subclass. Raw
+bytes, which need not be UTF-8, go to every text-file loader the same way."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecgformer import metrics, record_io, stratify
-from ecgformer.errors import EcgFormerError
+from ecgformer import metrics, record_io, stratify, train
+from ecgformer.errors import EcgFormerError, RecordFormatError
+from ecgformer.features import FEATURE_NAMES
 
 RECORD_IDS = ["r0", "r1", "r2", "r3"]
 CLASSES = ["SR", "TACH", "BRAD"]
@@ -103,3 +106,47 @@ def test_weight_loader_raises_only_package_errors(tmp_path, text, normal):
         return
     assert weights.w.shape == (len(weights.class_codes),) * 2 and np.isfinite(weights.w).all()
     assert weights.class_codes[weights.normal_class_index] == normal
+
+
+def _csv_bytes(rows):
+    return ("\n".join(",".join(r) for r in rows) + "\n").encode()
+
+
+# Valid files as bytes, each with the call that loads it.
+VALID_FILES = {
+    "manifest": (_csv_bytes(VALID_MANIFEST), record_io.load_manifest),
+    "folds": (_csv_bytes(VALID_FOLDS), lambda path: stratify.load_folds(path, RECORD_IDS)),
+    "weights": (_csv_bytes(VALID_WEIGHTS), lambda path: metrics.load_weight_matrix(path, "SR")),
+    "class_map": (b"code,class_index,class_code\nSR,0,SR\nTACH,1,TACH\nBRAD,2,BRAD\n", record_io.load_class_map),
+    "thresholds": (b"class_code,threshold\nSR,0.5\nTACH,0.25\nBRAD,0.75\n",
+                   lambda path: train.load_thresholds(path, CLASSES)),
+    "wide_scaler": (_csv_bytes([["feature", "mean", "std"]] + [[n, "0.5", "2.0"] for n in FEATURE_NAMES[:2]]),
+                    lambda path: train.load_wide_scaler(path, 2)),
+    "header": (b"r0 2 500 1000\nr0.dat 16 1000 0 I\nr0.dat 16 1000 0 II\n# Age: 43\n# Sex: Female\n# Dx: SR\n",
+               record_io._parse_header_text),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_FILES))
+def test_non_utf8_bytes_are_a_record_format_error(tmp_path, name):
+    blob, load = VALID_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(blob)
+    load(path)
+    for damaged in (b"\xff\xfe", blob + b"\xff\xfe", blob[:5] + b"\xc3" + blob[5:], blob.replace(b"\n", b"\x80\n", 1)):
+        path.write_bytes(damaged)
+        with pytest.raises(RecordFormatError, match="not UTF-8"):
+            load(path)
+
+
+@FUZZ
+@given(name=st.sampled_from(sorted(VALID_FILES)), at=st.integers(0, 1000), raw=st.binary(min_size=1, max_size=8))
+def test_loaders_raise_only_package_errors_on_raw_bytes(tmp_path, name, at, raw):
+    blob, load = VALID_FILES[name]
+    at %= len(blob) + 1
+    path = tmp_path / name
+    path.write_bytes(blob[:at] + raw + blob[at:])
+    try:
+        load(path)
+    except EcgFormerError:
+        pass

@@ -8,7 +8,7 @@ from ecgformer import dsp, metrics, model, record_io, stratify, synth, train
 from ecgformer.errors import ArgumentRangeError, ConfigError, UndefinedScoreError
 from ecgformer.features import FeatureConfig
 
-from oracles import brute_challenge_metric, brute_fit_thresholds, loop_challenge_metric
+from oracles import brute_challenge_metric, brute_fit_thresholds, loop_challenge_metric, textbook_adam
 
 TOY_PREPROCESS = dsp.PreprocessConfig(window_samples=192)
 
@@ -237,6 +237,38 @@ class TestTrainFold:
         train.train_fold(manifest, fa, -1, toy_model_config(), TOY_PREPROCESS, cfg, weights, tmp_path / "s")
         mean, std = train.load_wide_scaler(tmp_path / "s" / "wide_scaler.csv", 4)
         assert mean.shape == (4,) and np.all(std > 0)
+
+
+class TestFlatAdamTraining:
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_best_checkpoint_matches_per_tensor_textbook_adam(self, corpus, monkeypatch, precision):
+        # The same steps with Adam replaced by the allocating textbook update, one tensor at a time.
+        manifest, weights = corpus
+        config = toy_model_config(len(manifest.class_list))
+        cfg = toy_train_config(max_steps=12, eval_every=4, precision=precision)
+        everything = np.arange(len(manifest.entries))
+        prepared = train.prepare_records(manifest, everything, record_io.lead_subset("two"), TOY_PREPROCESS,
+                                         FeatureConfig(), config.d_wide)
+        val = [prepared[int(i)] for i in everything]
+        args = (prepared, everything, val, np.stack([p.labels for p in val]), config, TOY_PREPROCESS, cfg, weights)
+        flat = train._train_steps(*args)
+
+        start, history = {}, {}
+
+        def textbook_step(params, grads, state, lr):
+            for name, p in params.items():
+                start.setdefault(name, p.data.copy())
+                history.setdefault(name, []).append(grads[name].copy())
+                p.data[...] = textbook_adam(start[name], history[name], lr)[0]
+            return params, state
+
+        monkeypatch.setattr(ag, "adam_step", textbook_step)
+        oracle = train._train_steps(*args)
+        assert len(history["patch_projection.weight"]) == cfg.max_steps
+        assert flat[1:] == oracle[1:]  # best metric, loss curve, trained ids
+        assert flat[0].keys() == oracle[0].keys()
+        for name, arr in flat[0].items():
+            assert arr.dtype == np.float32 and arr.tobytes() == oracle[0][name].tobytes(), name
 
 
 class TestStepMemory:
