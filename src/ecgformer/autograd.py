@@ -3,14 +3,16 @@
 Every operation records its parents and an exact backward closure on the
 produced tensor; `collect_gradients` walks the graph once in reverse
 topological order, accumulating gradients additively across fan-out and
-dropping each one as soon as nothing left in the pass needs it. Tensors
-are float64 unless built with another dtype (float32 training runs on
-float32 parameters); gradient checks always run in float64. `matmul` takes
-2-d operands, 3-d operands batched over a shared leading axis, or a 3-d
-operand times a shared 2-d matrix, and `permute` reorders axes, so all
-attention heads run as one product; a backward skips the product for any
-operand that needs no gradient. No array power goes through NumPy's general
-`pow`, which is many times slower than a product: `gelu` (tanh form) cubes as
+dropping each one as soon as nothing left in the pass needs it. There is
+one way to run backward: each pass adds every wanted leaf's gradient in
+place into a gradient total the caller owns and zeroes. Tensors are
+float64 unless built with another dtype (float32 training runs on float32
+parameters); gradient checks always run in float64. `matmul` takes 2-d
+operands, 3-d operands batched over a shared leading axis, or a 3-d operand
+times a shared 2-d matrix, and `permute` reorders axes, so all attention
+heads run as one product; a backward skips the product for any operand
+that needs no gradient. No array power goes through NumPy's general `pow`,
+which is many times slower than a product: `gelu` (tanh form) cubes as
 `x * x * x`, and squares are `x**2`, which NumPy computes as `x * x`.
 
 Graphs are batch-first: the leading axis of an activation holds one record
@@ -20,12 +22,13 @@ graph yields the bytes of one graph per record added into a running total.
 
 Also home to Adam. `adam_init` moves the parameters into one flat buffer
 and rebinds each `Tensor.data` to its view of it; the moments and the step's
-gradient total get flat buffers of the same layout, so `adam_step` updates
-every parameter in one pass of fixed-size blocks, in place. Last comes the
-binary checkpoint format (magic ``WFT1``: u32 tensor count, then per tensor
-u16 name length + name bytes, u8 ndims, u32 dims, float32 little-endian
-row-major data), which is parsed strictly: a wrong-magic, short, overlong
-or duplicate-name file is a `RecordFormatError`.
+gradient total get flat buffers of the same layout. The step's reverse
+passes add into that total's views, `state["grad"]`, and `adam_step` reads
+only them, updating every parameter in one pass of fixed-size blocks, in
+place. Last comes the binary checkpoint format (magic ``WFT1``: u32 tensor
+count, then per tensor u16 name length + name bytes, u8 ndims, u32 dims,
+float32 little-endian row-major data), which is parsed strictly: a
+wrong-magic, short, overlong or duplicate-name file is a `RecordFormatError`.
 """
 
 from __future__ import annotations
@@ -502,35 +505,34 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def collect_gradients(
-    loss: Tensor,
-    wanted: dict[str, Tensor],
-    into: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Reverse pass from `loss`; returns {name: gradient array} for `wanted`.
+def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Reverse pass from `loss`: adds each wanted tensor's gradient into `into`, and returns `into`.
 
+    `into` must hold, under every wanted name, an array of that tensor's
+    shape and dtype; anything else is a ShapeError before the pass starts.
     `loss` is a scalar or a vector of per-slot losses; the pass is seeded
     with ones, so every slot's loss is differentiated as if it were alone.
     Each intermediate gradient is dropped as soon as its node's backward has
-    run, and each leaf gradient is handed out as soon as its last consumer
-    has run (see `_topo_order`), so a pass holds one gradient set at most.
-    Every array handed out is distinct and owns its memory. With `into`,
-    each gradient is added in place to `into[name]` (or becomes it, when the
-    name is new) and `into` is returned.
+    run, and each leaf gradient is added in place, `into[name] += g`, as soon
+    as its last consumer has run (see `_topo_order`), so a pass holds one
+    gradient set at most. A wanted tensor that no gradient reaches leaves its
+    array as it was.
     """
     if loss.ndim > 1:
         raise ShapeError(f"backward needs a scalar or per-slot loss vector, got shape {loss.shape}")
     if not loss.requires_grad:
         raise NumericalError("loss is detached from any gradient-tracked input")
+    for name, t in wanted.items():
+        total = into.get(name)
+        if not (isinstance(total, np.ndarray) and total.shape == t.shape and total.dtype == t.data.dtype):
+            got = f"a {total.shape} {total.dtype} array" if isinstance(total, np.ndarray) else type(total).__name__
+            raise ShapeError(f"collect_gradients: into[{name!r}] must be a {t.shape} {t.data.dtype} array, got {got}")
     if loss._consumed:
         raise RuntimeError("backward already ran for this graph; run forward again first")
     loss._consumed = True
 
     names = {id(t): name for name, t in wanted.items()}
     acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    out: dict[str, np.ndarray] = {} if into is None else into
-    kept: set[int] = set()  # arrays handed out by reference, so alive until the pass ends
-    done: set[int] = set()  # leaves handed out
 
     def grads(t: Tensor, g: np.ndarray):
         if not t.requires_grad:
@@ -542,18 +544,6 @@ def collect_gradients(
         else:
             acc[id(t)] = g
 
-    def hand_out(leaf: Tensor, g: np.ndarray):
-        done.add(id(leaf))
-        name = names[id(leaf)]
-        if name in out:
-            out[name] += g
-            return
-        # One backward may pass the same array, or a view of it, to several tensors.
-        if g.base is not None or id(g) in kept:
-            g = g.copy()
-        kept.add(id(g))
-        out[name] = g
-
     for node in reversed(_topo_order(loss)):
         g = acc.pop(id(node), None)
         if g is None:
@@ -562,12 +552,8 @@ def collect_gradients(
             _check_finite(g, f"backward of {node._op}")
             node._backward(g, grads)
         elif id(node) in names:
-            hand_out(node, g)
-
-    for t in wanted.values():
-        if id(t) not in done:  # no gradient reaches it
-            hand_out(t, np.zeros_like(t.data))
-    return out if into is not None else {name: out[name] for name in wanted}
+            into[names[id(node)]] += g
+    return into
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -622,33 +608,25 @@ def adam_step(
     """Bias-corrected Adam update of every parameter in `state`, in place.
 
     `params` are the tensors `adam_init` built `state` from, so their data
-    are views of its flat parameter buffer. `grads` holds one gradient per
-    name: the state's own "grad" views, as training passes them, or arrays of
-    the parameters' shapes and dtype, which are first copied into those views.
-    The flat gradient total is checked once before anything changes: a NaN
-    or Inf raises NumericalError and leaves the parameters, m, v and t as
-    they were. Then m, v and the parameters are overwritten block by block
-    over the flat buffers with the textbook update's operations in its
-    order, so the numbers are bitwise those of the allocating form
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    are views of its flat parameter buffer. `grads` must be the state's own
+    gradient views, `state["grad"]`, into which the step's reverse passes
+    added their gradients; any other dict, or parameters under other names,
+    is a ShapeError before anything changes. The flat gradient total is then
+    checked once: a NaN or Inf raises NumericalError and leaves the
+    parameters, m, v and t as they were. Then m, v and the parameters are
+    overwritten block by block over the flat buffers with the textbook
+    update's operations in its order, so the numbers are bitwise those of
+    the allocating form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr * (m/c1) / (sqrt(v/c2) + eps) applied to each tensor on its own.
     The update runs in the parameters' dtype; the hyperparameters are taken
     as Python floats.
     """
     lr, beta1, beta2, eps = float(lr), float(beta1), float(beta2), float(eps)
     views = state["grad"]
-    if grads.keys() != views.keys() or params.keys() != views.keys():
-        raise ShapeError(f"adam_step: gradients for {sorted(grads)} and parameters {sorted(params)}, "
-                         f"but the state holds {sorted(views)}")
-    for name, g in grads.items():
-        view = views[name]
-        if g is view:
-            continue
-        if g.shape != view.shape:
-            raise ShapeError(f"adam_step: gradient {g.shape} vs parameter {view.shape} for {name!r}")
-        if g.dtype != view.dtype:
-            raise ShapeError(f"adam_step: gradient dtype {g.dtype} vs parameter dtype {view.dtype} for {name!r}")
-        view[...] = g
+    if grads is not views:
+        raise ShapeError("adam_step: the gradients must be the state's own total, state['grad']")
+    if params.keys() != views.keys():
+        raise ShapeError(f"adam_step: parameters {sorted(params)}, but the state holds {sorted(views)}")
     flat_params, flat_m, flat_v, flat_grad = state["flat"]
     # A sum is NaN or Inf when any term is, and needs no temporary; only a
     # sum that overflowed on finite terms needs the exact scan.

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import attention_viz, autograd, dsp, metrics, model, record_io, stratify, synth, train
 from .errors import ArgumentRangeError, EcgFormerError, MissingFileError
-from .runconfig import RunConfig
+from .runconfig import RunConfig, read_config_text
 
 
 def _require(path, kind: str) -> Path:
@@ -136,7 +136,7 @@ class RunArtifacts:
     def load(cls, run_dir: Path, config: RunConfig, class_codes: list[str] | None = None) -> "RunArtifacts":
         """Load `run_dir` under `config`; with `class_codes`, thresholds.csv must hold exactly those classes."""
         config_path = _require(run_dir / "model_config.txt", "model config")
-        model_config = model.ModelConfig.from_text(config_path.read_text(), str(config_path))
+        model_config = model.ModelConfig.from_text(read_config_text(config_path), str(config_path))
         arrays = autograd.load_checkpoint(_require(run_dir / "checkpoint.wft1", "checkpoint"))
         params = model.params_from_arrays(arrays, model_config)
         codes, thresholds = train.load_thresholds(_require(run_dir / "thresholds.csv", "thresholds file"), class_codes)

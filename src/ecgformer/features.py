@@ -222,14 +222,3 @@ def record_features(record: EcgRecord, config: FeatureConfig | None = None) -> W
     else:
         peaks = RPeakTrain(np.empty(0, dtype=np.int64), record.sampling_rate_hz)
     return compute_wide_features(record, peaks, config)
-
-
-def write_features_csv(path, rows: list[tuple[str, WideFeatures]]):
-    """Dump per-record feature vectors: record_id plus the 22 named columns."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["record_id"] + FEATURE_NAMES)
-        for record_id, wf in rows:
-            out.writerow([record_id] + [repr(float(v)) for v in wf.values])

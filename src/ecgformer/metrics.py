@@ -180,27 +180,3 @@ def per_class_auroc(scores: np.ndarray, labels: np.ndarray) -> list[float | None
     if scores.shape != labels.shape:
         raise ShapeError(f"scores {scores.shape} vs labels {labels.shape}")
     return [auroc(scores[:, k], labels[:, k]) for k in range(scores.shape[1])]
-
-
-def save_label_csv(path, record_ids: list[str], matrix: np.ndarray, class_codes: list[str]):
-    """Binary labels or predictions: record_id,<c1>,...,<cC>."""
-    matrix = np.asarray(matrix)
-    _check_binary("matrix", matrix)
-    if matrix.shape != (len(record_ids), len(class_codes)):
-        raise ShapeError(f"matrix {matrix.shape} vs {len(record_ids)} records x {len(class_codes)} classes")
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["record_id"] + list(class_codes))
-        for record_id, row in zip(record_ids, matrix):
-            out.writerow([record_id] + [int(v) for v in row])
-
-
-def load_label_csv(path, class_codes: list[str]) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][1:] != list(class_codes):
-        raise RecordFormatError(f"{path}: header does not match class codes {class_codes}")
-    record_ids = [r[0] for r in rows[1:]]
-    matrix = np.array([[int(v) for v in r[1:]] for r in rows[1:]], dtype=np.int64)
-    _check_binary("matrix", matrix)
-    return record_ids, matrix

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import dsp, features, model, train
 from .errors import ConfigError
@@ -58,7 +59,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "learning_rate": (float, 1e-4),
         "max_steps": (int, 500),
         "seed": (int, 0),
-        "folds": (int, 10),
+        "folds": (int, 10),  # accepted and ignored: k is the fold CSV's
         "eval_every": (int, 100),
         "lead_subset": (str, "twelve"),
         "custom_leads": (_str_list, []),
@@ -76,6 +77,15 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
+def read_config_text(path) -> str:
+    """The configuration file at `path` (an INI file, `model_config.txt`) as
+    UTF-8 text; a file that is not UTF-8 raises ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 @dataclass
 class RunConfig:
     values: dict[str, dict[str, object]]
@@ -88,10 +98,9 @@ class RunConfig:
     def load(cls, path=None, overrides: list[str] | None = None) -> "RunConfig":
         config = cls.defaults()
         if path is not None:
-            parser = configparser.ConfigParser()
+            parser = configparser.ConfigParser(interpolation=None)  # a value is its text, `%` included
             try:
-                with open(path) as fh:
-                    parser.read_file(fh)
+                parser.read_string(read_config_text(path), source=str(path))
             except configparser.Error as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
             for section in parser.sections():
@@ -173,7 +182,6 @@ class RunConfig:
             learning_rate=t["learning_rate"],
             max_steps=t["max_steps"],
             seed=t["seed"],
-            k=t["folds"],
             eval_every=t["eval_every"],
             lead_subset_name=t["lead_subset"],
             custom_leads=list(t["custom_leads"]),

@@ -33,7 +33,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     max_steps: int = 500
     seed: int = 0
-    k: int = 10
     eval_every: int = 100
     lead_subset_name: str = "twelve"
     custom_leads: list[str] = field(default_factory=list)

@@ -1,9 +1,14 @@
+import os
 import re
 import sys
 from pathlib import Path
 
 # Allow `from oracles import ...` in test modules.
 sys.path.insert(0, str(Path(__file__).parent))
+# pytest puts src/ on this process's path (pyproject.toml); child processes
+# that run `python -m ecgformer.cli` need it on theirs.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 _CRITERION = re.compile(r"test_(a\d+)_(\w+)")
 

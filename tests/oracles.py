@@ -1,7 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is written the dumbest correct way (explicit loops, direct
-summation) and never shares code with src/.
+summation) and never shares code with src/. The one exception is
+`gradients_into_zeros`, the package's own reverse pass, for tests that only
+need a graph's gradients.
 """
 
 import numpy as np
@@ -249,6 +251,13 @@ def allocating_collect_gradients(loss, wanted):
         if node._backward is not None and id(node) in acc:
             node._backward(acc[id(node)], grads)
     return {name: acc[id(t)] if id(t) in acc else np.zeros_like(t.data) for name, t in wanted.items()}
+
+
+def gradients_into_zeros(loss, wanted):
+    """{name: gradient} of `loss`, added by `collect_gradients` into a fresh zeroed total, as a training step does."""
+    from ecgformer.autograd import collect_gradients
+
+    return collect_gradients(loss, wanted, {name: np.zeros_like(t.data) for name, t in wanted.items()})
 
 
 def tensor_sum(a):

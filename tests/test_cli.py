@@ -2,6 +2,7 @@ import dataclasses
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,12 +495,51 @@ class TestErrors:
         self._assert_one_error(capsys, "RecordFormatError", str(bad), "not UTF-8")
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["ini", "model_config_predict", "model_config_evaluate"])
+    def test_non_utf8_configuration_is_a_config_error(self, workspace, overfit_run, tmp_path, capsys, target):
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        shutil.copytree(overfit_run, run)
+        out = tmp_path / "out"
+        bad, argv = {
+            "ini": (tmp_path / "bad.ini", self._train_argv(data, tmp_path / "bad.ini", manifest, out)),
+            "model_config_predict": (run / "model_config.txt", [
+                "predict", "--record", str(data / "synth00000.hea"), "--run", str(run), "--out", str(out)]),
+            "model_config_evaluate": (run / "model_config.txt", [
+                "evaluate", "--manifest", str(manifest), "--runs", str(run), "--weights", str(data / "weights.csv"),
+                "--out", str(out)]),
+        }[target]
+        valid = bad.read_bytes() if bad.exists() else ini.read_bytes()
+        for blob in (b"\xff\xfe", b"[model]\n\xff\xfe = 1\n", valid + b"\x80"):
+            bad.write_bytes(blob)
+            capsys.readouterr()
+            assert cli.main(argv) == 2, blob
+            self._assert_one_error(capsys, "ConfigError", str(bad), "not UTF-8")
+        assert not out.exists()
+
+    def test_percent_in_a_value_round_trips_into_predict(self, workspace, tmp_path, capsys):
+        # An INI value is its text: `%` is no interpolation syntax, in --config, --set or config_used.ini.
+        root, data, ini, manifest, folds = workspace
+        lead = "II%(x)s%"
+        percent_ini = tmp_path / "percent.ini"
+        percent_ini.write_text(TOY_INI + f"\n[features]\nfeature_lead = {lead}\n")
+        assert RunConfig.load(percent_ini)["features"]["feature_lead"] == lead
+        run = tmp_path / "run"
+        assert cli.main(self._train_argv(data, ini, manifest, run) + ["--set", f"features.feature_lead={lead}"]) == 0
+        assert f"feature_lead = {lead}\n" in (run / "config_used.ini").read_text()
+        assert RunConfig.load(run / "config_used.ini")["features"]["feature_lead"] == lead
+        capsys.readouterr()
+        assert cli.main(["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                         "--out", str(tmp_path / "p.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "p.csv").read_text().startswith("record_id,")
+
     def test_non_finite_gradient_stops_training_before_adam_moves(self, workspace, tmp_path, capsys, monkeypatch):
         root, data, ini, manifest, folds = workspace
         collect, adam_step = autograd.collect_gradients, autograd.adam_step
         calls, untouched = [], []
 
-        def planting_collect(loss, wanted, into=None):
+        def planting_collect(loss, wanted, into):
             out = collect(loss, wanted, into)
             calls.append(loss)
             if len(calls) == 2:  # step 1: one update has already set the moments
@@ -570,3 +610,12 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "wrote 1 records" in result.stdout
+
+
+def test_readme_config_snippet_loads(tmp_path):
+    # The desk-scale INI in README is a working config file.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "readme.ini").write_text(snippet)
+    config = RunConfig.load(tmp_path / "readme.ini")
+    assert config["preprocess"]["window_samples"] == 192 and config["train"]["lead_subset"] == "two"

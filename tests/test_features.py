@@ -183,19 +183,6 @@ class TestWideFeatures:
         assert wf.names == features.FEATURE_NAMES
         assert len(set(wf.names)) == 22
 
-    def test_features_csv_dump(self, tmp_path):
-        rng = np.random.default_rng(7)
-        rows = []
-        for i in range(3):
-            rec = make_record(synthetic_ecg(rng, duration_s=4.0))
-            rows.append((f"rec{i}", features.record_features(rec)))
-        path = tmp_path / "features.csv"
-        features.write_features_csv(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "record_id," + ",".join(features.FEATURE_NAMES)
-        assert len(lines) == 4
-        assert float(lines[1].split(",")[1]) == rows[0][1].values[0]
-
 
 def _moment_leads():
     """(name, lead, fs, moments_defined): ECG-like leads at both benchmark rates, a constant

@@ -1,13 +1,16 @@
 """Fuzz the manifest, fold and reward-matrix CSV loaders: whatever the text,
 a loader returns a usable object or raises an `EcgFormerError` subclass. Raw
-bytes, which need not be UTF-8, go to every text-file loader the same way."""
+bytes, which need not be UTF-8, go to every text-file loader the same way.
+The INI file and `model_config.txt` are fuzzed through the command line:
+whatever their bytes, a command ends with one `ERROR` line naming a package
+error and the exit code README gives it."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecgformer import metrics, record_io, stratify, train
+from ecgformer import cli, errors, metrics, model, record_io, stratify, train
 from ecgformer.errors import EcgFormerError, RecordFormatError
 from ecgformer.features import FEATURE_NAMES
 
@@ -150,3 +153,143 @@ def test_loaders_raise_only_package_errors_on_raw_bytes(tmp_path, name, at, raw)
         load(path)
     except EcgFormerError:
         pass
+
+
+# -- configuration files, through the command line ---------------------------------
+
+VALID_INI = """\
+[preprocess]
+window_samples = 192
+normalize_scope = recording
+
+[model]
+d_model = 16
+num_layers = 2
+num_heads = 2
+d_ff = 16
+dropout_head = 0.2
+mask_padding = false
+
+[train]
+learning_rate = 0.003
+max_steps = 12
+folds = 2
+lead_subset = two
+normal_class = SR
+precision = float32
+
+[features]
+feature_lead = II
+""".splitlines()
+
+VALID_MODEL_CONFIG = model.ModelConfig(num_leads=2, d_model=16, num_layers=2, num_heads=2, d_ff=16, d_deep=8, d_wide=4,
+                                       d_class=3, window_samples=192).to_text().splitlines()
+
+LINES = st.one_of(
+    st.sampled_from(["", "[model]", "[train]", "[nope]", "[DEFAULT]", "[", "]", "=", ":", "; note", "# note",
+                     "d_model = 17", "num_heads = 0", "d_patch = 7", "folds = x", "learning_rate = nan",
+                     "learning_rate = -1", "max_steps = 0", "precision = float16", "lead_subset = custom",
+                     "custom_leads = II,XX", "positional = none", "fir_taps = 4", "mask_padding = maybe",
+                     "feature_lead = %", "normal_class = %(x)s", "normal_class = NOPE", "dropout_encoder = 1",
+                     "d_model", "  indented = 1", "d_model=16", "num_leads=0", "num_leads=2", "gelu_exact=True",
+                     "window_samples=1e3", "d_model=99999999999999999999999", "num_leads = %%"]),
+    st.text(max_size=12),
+)
+
+
+def _line_edits(valid_lines):
+    """A valid file's lines with random lines replaced, inserted, dropped or duplicated, or any short text."""
+    @st.composite
+    def edited(draw):
+        lines = list(valid_lines)
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(lines)))
+            action = draw(st.sampled_from(["replace", "insert", "drop", "dup"]))
+            if action == "insert" or at == len(lines):
+                lines.insert(at, draw(LINES))
+            elif action == "replace":
+                lines[at] = draw(LINES)
+            elif action == "drop":
+                del lines[at]
+            else:
+                lines.insert(at, lines[at])
+        return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+    return st.one_of(edited(), st.text(max_size=80))
+
+
+def _assert_one_package_error(capsys, code):
+    """The command printed one ERROR line, of an EcgFormerError subclass whose exit code is `code`."""
+    out = capsys.readouterr()
+    kind = out.err.removeprefix("ERROR ").split(":", 1)[0]
+    assert out.err.startswith("ERROR ") and out.err.count("\n") == 1, out.err
+    family = getattr(errors, kind, None)
+    assert isinstance(family, type) and issubclass(family, EcgFormerError) and family.exit_code == code, out.err
+
+
+def _train_on_config(tmp_path, capsys, blob: bytes, overrides=()):
+    """`train --fold all` without `--folds` under the INI `blob`: once every typed view of the
+    configuration is built, it stops with exit 4, before a record is read."""
+    (tmp_path / "manifest.csv").write_bytes(_csv_bytes(VALID_MANIFEST))
+    (tmp_path / "weights.csv").write_bytes(_csv_bytes(VALID_WEIGHTS))
+    (tmp_path / "run.ini").write_bytes(blob)
+    argv = ["train", "--config", str(tmp_path / "run.ini"), "--manifest", str(tmp_path / "manifest.csv"),
+            "--weights", str(tmp_path / "weights.csv"), "--fold", "all", "--out", str(tmp_path / "train_out")]
+    for item in overrides:
+        argv += ["--set", item]
+    capsys.readouterr()
+    code = cli.main(argv)
+    _assert_one_package_error(capsys, code)
+    assert code in (2, 4, 5) and not (tmp_path / "train_out").exists()
+    return code
+
+
+def _predict_on_model_config(tmp_path, capsys, blob: bytes):
+    """`predict` on a run directory that holds only `model_config.txt` (here `blob`): a configuration
+    it accepts stops at the missing checkpoint, exit 3."""
+    run = tmp_path / "run"
+    run.mkdir(exist_ok=True)
+    (run / "model_config.txt").write_bytes(blob)
+    capsys.readouterr()
+    code = cli.main(["predict", "--record", str(tmp_path / "r0.hea"), "--run", str(run),
+                     "--out", str(tmp_path / "p.csv")])
+    _assert_one_package_error(capsys, code)
+    assert code in (2, 3)
+    return code
+
+
+def test_valid_configuration_files_pass_the_loaders(tmp_path, capsys):
+    valid_ini = "\n".join(VALID_INI).encode()
+    assert _train_on_config(tmp_path, capsys, valid_ini) == 4
+    assert _predict_on_model_config(tmp_path, capsys, "\n".join(VALID_MODEL_CONFIG).encode()) == 3
+
+
+@FUZZ
+@given(text=_line_edits(VALID_INI))
+def test_ini_file_fails_only_with_package_errors(tmp_path, capsys, text):
+    _train_on_config(tmp_path, capsys, text.encode())
+
+
+@FUZZ
+@given(items=st.lists(st.tuples(st.sampled_from(["model.d_model", "train.folds", "train.learning_rate",
+                                                 "features.feature_lead", "preprocess.fir_taps", "nope.key",
+                                                 "model", "model.", ".d_model", "train.precision"]),
+                                st.one_of(LINES, st.sampled_from(["16", "%", "%(x)s", " 3 ", "0.5"]))),
+                      max_size=3))
+def test_overrides_fail_only_with_package_errors(tmp_path, capsys, items):
+    _train_on_config(tmp_path, capsys, "\n".join(VALID_INI).encode(), [f"{target}={value}" for target, value in items])
+
+
+@FUZZ
+@given(text=_line_edits(VALID_MODEL_CONFIG))
+def test_model_config_fails_only_with_package_errors(tmp_path, capsys, text):
+    _predict_on_model_config(tmp_path, capsys, text.encode())
+
+
+@FUZZ
+@given(model_config=st.booleans(), at=st.integers(0, 1000), raw=st.binary(min_size=1, max_size=8))
+def test_configuration_files_fail_only_with_package_errors_on_raw_bytes(tmp_path, capsys, model_config, at, raw):
+    lines, run = (VALID_MODEL_CONFIG, _predict_on_model_config) if model_config else (VALID_INI, _train_on_config)
+    blob = "\n".join(lines).encode()
+    at %= len(blob) + 1
+    run(tmp_path, capsys, blob[:at] + raw + blob[at:])

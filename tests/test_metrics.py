@@ -226,22 +226,3 @@ class TestWeightMatrixIO:
         assert np.all(np.diag(wm.w) == 1.0)
         assert wm.w[0, 3] == 0.5 ** 3
         assert wm.normal_class_index == 1
-
-    def test_label_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        ids = [f"r{i}" for i in range(6)]
-        codes = ["a", "b", "c"]
-        matrix = rng.integers(0, 2, size=(6, 3))
-        path = tmp_path / "labels.csv"
-        metrics.save_label_csv(path, ids, matrix, codes)
-        back_ids, back = metrics.load_label_csv(path, codes)
-        assert back_ids == ids
-        np.testing.assert_array_equal(back, matrix)
-
-    def test_label_csv_header_mismatch(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        metrics.save_label_csv(path, ["r0"], np.array([[1, 0]]), ["a", "b"])
-        from ecgformer.errors import RecordFormatError
-
-        with pytest.raises(RecordFormatError):
-            metrics.load_label_csv(path, ["a", "z"])

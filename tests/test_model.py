@@ -8,8 +8,8 @@ from ecgformer import model as wm
 from ecgformer.dsp import ProcessedWindow
 from ecgformer.errors import ConfigError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, max_rel_err, per_head_attention,
-                     per_head_attention_backward)
+from oracles import (allocating_collect_gradients, central_difference_grad, gradients_into_zeros, max_rel_err,
+                     per_head_attention, per_head_attention_backward)
 
 TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
@@ -224,7 +224,7 @@ class TestModelGradients:
         live = wm.params_from_arrays(arrays, TOY)
         out = wm.forward(window, wide, live, NO_DROPOUT, mode="train")
         loss = ag.binary_cross_entropy(out.probabilities, targets)
-        analytic = ag.collect_gradients(loss, live.trainable())
+        analytic = gradients_into_zeros(loss, live.trainable())
 
         for name in ["class_token", "positional_embedding", "layers.0.attn.w_q.weight",
                      "layers.1.ff.fc1.weight", "layers.0.norm1.gain", "final_norm.bias",
@@ -282,7 +282,7 @@ class TestFusedAttentionOracle:
         else:
             graph_out = out
         loss = ag.binary_cross_entropy(graph_out.probabilities, targets)
-        return out, ag.collect_gradients(loss, params.trainable())
+        return out, gradients_into_zeros(loss, params.trainable())
 
     @pytest.mark.parametrize("mask_padding", [False, True])
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -320,7 +320,8 @@ FOUR_HEADS = wm.ModelConfig(num_leads=3, d_model=24, num_layers=2, num_heads=4, 
 
 
 class TestReversePassOracle:
-    """Gradients handed out during the reverse pass equal the keep-everything pass bit for bit."""
+    """Gradients added into a zeroed total during the reverse pass equal the keep-everything pass added into
+    zeros, bit for bit, one pass at a time and as a running total over passes."""
 
     def _sample(self, config, params, sample):
         rng = np.random.default_rng(40 + sample)
@@ -333,21 +334,20 @@ class TestReversePassOracle:
 
     @pytest.mark.parametrize("mask_padding", [False, True])
     @pytest.mark.parametrize("base", [TOY, FOUR_HEADS], ids=["toy", "four_heads"])
-    def test_bitwise_equal_with_and_without_into(self, base, mask_padding):
+    def test_bitwise_equal_alone_and_as_a_running_total(self, base, mask_padding):
         config = wm.ModelConfig(**{**base.__dict__, "mask_padding": mask_padding})
         params = wm.init_params(config, seed=6)
         trainable = params.trainable()
-        total, expected_total = {}, None
+        total = {name: np.zeros_like(t.data) for name, t in trainable.items()}
+        expected_total = {name: np.zeros_like(t.data) for name, t in trainable.items()}
         for sample in range(3):
             expected = allocating_collect_gradients(self._sample(config, params, sample), trainable)
-            grads = ag.collect_gradients(self._sample(config, params, sample), trainable)
+            grads = gradients_into_zeros(self._sample(config, params, sample), trainable)
             assert list(grads) == list(expected)
-            for name in expected:
-                assert grads[name].tobytes() == expected[name].tobytes(), (sample, name)
-            ag.collect_gradients(self._sample(config, params, sample), trainable, into=total)
-            expected_total = expected if expected_total is None else {
-                name: expected_total[name] + expected[name] for name in expected}
-        assert sorted(total) == sorted(expected_total)
+            for name, g in expected.items():
+                assert grads[name].tobytes() == (np.zeros_like(g) + g).tobytes(), (sample, name)
+            ag.collect_gradients(self._sample(config, params, sample), trainable, total)
+            expected_total = {name: expected_total[name] + expected[name] for name in expected}
         for name in expected_total:
             assert total[name].tobytes() == expected_total[name].tobytes(), name
 
@@ -384,15 +384,15 @@ class TestBatchedEngineOracle:
         out = wm.forward(windows, wide, params, config, mode="train", rng=[np.random.default_rng(s) for s in seeds])
         assert out.probabilities.shape == (batch, config.d_class)
         loss = ag.binary_cross_entropy(out.probabilities, targets, per_slot=True)
-        grads = ag.collect_gradients(loss, trainable)
+        grads = gradients_into_zeros(loss, trainable)
 
-        total = {}
+        total = {name: np.zeros_like(t.data) for name, t in trainable.items()}
         for slot in range(batch):
             one = wm.forward(windows[slot], wide[slot], params, config, mode="train", rng=seeds[slot])
             assert one.probabilities.data.tobytes() == out.probabilities.data[slot].tobytes(), slot
             one_loss = ag.binary_cross_entropy(one.probabilities, targets[slot])
             assert one_loss.data.tobytes() == loss.data[slot].tobytes(), slot
-            ag.collect_gradients(one_loss, trainable, into=total)
+            ag.collect_gradients(one_loss, trainable, total)
         assert sorted(grads) == sorted(total)
         for name in total:
             assert grads[name].dtype == dtype
@@ -451,7 +451,7 @@ class TestEvalForward:
         graph_out = wm.forward(window, wide, params, no_dropout, mode="train")
         assert np.array_equal(graph_out.probabilities.data, out.probabilities.data)
         loss = ag.binary_cross_entropy(graph_out.probabilities, np.array([1.0, 0.0, 1.0]))
-        grads = ag.collect_gradients(loss, params.trainable())
+        grads = gradients_into_zeros(loss, params.trainable())
         assert grads.keys() == params.trainable().keys()
         assert np.any(grads["patch_projection.weight"] != 0.0)
 
@@ -464,7 +464,7 @@ class TestEvalForward:
         out = wm.forward(window, wide, params, TOY, mode="train", rng=1)
         assert out.probabilities.data.dtype == np.float32
         loss = ag.binary_cross_entropy(out.probabilities, np.zeros(TOY.d_class))
-        grads = ag.collect_gradients(loss, params.trainable())
+        grads = gradients_into_zeros(loss, params.trainable())
         assert all(g.dtype == np.float32 for g in grads.values())
 
 

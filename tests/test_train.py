@@ -23,7 +23,7 @@ def toy_model_config(d_class=5):
 def toy_train_config(**overrides):
     base = dict(
         batch_size_train=8, batch_size_val=8, learning_rate=3e-3, max_steps=30,
-        seed=1, k=2, eval_every=10, lead_subset_name="two", normal_class="SR",
+        seed=1, eval_every=10, lead_subset_name="two", normal_class="SR",
     )
     base.update(overrides)
     return train.TrainConfig(**base)
@@ -341,7 +341,7 @@ class TestGraphBudget:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             train.batch_gradients(windows, wide, labels, [np.random.default_rng(s) for s in (0, 1)], params,
-                                  WIDE_WINDOW, {})
+                                  WIDE_WINDOW, {name: np.zeros_like(t.data) for name, t in params.trainable().items()})
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
