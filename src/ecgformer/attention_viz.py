@@ -124,11 +124,6 @@ def render_csv(values: np.ndarray) -> str:
     return buf.getvalue()
 
 
-def read_csv_map(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        return np.array([[float(v) for v in row] for row in csv.reader(fh)])
-
-
 CELL_PX = 6
 TRACE_HEIGHT_PX = 120
 TRACE_GAP_PX = 12

@@ -403,16 +403,12 @@ def sigmoid(a) -> Tensor:
     return Tensor._result(data, (a,), backward_fn, "sigmoid")
 
 
-def as_generator(rng) -> np.random.Generator:
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-
-def dropout(a, p: float, rng=None, training: bool = True) -> Tensor:
+def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training: bool = True) -> Tensor:
     """Inverted dropout: scales kept units by 1/(1-p); identity in eval mode.
 
-    `rng` is a generator or seed, or a list with one per slot: the leading
-    axis is then cut into that many equal slots, and each slot draws its mask
-    from its own generator, as it would alone.
+    `rng` holds one generator per slot: the leading axis is cut into that
+    many equal slots, and each slot draws its mask from its own generator, as
+    it would alone. One generator for the whole array is a list of one.
     """
     a = as_tensor(a)
     if not training or p == 0.0:
@@ -420,16 +416,13 @@ def dropout(a, p: float, rng=None, training: bool = True) -> Tensor:
     if not (0.0 <= p < 1.0):
         raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
     if rng is None:
-        raise ShapeError("training-mode dropout requires an rng or seed")
-    if isinstance(rng, list):
-        if a.ndim == 0 or a.shape[0] % len(rng):
-            raise ShapeError(f"dropout: {len(rng)} generators do not split the leading axis of shape {a.shape}")
-        draws = np.empty(a.shape)
-        rows = a.shape[0] // len(rng)
-        for slot, gen in enumerate(rng):
-            as_generator(gen).random(out=draws[slot * rows : (slot + 1) * rows])
-    else:
-        draws = as_generator(rng).random(a.shape)
+        raise ShapeError("training-mode dropout requires a list of generators")
+    if a.ndim == 0 or not rng or a.shape[0] % len(rng):
+        raise ShapeError(f"dropout: {len(rng)} generators do not split the leading axis of shape {a.shape}")
+    draws = np.empty(a.shape)
+    rows = a.shape[0] // len(rng)
+    for slot, gen in enumerate(rng):
+        gen.random(out=draws[slot * rows : (slot + 1) * rows])
     keep = 1.0 - p
     mask = (draws < keep).astype(a.data.dtype) / keep
     data = a.data * mask
@@ -438,20 +431,6 @@ def dropout(a, p: float, rng=None, training: bool = True) -> Tensor:
         grads(a, grad * mask)
 
     return Tensor._result(data, (a,), backward_fn, "dropout")
-
-
-def mean(a, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.mean(axis=axis)
-
-    def backward_fn(grad, grads):
-        if axis is None:
-            grads(a, np.full_like(a.data, 1.0 / a.data.size) * grad)
-        else:
-            g = np.expand_dims(grad, axis)
-            grads(a, np.broadcast_to(g / a.shape[axis], a.shape).copy())
-
-    return Tensor._result(np.asarray(data), (a,), backward_fn, "mean")
 
 
 BCE_EPS = 1e-7

@@ -93,7 +93,7 @@ def cmd_train(args) -> int:
             # Fold directories are self-describing so predict/attention can
             # point straight at them.
             _write_run_sidecars(out_dir / f"fold{report.fold_id}", config)
-            print(f"fold {report.fold_id}: challenge={report.challenge!r} steps={report.steps_run}")
+            print(f"fold {report.fold_id}: challenge={report.challenge!r} steps={len(report.loss_curve)}")
         print(f"mean challenge: {cv.mean_challenge!r} +- {cv.sd_challenge!r}")
         return 0
 
@@ -110,7 +110,7 @@ def cmd_train(args) -> int:
         weights, out_dir, feature_config,
     )
     print(f"fold {fold_id}: challenge={report.challenge!r} final_loss={report.loss_curve[-1]!r} "
-          f"steps={report.steps_run} checkpoint={report.checkpoint_path}")
+          f"steps={len(report.loss_curve)} checkpoint={report.checkpoint_path}")
     return 0
 
 
@@ -175,7 +175,7 @@ def cmd_evaluate(args) -> int:
             _require(d, f"fold {fold} run directory")
 
     labels_all = manifest.label_matrix()
-    reports = []
+    scores = []
     for fold, run_dir in fold_dirs:
         run = RunArtifacts.load(run_dir, config, manifest.class_list)
         indices = np.arange(len(manifest.entries)) if fold == -1 else assignment.records_in_fold(fold)
@@ -183,17 +183,8 @@ def cmd_evaluate(args) -> int:
                                             run.model_config, config.preprocess_config())
         labels = labels_all[indices]
         challenge = metrics.challenge_metric(labels, train.apply_thresholds(probs, run.thresholds), weights)
-        auroc_by_class = metrics.per_class_auroc(probs, labels)
-        reports.append(
-            train.FoldReport(
-                fold_id=fold, challenge=challenge, auroc_by_class=auroc_by_class,
-                auroc_macro=metrics.macro_auroc(auroc_by_class), thresholds=run.thresholds,
-                loss_curve=[], best_val_metric_at_half=float("nan"),
-                trained_record_ids=[], val_record_ids=[manifest.entries[int(i)].record_id for i in indices],
-                checkpoint_path=str(run_dir / "checkpoint.wft1"), steps_run=0,
-            )
-        )
-    cv = train.CVReport(reports, list(manifest.class_list))
+        scores.append(train.FoldScore(fold, challenge, metrics.per_class_auroc(probs, labels)))
+    cv = train.CVReport(scores, list(manifest.class_list))
     train.save_cv_report(args.out, cv)
     for report in cv.fold_reports:
         macro = "" if report.auroc_macro is None else repr(report.auroc_macro)

@@ -70,10 +70,7 @@ class ModelConfig:
         return self.d_model // self.num_heads
 
     def to_text(self) -> str:
-        keys = ["num_leads", "d_patch", "d_model", "num_layers", "num_heads", "d_ff",
-                "dropout_encoder", "d_deep", "d_wide", "d_class", "dropout_head",
-                "window_samples", "positional", "dropout_positional", "mask_padding", "gelu_exact"]
-        return "".join(f"{k}={getattr(self, k)}\n" for k in keys)
+        return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str, source: str = "model config") -> "ModelConfig":
@@ -108,42 +105,32 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return out
 
 
+@dataclass
 class ModelParams:
-    """All learnable arrays, keyed by dotted names in a fixed order."""
+    """All learnable arrays, keyed by dotted names in `expected_shapes` order,
+    with those shapes: `init_params` and `params_from_arrays` build them."""
 
-    def __init__(self, tensors: dict[str, Tensor], config: ModelConfig):
-        self.tensors = tensors
-        self.config = config
-        for name, shape in expected_shapes(config).items():
-            if name not in tensors:
-                raise ShapeError(f"missing parameter {name!r}")
-            if tensors[name].shape != shape:
-                raise ShapeError(f"parameter {name!r} has shape {tensors[name].shape}, expected {shape}")
+    tensors: dict[str, Tensor]
+    config: ModelConfig
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
     def trainable(self) -> dict[str, Tensor]:
         return {k: t for k, t in self.tensors.items() if t.requires_grad}
 
-    def total_count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
-    def copy_arrays(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self.tensors.items()}
-
     def no_grad(self) -> "ModelParams":
         """The same arrays as constants: a forward through them records no graph."""
-        out = ModelParams.__new__(ModelParams)  # shapes were checked when self was built
-        out.tensors, out.config = {k: t.detach() for k, t in self.tensors.items()}, self.config
-        return out
+        return ModelParams({k: t.detach() for k, t in self.tensors.items()}, self.config)
+
+
+TENSORS_OUTSIDE_LAYERS = 10  # patch projection (2), class token, positional table, final norm (2), head (4)
+TENSORS_PER_LAYER = 16  # attention (8), feed-forward (4), two norms (4)
 
 
 def expected_shapes(config: ModelConfig) -> dict[str, tuple]:
-    """Name -> shape map; also fixes the canonical parameter order."""
+    """Name -> shape map, TENSORS_OUTSIDE_LAYERS + TENSORS_PER_LAYER * num_layers
+    entries; also fixes the canonical parameter order."""
     d, ff, deep = config.d_model, config.d_ff, config.d_deep
     shapes: dict[str, tuple] = {
         "patch_projection.weight": (config.d_token, d),
@@ -326,7 +313,7 @@ def forward(
     if not training:
         params, rng = params.no_grad(), None
     elif rng is not None:
-        rng = [ag.as_generator(r) for r in ([rng] if single else rng)]
+        rng = [np.random.default_rng(r) for r in ([rng] if single else rng)]  # a generator passes through
         if len(rng) != batch:
             raise ShapeError(f"{len(rng)} dropout generators for a batch of {batch}")
     dtype = params["patch_projection.weight"].data.dtype
@@ -377,7 +364,14 @@ def forward(
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig) -> ModelParams:
-    """Rebuild ModelParams (e.g. from a checkpoint) with trainability flags."""
+    """Rebuild ModelParams (e.g. from a checkpoint) with trainability flags.
+
+    Fewer arrays than the configuration needs raise before its shape map is
+    built, so a `num_layers` far beyond the checkpoint costs no memory.
+    """
+    needed = TENSORS_OUTSIDE_LAYERS + TENSORS_PER_LAYER * config.num_layers
+    if len(arrays) < needed:
+        raise ShapeError(f"checkpoint holds {len(arrays)} tensors, but num_layers={config.num_layers} needs {needed}")
     shapes = expected_shapes(config)
     unexpected = sorted(set(arrays) - set(shapes))
     if unexpected:

@@ -1,14 +1,22 @@
 """INI-backed run configuration with a strict key schema.
 
-Every key is validated against the schema below; unknown sections or keys are
-errors so config-file typos never pass silently. Command-line overrides use
-``section.key=value``.
+Each section's keys are the fields of its config dataclass, in field order,
+with the field's type and default: `[preprocess]` is dsp.PreprocessConfig,
+`[model]` model.ModelConfig, `[train]` train.TrainConfig and `[features]`
+features.FeatureConfig. Three fields are set elsewhere and are no key: the
+model's num_leads (from the lead subset) and window_samples (from
+`[preprocess]`), and train's threads (from the command line). OTHER_KEYS
+holds the few keys that are no field.
+
+Unknown sections or keys are errors so config-file typos never pass silently.
+Command-line overrides use ``section.key=value``.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import copy
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from . import dsp, features, model, train
@@ -28,52 +36,25 @@ def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+CASTS = {"int": int, "float": float, "str": str, "bool": _bool, "list[str]": _str_list}
+
+SECTIONS = {"preprocess": dsp.PreprocessConfig, "model": model.ModelConfig, "train": train.TrainConfig,
+            "features": features.FeatureConfig}
+SET_ELSEWHERE = {"model": ("num_leads", "window_samples"), "train": ("threads",)}
+
+# The keys that are no field, as (cast, default). `manifest` reads
+# unlabeled_policy. folds and batch_size_val (default None) are checked and
+# ignored, so config_used.ini leaves them out: the number of folds is the fold
+# CSV's, and validation batches its forwards by the graph budget.
+OTHER_KEYS = {"train": {"unlabeled_policy": (str, "include"), "folds": (int, None), "batch_size_val": (int, None)}}
+
 SCHEMA: dict[str, dict[str, tuple]] = {
-    "preprocess": {
-        "target_rate_hz": (float, 500.0),
-        "band_low_hz": (float, 3.0),
-        "band_high_hz": (float, 45.0),
-        "window_samples": (int, 7680),
-        "fir_taps": (int, 513),
-        "normalize_scope": (str, "recording"),
-    },
-    "model": {
-        "d_patch": (int, 64),
-        "d_model": (int, 768),
-        "num_layers": (int, 12),
-        "num_heads": (int, 12),
-        "d_ff": (int, 768),
-        "dropout_encoder": (float, 0.1),
-        "d_deep": (int, 64),
-        "d_wide": (int, 22),
-        "d_class": (int, 26),
-        "dropout_head": (float, 0.2),
-        "positional": (str, "learned"),
-        "dropout_positional": (_bool, True),
-        "mask_padding": (_bool, False),
-        "gelu_exact": (_bool, False),
-    },
-    "train": {
-        "batch_size_train": (int, 128),
-        "batch_size_val": (int, 64),
-        "learning_rate": (float, 1e-4),
-        "max_steps": (int, 500),
-        "seed": (int, 0),
-        "folds": (int, 10),  # accepted and ignored: k is the fold CSV's
-        "eval_every": (int, 100),
-        "lead_subset": (str, "twelve"),
-        "custom_leads": (_str_list, []),
-        "normal_class": (str, ""),
-        "standardize_wide": (_bool, False),
-        "precision": (str, "float64"),
-        "unlabeled_policy": (str, "include"),
-    },
-    "features": {
-        "impute_age_years": (float, 60.0),
-        "age_scale": (float, 100.0),
-        "heart_rate_scale": (float, 300.0),
-        "feature_lead": (str, "II"),
-    },
+    section: {
+        **{f.name: (CASTS[f.type], f.default_factory() if f.default is MISSING else f.default)
+           for f in fields(cls) if f.name not in SET_ELSEWHERE.get(section, ())},
+        **OTHER_KEYS.get(section, {}),
+    }
+    for section, cls in SECTIONS.items()
 }
 
 
@@ -92,7 +73,8 @@ class RunConfig:
 
     @classmethod
     def defaults(cls) -> "RunConfig":
-        return cls({section: {k: default for k, (_, default) in keys.items()} for section, keys in SCHEMA.items()})
+        return cls({section: {k: copy.copy(default) for k, (_, default) in keys.items() if default is not None}
+                    for section, keys in SCHEMA.items()})
 
     @classmethod
     def load(cls, path=None, overrides: list[str] | None = None) -> "RunConfig":
@@ -121,11 +103,13 @@ class RunConfig:
             raise ConfigError(f"{source}: unknown config section [{section}]")
         if key not in SCHEMA[section]:
             raise ConfigError(f"{source}: unknown key {key!r} in section [{section}]")
-        caster = SCHEMA[section][key][0]
+        caster, default = SCHEMA[section][key]
         try:
-            self.values[section][key] = caster(raw)
+            value = caster(raw)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{source}: bad value for {section}.{key}: {exc}") from exc
+        if default is not None:
+            self.values[section][key] = value
 
     def __getitem__(self, section: str) -> dict[str, object]:
         return self.values[section]
@@ -142,60 +126,19 @@ class RunConfig:
 
     # -- typed views ----------------------------------------------------------
 
-    def preprocess_config(self) -> dsp.PreprocessConfig:
-        p = self.values["preprocess"]
-        return dsp.PreprocessConfig(
-            target_rate_hz=p["target_rate_hz"],
-            band_low_hz=p["band_low_hz"],
-            band_high_hz=p["band_high_hz"],
-            window_samples=p["window_samples"],
-            fir_taps=p["fir_taps"],
-            normalize_scope=p["normalize_scope"],
-        )
+    def _fields(self, section: str) -> dict[str, object]:
+        """The section's values that are fields of its dataclass."""
+        return {k: v for k, v in self.values[section].items() if k not in OTHER_KEYS.get(section, {})}
 
-    def model_config(self, num_leads: int, d_class: int | None = None) -> model.ModelConfig:
-        m = self.values["model"]
-        return model.ModelConfig(
-            num_leads=num_leads,
-            d_patch=m["d_patch"],
-            d_model=m["d_model"],
-            num_layers=m["num_layers"],
-            num_heads=m["num_heads"],
-            d_ff=m["d_ff"],
-            dropout_encoder=m["dropout_encoder"],
-            d_deep=m["d_deep"],
-            d_wide=m["d_wide"],
-            d_class=d_class if d_class is not None else m["d_class"],
-            dropout_head=m["dropout_head"],
-            window_samples=self.values["preprocess"]["window_samples"],
-            positional=m["positional"],
-            dropout_positional=m["dropout_positional"],
-            mask_padding=m["mask_padding"],
-            gelu_exact=m["gelu_exact"],
-        )
+    def preprocess_config(self) -> dsp.PreprocessConfig:
+        return dsp.PreprocessConfig(**self._fields("preprocess"))
+
+    def model_config(self, num_leads: int, d_class: int) -> model.ModelConfig:
+        return model.ModelConfig(**{**self._fields("model"), "d_class": d_class}, num_leads=num_leads,
+                                 window_samples=self.values["preprocess"]["window_samples"])
 
     def train_config(self, threads: int = 1) -> train.TrainConfig:
-        t = self.values["train"]
-        return train.TrainConfig(
-            batch_size_train=t["batch_size_train"],
-            batch_size_val=t["batch_size_val"],
-            learning_rate=t["learning_rate"],
-            max_steps=t["max_steps"],
-            seed=t["seed"],
-            eval_every=t["eval_every"],
-            lead_subset_name=t["lead_subset"],
-            custom_leads=list(t["custom_leads"]),
-            normal_class=t["normal_class"],
-            standardize_wide=t["standardize_wide"],
-            precision=t["precision"],
-            threads=threads,
-        )
+        return train.TrainConfig(**self._fields("train"), threads=threads)
 
     def feature_config(self) -> features.FeatureConfig:
-        f = self.values["features"]
-        return features.FeatureConfig(
-            impute_age_years=f["impute_age_years"],
-            age_scale=f["age_scale"],
-            heart_rate_scale=f["heart_rate_scale"],
-            feature_lead=f["feature_lead"],
-        )
+        return features.FeatureConfig(**self._fields("features"))

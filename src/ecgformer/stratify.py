@@ -85,17 +85,6 @@ def stratified_folds(label_matrix, k: int = 10, seed: int = 0) -> FoldAssignment
     return FoldAssignment(fold_of, k)
 
 
-def fold_label_deviation(label_matrix, assignment: FoldAssignment) -> float:
-    """Sum over folds and labels of |positives in fold - ideal share|."""
-    labels = np.asarray(label_matrix, dtype=np.float64)
-    ideal = labels.sum(axis=0) / assignment.k
-    total = 0.0
-    for fold in range(assignment.k):
-        counts = labels[assignment.records_in_fold(fold)].sum(axis=0)
-        total += float(np.abs(counts - ideal).sum())
-    return total
-
-
 def save_folds(path, record_ids: list[str], assignment: FoldAssignment):
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)

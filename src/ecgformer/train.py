@@ -29,12 +29,11 @@ from .stratify import FoldAssignment
 @dataclass
 class TrainConfig:
     batch_size_train: int = 128
-    batch_size_val: int = 64
     learning_rate: float = 1e-4
     max_steps: int = 500
     seed: int = 0
     eval_every: int = 100
-    lead_subset_name: str = "twelve"
+    lead_subset: str = "twelve"
     custom_leads: list[str] = field(default_factory=list)
     normal_class: str = ""
     standardize_wide: bool = False
@@ -42,8 +41,8 @@ class TrainConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.batch_size_train < 1 or self.batch_size_val < 1:
-            raise ConfigError("batch sizes must be >= 1")
+        if self.batch_size_train < 1:
+            raise ConfigError("batch_size_train must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.max_steps < 1 or self.eval_every < 1:
@@ -54,7 +53,7 @@ class TrainConfig:
             raise ConfigError("threads must be >= 1")
 
     def subset(self) -> LeadSubset:
-        return lead_subset(self.lead_subset_name, self.custom_leads)
+        return lead_subset(self.lead_subset, self.custom_leads)
 
 
 @dataclass
@@ -304,18 +303,26 @@ def batch_gradients(
 
 
 @dataclass
-class FoldReport:
+class FoldScore:
+    """One report row: a fold's challenge metric and per-class AUROC."""
+
     fold_id: int
     challenge: float
     auroc_by_class: list[float | None]
-    auroc_macro: float | None
-    thresholds: ThresholdVector
+
+    @property
+    def auroc_macro(self) -> float | None:
+        return metrics.macro_auroc(self.auroc_by_class)
+
+
+@dataclass
+class FoldReport(FoldScore):
+    """A trained fold's score, plus its loss per step and what it trained and validated on."""
+
     loss_curve: list[float]
-    best_val_metric_at_half: float
     trained_record_ids: list[str]
     val_record_ids: list[str]
     checkpoint_path: str
-    steps_run: int
 
 
 def _partition(manifest: DatasetManifest, fold_assignment: FoldAssignment, fold_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -350,10 +357,9 @@ def _train_steps(
     preprocess_config: dsp.PreprocessConfig,
     train_config: TrainConfig,
     weights: metrics.WeightMatrix,
-) -> tuple[dict[str, np.ndarray], float, list[float], set[str]]:
+) -> tuple[dict[str, np.ndarray], list[float], set[str]]:
     """Initialise and train the parameters; returns the best checkpoint's arrays
-    (float32, as WFT1 stores them), its validation metric, the loss curve and
-    the trained record ids.
+    (float32, as WFT1 stores them), the loss curve and the trained record ids.
 
     The parameters, Adam's moments and the gradient total live only in here,
     in the flat buffers of `ag.adam_init`, so they are released before the
@@ -423,7 +429,7 @@ def _train_steps(
             if current >= best_metric:
                 best_metric = current
                 best_arrays = {k: t.data.astype(np.float32) for k, t in params.tensors.items()}
-    return best_arrays, best_metric, loss_curve, trained_ids
+    return best_arrays, loss_curve, trained_ids
 
 
 def train_fold(
@@ -463,7 +469,7 @@ def train_fold(
 
     val_prepared = [cache[int(i)] for i in val_idx]
     val_labels = np.stack([p.labels for p in val_prepared])
-    best_arrays, best_metric, loss_curve, trained_ids = _train_steps(
+    best_arrays, loss_curve, trained_ids = _train_steps(
         cache, train_idx, val_prepared, val_labels, model_config, preprocess_config, train_config, weights,
     )
 
@@ -485,14 +491,10 @@ def train_fold(
         fold_id=fold_id,
         challenge=challenge,
         auroc_by_class=auroc_by_class,
-        auroc_macro=metrics.macro_auroc(auroc_by_class),
-        thresholds=thresholds,
         loss_curve=loss_curve,
-        best_val_metric_at_half=best_metric,
         trained_record_ids=sorted(trained_ids),
         val_record_ids=val_ids,
         checkpoint_path=str(checkpoint_path),
-        steps_run=len(loss_curve),
     )
     return final_params, thresholds, report
 
@@ -547,7 +549,7 @@ def load_wide_scaler(path, d_wide: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class CVReport:
-    fold_reports: list[FoldReport]
+    fold_reports: list[FoldScore]
     class_codes: list[str]
 
     @property
@@ -570,7 +572,8 @@ def run_cv(
     out_root,
     feature_config: features.FeatureConfig | None = None,
 ) -> CVReport:
-    """Train every fold; per-fold artifacts land in out_root/fold<id>/.
+    """Train every fold; per-fold artifacts land in out_root/fold<id>/, and
+    the report's rows are the folds' FoldReports.
 
     Every manifest row is parsed, filtered and featurized once, up front, and
     the same records serve every fold.

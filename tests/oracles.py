@@ -6,6 +6,8 @@ summation) and never shares code with src/. The one exception is
 need a graph's gradients.
 """
 
+import csv
+
 import numpy as np
 
 
@@ -268,6 +270,41 @@ def tensor_sum(a):
         grads(a, np.full_like(a.data, 1.0) * grad)
 
     return type(a)._result(data, (a,), backward_fn, "sum")
+
+
+def tensor_mean(a, axis=None):
+    """Mean of a tensor over `axis` (all of it by default), as one graph node."""
+    data = np.asarray(a.data.mean(axis=axis))
+
+    def backward_fn(grad, grads):
+        if axis is None:
+            grads(a, np.full_like(a.data, 1.0 / a.data.size) * grad)
+        else:
+            grads(a, np.broadcast_to(np.expand_dims(grad, axis) / a.shape[axis], a.shape).copy())
+
+    return type(a)._result(data, (a,), backward_fn, "mean")
+
+
+def fold_label_deviation(label_matrix, assignment):
+    """Sum over folds and labels of |positives in fold - ideal share|."""
+    labels = np.asarray(label_matrix, dtype=np.float64)
+    ideal = labels.sum(axis=0) / assignment.k
+    total = 0.0
+    for fold in range(assignment.k):
+        counts = labels[assignment.fold_of == fold].sum(axis=0)
+        total += float(np.abs(counts - ideal).sum())
+    return total
+
+
+def copy_arrays(params):
+    """{name: a copy of the array} of a model's parameters."""
+    return {k: t.data.copy() for k, t in params.tensors.items()}
+
+
+def read_csv_map(path):
+    """An attention CSV export read back as a float matrix."""
+    with open(path, newline="") as fh:
+        return np.array([[float(v) for v in row] for row in csv.reader(fh)])
 
 
 GELU_C = (2.0 / np.pi) ** 0.5

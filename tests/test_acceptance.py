@@ -14,9 +14,12 @@ from oracles import (
     brute_auroc,
     brute_challenge_metric,
     central_difference_grad,
+    copy_arrays,
     dtft_magnitude,
+    fold_label_deviation,
     gradients_into_zeros,
     max_rel_err,
+    read_csv_map,
 )
 
 TOY = model.ModelConfig(
@@ -59,7 +62,7 @@ def test_a1_gradient_integrity():
     wide = rng.normal(size=TOY.d_wide)
     targets = rng.integers(0, 2, size=TOY.d_class).astype(float)
     params = model.init_params(TOY, seed=1)
-    arrays = params.copy_arrays()
+    arrays = copy_arrays(params)
 
     live = model.params_from_arrays(arrays, TOY)
     # An eval forward records no graph; train mode without dropout is the same forward with one.
@@ -104,8 +107,8 @@ def test_a2_overfit_convergence(tmp_path):
         d_deep=8, d_wide=22, d_class=len(manifest.class_list), window_samples=192,
     )
     train_config = train.TrainConfig(
-        batch_size_train=8, batch_size_val=8, learning_rate=1e-2, max_steps=500,
-        seed=1, eval_every=100, lead_subset_name="two", normal_class=synth.NORMAL_CLASS,
+        batch_size_train=8, learning_rate=1e-2, max_steps=500,
+        seed=1, eval_every=100, lead_subset="two", normal_class=synth.NORMAL_CLASS,
     )
     assignment = stratify.FoldAssignment(np.zeros(len(manifest.entries), dtype=np.int64), 1)
     _, thresholds, report = train.train_fold(
@@ -197,10 +200,10 @@ def test_a6_stratification_quality():
     fa_again = stratify.stratified_folds(labels, k=10, seed=7)
     np.testing.assert_array_equal(fa.fold_of, fa_again.fold_of)
 
-    ours = stratify.fold_label_deviation(labels, fa)
+    ours = fold_label_deviation(labels, fa)
     base = np.repeat(np.arange(10), 100)
     shuffle_devs = [
-        stratify.fold_label_deviation(labels, stratify.FoldAssignment(np.random.default_rng(s).permutation(base), 10))
+        fold_label_deviation(labels, stratify.FoldAssignment(np.random.default_rng(s).permutation(base), 10))
         for s in range(100)
     ]
     assert ours < float(np.mean(shuffle_devs)), f"{ours} vs shuffle mean {np.mean(shuffle_devs)}"
@@ -220,7 +223,7 @@ def test_a7_attention_normalization_and_export(tmp_path):
 
     amap = av.extract_attention(window, wide, params, cfg, layer=cfg.num_layers - 1)
     csv_path = av.export_heatmap(amap, window.signal[1], tmp_path / "map.csv", fmt="csv")
-    back = av.read_csv_map(csv_path)
+    back = read_csv_map(csv_path)
     assert np.max(np.abs(back - amap.patch_submatrix)) < 1e-6
     np.testing.assert_allclose(back.sum(axis=-1), amap.patch_submatrix.sum(axis=-1), atol=1e-6)
 

@@ -6,6 +6,8 @@ from ecgformer import model as wm
 from ecgformer.dsp import ProcessedWindow
 from ecgformer.errors import ArgumentRangeError
 
+from oracles import read_csv_map
+
 TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
     d_deep=8, d_wide=4, d_class=3, window_samples=192,
@@ -82,11 +84,11 @@ class TestExport:
         params, window, wide = setup
         amap = av.extract_attention(window, wide, params, TOY, layer=1)
         path = av.export_heatmap(amap, window.signal[1], tmp_path / "m.csv", fmt="csv")
-        back = av.read_csv_map(path)
+        back = read_csv_map(path)
         assert np.max(np.abs(back - amap.patch_submatrix)) < 1e-6
         # Row sums survive serialization.
         full_path = av.export_heatmap(amap, window.signal[1], tmp_path / "mf.csv", fmt="csv", region="full")
-        full = av.read_csv_map(full_path)
+        full = read_csv_map(full_path)
         np.testing.assert_allclose(full.sum(axis=-1), amap.matrix.sum(axis=-1), atol=1e-6)
 
     def test_svg_rect_count_and_structure(self, tmp_path, setup):

@@ -336,6 +336,43 @@ class TestErrors:
         if code == 2:
             assert err.startswith("ERROR ConfigError:") and "model_config.txt" in err, err
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_model_config_beyond_the_checkpoint_exit_code(self, workspace, overfit_run, tmp_path, capsys, command):
+        # A num_layers far beyond the checkpoint's tensors is a shape mismatch before any per-layer work.
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        shutil.copytree(overfit_run, run)
+        path = run / "model_config.txt"
+        text = path.read_text()
+        assert "num_layers=2\n" in text
+        path.write_text(text.replace("num_layers=2\n", "num_layers=1000000000\n"))
+        argv = {
+            "predict": ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                        "--out", str(tmp_path / "p.csv")],
+            "evaluate": ["evaluate", "--manifest", str(manifest), "--runs", str(run),
+                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "report.csv")],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 7
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ShapeError:") and err.count("\n") == 1 and "num_layers=1000000000" in err, err
+
+    @pytest.mark.parametrize("source", ["--set", "ini"])
+    def test_ignored_key_must_be_an_integer(self, workspace, tmp_path, capsys, source):
+        root, data, ini, manifest, folds = workspace
+        argv = ["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                "--out", str(tmp_path / "z")]
+        if source == "--set":
+            argv += ["--config", str(ini), "--set", "train.batch_size_val=x"]
+        else:
+            bad = tmp_path / "bad.ini"
+            bad.write_text(ini.read_text().replace("batch_size_val = 8\n", "batch_size_val = x\n"))
+            argv += ["--config", str(bad)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ConfigError:") and "train.batch_size_val" in err and err.count("\n") == 1, err
+        assert not (tmp_path / "z").exists()
+
     @pytest.mark.parametrize("override", ["train.max_steps=0", "train.eval_every=0"])
     def test_step_counts_below_one_exit_code(self, workspace, tmp_path, capsys, override):
         root, data, ini, manifest, folds = workspace

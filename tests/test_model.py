@@ -8,8 +8,8 @@ from ecgformer import model as wm
 from ecgformer.dsp import ProcessedWindow
 from ecgformer.errors import ConfigError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, gradients_into_zeros, max_rel_err,
-                     per_head_attention, per_head_attention_backward)
+from oracles import (allocating_collect_gradients, central_difference_grad, copy_arrays, gradients_into_zeros,
+                     max_rel_err, per_head_attention, per_head_attention_backward)
 
 TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
@@ -71,7 +71,7 @@ class TestInitParams:
     def test_deterministic_per_seed(self):
         a = wm.init_params(TOY, seed=5)
         b = wm.init_params(TOY, seed=5)
-        for name in a.names():
+        for name in a.tensors:
             np.testing.assert_array_equal(a[name].data, b[name].data)
 
     def test_norm_gains_and_biases(self):
@@ -106,7 +106,7 @@ class TestInitParams:
                 window_samples=d_patch * int(rng.integers(2, 7)),
             )
             params = wm.init_params(cfg, seed=0)
-            assert params.total_count() == wm.parameter_count(cfg)
+            assert sum(t.data.size for t in params.tensors.values()) == wm.parameter_count(cfg)
 
 
 class TestForward:
@@ -163,7 +163,7 @@ class TestForward:
         permuted_window = ProcessedWindow(
             blocks[:, perm, :].reshape(TOY.num_leads, TOY.window_samples).copy(), TOY.window_samples, 0
         )
-        arrays = self.params.copy_arrays()
+        arrays = copy_arrays(self.params)
         pos = arrays["positional_embedding"]
         arrays["positional_embedding"] = np.concatenate([pos[:1], pos[1:][perm]], axis=0)
         permuted_params = wm.params_from_arrays(arrays, TOY)
@@ -181,7 +181,7 @@ class TestForward:
 
     def test_mask_padding_blocks_padded_keys(self):
         cfg = wm.ModelConfig(**{**TOY.__dict__, "mask_padding": True})
-        params = wm.params_from_arrays(self.params.copy_arrays(), cfg)
+        params = wm.params_from_arrays(copy_arrays(self.params), cfg)
         rng = np.random.default_rng(13)
         win = toy_window(rng, pad_start=100)  # tokens 1 and 2 fully padded
         base = wm.forward(win, self.wide, params, cfg, capture_attention=True)
@@ -220,7 +220,7 @@ class TestModelGradients:
             out = wm.forward(window, wide, p, TOY)
             return ag.binary_cross_entropy(out.probabilities, targets)
 
-        arrays = params.copy_arrays()
+        arrays = copy_arrays(params)
         live = wm.params_from_arrays(arrays, TOY)
         out = wm.forward(window, wide, live, NO_DROPOUT, mode="train")
         loss = ag.binary_cross_entropy(out.probabilities, targets)
@@ -470,13 +470,28 @@ class TestEvalForward:
 
 class TestParamsFromArrays:
     def test_unexpected_name_rejected(self):
-        arrays = wm.init_params(TOY, seed=1).copy_arrays()
+        arrays = copy_arrays(wm.init_params(TOY, seed=1))
         arrays["layers.9.attn.w_q.weight"] = np.zeros((16, 16))
         with pytest.raises(ShapeError, match="unexpected"):
             wm.params_from_arrays(arrays, TOY)
 
     def test_wrong_shape_rejected(self):
-        arrays = wm.init_params(TOY, seed=1).copy_arrays()
+        arrays = copy_arrays(wm.init_params(TOY, seed=1))
         arrays["class_token"] = np.zeros((1, 16))
         with pytest.raises(ShapeError, match="class_token"):
+            wm.params_from_arrays(arrays, TOY)
+
+    def test_tensor_count_is_closed_form(self):
+        for layers in (1, 2, 5):
+            cfg = wm.ModelConfig(**{**TOY.__dict__, "num_layers": layers})
+            assert len(wm.expected_shapes(cfg)) == wm.TENSORS_OUTSIDE_LAYERS + wm.TENSORS_PER_LAYER * layers
+
+    def test_too_few_tensors_rejected_before_the_shape_map(self, monkeypatch):
+        arrays = copy_arrays(wm.init_params(TOY, seed=1))
+        huge = wm.ModelConfig(**{**TOY.__dict__, "num_layers": 10**9})
+        monkeypatch.setattr(wm, "expected_shapes", None)  # never reached
+        with pytest.raises(ShapeError, match=f"holds {len(arrays)} tensors, but num_layers=1000000000 needs"):
+            wm.params_from_arrays(arrays, huge)
+        del arrays["head.fc2.bias"]
+        with pytest.raises(ShapeError, match=f"holds {len(arrays)} tensors, but num_layers=2 needs 42"):
             wm.params_from_arrays(arrays, TOY)

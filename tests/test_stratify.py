@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from ecgformer import stratify
 from ecgformer.errors import ArgumentRangeError, ShapeError
 
+from oracles import fold_label_deviation
+
 
 def random_multilabel(rng, n=1000, labels=10):
     # Skewed label frequencies so rare labels exist.
@@ -44,12 +46,12 @@ class TestStratifiedFolds:
         rng = np.random.default_rng(4)
         labels = random_multilabel(rng, n=1000, labels=10)
         fa = stratify.stratified_folds(labels, k=10, seed=5)
-        ours = stratify.fold_label_deviation(labels, fa)
+        ours = fold_label_deviation(labels, fa)
         shuffle_devs = []
         base = np.repeat(np.arange(10), 100)
         for s in range(100):
             shuffled = np.random.default_rng(s).permutation(base)
-            shuffle_devs.append(stratify.fold_label_deviation(labels, stratify.FoldAssignment(shuffled, 10)))
+            shuffle_devs.append(fold_label_deviation(labels, stratify.FoldAssignment(shuffled, 10)))
         assert ours < np.mean(shuffle_devs)
 
     def test_deterministic_per_seed(self):
@@ -65,16 +67,16 @@ class TestStratifiedFolds:
         rng = np.random.default_rng(8)
         labels = random_multilabel(rng, n=300, labels=6)
         fa = stratify.stratified_folds(labels, k=5, seed=9)
-        dev = stratify.fold_label_deviation(labels, fa)
+        dev = fold_label_deviation(labels, fa)
         perm = rng.permutation(300)
         fa_p = stratify.stratified_folds(labels[perm], k=5, seed=9)
-        dev_p = stratify.fold_label_deviation(labels[perm], fa_p)
+        dev_p = fold_label_deviation(labels[perm], fa_p)
         # Same deviation bound: both must beat random shuffles comfortably;
         # allow the permuted run a modest slack rather than exact equality.
         base = np.repeat(np.arange(5), 60)
         rand = np.mean(
             [
-                stratify.fold_label_deviation(labels, stratify.FoldAssignment(np.random.default_rng(s).permutation(base), 5))
+                fold_label_deviation(labels, stratify.FoldAssignment(np.random.default_rng(s).permutation(base), 5))
                 for s in range(50)
             ]
         )

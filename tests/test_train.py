@@ -22,8 +22,8 @@ def toy_model_config(d_class=5):
 
 def toy_train_config(**overrides):
     base = dict(
-        batch_size_train=8, batch_size_val=8, learning_rate=3e-3, max_steps=30,
-        seed=1, eval_every=10, lead_subset_name="two", normal_class="SR",
+        batch_size_train=8, learning_rate=3e-3, max_steps=30,
+        seed=1, eval_every=10, lead_subset="two", normal_class="SR",
     )
     base.update(overrides)
     return train.TrainConfig(**base)
