@@ -9,11 +9,20 @@ place into a gradient total the caller owns and zeroes. Tensors are
 float64 unless built with another dtype (float32 training runs on float32
 parameters); gradient checks always run in float64. `matmul` takes 2-d
 operands, 3-d operands batched over a shared leading axis, or a 3-d operand
-times a shared 2-d matrix, and `permute` reorders axes, so all attention
-heads run as one product; a backward skips the product for any operand
+times a shared 2-d matrix; a backward skips the product for any operand
 that needs no gradient. No array power goes through NumPy's general `pow`,
 which is many times slower than a product: `gelu` (tanh form) cubes as
 `x * x * x`, and squares are `x**2`, which NumPy computes as `x * x`.
+
+A graph's cost at small sizes is per node (each node's output and incoming
+gradient get one finiteness scan), so the model's chains run as fused
+nodes: `linear` (product plus bias), `split_heads` and `merge_heads` (the
+reshape, axis swap, reshape that put all attention heads in one batched
+product and back) and `attention_scores` (`q @ kᵀ` times the scale). Each
+runs the NumPy calls of the chain it replaces, in the same order and on
+the same arrays, so it gives the chain's bytes, and checks once.
+`embedding_row_select`, which the model no longer calls, stays while
+`ecgbench/tracer.py` traces it.
 
 Graphs are batch-first: the leading axis of an activation holds one record
 per slot. A parameter shared by every slot gets the gradient each slot would
@@ -211,15 +220,66 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             grads(a, grad @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            if b.ndim < a.ndim:  # each slot's own product, then the slots in order
-                if a.shape[0] == 1:
-                    grads(b, np.swapaxes(a.data[0], -1, -2) @ grad[0])
-                else:
-                    grads(b, (np.swapaxes(a.data, -1, -2) @ grad).sum(axis=0))
-            else:
-                grads(b, np.swapaxes(a.data, -1, -2) @ grad)
+            grads(b, _right_operand_grad(a.data, grad, shared=b.ndim < a.ndim))
 
     return Tensor._result(data, (a, b), backward_fn, "matmul")
+
+
+def _right_operand_grad(a: np.ndarray, grad: np.ndarray, shared: bool) -> np.ndarray:
+    """The gradient of `b` in `a @ b`. A `shared` b is one 2-d matrix for every
+    slot of a's axis 0: each slot's own product, then the slots in order (one
+    slot takes its 2-d product, as a batch of one would)."""
+    if not shared:
+        return np.swapaxes(a, -1, -2) @ grad
+    if a.shape[0] == 1:
+        return np.swapaxes(a[0], -1, -2) @ grad[0]
+    return (np.swapaxes(a, -1, -2) @ grad).sum(axis=0)
+
+
+def linear(x, w, bias) -> Tensor:
+    """`x @ w + bias` as one node: the `matmul` and `add` chain's NumPy calls,
+    without keeping the product before the bias. `x` is 2-d, or 3-d with one
+    slot per index of axis 0; `w` is a 2-d matrix shared by every slot and
+    `bias` a vector of its width."""
+    x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
+    if x.ndim not in (2, 3) or w.ndim != 2 or bias.shape != w.shape[1:]:
+        raise ShapeError(f"linear expects a 2-d or 3-d input, a 2-d weight and a bias of its width, "
+                         f"got {x.shape}, {w.shape} and {bias.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
+    data = x.data @ w.data + bias.data
+
+    def backward_fn(grad, grads):
+        if x.requires_grad:
+            grads(x, grad @ np.swapaxes(w.data, -1, -2))
+        if w.requires_grad:
+            grads(w, _right_operand_grad(x.data, grad, shared=x.ndim == 3))
+        if bias.requires_grad:
+            grads(bias, _unbroadcast(grad, bias.shape))
+
+    return Tensor._result(data, (x, w, bias), backward_fn, "linear")
+
+
+def attention_scores(q, k, scale: float) -> Tensor:
+    """`(q @ kᵀ) * scale` for [S, T, d] queries and keys, as one node: the
+    `transpose`, `matmul` and `mul` chain's NumPy calls, with `kᵀ` the strided
+    `np.swapaxes` view and `scale` cast to the queries' dtype, without keeping
+    the product before the scale."""
+    q, k = as_tensor(q), as_tensor(k)
+    if q.ndim != 3 or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise ShapeError(f"attention_scores expects [S, T, d] queries and keys, got {q.shape} and {k.shape}")
+    kt = np.swapaxes(k.data, -1, -2)
+    factor = np.asarray(scale, dtype=q.data.dtype)
+    data = (q.data @ kt) * factor
+
+    def backward_fn(grad, grads):
+        g = grad * factor
+        if q.requires_grad:
+            grads(q, g @ k.data)
+        if k.requires_grad:
+            grads(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ g, -1, -2))
+
+    return Tensor._result(data, (q, k), backward_fn, "attention_scores")
 
 
 def transpose(a) -> Tensor:
@@ -245,20 +305,46 @@ def reshape(a, shape) -> Tensor:
     return Tensor._result(data, (a,), backward_fn, "reshape")
 
 
-def permute(a, axes) -> Tensor:
-    """Reorder axes as `np.transpose` does; value and gradient are C-contiguous."""
-    a = as_tensor(a)
-    axes = tuple(int(i) for i in axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"permute: {axes} is not a permutation of the axes of shape {a.shape}")
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    data = np.ascontiguousarray(np.transpose(a.data, axes))
+def _regroup(a: np.ndarray, four_axes: tuple, out_shape: tuple) -> np.ndarray:
+    """`a` as `four_axes`, axes 1 and 2 swapped into a C-contiguous copy, as `out_shape`.
+
+    The copy fixes the memory order of the result, and with it the order of
+    every later sum over it."""
+    return np.ascontiguousarray(np.transpose(a.reshape(four_axes), (0, 2, 1, 3))).reshape(out_shape)
+
+
+def split_heads(y, heads: int) -> Tensor:
+    """[B, T, D] -> [B*H, T, D/H]: row b*H + h holds slot b's columns h*D/H .. (h+1)*D/H.
+
+    Value and gradient are C-contiguous copies."""
+    y = as_tensor(y)
+    if y.ndim != 3 or heads < 1 or y.shape[2] % heads:
+        raise ShapeError(f"split_heads: {heads} heads do not split the last axis of shape {y.shape}")
+    b, t, d = y.shape
+    dh = d // heads
+    data = _regroup(y.data, (b, t, heads, dh), (b * heads, t, dh))
 
     def backward_fn(grad, grads):
-        # A strided gradient would change the order of later axis sums.
-        grads(a, np.ascontiguousarray(np.transpose(grad, inverse)))
+        grads(y, _regroup(grad, (b, heads, t, dh), (b, t, d)))
 
-    return Tensor._result(data, (a,), backward_fn, "permute")
+    return Tensor._result(data, (y,), backward_fn, "split_heads")
+
+
+def merge_heads(y, batch: int) -> Tensor:
+    """[B*H, T, d_h] -> [B, T, H*d_h], the inverse of `split_heads`.
+
+    Value and gradient are C-contiguous copies."""
+    y = as_tensor(y)
+    if y.ndim != 3 or batch < 1 or y.shape[0] % batch:
+        raise ShapeError(f"merge_heads: a batch of {batch} does not split the leading axis of shape {y.shape}")
+    bh, t, dh = y.shape
+    heads = bh // batch
+    data = _regroup(y.data, (batch, heads, t, dh), (batch, t, heads * dh))
+
+    def backward_fn(grad, grads):
+        grads(y, _regroup(grad, (batch, t, heads, dh), (bh, t, dh)))
+
+    return Tensor._result(data, (y,), backward_fn, "merge_heads")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import attention_viz, autograd, dsp, metrics, model, record_io, stratify, synth, train
-from .errors import ArgumentRangeError, EcgFormerError, MissingFileError
+from .errors import ArgumentRangeError, EcgFormerError, MissingFileError, RecordFormatError
 from .runconfig import RunConfig, read_config_text
 
 
@@ -137,8 +137,12 @@ class RunArtifacts:
         """Load `run_dir` under `config`; with `class_codes`, thresholds.csv must hold exactly those classes."""
         config_path = _require(run_dir / "model_config.txt", "model config")
         model_config = model.ModelConfig.from_text(read_config_text(config_path), str(config_path))
-        arrays = autograd.load_checkpoint(_require(run_dir / "checkpoint.wft1", "checkpoint"))
-        params = model.params_from_arrays(arrays, model_config)
+        checkpoint = _require(run_dir / "checkpoint.wft1", "checkpoint")
+        arrays = autograd.load_checkpoint(checkpoint)
+        try:
+            params = model.params_from_arrays(arrays, model_config)
+        except RecordFormatError as exc:  # a non-finite weight: name the file as well as the tensor
+            raise RecordFormatError(f"{checkpoint}: {exc}") from None
         codes, thresholds = train.load_thresholds(_require(run_dir / "thresholds.csv", "thresholds file"), class_codes)
         scaler_path = run_dir / "wide_scaler.csv"
         scaler = train.load_wide_scaler(scaler_path, model_config.d_wide) if scaler_path.exists() else None

@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .dsp import ProcessedWindow
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalError, RecordFormatError, ShapeError
 
 
 @dataclass
@@ -232,11 +232,13 @@ GRAPH_BUDGET = 1 << 25
 
 def graph_bytes(config: ModelConfig, itemsize: int = 8) -> int:
     """Estimated bytes of one record's training graph: the activations and
-    dropout masks its ops keep for the reverse pass, about 27 token-width and
-    5 feed-forward-width arrays and 6 attention maps per layer."""
+    dropout masks its ops keep for the reverse pass, about 22 token-width and
+    4 feed-forward-width arrays and 5 attention maps per layer, plus the
+    tokens and 3 token-width arrays before the first layer. (`linear` and
+    `attention_scores` keep no product before the bias or the scale.)"""
     t, d = config.num_patches + 1, config.d_model
-    per_layer = t * (27 * d + 5 * config.d_ff + 6 * config.num_heads * t)
-    return itemsize * (config.num_patches * config.d_token + 5 * t * d + config.num_layers * per_layer)
+    per_layer = t * (22 * d + 4 * config.d_ff + 5 * config.num_heads * t)
+    return itemsize * (config.num_patches * config.d_token + 3 * t * d + config.num_layers * per_layer)
 
 
 def records_per_forward(config: ModelConfig, records: int, itemsize: int = 8) -> int:
@@ -245,7 +247,7 @@ def records_per_forward(config: ModelConfig, records: int, itemsize: int = 8) ->
 
 
 def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    return ag.add(ag.matmul(x, params[prefix + ".weight"]), params[prefix + ".bias"])
+    return ag.linear(x, params[prefix + ".weight"], params[prefix + ".bias"])
 
 
 def _attention_block(
@@ -259,28 +261,18 @@ def _attention_block(
     capture: list | None,
 ) -> Tensor:
     p = f"layers.{layer}.attn."
-    b, t = x.shape[0], x.shape[1]
-    heads, dh = config.num_heads, config.head_dim
-
-    def split_heads(y: Tensor) -> Tensor:
-        # [B, T, D] -> [B*H, T, d_h]: row b*H + h holds slot b's columns h*d_h .. (h+1)*d_h.
-        return ag.reshape(ag.permute(ag.reshape(y, (b, t, heads, dh)), (0, 2, 1, 3)), (b * heads, t, dh))
-
-    q = split_heads(_linear(x, params, p + "w_q"))
-    k = split_heads(_linear(x, params, p + "w_k"))
-    v = split_heads(_linear(x, params, p + "w_v"))
-    scores = ag.mul(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(dh))
+    b, heads = x.shape[0], config.num_heads
+    q, k, v = (ag.split_heads(_linear(x, params, p + name), heads) for name in ("w_q", "w_k", "w_v"))
+    scores = ag.attention_scores(q, k, 1.0 / math.sqrt(config.head_dim))
     if key_mask is not None:
         # Masked keys are pushed to -inf-like scores before softmax: one bias row per slot and head.
         bias = np.repeat(np.where(key_mask, 0.0, -1e30)[:, None, :], heads, axis=0)
         scores = ag.add(scores, Tensor(bias, dtype=x.data.dtype))
     attn = ag.softmax(scores)
     if capture is not None:
-        capture.append(attn.data.reshape(b, heads, t, t).copy())
+        capture.append(attn.data.reshape(b, heads, *attn.shape[1:]).copy())
     attn = ag.dropout(attn, config.dropout_encoder, rng, training)
-    heads_out = ag.reshape(ag.matmul(attn, v), (b, heads, t, dh))
-    merged = ag.reshape(ag.permute(heads_out, (0, 2, 1, 3)), (b, t, config.d_model))
-    return _linear(merged, params, p + "w_o")
+    return _linear(ag.merge_heads(ag.matmul(attn, v), b), params, p + "w_o")
 
 
 def forward(
@@ -326,8 +318,7 @@ def forward(
     projected = _linear(tokens, params, "patch_projection")
     cls = ag.broadcast_to(params["class_token"], (batch, 1, d))
     seq = ag.concat([cls, projected], axis=1)
-    positions = ag.embedding_row_select(params["positional_embedding"], np.arange(n + 1))
-    x = ag.add(seq, positions)
+    x = ag.add(seq, params["positional_embedding"])
     if config.dropout_positional:
         x = ag.dropout(x, config.dropout_encoder, rng, training)
 
@@ -367,7 +358,9 @@ def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig) -> Mo
     """Rebuild ModelParams (e.g. from a checkpoint) with trainability flags.
 
     Fewer arrays than the configuration needs raise before its shape map is
-    built, so a `num_layers` far beyond the checkpoint costs no memory.
+    built, so a `num_layers` far beyond the checkpoint costs no memory. An
+    array holding a NaN or Inf is a RecordFormatError naming the tensor (the
+    leaf's own finiteness check finds it).
     """
     needed = TENSORS_OUTSIDE_LAYERS + TENSORS_PER_LAYER * config.num_layers
     if len(arrays) < needed:
@@ -384,5 +377,8 @@ def params_from_arrays(arrays: dict[str, np.ndarray], config: ModelConfig) -> Mo
         if data.shape != shape:
             raise ShapeError(f"checkpoint parameter {name!r} has shape {data.shape}, expected {shape}")
         trainable = not (name == "positional_embedding" and config.positional == "sinusoidal")
-        tensors[name] = Tensor(data, requires_grad=trainable)
+        try:
+            tensors[name] = Tensor(data, requires_grad=trainable)
+        except NumericalError:
+            raise RecordFormatError(f"checkpoint parameter {name!r} holds non-finite values") from None
     return ModelParams(tensors, config)

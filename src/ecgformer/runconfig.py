@@ -3,10 +3,10 @@
 Each section's keys are the fields of its config dataclass, in field order,
 with the field's type and default: `[preprocess]` is dsp.PreprocessConfig,
 `[model]` model.ModelConfig, `[train]` train.TrainConfig and `[features]`
-features.FeatureConfig. Three fields are set elsewhere and are no key: the
-model's num_leads (from the lead subset) and window_samples (from
-`[preprocess]`), and train's threads (from the command line). OTHER_KEYS
-holds the few keys that are no field.
+features.FeatureConfig. Four fields are set elsewhere: the model's
+num_leads (from the lead subset), window_samples (from `[preprocess]`) and
+d_class (from the manifest), and train's threads (from the command line).
+OTHER_KEYS holds the keys that are no field, d_class among them.
 
 Unknown sections or keys are errors so config-file typos never pass silently.
 Command-line overrides use ``section.key=value``.
@@ -40,13 +40,15 @@ CASTS = {"int": int, "float": float, "str": str, "bool": _bool, "list[str]": _st
 
 SECTIONS = {"preprocess": dsp.PreprocessConfig, "model": model.ModelConfig, "train": train.TrainConfig,
             "features": features.FeatureConfig}
-SET_ELSEWHERE = {"model": ("num_leads", "window_samples"), "train": ("threads",)}
+SET_ELSEWHERE = {"model": ("num_leads", "window_samples", "d_class"), "train": ("threads",)}
 
 # The keys that are no field, as (cast, default). `manifest` reads
-# unlabeled_policy. folds and batch_size_val (default None) are checked and
-# ignored, so config_used.ini leaves them out: the number of folds is the fold
-# CSV's, and validation batches its forwards by the graph budget.
-OTHER_KEYS = {"train": {"unlabeled_policy": (str, "include"), "folds": (int, None), "batch_size_val": (int, None)}}
+# unlabeled_policy. d_class, folds and batch_size_val (default None) are
+# checked and ignored, so config_used.ini leaves them out: the class count is
+# the manifest's, the number of folds the fold CSV's, and validation batches
+# its forwards by the graph budget.
+OTHER_KEYS = {"model": {"d_class": (int, None)},
+              "train": {"unlabeled_policy": (str, "include"), "folds": (int, None), "batch_size_val": (int, None)}}
 
 SCHEMA: dict[str, dict[str, tuple]] = {
     section: {
@@ -134,7 +136,7 @@ class RunConfig:
         return dsp.PreprocessConfig(**self._fields("preprocess"))
 
     def model_config(self, num_leads: int, d_class: int) -> model.ModelConfig:
-        return model.ModelConfig(**{**self._fields("model"), "d_class": d_class}, num_leads=num_leads,
+        return model.ModelConfig(**self._fields("model"), num_leads=num_leads, d_class=d_class,
                                  window_samples=self.values["preprocess"]["window_samples"])
 
     def train_config(self, threads: int = 1) -> train.TrainConfig:

@@ -1,14 +1,17 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is written the dumbest correct way (explicit loops, direct
-summation) and never shares code with src/. The one exception is
+summation) and never shares code with src/. The exceptions are
 `gradients_into_zeros`, the package's own reverse pass, for tests that only
-need a graph's gradients.
+need a graph's gradients, and the unfused chains: each builds, from the
+package's primitive ops, the graph that one fused autograd node replaces.
 """
 
 import csv
 
 import numpy as np
+
+from ecgformer import autograd as ag
 
 
 def brute_challenge_metric(labels, predictions, w, normal_idx):
@@ -257,9 +260,49 @@ def allocating_collect_gradients(loss, wanted):
 
 def gradients_into_zeros(loss, wanted):
     """{name: gradient} of `loss`, added by `collect_gradients` into a fresh zeroed total, as a training step does."""
-    from ecgformer.autograd import collect_gradients
+    return ag.collect_gradients(loss, wanted, {name: np.zeros_like(t.data) for name, t in wanted.items()})
 
-    return collect_gradients(loss, wanted, {name: np.zeros_like(t.data) for name, t in wanted.items()})
+
+# -- unfused chains: the graphs the fused autograd nodes replace, op for op ----
+
+
+def permute(a, axes):
+    """Axes reordered as `np.transpose` does, as one graph node; value and gradient are C-contiguous copies."""
+    inverse = tuple(int(i) for i in np.argsort(axes))
+    data = np.ascontiguousarray(np.transpose(a.data, axes))
+
+    def backward_fn(grad, grads):
+        grads(a, np.ascontiguousarray(np.transpose(grad, inverse)))
+
+    return type(a)._result(data, (a,), backward_fn, "permute")
+
+
+def chain_linear(x, w, bias):
+    """`ag.linear` as a product node, then a bias node."""
+    return ag.add(ag.matmul(x, w), bias)
+
+
+def chain_split_heads(y, heads):
+    """`ag.split_heads` as reshape, permute, reshape."""
+    b, t, d = y.shape
+    return ag.reshape(permute(ag.reshape(y, (b, t, heads, d // heads)), (0, 2, 1, 3)), (b * heads, t, d // heads))
+
+
+def chain_merge_heads(y, batch):
+    """`ag.merge_heads` as reshape, permute, reshape."""
+    bh, t, dh = y.shape
+    heads = bh // batch
+    return ag.reshape(permute(ag.reshape(y, (batch, heads, t, dh)), (0, 2, 1, 3)), (batch, t, heads * dh))
+
+
+def chain_attention_scores(q, k, scale):
+    """`ag.attention_scores` as transpose, product, scale."""
+    return ag.mul(ag.matmul(q, ag.transpose(k)), scale)
+
+
+def chain_positions(seq, table):
+    """A positional table added to [B, T, D] tokens through a selection of all its rows in order."""
+    return ag.add(seq, ag.embedding_row_select(table, np.arange(table.shape[0])))
 
 
 def tensor_sum(a):

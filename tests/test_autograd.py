@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, gradients_into_zeros, max_rel_err,
+from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention_scores, chain_linear,
+                     chain_merge_heads, chain_positions, chain_split_heads, gradients_into_zeros, max_rel_err, permute,
                      product_gelu, tensor_mean, tensor_sum, textbook_adam)
 
 GRAD_TOL = 1e-6
@@ -305,10 +306,32 @@ class TestGradientsAgainstFiniteDifferences:
         c = rng.normal(size=(2, 3, 4))
         check_op_gradient(lambda b: tensor_sum(ag.mul(ag.matmul(ag.Tensor(c), b), ag.matmul(ag.Tensor(c), b))), (2, 4, 3))
 
-    def test_permute(self):
+    def test_oracle_permute(self):
         rng = np.random.default_rng(13)
         w = rng.normal(size=(4, 2, 3))
-        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.permute(a, (2, 0, 1)), ag.Tensor(w))), (2, 3, 4))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(permute(a, (2, 0, 1)), ag.Tensor(w))), (2, 3, 4))
+
+    @pytest.mark.parametrize("x_shape", [(3, 4), (1, 3, 4), (2, 3, 4)])
+    def test_linear(self, x_shape):
+        rng = np.random.default_rng(22)
+        w = rng.normal(size=x_shape[:-1] + (2,))
+        check_op_gradient(lambda x, m, b: tensor_sum(ag.mul(ag.linear(x, m, b), ag.Tensor(w))), x_shape, (4, 2), (2,))
+
+    def test_split_heads(self):
+        rng = np.random.default_rng(23)
+        w = rng.normal(size=(6, 3, 2))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.split_heads(a, 3), ag.Tensor(w))), (2, 3, 6))
+
+    def test_merge_heads(self):
+        rng = np.random.default_rng(24)
+        w = rng.normal(size=(2, 3, 6))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.merge_heads(a, 2), ag.Tensor(w))), (6, 3, 2))
+
+    def test_attention_scores(self):
+        rng = np.random.default_rng(25)
+        w = rng.normal(size=(2, 3, 4))
+        check_op_gradient(lambda q, k: tensor_sum(ag.mul(ag.attention_scores(q, k, 0.5), ag.Tensor(w))),
+                          (2, 3, 5), (2, 4, 5))
 
     def test_transpose(self):
         check_op_gradient(lambda a, b: tensor_sum(ag.matmul(ag.transpose(a), b)), (4, 3), (4, 2))
@@ -501,15 +524,15 @@ class TestBatchedOps:
         with pytest.raises(ShapeError):
             ag.matmul(ag.Tensor(np.zeros((2, 2, 3, 4))), ag.Tensor(np.zeros((2, 2, 4, 5))))
 
-    def test_permute_value_and_gradient_are_c_contiguous(self):
+    @pytest.mark.parametrize("regroup", [lambda a: ag.split_heads(a, 2), lambda a: ag.merge_heads(a, 2)],
+                             ids=["split_heads", "merge_heads"])
+    def test_head_regroupings_hand_on_c_contiguous_values_and_gradients(self, regroup):
         rng = np.random.default_rng(15)
-        a = ag.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        out = ag.permute(a, (1, 0, 2))
-        assert np.array_equal(out.data, a.data.transpose(1, 0, 2))
+        a = ag.Tensor(rng.normal(size=(4, 3, 4)), requires_grad=True)
+        out = regroup(a)
         assert out.data.flags.c_contiguous
         # The incoming gradient is a strided view; the one handed on is not.
-        loss = tensor_sum(ag.transpose(ag.permute(ag.transpose(out), (1, 0, 2))))
-        grads = gradients_into_zeros(loss, {"a": a})
+        grads = allocating_collect_gradients(tensor_sum(ag.transpose(out)), {"a": a})
         assert grads["a"].flags.c_contiguous
         np.testing.assert_array_equal(grads["a"], 1.0)
 
@@ -559,11 +582,125 @@ class TestBatchedOps:
         grads = gradients_into_zeros(tensor_sum(ag.mul(out, ag.Tensor(seed))), {"token": token})
         assert grads["token"].tobytes() == ((seed[0, 0] + seed[1, 0]) + seed[2, 0]).tobytes()
 
-    def test_permute_rejects_non_permutation(self):
+    @pytest.mark.parametrize("build", [
+        lambda: ag.linear(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5)),  # inner dimensions
+        lambda: ag.linear(np.zeros((2, 4)), np.zeros((4, 5)), np.zeros(4)),  # bias width
+        lambda: ag.linear(np.zeros((2, 2, 2, 4)), np.zeros((4, 5)), np.zeros(5)),  # 4-d input
+        lambda: ag.linear(np.zeros((2, 4)), np.zeros((2, 4, 5)), np.zeros(5)),  # 3-d weight
+        lambda: ag.split_heads(np.zeros((2, 3, 6)), 4),
+        lambda: ag.split_heads(np.zeros((3, 6)), 2),
+        lambda: ag.merge_heads(np.zeros((6, 3, 2)), 4),
+        lambda: ag.merge_heads(np.zeros((6, 3)), 2),
+        lambda: ag.attention_scores(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), 1.0),
+        lambda: ag.attention_scores(np.zeros((2, 3, 4)), np.zeros((1, 3, 4)), 1.0),
+        lambda: ag.attention_scores(np.zeros((3, 4)), np.zeros((3, 4)), 1.0),
+    ], ids=["linear inner", "linear bias", "linear 4-d input", "linear 3-d weight", "split_heads uneven",
+            "split_heads 2-d", "merge_heads uneven", "merge_heads 2-d", "attention_scores width",
+            "attention_scores slots", "attention_scores 2-d"])
+    def test_fused_nodes_reject_mismatched_shapes(self, build):
         with pytest.raises(ShapeError):
-            ag.permute(ag.Tensor(np.zeros((2, 3))), (0, 0))
-        with pytest.raises(ShapeError):
-            ag.permute(ag.Tensor(np.zeros((2, 3))), (1, 0, 2))
+            build()
+
+
+def _run_graph(build, arrays, needs_grad, upstream):
+    """build(*tensors) over `arrays` (each in its own dtype), and the gradients a seeded upstream hands each input."""
+    tensors = [ag.Tensor(a.copy(), requires_grad=r, dtype=a.dtype) for a, r in zip(arrays, needs_grad)]
+    out = build(*tensors)
+    wanted = {str(i): t for i, t in enumerate(tensors) if t.requires_grad}
+    return out.data, gradients_into_zeros(tensor_sum(ag.mul(out, ag.Tensor(upstream, dtype=upstream.dtype))), wanted)
+
+
+def _attention_core(fused):
+    """Projections, heads, scores, softmax, values and the merge, fused or as the unfused chains."""
+    linear, split, merge, scores = ((ag.linear, ag.split_heads, ag.merge_heads, ag.attention_scores) if fused
+                                    else (chain_linear, chain_split_heads, chain_merge_heads, chain_attention_scores))
+
+    def build(x, wq, bq, wk, bk, wv, bv, wo, bo):
+        q, k, v = (split(linear(x, w, b), 2) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        attn = ag.softmax(scores(q, k, 1.0 / np.sqrt(2.0)))
+        return linear(merge(ag.matmul(attn, v), x.shape[0]), wo, bo)
+
+    return build
+
+
+FUSED_CASES = {
+    # name: (fused, chain, input shapes)
+    "linear 2-d": (ag.linear, chain_linear, [(5, 4), (4, 3), (3,)]),
+    "linear one slot": (ag.linear, chain_linear, [(1, 5, 4), (4, 3), (3,)]),
+    "linear one row per slot": (ag.linear, chain_linear, [(3, 1, 4), (4, 3), (3,)]),
+    "linear slots": (ag.linear, chain_linear, [(3, 5, 4), (4, 3), (3,)]),
+    "split_heads one slot": (lambda y: ag.split_heads(y, 2), lambda y: chain_split_heads(y, 2), [(1, 5, 6)]),
+    "split_heads slots": (lambda y: ag.split_heads(y, 3), lambda y: chain_split_heads(y, 3), [(4, 5, 6)]),
+    "merge_heads one slot": (lambda y: ag.merge_heads(y, 1), lambda y: chain_merge_heads(y, 1), [(2, 5, 3)]),
+    "merge_heads slots": (lambda y: ag.merge_heads(y, 3), lambda y: chain_merge_heads(y, 3), [(6, 5, 3)]),
+    "attention_scores one slot": (lambda q, k: ag.attention_scores(q, k, 0.125),
+                                  lambda q, k: chain_attention_scores(q, k, 0.125), [(1, 5, 8), (1, 5, 8)]),
+    "attention_scores slots": (lambda q, k: ag.attention_scores(q, k, 1.0 / np.sqrt(3.0)),
+                               lambda q, k: chain_attention_scores(q, k, 1.0 / np.sqrt(3.0)), [(6, 5, 3), (6, 5, 3)]),
+    "positions": (ag.add, chain_positions, [(3, 5, 4), (5, 4)]),
+    "attention core": (_attention_core(True), _attention_core(False),
+                       [(3, 5, 4)] + [(4, 4), (4,)] * 4),
+}
+
+
+class TestFusedNodesMatchTheirChains:
+    """Each fused node's value and input gradients are, byte for byte, those of the chain of ops it replaces."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", sorted(FUSED_CASES))
+    def test_value_and_gradients_bitwise(self, case, dtype):
+        fused, chain, shapes = FUSED_CASES[case]
+        rng = np.random.default_rng(26)
+        arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        out_shape = chain(*[ag.Tensor(a, dtype=dtype) for a in arrays]).shape
+        upstream = rng.normal(size=out_shape).astype(dtype)
+        # Every input wanted, then (with several inputs) each input alone left without a gradient.
+        for frozen in [None, *(range(len(arrays)) if len(arrays) > 1 else ())]:
+            needs_grad = [i != frozen for i in range(len(arrays))]
+            value, grads = _run_graph(fused, arrays, needs_grad, upstream)
+            want_value, want_grads = _run_graph(chain, arrays, needs_grad, upstream)
+            assert value.dtype == want_value.dtype and value.tobytes() == want_value.tobytes(), (case, frozen)
+            assert grads.keys() == want_grads.keys()
+            for name, g in grads.items():
+                assert g.tobytes() == want_grads[name].tobytes(), (case, frozen, name)
+
+
+def _poisoned_sum(a):
+    """A scalar node that hands `a` an infinite gradient."""
+    def backward_fn(grad, grads):
+        grads(a, np.full_like(a.data, np.inf))
+
+    return ag.Tensor._result(np.asarray(a.data.sum()), (a,), backward_fn, "poisoned_sum")
+
+
+def _non_finite_constant(shape):
+    """A constant holding a NaN, made without the leaf check that would refuse it."""
+    t = ag.Tensor(np.zeros(shape)).detach()
+    t.data = np.full(shape, np.nan)
+    return t
+
+
+class TestFusedNodesKeepTheFiniteCheck:
+    def test_overflowing_forward_output_raises(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="linear"):
+                ag.linear(ag.Tensor([[1e308, 1e308]]), ag.Tensor([[10.0], [10.0]]), ag.Tensor([0.0]))
+            with pytest.raises(NumericalError, match="attention_scores"):
+                ag.attention_scores(ag.Tensor(np.full((1, 2, 2), 1e200)), ag.Tensor(np.full((1, 2, 2), 1e200)), 0.5)
+
+    @pytest.mark.parametrize("op", ["split_heads", "merge_heads"])
+    def test_non_finite_input_raises(self, op):
+        with pytest.raises(NumericalError, match=op):
+            getattr(ag, op)(_non_finite_constant((2, 3, 4)), 2)
+
+    @pytest.mark.parametrize("case", ["linear slots", "split_heads slots", "merge_heads slots", "attention_scores slots"])
+    def test_non_finite_incoming_gradient_raises(self, case):
+        fused, _, shapes = FUSED_CASES[case]
+        rng = np.random.default_rng(28)
+        tensors = [ag.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        out = fused(*tensors)
+        with pytest.raises(NumericalError, match=f"backward of {out._op}"):
+            gradients_into_zeros(_poisoned_sum(out), {str(i): t for i, t in enumerate(tensors)})
 
 
 def _adam_from(params, grads, state, **kwargs):

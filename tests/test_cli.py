@@ -337,6 +337,26 @@ class TestErrors:
             assert err.startswith("ERROR ConfigError:") and "model_config.txt" in err, err
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_checkpoint_weight_exit_code(self, workspace, overfit_run, tmp_path, capsys, command):
+        # A NaN weight is a malformed record that names the file and the tensor, not a numerical error.
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        shutil.copytree(overfit_run, run)
+        arrays = autograd.load_checkpoint(run / "checkpoint.wft1")
+        arrays["layers.1.ff.fc2.weight"][3, 2] = np.nan
+        autograd.save_checkpoint(run / "checkpoint.wft1", arrays)
+        argv = {
+            "predict": ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                        "--out", str(tmp_path / "p.csv")],
+            "evaluate": ["evaluate", "--manifest", str(manifest), "--runs", str(run),
+                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "report.csv")],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 5
+        self._assert_one_error(capsys, "RecordFormatError", str(run / "checkpoint.wft1"), "'layers.1.ff.fc2.weight'",
+                               "non-finite")
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_model_config_beyond_the_checkpoint_exit_code(self, workspace, overfit_run, tmp_path, capsys, command):
         # A num_layers far beyond the checkpoint's tensors is a shape mismatch before any per-layer work.
         root, data, ini, manifest, folds = workspace

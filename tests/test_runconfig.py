@@ -18,7 +18,7 @@ SAMPLES = {
     "model": {
         "d_patch": ("32", 32), "d_model": ("24", 24), "num_layers": ("3", 3), "num_heads": ("8", 8),
         "d_ff": ("40", 40), "dropout_encoder": ("0.25", 0.25), "d_deep": ("9", 9), "d_wide": ("5", 5),
-        "d_class": ("7", 7), "dropout_head": ("0.3", 0.3), "positional": ("sinusoidal", "sinusoidal"),
+        "d_class": ("7", None), "dropout_head": ("0.3", 0.3), "positional": ("sinusoidal", "sinusoidal"),
         "dropout_positional": ("false", False), "mask_padding": ("true", True), "gelu_exact": ("yes", True),
     },
     "train": {
@@ -64,12 +64,7 @@ def test_every_field_key_reaches_its_typed_view_with_its_cast():
             text, value = SAMPLES[section][key]
             config = RunConfig.load(overrides=[f"{section}.{key}={text}"])
             assert config[section][key] == value and type(config[section][key]) is type(value), (section, key)
-            view = typed_views(config)[section]
-            if (section, key) == ("model", "d_class"):
-                # The model's class count is the caller's (the manifest's), whatever the INI says.
-                assert view.d_class == D_CLASS
-                continue
-            got = getattr(view, key)
+            got = getattr(typed_views(config)[section], key)
             assert got == value and type(got) is type(value), (section, key, got)
             assert got != getattr(defaults[section], key), (section, key)
 
@@ -99,14 +94,19 @@ def test_default_lists_are_not_shared():
     assert b["train"]["custom_leads"] == [] and runconfig.SCHEMA["train"]["custom_leads"][1] == []
 
 
+IGNORED = {("train", "batch_size_val"): "16", ("train", "folds"): "4", ("model", "d_class"): "7"}
+
+
 def test_ignored_keys_are_checked_and_left_out():
     current = RunConfig.defaults().to_ini_text()
-    assert "batch_size_val" not in current and "folds" not in current
-    config = RunConfig.load(overrides=["train.batch_size_val=16", "train.folds=4"])
+    assert not any(key in current for _, key in IGNORED)
+    config = RunConfig.load(overrides=[f"{section}.{key}={text}" for (section, key), text in IGNORED.items()])
     assert config.to_ini_text() == current
-    for key in ("batch_size_val", "folds"):
-        with pytest.raises(ConfigError, match=f"bad value for train.{key}"):
-            RunConfig.load(overrides=[f"train.{key}=x"])
+    # The model's class count is the caller's (the manifest's), whatever the INI says.
+    assert config.model_config(NUM_LEADS, D_CLASS).d_class == D_CLASS
+    for section, key in IGNORED:
+        with pytest.raises(ConfigError, match=f"bad value for {section}.{key}"):
+            RunConfig.load(overrides=[f"{section}.{key}=x"])
 
 
 def test_older_config_used_ini_loads(tmp_path):
@@ -114,7 +114,8 @@ def test_older_config_used_ini_loads(tmp_path):
     current = RunConfig.defaults().to_ini_text()
     older = current.replace("batch_size_train = 128\n", "batch_size_train = 128\nbatch_size_val = 64\n")
     older = older.replace("seed = 0\n", "seed = 0\nfolds = 10\n")
-    assert older.count("\n") == current.count("\n") + 2
+    older = older.replace("d_wide = 22\n", "d_wide = 22\nd_class = 26\n")
+    assert older.count("\n") == current.count("\n") + 3
     (tmp_path / "config_used.ini").write_text(older)
     assert RunConfig.load(tmp_path / "config_used.ini").to_ini_text() == current
 

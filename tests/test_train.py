@@ -307,7 +307,7 @@ class TestStepMemory:
         assert peak < 4 * param_bytes + graph_bytes + margin, (peak / param_bytes, graph_bytes / param_bytes)
 
 
-# One sample's training graph (about 18 MB) outweighs these parameters (2.5 MB) several times over.
+# One sample's training graph (about 15 MB) outweighs these parameters (2.5 MB) several times over.
 WIDE_WINDOW = model.ModelConfig(num_leads=12, d_model=128, num_layers=2, num_heads=8, d_ff=128, d_deep=8,
                                 d_wide=4, d_class=3, window_samples=7680)
 
@@ -323,6 +323,33 @@ class TestGraphBudget:
         twelve_lead_toy = model.ModelConfig(**{**toy_model_config().__dict__, "num_leads": 12})
         assert model.records_per_forward(twelve_lead_toy, 8) == 8
         assert model.records_per_forward(toy_model_config(), 3) == 3
+
+    @pytest.mark.parametrize("itemsize", [8, 4])
+    def test_split_of_each_benchmarked_configuration(self, itemsize):
+        # The README toy model and its twelve-lead variant (score-cohort's) run a batch of 8 as one graph; the paper
+        # configuration runs one record per graph, in training as in validation.
+        twelve_lead_toy = model.ModelConfig(**{**toy_model_config().__dict__, "num_leads": 12})
+        paper = model.ModelConfig(num_leads=12)
+        for config, batch, per_graph in ((toy_model_config(), 8, 8), (twelve_lead_toy, 8, 8), (paper, 2, 1),
+                                         (paper, 4, 1)):
+            assert model.records_per_forward(config, batch, itemsize) == per_graph, (config.num_leads, batch)
+
+    @pytest.mark.parametrize("config, batch", [(toy_model_config(), 8), (WIDE_WINDOW, 1)])
+    def test_estimate_is_near_the_graph_a_forward_keeps(self, config, batch):
+        params = model.init_params(config, seed=1)
+        rng = np.random.default_rng(6)
+        windows = [dsp.ProcessedWindow(rng.uniform(-1.0, 1.0, size=(config.num_leads, config.window_samples)),
+                                       config.window_samples, 0) for _ in range(batch)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = model.forward(windows, rng.normal(size=(batch, config.d_wide)), params, config, mode="train",
+                                rng=list(range(batch)))
+            kept = (tracemalloc.get_traced_memory()[0] - start) / batch
+            del out
+        finally:
+            tracemalloc.stop()
+        assert 0.8 < model.graph_bytes(config) / kept < 1.25, (model.graph_bytes(config), kept)
 
     def test_batch_of_two_holds_one_sample_graph(self):
         params = model.init_params(WIDE_WINDOW, seed=1)
@@ -348,6 +375,36 @@ class TestGraphBudget:
         assert graph_bytes > 4 * param_bytes
         # One graph, the running gradient total and what one reverse pass has in flight; two graphs exceed it.
         assert peak < 1.25 * graph_bytes + 2 * param_bytes, (peak / graph_bytes, param_bytes / graph_bytes)
+
+
+def test_toy_training_step_graph_size(monkeypatch):
+    # One README-toy training step of 8 records (one graph): its non-leaf nodes, and the finiteness scans of its
+    # forward (each node's output, each input constant) and backward (each node's incoming gradient).
+    config = toy_model_config()
+    params = model.init_params(config, seed=1)
+    rng = np.random.default_rng(7)
+    windows = [dsp.ProcessedWindow(rng.uniform(-1.0, 1.0, size=(2, 192)), 192, 0) for _ in range(8)]
+    wide, labels = rng.normal(size=(8, config.d_wide)), rng.integers(0, 2, size=(8, config.d_class)).astype(float)
+    checks, nodes = [], []
+    check_finite, collect_gradients = ag._check_finite, ag.collect_gradients
+
+    def counted_check(data, op):
+        checks.append(op)
+        check_finite(data, op)
+
+    def counted_collect(loss, wanted, into):
+        nodes.extend(n for n in ag._topo_order(loss) if n._backward is not None)
+        return collect_gradients(loss, wanted, into)
+
+    monkeypatch.setattr(ag, "_check_finite", counted_check)
+    monkeypatch.setattr(ag, "collect_gradients", counted_collect)
+    train.batch_gradients(windows, wide, labels, [np.random.default_rng(s) for s in range(8)], params, config,
+                          {name: np.zeros_like(t.data) for name, t in params.trainable().items()})
+    assert len(nodes) <= 57, len(nodes)
+    assert len(checks) <= 116, len(checks)
+    checks.clear()
+    model.forward(windows, wide, params, config, mode="eval")
+    assert len(checks) <= 50, len(checks)
 
 
 @pytest.fixture(scope="module")
