@@ -157,11 +157,15 @@ def normalize(signal) -> np.ndarray:
     return out
 
 
-def extract_window(signal, config: PreprocessConfig, offset_policy: str = "start", seed: int | None = None) -> ProcessedWindow:
+def extract_window(signal, config: PreprocessConfig, offset_policy: str = "start",
+                   seed: int | np.random.Generator | None = None) -> ProcessedWindow:
     """Cut a window_samples-wide window, zero-padding the tail of short signals.
 
     offset_policy: "start", "center", or "random" (requires seed; offset drawn
-    uniformly over the valid range, deterministic per seed).
+    uniformly over the valid range). `seed` is a non-negative int, which seeds
+    a new generator, or a `np.random.Generator`, which is drawn from as it
+    stands; `np.random.default_rng(s)` gives the window of the int s. A signal
+    shorter than the window draws nothing.
     """
     sig = _as_lead_matrix(signal)
     num_leads, n = sig.shape
@@ -205,8 +209,13 @@ def process_recording(signal, from_hz: float, config: PreprocessConfig, taps: np
     return _normalize_at(sig, config, "recording")
 
 
-def cut_window(recording, config: PreprocessConfig, offset_policy: str = "start", seed: int | None = None) -> ProcessedWindow:
-    """Window half of the chain: cut the window -> normalize (scope "window")."""
+def cut_window(recording, config: PreprocessConfig, offset_policy: str = "start",
+               seed: int | np.random.Generator | None = None) -> ProcessedWindow:
+    """Window half of the chain: cut the window -> normalize (scope "window").
+
+    `seed` is an int or a `np.random.Generator` drawn from as it stands, as
+    in `extract_window`.
+    """
     window = extract_window(recording, config, offset_policy, seed)
     return ProcessedWindow(_normalize_at(window.signal, config, "window"), window.pad_start, window.source_offset)
 

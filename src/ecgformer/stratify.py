@@ -47,6 +47,8 @@ def stratified_folds(label_matrix, k: int = 10, seed: int = 0) -> FoldAssignment
         raise ArgumentRangeError(f"k must be >= 2, got {k}")
     if k > num_records:
         raise ArgumentRangeError(f"k = {k} exceeds the {num_records} records available")
+    if seed < 0:
+        raise ArgumentRangeError(f"seed must be a non-negative integer, got {seed}")
 
     rng = np.random.default_rng(seed)
     fold_of = np.full(num_records, -1, dtype=np.int64)

@@ -94,6 +94,8 @@ def generate_corpus(out_dir, num_records: int, seed: int, num_leads: int = 12) -
     """Write records plus class_map.csv and weights.csv into out_dir."""
     if num_records < 1:
         raise ArgumentRangeError("num_records must be >= 1")
+    if seed < 0:
+        raise ArgumentRangeError(f"seed must be a non-negative integer, got {seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from . import dsp, features, metrics, model
+from . import dsp, features, metrics, model, seeding
 from .errors import (ArgumentRangeError, ConfigError, EmptyDatasetError, NumericalError, RecordFormatError,
                      ShapeError)
 from .record_io import DatasetManifest, EcgRecord, LeadSubset, lead_subset, parse_record, read_csv, select_leads
@@ -51,6 +51,8 @@ class TrainConfig:
             raise ConfigError(f"precision must be float64|float32, got {self.precision!r}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
     def subset(self) -> LeadSubset:
         return lead_subset(self.lead_subset, self.custom_leads)
@@ -252,6 +254,48 @@ def _stable_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+DROPOUT_BLOCK_STEPS = 32  # steps whose dropout generator states are seeded in one pass
+
+
+class _Streams:
+    """The random draws of training, each the stream NumPy gives a fresh generator:
+
+    - the window offset of record `rec` in epoch `epoch`, drawn from
+      `np.random.default_rng(_stable_seed(seed, 13, epoch, rec))`;
+    - the dropout masks of batch slot `slot` at step `step`, drawn from
+      `np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot]))`.
+
+    `seeding` computes their states for a whole epoch and for a block of
+    steps at a time, and each draw loads its state into a generator kept for
+    the whole run instead of building one.
+    """
+
+    def __init__(self, seed: int, batch: int, max_steps: int):
+        self.seed, self.batch, self.max_steps = seed, batch, max_steps
+        self._window = np.random.default_rng(0)
+        self._dropout = [np.random.default_rng(0) for _ in range(batch)]
+        self._block_start, self._block = 0, []  # dropout states of steps _block_start, _block_start + 1, ...
+
+    def window_seeds(self, epoch: int, records: list[int]) -> list:
+        """One window seed per record of `epoch`, in order, for `window_rng`."""
+        return seeding.int_seed_states(seeding.stable_seeds([(self.seed, 13, epoch, rec) for rec in records]))
+
+    def window_rng(self, window_seed) -> np.random.Generator:
+        """The generator `dsp.cut_window` draws one record's offset from."""
+        return seeding.reseed(self._window, window_seed)
+
+    def dropout_rngs(self, step: int) -> list[np.random.Generator]:
+        """The batch's dropout generators at `step`, one per slot; valid until the next call."""
+        if not self._block_start <= step < self._block_start + len(self._block):
+            steps = range(step, min(step + DROPOUT_BLOCK_STEPS, self.max_steps))
+            states = seeding.pcg64_states([(self.seed, 17, s, slot) for s in steps for slot in range(self.batch)])
+            self._block_start = step
+            self._block = [states[i : i + self.batch] for i in range(0, len(states), self.batch)]
+        for generator, state in zip(self._dropout, self._block[step - self._block_start]):
+            seeding.reseed(generator, state)
+        return self._dropout
+
+
 def predict_probabilities(
     prepared: list[PreparedRecord],
     params: model.ModelParams,
@@ -387,12 +431,15 @@ def _train_steps(
             p = np.clip(probs, ag.BCE_EPS, 1 - ag.BCE_EPS)
             return float((val_labels * np.log(p) + (1 - val_labels) * np.log1p(-p)).mean())
 
-    def train_step(step: int, batch: list[tuple[int, int]]) -> float:
+    batch_size = min(train_config.batch_size_train, len(train_idx))
+    streams = _Streams(seed, batch_size, train_config.max_steps)
+
+    def train_step(step: int, batch: list[tuple[int, object]]) -> float:
         """One Adam update from the batch-mean gradient; returns the mean loss."""
         records = [cache[rec_idx] for rec_idx, _ in batch]
-        windows = [dsp.cut_window(cache[rec_idx].processed, preprocess_config, "random",
-                                  _stable_seed(seed, 13, rec_epoch, rec_idx)) for rec_idx, rec_epoch in batch]
-        rngs = [np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot])) for slot in range(len(batch))]
+        windows = [dsp.cut_window(r.processed, preprocess_config, "random", streams.window_rng(window_seed))
+                   for r, (_, window_seed) in zip(records, batch)]
+        rngs = streams.dropout_rngs(step)
         wide, labels = np.stack([r.wide for r in records]), np.stack([r.labels for r in records])
         grad_total.fill(0.0)
         scale = 1.0 / len(batch)
@@ -411,15 +458,16 @@ def _train_steps(
         return mean_loss
 
     epoch = -1
-    stream: list[int] = []
+    stream: list[tuple[int, object]] = []  # (record index, window seed) of the epoch, drawn from the end
     for step in range(train_config.max_steps):
-        batch: list[tuple[int, int]] = []  # (record index, epoch it came from)
-        while len(batch) < min(train_config.batch_size_train, len(train_idx)):
+        batch: list[tuple[int, object]] = []
+        while len(batch) < batch_size:
             if not stream:
                 epoch += 1
                 order = np.random.default_rng(_stable_seed(seed, 11, epoch)).permutation(len(train_idx))
-                stream = [int(train_idx[j]) for j in order]
-            batch.append((stream.pop(), epoch))
+                records = [int(train_idx[j]) for j in order]
+                stream = list(zip(records, streams.window_seeds(epoch, records)))
+            batch.append(stream.pop())
         loss_curve.append(train_step(step, batch))
         trained_ids.update(cache[rec_idx].record_id for rec_idx, _ in batch)
 

@@ -410,3 +410,25 @@ def pow_form_wide_features(lead, fs, num_samples, age_years, sex, peak_indices, 
     values[20] = lead.min()
     values[21] = lead.max()
     return values
+
+
+class PerStepStreams:
+    """`train._Streams` built the direct way: a new NumPy generator for every draw.
+
+    A window seed is `SeedSequence([seed, 13, epoch, rec])`'s first word, which
+    `dsp.cut_window` turns into its own generator, and the dropout generators
+    of a step are built from `SeedSequence([seed, 17, step, slot])`.
+    """
+
+    def __init__(self, seed, batch, max_steps):
+        self.seed, self.batch = seed, batch
+
+    def window_seeds(self, epoch, records):
+        return [int(np.random.SeedSequence([self.seed, 13, epoch, rec]).generate_state(1)[0]) for rec in records]
+
+    def window_rng(self, window_seed):
+        return window_seed
+
+    def dropout_rngs(self, step):
+        return [np.random.default_rng(np.random.SeedSequence([self.seed, 17, step, slot]))
+                for slot in range(self.batch)]

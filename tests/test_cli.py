@@ -402,6 +402,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("ERROR ConfigError:") and "max_steps and eval_every" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, code, kind", [
+        ("synth", 4, "ArgumentRangeError"), ("folds", 4, "ArgumentRangeError"), ("train", 2, "ConfigError"),
+    ])
+    def test_negative_seed_exit_code(self, workspace, tmp_path, capsys, command, code, kind):
+        root, data, ini, manifest, folds = workspace
+        out = tmp_path / "z"
+        argv = {
+            "synth": ["synth", "--out", str(out), "--records", "2", "--seed", "-1"],
+            "folds": ["folds", "--manifest", str(manifest), "--k", "2", "--seed", "-1", "--out", str(out)],
+            "train": ["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                      "--out", str(out), "--config", str(ini), "--set", "train.seed=-1"],
+        }[command]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR {kind}:") and "seed must be a non-negative integer" in err, err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("override, needle", [
         ("model.dropout_encoder=1.5", "dropout_encoder must be in [0, 1)"),
         ("model.dropout_encoder=-0.1", "dropout_encoder must be in [0, 1)"),

@@ -180,6 +180,22 @@ class TestExtractWindow:
             assert w1.source_offset == w2.source_offset
             assert 0 <= w1.source_offset <= 9000 - 7680
 
+    def test_random_policy_takes_an_int_or_a_generator(self):
+        x = np.random.default_rng(0).normal(size=(2, 9000))
+        for seed in (0, 7, 2**32 - 1, 2**64 + 1):
+            by_int = dsp.extract_window(x, self.cfg, "random", seed=seed)
+            by_generator = dsp.extract_window(x, self.cfg, "random", seed=np.random.default_rng(seed))
+            assert by_int.source_offset == by_generator.source_offset
+            np.testing.assert_array_equal(by_int.signal, by_generator.signal)
+            cut = dsp.cut_window(x, self.cfg, "random", seed=np.random.default_rng(seed))
+            assert cut.source_offset == dsp.cut_window(x, self.cfg, "random", seed=seed).source_offset
+
+    def test_random_policy_draws_from_a_generator_as_it_stands(self):
+        x = np.zeros((1, 9000))
+        shared, fresh = np.random.default_rng(3), np.random.default_rng(3)
+        offsets = [dsp.extract_window(x, self.cfg, "random", seed=shared).source_offset for _ in range(3)]
+        assert offsets == [int(fresh.integers(0, 9000 - 7680 + 1)) for _ in range(3)]
+
     def test_identity_on_window_length_signal(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 7680))

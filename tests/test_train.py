@@ -8,7 +8,7 @@ from ecgformer import dsp, metrics, model, record_io, stratify, synth, train
 from ecgformer.errors import ArgumentRangeError, ConfigError, UndefinedScoreError
 from ecgformer.features import FeatureConfig
 
-from oracles import brute_challenge_metric, brute_fit_thresholds, loop_challenge_metric, textbook_adam
+from oracles import PerStepStreams, brute_challenge_metric, brute_fit_thresholds, loop_challenge_metric, textbook_adam
 
 TOY_PREPROCESS = dsp.PreprocessConfig(window_samples=192)
 
@@ -269,6 +269,50 @@ class TestFlatAdamTraining:
         assert flat[0].keys() == oracle[0].keys()
         for name, arr in flat[0].items():
             assert arr.dtype == np.float32 and arr.tobytes() == oracle[0][name].tobytes(), name
+
+
+class TestTrainingStreams:
+    # 8 records in batches of 3: the third batch holds the last two records of epoch 0 and the first of
+    # epoch 1, and 40 steps run past the first block of dropout states.
+    STEPS, BATCH = 40, 3
+
+    def _train(self, corpus, out_dir):
+        manifest, weights = corpus
+        assert len(manifest.entries) % self.BATCH and self.STEPS > train.DROPOUT_BLOCK_STEPS
+        fa = stratify.FoldAssignment(np.zeros(len(manifest.entries), dtype=int), 1)
+        cfg = toy_train_config(max_steps=self.STEPS, eval_every=20, batch_size_train=self.BATCH)
+        _, _, report = train.train_fold(manifest, fa, -1, toy_model_config(len(manifest.class_list)), TOY_PREPROCESS,
+                                        cfg, weights, out_dir)
+        return report
+
+    def test_same_run_as_a_fresh_generator_per_draw(self, corpus, tmp_path, monkeypatch):
+        fast = self._train(corpus, tmp_path / "fast")
+        monkeypatch.setattr(train, "_Streams", PerStepStreams)
+        direct = self._train(corpus, tmp_path / "direct")
+        assert fast.loss_curve == direct.loss_curve
+        for name in ("checkpoint.wft1", "thresholds.csv"):
+            assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
+
+    def test_no_generator_is_built_inside_a_step(self, corpus, tmp_path, monkeypatch):
+        # The README-toy model over 40 steps builds a SeedSequence and a generator for each epoch's order, one
+        # generator for the initial parameters and the generators the run keeps: none per step or per draw.
+        built = {"SeedSequence": 0, "default_rng": 0}
+        seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
+
+        def counted_seed_sequence(*args, **kwargs):
+            built["SeedSequence"] += 1
+            return seed_sequence(*args, **kwargs)
+
+        def counted_default_rng(seed=None):
+            built["default_rng"] += not isinstance(seed, np.random.Generator)  # a generator passes through
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+        monkeypatch.setattr(np.random, "default_rng", counted_default_rng)
+        self._train(corpus, tmp_path / "r")
+        epochs = -(-self.STEPS * self.BATCH // len(corpus[0].entries))
+        kept = 1 + self.BATCH  # the window generator and one dropout generator per slot
+        assert built == {"SeedSequence": epochs, "default_rng": epochs + 1 + kept}
 
 
 class TestStepMemory:
