@@ -748,9 +748,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     The file must start with the magic and hold exactly the tensors its count
     announces, each name once: a wrong magic, a short file, trailing bytes or
-    a repeated name raise RecordFormatError, and dims are checked against the
-    bytes left before anything is allocated. The file is read one field at a
-    time, so loading holds the float64 arrays and one tensor's float32 bytes.
+    a repeated name raise RecordFormatError. Every field is checked, the dims
+    against the bytes left, before anything is allocated. The arrays are views
+    of one float64 buffer, so a large checkpoint is one allocation of fresh
+    memory, whose cost does not depend on what earlier work left on the heap.
     """
     with open(path, "rb") as fh:
         length = os.fstat(fh.fileno()).st_size
@@ -768,7 +769,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             return data
 
         (count,) = struct.unpack("<I", take(4, "the tensor count"))
-        out: dict[str, np.ndarray] = {}
+        layout: dict[str, tuple[tuple[int, ...], int]] = {}  # name -> (shape, file offset of its data)
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2, "a name length"))
             start = pos
@@ -776,12 +777,28 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 name = take(name_len, "a name").decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise RecordFormatError(f"{path}: WFT1 tensor name at byte {start} is not UTF-8") from exc
-            if name in out:
+            if name in layout:
                 raise RecordFormatError(f"{path}: WFT1 tensor {name!r} appears twice")
             (ndims,) = struct.unpack("<B", take(1, f"the rank of {name!r}"))
             shape = struct.unpack(f"<{ndims}I", take(4 * ndims, f"the dims of {name!r}"))
-            data = take(4 * math.prod(shape), f"the data of {name!r}")
-            out[name] = np.frombuffer(data, dtype="<f4").reshape(shape).astype(np.float64)
-    if pos != length:
-        raise RecordFormatError(f"{path}: {length - pos} trailing bytes after the last WFT1 tensor")
+            nbytes = 4 * math.prod(shape)
+            if nbytes > length - pos:
+                raise RecordFormatError(f"{path}: WFT1 checkpoint truncated in the data of {name!r} at byte {pos}")
+            layout[name] = (shape, pos)
+            pos = fh.seek(nbytes, os.SEEK_CUR)
+        if pos != length:
+            raise RecordFormatError(f"{path}: {length - pos} trailing bytes after the last WFT1 tensor")
+
+        sizes = [math.prod(shape) for shape, _ in layout.values()]
+        flat = np.empty(sum(sizes))
+        scratch = np.empty(max(sizes, default=0), dtype="<f4")
+        out: dict[str, np.ndarray] = {}
+        at = 0
+        for (name, (shape, offset)), size in zip(layout.items(), sizes):
+            fh.seek(offset)
+            if fh.readinto(scratch[:size]) != 4 * size:
+                raise RecordFormatError(f"{path}: WFT1 checkpoint truncated in the data of {name!r}")
+            flat[at : at + size] = scratch[:size]
+            out[name] = flat[at : at + size].reshape(shape)
+            at += size
     return out

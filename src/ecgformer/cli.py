@@ -148,11 +148,12 @@ class RunArtifacts:
         scaler = train.load_wide_scaler(scaler_path, model_config.d_wide) if scaler_path.exists() else None
         return cls(config, config.train_config().subset(), model_config, params, codes, thresholds, scaler)
 
-    def inputs(self, record: record_io.EcgRecord) -> tuple[dsp.ProcessedWindow, np.ndarray]:
-        """One record's start window (the whole chain, `dsp.preprocess`) and wide row."""
-        selected, wide = train.prepare_record(record, self.subset, self.config.feature_config(),
+    def inputs(self, header_path: Path) -> tuple[str, dsp.ProcessedWindow, np.ndarray]:
+        """One record's id, start window (the whole chain, `dsp.preprocess`) and wide row."""
+        selected, wide = train.prepare_record(header_path, self.subset, self.config.feature_config(),
                                               self.model_config.d_wide, self.scaler)
-        return dsp.preprocess(selected.signal, selected.sampling_rate_hz, self.config.preprocess_config()), wide
+        window = dsp.preprocess(selected.signal, selected.sampling_rate_hz, self.config.preprocess_config())
+        return selected.record_id, window, wide
 
     def prepare_rows(self, manifest, indices, threads: int) -> list[train.PreparedRecord]:
         prepared = train.prepare_records(manifest, indices, self.subset, self.config.preprocess_config(),
@@ -198,32 +199,31 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _run_and_record(args) -> tuple[RunArtifacts, record_io.EcgRecord]:
+def _run_and_inputs(args) -> tuple[RunArtifacts, str, dsp.ProcessedWindow, np.ndarray]:
+    """The run directory, then the record's id, start window and wide row."""
     run_dir = _require(args.run, "run directory")
     run = RunArtifacts.load(run_dir, _run_config(run_dir, args))
-    return run, record_io.parse_record(_require(args.record, "record header"))
+    return run, *run.inputs(_require(args.record, "record header"))
 
 
 def cmd_predict(args) -> int:
-    run, record = _run_and_record(args)
-    window, wide = run.inputs(record)
+    run, record_id, window, wide = _run_and_inputs(args)
     probs = model.forward(window, wide, run.params, run.model_config, mode="eval").probabilities.data
     lines = ["record_id," + ",".join(run.class_codes),
-             record.record_id + "," + ",".join(repr(float(p)) for p in probs)]
+             record_id + "," + ",".join(repr(float(p)) for p in probs)]
     Path(args.out).write_text("\n".join(lines) + "\n")
-    print(f"probabilities for {record.record_id} -> {args.out}")
+    print(f"probabilities for {record_id} -> {args.out}")
     return 0
 
 
 def cmd_attention(args) -> int:
-    run, record = _run_and_record(args)
-    window, wide = run.inputs(record)
+    run, record_id, window, wide = _run_and_inputs(args)
 
     layer = args.layer if args.layer >= 0 else run.model_config.num_layers - 1
     amap = attention_viz.extract_attention(window, wide, run.params, run.model_config, layer, args.head)
     feature_lead = run.config["features"]["feature_lead"]
     trace_row = run.subset.leads.index(feature_lead) if feature_lead in run.subset.leads else 0
-    out_path = Path(args.out) / attention_viz.attention_filename(record.record_id, layer, amap.head_mode, args.format)
+    out_path = Path(args.out) / attention_viz.attention_filename(record_id, layer, amap.head_mode, args.format)
     attention_viz.export_heatmap(amap, window.signal[trace_row], out_path, fmt=args.format, region=args.region)
     print(f"attention map -> {out_path}")
     return 0

@@ -135,11 +135,13 @@ def filter_signal(signal, taps: np.ndarray) -> np.ndarray:
     if sig.shape[1] < 1:
         raise ShapeError("signal must have at least one sample")
     taps = np.asarray(taps, dtype=np.float64)
-    delay = (len(taps) - 1) // 2
+    n = sig.shape[1]
+    # "same" is the centre of the full convolution: from the delay on when the
+    # signal is at least as long as the kernel, else as long as the kernel.
+    start = max((len(taps) - 1) // 2 - (n - 1) // 2, 0)
     out = np.empty_like(sig)
     for lead in range(sig.shape[0]):
-        full = np.convolve(sig[lead], taps, mode="full")
-        out[lead] = full[delay : delay + sig.shape[1]]
+        out[lead] = np.convolve(sig[lead], taps, mode="same")[start : start + n]
     return out
 
 

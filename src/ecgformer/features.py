@@ -207,10 +207,13 @@ def compute_wide_features(record: EcgRecord, peaks: RPeakTrain, config: FeatureC
     return WideFeatures(values, list(FEATURE_NAMES))
 
 
+def feature_lead_name(lead_names: list[str], config: FeatureConfig) -> str:
+    """The lead the features read: `config.feature_lead`, or the first lead when the record has none by that name."""
+    return config.feature_lead if config.feature_lead in lead_names else lead_names[0]
+
+
 def _feature_lead(record: EcgRecord, config: FeatureConfig) -> np.ndarray:
-    if config.feature_lead in record.lead_names:
-        return record.signal[record.lead_names.index(config.feature_lead)]
-    return record.signal[0]
+    return record.signal[record.lead_names.index(feature_lead_name(record.lead_names, config))]
 
 
 def record_features(record: EcgRecord, config: FeatureConfig | None = None) -> WideFeatures:

@@ -110,24 +110,6 @@ def lead_subset(name: str, custom_leads: list[str] | None = None) -> LeadSubset:
     return LeadSubset(name, list(LEAD_SUBSETS[name]))
 
 
-def select_leads(record: EcgRecord, subset: LeadSubset) -> EcgRecord:
-    """Restrict a record to the subset's leads, in subset order."""
-    rows = []
-    for lead in subset.leads:
-        if lead not in record.lead_names:
-            raise ArgumentRangeError(f"{record.record_id}: lead {lead!r} not present (has {record.lead_names})")
-        rows.append(record.lead_names.index(lead))
-    return EcgRecord(
-        record_id=record.record_id,
-        sampling_rate_hz=record.sampling_rate_hz,
-        signal=record.signal[rows].copy(),
-        lead_names=list(subset.leads),
-        age_years=record.age_years,
-        sex=record.sex,
-        dx_codes=set(record.dx_codes),
-    )
-
-
 def _parse_header_text(path: Path) -> tuple[str, int, float, int, list[tuple[str, float, float, str]], dict]:
     lines = read_text(path).splitlines()
     if not lines:
@@ -195,11 +177,16 @@ def _parse_header_text(path: Path) -> tuple[str, int, float, int, list[tuple[str
     return record_id, num_leads, rate, num_samples, leads, meta
 
 
-def parse_record(header_path) -> EcgRecord:
-    """Read one record (header + signal file) into physical units."""
-    header_path = Path(header_path)
-    record_id, num_leads, rate, num_samples, leads, meta = _parse_header_text(header_path)
+def _read_checked(header_path: Path) -> tuple[str, float, list[str], np.ndarray, np.ndarray, np.ndarray, dict]:
+    """One record as stored, with every check a full decode makes of it, decoding nothing.
 
+    Returns the record id, the rate, the lead names, the per-lead gains and
+    baselines, the int16 samples as a [samples x leads] view of the file, and
+    the header comments. The checks cover every lead of the file: the header,
+    one shared signal file, its size, duplicate lead names, and that no sample
+    decodes to NaN or Inf.
+    """
+    record_id, num_leads, rate, num_samples, leads, meta = _parse_header_text(header_path)
     signal_names = {fname for fname, _, _, _ in leads}
     if len(signal_names) != 1:
         raise RecordFormatError(f"{header_path}: all leads must share one signal file, got {sorted(signal_names)}")
@@ -210,17 +197,64 @@ def parse_record(header_path) -> EcgRecord:
             f"{sig_path}: expected {num_samples * num_leads} samples ({num_samples} x {num_leads}, "
             f"{2 * num_samples * num_leads} bytes), found {len(blob)} bytes"
         )
-    raw = np.frombuffer(blob, dtype="<i2")
-    adc = raw.reshape(num_samples, num_leads).T.astype(np.float64)
+    names = [name for _, _, _, name in leads]
+    if len(set(names)) != len(names):
+        raise RecordFormatError(f"{record_id}: duplicate lead names")
+    adc = np.frombuffer(blob, dtype="<i2").reshape(num_samples, num_leads)
+    gains = np.array([gain for _, gain, _, _ in leads])
+    baselines = np.array([baseline for _, _, baseline, _ in leads])
+    if not _decodes_finite(adc, gains, baselines):
+        raise RecordFormatError(f"{record_id}: non-finite signal values")
+    return record_id, rate, names, gains, baselines, adc, meta
 
-    signal = np.empty_like(adc)
-    for i, (_, gain, baseline, _) in enumerate(leads):
-        signal[i] = (adc[i] - baseline) / gain
+
+def _decodes_finite(adc: np.ndarray, gains: np.ndarray, baselines: np.ndarray) -> bool:
+    """Whether every sample decodes to a finite value, decided without decoding.
+
+    (x - baseline) / gain is monotone in x, rounding included, so a lead
+    decodes finite everywhere exactly when it does at its smallest and largest
+    sample. The buffer's extremes bound every lead's own; a lead's own column
+    is read only when they fail it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = np.array([[adc.min()], [adc.max()]], dtype=np.float64)
+        for lead in np.flatnonzero(~np.isfinite((ends - baselines) / gains).all(axis=0)):
+            column = adc[:, lead]
+            own = np.array([column.min(), column.max()], dtype=np.float64)
+            if not np.isfinite((own - baselines[lead]) / gains[lead]).all():
+                return False
+    return True
+
+
+def _decode_leads(adc: np.ndarray, columns: list[int], gains: np.ndarray, baselines: np.ndarray) -> np.ndarray:
+    """Columns `columns` of the int16 samples [samples x leads] in millivolts,
+    (adc - baseline) / gain per lead, as one C-contiguous row per column."""
+    signal = np.array(adc[:, columns].T, dtype=np.float64, order="C")
+    signal -= baselines[columns, None]
+    signal /= gains[columns, None]
+    return signal
+
+
+def parse_record(header_path, leads=None) -> EcgRecord:
+    """Read one record (header + signal file) into physical units.
+
+    `leads` picks the leads to decode, in order: None for every lead in file
+    order, a list of lead names, or a function that maps the file's lead names
+    to such a list. A name the file lacks is an ArgumentRangeError and a name
+    given twice a RecordFormatError. Whichever leads are decoded, every check
+    covers every lead of the file (`_read_checked`).
+    """
+    header_path = Path(header_path)
+    record_id, rate, names, gains, baselines, adc, meta = _read_checked(header_path)
+    wanted = names if leads is None else list(leads(names) if callable(leads) else leads)
+    for lead in wanted:
+        if lead not in names:
+            raise ArgumentRangeError(f"{record_id}: lead {lead!r} not present (has {names})")
     return EcgRecord(
         record_id=record_id,
         sampling_rate_hz=rate,
-        signal=signal,
-        lead_names=[name for _, _, _, name in leads],
+        signal=_decode_leads(adc, [names.index(lead) for lead in wanted], gains, baselines),
+        lead_names=list(wanted),
         age_years=meta["age"],
         sex=meta["sex"],
         dx_codes=meta["dx"],
@@ -341,7 +375,8 @@ def build_manifest(root_dir, class_map: ClassMap, unlabeled_policy: str = "inclu
     Entries come back sorted by record_id. Codes outside the class map are
     kept in the unmapped side list. unlabeled_policy controls records whose
     mapped label set is empty: 'include' keeps them with an all-zero row,
-    'exclude' drops them.
+    'exclude' drops them. Every record gets `parse_record`'s checks, and no
+    signal is decoded.
     """
     if unlabeled_policy not in ("include", "exclude"):
         raise ArgumentRangeError(f"unlabeled_policy must be include|exclude, got {unlabeled_policy!r}")
@@ -351,21 +386,21 @@ def build_manifest(root_dir, class_map: ClassMap, unlabeled_policy: str = "inclu
         raise EmptyDatasetError(f"{root}: no record headers found")
     entries, unmapped, seen = [], [], set()
     for header in headers:
-        record = parse_record(header)
-        if record.record_id in seen:
-            raise RecordFormatError(f"duplicate record_id {record.record_id!r}")
-        seen.add(record.record_id)
-        mapped, extra = class_map.map_codes(record.dx_codes)
-        unmapped.extend((record.record_id, code) for code in sorted(extra))
+        record_id, rate, _, _, _, adc, meta = _read_checked(header)
+        if record_id in seen:
+            raise RecordFormatError(f"duplicate record_id {record_id!r}")
+        seen.add(record_id)
+        mapped, extra = class_map.map_codes(meta["dx"])
+        unmapped.extend((record_id, code) for code in sorted(extra))
         if not mapped and unlabeled_policy == "exclude":
             continue
         entries.append(
             ManifestEntry(
-                record_id=record.record_id,
+                record_id=record_id,
                 file_path=str(header),
                 dx_codes=mapped,
-                num_samples=record.num_samples,
-                sampling_rate_hz=record.sampling_rate_hz,
+                num_samples=adc.shape[0],
+                sampling_rate_hz=rate,
             )
         )
     if not entries:

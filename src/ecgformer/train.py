@@ -22,7 +22,7 @@ from . import autograd as ag
 from . import dsp, features, metrics, model, seeding
 from .errors import (ArgumentRangeError, ConfigError, EmptyDatasetError, NumericalError, RecordFormatError,
                      ShapeError)
-from .record_io import DatasetManifest, EcgRecord, LeadSubset, lead_subset, parse_record, read_csv, select_leads
+from .record_io import DatasetManifest, EcgRecord, LeadSubset, lead_subset, parse_record, read_csv
 from .stratify import FoldAssignment
 
 
@@ -213,12 +213,46 @@ def _wide_row(values: np.ndarray, d_wide: int, scaler: tuple[np.ndarray, np.ndar
     return wide if scaler is None else (wide - scaler[0]) / scaler[1]
 
 
-def prepare_record(record: EcgRecord, subset: LeadSubset, feature_config: features.FeatureConfig, d_wide: int,
+def _leads_to_decode(subset: LeadSubset, feature_config: features.FeatureConfig):
+    """`prepare_record`'s choice of leads to decode from a file whose leads are
+    `names`: the subset's leads it has, once each and in subset order, and the
+    feature lead. A file without the configured feature lead falls back to
+    its first lead, which then goes first, so that the decoded record falls
+    back to the same lead."""
+
+    def choose(names: list[str]) -> list[str]:
+        present = [lead for lead in dict.fromkeys(subset.leads) if lead in names]
+        feature = features.feature_lead_name(names, feature_config)
+        if feature != feature_config.feature_lead:
+            present = [feature] + [lead for lead in present if lead != feature]
+        return present if feature in present else present + [feature]
+
+    return choose
+
+
+def _select_leads(record: EcgRecord, subset: LeadSubset) -> EcgRecord:
+    """The subset's leads of a decoded record, in subset order: a lead the
+    record lacks is an ArgumentRangeError, a lead named twice a
+    RecordFormatError."""
+    for lead in subset.leads:
+        if lead not in record.lead_names:
+            raise ArgumentRangeError(f"{record.record_id}: lead {lead!r} not present")
+    rows = [record.lead_names.index(lead) for lead in subset.leads]
+    if rows == list(range(record.num_leads)):
+        return record
+    return EcgRecord(record.record_id, record.sampling_rate_hz, record.signal[rows], list(subset.leads),
+                     record.age_years, record.sex, set(record.dx_codes))
+
+
+def prepare_record(header_path, subset: LeadSubset, feature_config: features.FeatureConfig, d_wide: int,
                    scaler: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[EcgRecord, np.ndarray]:
-    """What the model reads of a parsed record: its subset's leads (still to be
-    preprocessed) and its wide feature row."""
+    """What the model reads of a record: its subset's leads (still to be
+    preprocessed) and its wide feature row. Only those leads and the feature
+    lead are decoded; the errors, and their order, are those of decoding the
+    whole record, computing its features and then selecting the subset."""
+    record = parse_record(header_path, _leads_to_decode(subset, feature_config))
     wide = _wide_row(features.record_features(record, feature_config).values, d_wide, scaler)
-    return select_leads(record, subset), wide
+    return _select_leads(record, subset), wide
 
 
 def prepare_records(
@@ -238,7 +272,7 @@ def prepare_records(
 
     def build(i: int) -> tuple[int, PreparedRecord]:
         entry = manifest.entries[i]
-        selected, wide = prepare_record(parse_record(entry.file_path), subset, feature_config, d_wide, scaler)
+        selected, wide = prepare_record(entry.file_path, subset, feature_config, d_wide, scaler)
         processed = dsp.process_recording(selected.signal, selected.sampling_rate_hz, preprocess_config, taps)
         return i, PreparedRecord(entry.record_id, processed, wide, label_matrix[i].astype(np.float64))
 

@@ -3,15 +3,22 @@
 Everything here is written the dumbest correct way (explicit loops, direct
 summation) and never shares code with src/. The exceptions are
 `gradients_into_zeros`, the package's own reverse pass, for tests that only
-need a graph's gradients, and the unfused chains: each builds, from the
-package's primitive ops, the graph that one fused autograd node replaces.
+need a graph's gradients; the unfused chains, each of which builds, from the
+package's primitive ops, the graph that one fused autograd node replaces;
+and the reference record reader, which uses the package's header parser,
+record type and features around a decode of every lead.
 """
 
 import csv
+from pathlib import Path
 
 import numpy as np
 
 from ecgformer import autograd as ag
+from ecgformer import features
+from ecgformer.errors import ArgumentRangeError
+from ecgformer.errors import RecordFormatError, TruncationError
+from ecgformer.record_io import EcgRecord, _parse_header_text
 
 
 def brute_challenge_metric(labels, predictions, w, normal_idx):
@@ -116,6 +123,15 @@ def dtft_magnitude(taps, freqs_hz, fs_hz):
         z = np.exp(-2j * np.pi * f / fs_hz * n)
         out.append(abs(np.sum(taps * z)))
     return np.array(out)
+
+
+def full_convolution_filter(signal, taps):
+    """Each row's full convolution with the taps, cut to the row's length after the (taps - 1) / 2 delay."""
+    delay = (len(taps) - 1) // 2
+    out = np.empty_like(signal)
+    for lead in range(signal.shape[0]):
+        out[lead] = np.convolve(signal[lead], taps, mode="full")[delay : delay + signal.shape[1]]
+    return out
 
 
 def central_difference_grad(f, x, h=1e-5):
@@ -432,3 +448,37 @@ class PerStepStreams:
     def dropout_rngs(self, step):
         return [np.random.default_rng(np.random.SeedSequence([self.seed, 17, step, slot]))
                 for slot in range(self.batch)]
+
+
+def reference_parse_record(header_path):
+    """Every lead of a record decoded, as a Fortran-ordered [leads x samples] matrix."""
+    header_path = Path(header_path)
+    record_id, num_leads, rate, num_samples, leads, meta = _parse_header_text(header_path)
+    if len({fname for fname, _, _, _ in leads}) != 1:
+        raise RecordFormatError(f"{header_path}: all leads must share one signal file")
+    blob = (header_path.parent / leads[0][0]).read_bytes()
+    if len(blob) != 2 * num_samples * num_leads:
+        raise TruncationError(f"{header_path}: signal file of {len(blob)} bytes")
+    adc = np.frombuffer(blob, dtype="<i2").reshape(num_samples, num_leads).T.astype(np.float64)
+    signal = np.empty_like(adc)
+    for i, (_, gain, baseline, _) in enumerate(leads):
+        signal[i] = (adc[i] - baseline) / gain
+    return EcgRecord(record_id, rate, signal, [name for _, _, _, name in leads], meta["age"], meta["sex"], meta["dx"])
+
+
+def select_leads(record, subset):
+    """Restrict a record to the subset's leads, in subset order."""
+    rows = []
+    for lead in subset.leads:
+        if lead not in record.lead_names:
+            raise ArgumentRangeError(f"{record.record_id}: lead {lead!r} not present (has {record.lead_names})")
+        rows.append(record.lead_names.index(lead))
+    return EcgRecord(record.record_id, record.sampling_rate_hz, record.signal[rows].copy(), list(subset.leads),
+                     record.age_years, record.sex, set(record.dx_codes))
+
+
+def reference_prepare_record(header_path, subset, feature_config, d_wide):
+    """The whole record decoded, its features computed, then its subset's leads selected."""
+    record = reference_parse_record(header_path)
+    wide = features.record_features(record, feature_config).values[:d_wide].copy()
+    return select_leads(record, subset), wide

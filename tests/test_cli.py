@@ -136,6 +136,37 @@ class TestChain:
                          "--run", str(run / "fold1"), "--format", "csv", "--out", str(maps)]) == 0
         assert (maps / "synth00002_L1_mean.csv").exists()
 
+    @pytest.mark.parametrize("feature_lead, per_record", [("II", 2), ("V1", 3)])
+    def test_commands_decode_only_the_leads_they_use(self, workspace, tmp_path, monkeypatch, feature_lead, per_record):
+        # Two-lead commands decode the subset's leads of each record, and the feature lead when it lies outside;
+        # `manifest` checks every record and decodes none.
+        root, data, ini, manifest, folds = workspace
+        decoded = []
+        decode = record_io._decode_leads
+
+        def counting_decode(adc, columns, gains, baselines):
+            decoded.append(len(columns))
+            return decode(adc, columns, gains, baselines)
+
+        monkeypatch.setattr(record_io, "_decode_leads", counting_decode)
+        lead_ini = tmp_path / "lead.ini"
+        lead_ini.write_text(TOY_INI.replace("max_steps = 12", "max_steps = 2") + f"\n[features]\nfeature_lead = {feature_lead}\n")
+        num_records = len(record_io.load_manifest(manifest).entries)
+        assert cli.main(["manifest", "--data", str(data), "--class-map", str(data / "class_map.csv"),
+                         "--out", str(tmp_path / "m.csv")]) == 0
+        assert decoded == []
+        assert cli.main(["train", "--manifest", str(manifest), "--folds", str(folds), "--fold", "all", "--weights",
+                         str(data / "weights.csv"), "--out", str(tmp_path / "cv"), "--config", str(lead_ini)]) == 0
+        assert decoded == [per_record] * num_records
+        decoded.clear()
+        assert cli.main(["evaluate", "--manifest", str(manifest), "--folds", str(folds), "--runs", str(tmp_path / "cv"),
+                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "report.csv")]) == 0
+        assert decoded == [per_record] * num_records
+        decoded.clear()
+        assert cli.main(["predict", "--record", str(data / "synth00002.hea"), "--run", str(tmp_path / "cv" / "fold0"),
+                         "--out", str(tmp_path / "p.csv")]) == 0
+        assert decoded == [per_record]
+
     def test_fold_all_honours_features_section(self, workspace, tmp_path):
         # `--fold all` trains each fold exactly as `--fold N` alone does,
         # including the [features] section.

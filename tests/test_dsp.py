@@ -7,7 +7,7 @@ from scipy import signal as sps
 from ecgformer import dsp
 from ecgformer.errors import ArgumentRangeError, ConfigError, ShapeError
 
-from oracles import dtft_magnitude
+from oracles import dtft_magnitude, full_convolution_filter
 
 
 class TestResample:
@@ -123,6 +123,23 @@ class TestFilterSignal:
     def test_output_length_preserved(self):
         out = dsp.filter_signal(np.ones((3, 123)), self.taps)
         assert out.shape == (3, 123)
+
+    @pytest.mark.parametrize("num_taps", [513, 201])
+    def test_same_bytes_as_the_middle_of_the_full_convolution(self, num_taps):
+        taps = dsp.design_bandpass(dsp.PreprocessConfig(fir_taps=num_taps))
+        rng = np.random.default_rng(num_taps)
+        for n in [*range(1, num_taps + 3), 5000, 12345]:
+            x = rng.normal(size=(2, n))
+            assert dsp.filter_signal(x, taps).tobytes() == full_convolution_filter(x, taps).tobytes(), n
+
+    def test_same_bytes_at_the_shortened_detector_taps(self):
+        # The R-peak detector shortens its kernel to 2 * (n // 2) - 1 taps below 201 samples.
+        rng = np.random.default_rng(3)
+        for n in range(4, 204):
+            taps = dsp.design_bandpass(dsp.PreprocessConfig(target_rate_hz=100.0, band_low_hz=5.0, band_high_hz=15.0,
+                                                            fir_taps=min(201, 2 * (n // 2) - 1)))
+            x = rng.normal(size=(1, n))
+            assert dsp.filter_signal(x, taps).tobytes() == full_convolution_filter(x, taps).tobytes(), n
 
 
 class TestNormalize:

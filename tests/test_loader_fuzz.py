@@ -3,7 +3,11 @@ a loader returns a usable object or raises an `EcgFormerError` subclass. Raw
 bytes, which need not be UTF-8, go to every text-file loader the same way.
 The INI file and `model_config.txt` are fuzzed through the command line:
 whatever their bytes, a command ends with one `ERROR` line naming a package
-error and the exit code README gives it."""
+error and the exit code README gives it. A signal file of any size but the
+header's is a truncation error for the reader and every command that reads
+it."""
+
+import shutil
 
 import numpy as np
 import pytest
@@ -293,3 +297,51 @@ def test_configuration_files_fail_only_with_package_errors_on_raw_bytes(tmp_path
     blob = "\n".join(lines).encode()
     at %= len(blob) + 1
     run(tmp_path, capsys, blob[:at] + raw + blob[at:])
+
+
+# -- signal file sizes ------------------------------------------------------------------------------------------
+
+SIZE_INI = "\n".join(VALID_INI).replace("max_steps = 12", "max_steps = 1") + "\n"
+
+
+@pytest.fixture(scope="module")
+def sized_run(tmp_path_factory):
+    """A 12-lead corpus and a one-step two-lead run trained on it."""
+    root = tmp_path_factory.mktemp("sizes")
+    data = root / "data"
+    assert cli.main(["synth", "--out", str(data), "--records", "4", "--seed", "4"]) == 0
+    (root / "run.ini").write_text(SIZE_INI)
+    assert cli.main(["manifest", "--data", str(data), "--class-map", str(data / "class_map.csv"),
+                     "--out", str(root / "manifest.csv")]) == 0
+    assert cli.main(["train", "--manifest", str(root / "manifest.csv"), "--fold", "-1", "--weights",
+                     str(data / "weights.csv"), "--out", str(root / "run"), "--config", str(root / "run.ini")]) == 0
+    return root
+
+
+def _sized_blob(blob: bytes, num_leads: int, size: str) -> bytes:
+    expected = len(blob)
+    length = {"empty": 0, "one": 1, "odd": expected + 3, "minus_one": expected - 1, "plus_one": expected + 1,
+              "minus_row": expected - 2 * num_leads, "plus_row": expected + 2 * num_leads, "double": 2 * expected}[size]
+    return (blob * 2)[:length]
+
+
+@pytest.mark.parametrize("size", ["empty", "one", "odd", "minus_one", "plus_one", "minus_row", "plus_row", "double"])
+def test_signal_file_of_the_wrong_size_is_a_truncation_error(sized_run, tmp_path, capsys, size):
+    data = tmp_path / "data"
+    shutil.copytree(sized_run / "data", data)
+    header, signal = data / "synth00001.hea", data / "synth00001.dat"
+    signal.write_bytes(_sized_blob(signal.read_bytes(), 12, size))
+    for leads in (None, ["I", "II"], ["V6"]):
+        with pytest.raises(errors.TruncationError):
+            record_io.parse_record(header, leads=leads)
+    with pytest.raises(errors.TruncationError):
+        record_io.build_manifest(data, record_io.load_class_map(data / "class_map.csv"))
+    commands = [["manifest", "--data", str(data), "--class-map", str(data / "class_map.csv"),
+                 "--out", str(tmp_path / "manifest.csv")],
+                ["predict", "--record", str(header), "--run", str(sized_run / "run"), "--out", str(tmp_path / "p.csv")]]
+    for argv in commands:
+        capsys.readouterr()
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR TruncationError: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "manifest.csv").exists() and not (tmp_path / "p.csv").exists()

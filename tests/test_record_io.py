@@ -1,7 +1,13 @@
-import numpy as np
-import pytest
+import math
 
-from ecgformer import record_io
+import numpy as np
+import oracles
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from ecgformer import record_io, train
+from ecgformer.features import FeatureConfig
 from ecgformer.errors import (
     ArgumentRangeError,
     EmptyDatasetError,
@@ -103,44 +109,57 @@ class TestParseWrite:
 
 
 class TestSelectLeads:
-    def setup_method(self):
+    """`parse_record(..., leads=...)`, the package's one lead selection."""
+
+    @pytest.fixture(autouse=True)
+    def written(self, tmp_path):
         rng = np.random.default_rng(1)
         self.rec = random_record(rng, num_leads=12, num_samples=100)
+        self.header, _, _ = record_io.write_record(self.rec, tmp_path)
+        self.full = record_io.parse_record(self.header)
 
     def test_two_lead_subset(self):
-        sub = record_io.select_leads(self.rec, record_io.lead_subset("two"))
+        sub = record_io.parse_record(self.header, leads=record_io.lead_subset("two").leads)
         assert sub.lead_names == ["I", "II"]
-        np.testing.assert_array_equal(sub.signal[0], self.rec.signal[0])
-        np.testing.assert_array_equal(sub.signal[1], self.rec.signal[1])
+        np.testing.assert_array_equal(sub.signal[0], self.full.signal[0])
+        np.testing.assert_array_equal(sub.signal[1], self.full.signal[1])
+        assert sub.signal.flags.c_contiguous
 
     def test_identity_subset(self):
-        sub = record_io.select_leads(self.rec, record_io.LeadSubset("custom", list(self.rec.lead_names)))
-        np.testing.assert_array_equal(sub.signal, self.rec.signal)
+        sub = record_io.parse_record(self.header, leads=list(self.rec.lead_names))
+        np.testing.assert_array_equal(sub.signal, self.full.signal)
 
     def test_four_lead_rows_match_source(self):
         subset = record_io.lead_subset("four")
-        sub = record_io.select_leads(self.rec, subset)
+        sub = record_io.parse_record(self.header, leads=subset.leads)
         for i, lead in enumerate(subset.leads):
             src_row = self.rec.lead_names.index(lead)
-            np.testing.assert_array_equal(sub.signal[i], self.rec.signal[src_row])
+            np.testing.assert_array_equal(sub.signal[i], self.full.signal[src_row])
 
-    def test_missing_lead_named_in_error(self):
-        two_lead = record_io.select_leads(self.rec, record_io.lead_subset("two"))
+    def test_missing_lead_named_in_error(self, tmp_path):
+        two_lead = record_io.parse_record(self.header, leads=record_io.lead_subset("two").leads)
+        header, _, _ = record_io.write_record(two_lead, tmp_path / "two")
         with pytest.raises(ArgumentRangeError, match="V2"):
-            record_io.select_leads(two_lead, record_io.lead_subset("three"))
+            record_io.parse_record(header, leads=record_io.lead_subset("three").leads)
 
-    def test_idempotent(self):
+    def test_idempotent(self, tmp_path):
         subset = record_io.lead_subset("six")
-        once = record_io.select_leads(self.rec, subset)
-        twice = record_io.select_leads(once, subset)
+        once = record_io.parse_record(self.header, leads=subset.leads)
+        header, _, _ = record_io.write_record(once, tmp_path / "six")
+        twice = record_io.parse_record(header, leads=subset.leads)
         np.testing.assert_array_equal(once.signal, twice.signal)
         assert once.lead_names == twice.lead_names
 
     def test_metadata_preserved(self):
-        sub = record_io.select_leads(self.rec, record_io.lead_subset("two"))
+        sub = record_io.parse_record(self.header, leads=record_io.lead_subset("two").leads)
         assert sub.age_years == self.rec.age_years
         assert sub.sex == self.rec.sex
         assert sub.dx_codes == self.rec.dx_codes
+
+    def test_leads_may_be_chosen_from_the_file_names(self):
+        sub = record_io.parse_record(self.header, leads=lambda names: names[::-1])
+        assert sub.lead_names == self.rec.lead_names[::-1]
+        np.testing.assert_array_equal(sub.signal, self.full.signal[::-1])
 
 
 def write_class_map(path, rows):
@@ -267,3 +286,87 @@ class TestManifest:
         labels = manifest.label_matrix()
         assert labels.shape == (len(manifest.entries), 2)
         assert set(np.unique(labels)) <= {0, 1}
+
+
+# -- the lead-selecting reader against the whole-record reference --------------------------------------------
+
+GAINS = [1000.0, 200.0, -500.0, 0.37, 1e-3, -1e-3, 1e-300, 5e-324, -1e-310, math.inf, math.nan]
+BASELINES = [0.0, 12.5, -3.0, 1e308, -1e308, math.nan, math.inf, -math.inf]
+SUBSETS = [record_io.lead_subset(name) for name in sorted(record_io.LEAD_SUBSETS)] + [
+    record_io.LeadSubset("custom", leads) for leads in
+    (["II"], ["V1", "V1"], ["XX"], ["I", "XX"], ["V6", "I", "V3"], ["II", "I", "II"], ["aVF", "V2", "aVR", "V5"])]
+
+
+@st.composite
+def stored_records(draw):
+    """A record's header text and signal bytes: any of the standard leads in any order (II often absent, a name
+    now and then repeated), per-lead gains and baselines that may decode to huge or non-finite values, and int16
+    samples across the whole range."""
+    names = draw(st.lists(st.sampled_from(record_io.STANDARD_12_LEADS), min_size=1, max_size=12, unique=True))
+    if draw(st.integers(0, 19)) == 0:
+        names.append(names[0])
+    rate = draw(st.sampled_from([20.0, 50.0, 100.0, 257.0]))
+    num_samples = draw(st.integers(1, 600))
+    gains = [draw(st.sampled_from(GAINS[:4]) if draw(st.booleans()) else st.sampled_from(GAINS)) for _ in names]
+    baselines = [draw(st.sampled_from(BASELINES[:3]) if draw(st.booleans()) else st.sampled_from(BASELINES))
+                 for _ in names]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0, 50, 2000, 32768]))
+    adc = np.clip(rng.normal(scale=scale, size=(num_samples, len(names))), -32768, 32767).astype("<i2")
+    lines = [f"rec {len(names)} {rate!r} {num_samples}"]
+    lines += [f"rec.dat 16 {g!r} {b!r} {name}" for name, g, b in zip(names, gains, baselines)]
+    lines += [f"# Age: {draw(st.sampled_from(['NaN', '61']))}", "# Sex: Female", "# Dx: A1,B2"]
+    return "\n".join(lines) + "\n", adc.tobytes()
+
+
+def _outcome(call):
+    """What a call returns, or the class and exit code of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc), getattr(exc, "exit_code", None)
+
+
+def _same_record(new, old):
+    assert new.signal.tobytes() == old.signal.tobytes() and new.signal.shape == old.signal.shape
+    assert (new.record_id, new.sampling_rate_hz, new.lead_names) == (old.record_id, old.sampling_rate_hz, old.lead_names)
+    assert (new.age_years, new.sex, new.dx_codes) == (old.age_years, old.sex, old.dx_codes)
+
+
+class TestReaderAgainstReference:
+    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(stored=stored_records(), subset=st.sampled_from(SUBSETS), feature_lead=st.sampled_from(["II", "V3", "XX"]),
+           d_wide=st.sampled_from([4, 22]))
+    def test_matches_whole_record_decode_and_selection(self, tmp_path, stored, subset, feature_lead, d_wide):
+        header = tmp_path / "rec.hea"
+        header.write_text(stored[0])
+        (tmp_path / "rec.dat").write_bytes(stored[1])
+        config = FeatureConfig(feature_lead=feature_lead)
+        cases = [
+            (lambda: record_io.parse_record(header), lambda: oracles.reference_parse_record(header)),
+            (lambda: record_io.parse_record(header, leads=subset.leads),
+             lambda: oracles.select_leads(oracles.reference_parse_record(header), subset)),
+            (lambda: train.prepare_record(header, subset, config, d_wide),
+             lambda: oracles.reference_prepare_record(header, subset, config, d_wide)),
+        ]
+        for new_call, old_call in cases:
+            new, old = _outcome(new_call), _outcome(old_call)
+            if isinstance(old, tuple) and isinstance(old[0], type):
+                assert new == old
+            elif isinstance(old, tuple):
+                _same_record(new[0], old[0])
+                assert new[1].tobytes() == old[1].tobytes()
+            else:
+                _same_record(new, old)
+
+    def test_an_undecoded_lead_that_overflows_is_still_rejected(self, tmp_path):
+        header = tmp_path / "ovf.hea"
+        header.write_text("ovf 3 500 600\novf.dat 16 1000 0 I\novf.dat 16 1000 0 II\novf.dat 16 1e-310 0 V1\n")
+        adc = np.zeros((600, 3), dtype="<i2")
+        adc[300, 2] = 7  # 7 / 1e-310 overflows; every other sample of V1 decodes to 0
+        (tmp_path / "ovf.dat").write_bytes(adc.tobytes())
+        for leads in (None, ["I", "II"]):
+            with pytest.raises(RecordFormatError, match="non-finite"):
+                record_io.parse_record(header, leads=leads)
+        with pytest.raises(RecordFormatError, match="non-finite"):
+            train.prepare_record(header, record_io.lead_subset("two"), FeatureConfig(), 4)

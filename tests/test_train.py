@@ -478,9 +478,9 @@ class TestRunCV:
         fa = stratify.stratified_folds(manifest.label_matrix(), k=3, seed=4)
         parsed = []
 
-        def counting_parse(path):
+        def counting_parse(path, leads=None):
             parsed.append(str(path))
-            return record_io.parse_record(path)
+            return record_io.parse_record(path, leads)
 
         monkeypatch.setattr(train, "parse_record", counting_parse)
         train.run_cv(manifest, fa, toy_model_config(), TOY_PREPROCESS,
