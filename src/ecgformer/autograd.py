@@ -1,13 +1,20 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every operation records its parents and an exact backward closure on the
-produced tensor; `collect_gradients` walks the graph once in reverse
-topological order, accumulating gradients additively across fan-out and
-dropping each one as soon as nothing left in the pass needs it. There is
-one way to run backward: each pass adds every wanted leaf's gradient in
-place into a gradient total the caller owns and zeroes. Tensors are
-float64 unless built with another dtype (float32 training runs on float32
-parameters); gradient checks always run in float64. `matmul` takes 2-d
+The graph is kept apart from the values. Every operation records, in a
+small `Node` (shape, parents' nodes, op), an exact backward: a module-level
+function bound by `functools.partial` to its parents' nodes and the arrays
+it reads, and nothing else. Those arrays are the operands of a product, the
+outputs of `softmax` and `sigmoid`, `gelu`'s input and tanh, `layer_norm`'s
+normalized input and inverse deviation, and `dropout`'s mask. The `Tensor` a
+caller holds carries a value and its node, so an output that no backward
+reads (a projection before the head split, the scores before the softmax, a
+residual sum) is freed as soon as the caller drops it. `collect_gradients`
+walks the nodes once in reverse topological order, accumulating gradients
+additively across fan-out and dropping each one as soon as nothing left in
+the pass needs it. There is one way to run backward: each pass adds every
+wanted leaf's gradient in place into a gradient total the caller owns and
+zeroes. Tensors are float64 unless built with another dtype (float32
+training runs on float32 parameters); gradient checks always run in float64. `matmul` takes 2-d
 operands, 3-d operands batched over a shared leading axis, or a 3-d operand
 times a shared 2-d matrix; a backward skips the product for any operand
 that needs no gradient. No array power goes through NumPy's general `pow`,
@@ -45,6 +52,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from functools import partial
 
 import numpy as np
 
@@ -55,19 +63,35 @@ def _check_finite(data: np.ndarray, op: str):
         raise NumericalError(f"{op} produced non-finite values")
 
 
-class Tensor:
-    """n-d array that can participate in gradient recording."""
+class Node:
+    """One vertex of a recorded graph: what the reverse pass needs of a tensor, without its value.
 
-    __slots__ = ("data", "requires_grad", "_parents", "_backward", "_op", "_consumed")
+    A node links its parents' nodes and holds the backward, which keeps only
+    the arrays it reads. A `Tensor` carries a value and its
+    node, so an output that no backward reads is freed as soon as the
+    caller drops its `Tensor`, while the graph behind it stays.
+    """
+
+    __slots__ = ("requires_grad", "shape", "_parents", "_backward", "_op", "_consumed")
+
+    def __init__(self, requires_grad: bool, shape: tuple, parents: tuple, backward, op: str):
+        self.requires_grad = requires_grad
+        self.shape = shape
+        self._parents: tuple[Node, ...] = parents
+        self._backward = backward
+        self._op = op
+        self._consumed = False
+
+
+class Tensor:
+    """n-d array that can participate in gradient recording: a value and its graph node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, _op: str = "leaf"):
         self.data = np.asarray(data, dtype=dtype or np.float64)
         _check_finite(self.data, _op)
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
-        self._op = _op
-        self._consumed = False
+        self._node = Node(bool(requires_grad), self.data.shape, (), None, _op)
 
     @property
     def shape(self):
@@ -77,11 +101,31 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @property
+    def _parents(self) -> tuple[Node, ...]:
+        return self._node._parents
+
+    @property
+    def _op(self) -> str:
+        return self._node._op
+
+    @property
+    def _backward(self):
+        return self._node._backward
+
+    @_backward.setter
+    def _backward(self, backward):
+        self._node._backward = backward
+
     def detach(self) -> "Tensor":
         """A constant over the same array (no copy, no finiteness scan): ops on it record no graph."""
         out = Tensor.__new__(Tensor)
-        out.data, out.requires_grad = self.data, False
-        out._parents, out._backward, out._op, out._consumed = (), None, "leaf", False
+        out.data = self.data
+        out._node = Node(False, self.data.shape, (), None, "leaf")
         return out
 
     def item(self) -> float:
@@ -96,18 +140,17 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents, backward, op):
+        """A new tensor over `data`, recording `backward` under the nodes of the
+        tensors in `parents` when any of them needs a gradient. `backward(grad,
+        grads)` hands each parent's gradient to `grads(parent, g)`, the parent
+        given as its node or as its tensor."""
+        _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
-        _check_finite(data, op)
-        out.requires_grad = any(p.requires_grad for p in parents)
-        out._op = op
-        out._consumed = False
-        if out.requires_grad:
-            out._parents = tuple(parents)
-            out._backward = backward
+        if any(p._node.requires_grad for p in parents):
+            out._node = Node(True, data.shape, tuple(p._node for p in parents), backward, op)
         else:
-            out._parents = ()
-            out._backward = None
+            out._node = Node(False, data.shape, (), None, op)
         return out
 
     # -- operators ----------------------------------------------------------
@@ -174,19 +217,26 @@ def _check_trailing_broadcast(a: Tensor, b: Tensor, op: str):
             raise ShapeError(f"{op}: shapes {sa} and {sb} are not leading-axis broadcastable")
 
 
+def _add_backward(na, nb, grad, grads):
+    if na.requires_grad:
+        grads(na, _unbroadcast(grad, na.shape))
+    if nb.requires_grad:
+        grads(nb, _unbroadcast(grad, nb.shape))
+
+
 def add(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, dtype=a.data.dtype)
     _check_trailing_broadcast(a, b, "add")
     data = a.data + b.data
+    return Tensor._result(data, (a, b), partial(_add_backward, a._node, b._node), "add")
 
-    def backward_fn(grad, grads):
-        if a.requires_grad:
-            grads(a, _unbroadcast(grad, a.shape))
-        if b.requires_grad:
-            grads(b, _unbroadcast(grad, b.shape))
 
-    return Tensor._result(data, (a, b), backward_fn, "add")
+def _mul_backward(na, nb, a, b, grad, grads):
+    if na.requires_grad:
+        grads(na, _unbroadcast(grad * b, na.shape))
+    if nb.requires_grad:
+        grads(nb, _unbroadcast(grad * a, nb.shape))
 
 
 def mul(a, b) -> Tensor:
@@ -194,14 +244,18 @@ def mul(a, b) -> Tensor:
     b = as_tensor(b, dtype=a.data.dtype)
     _check_trailing_broadcast(a, b, "mul")
     data = a.data * b.data
+    na, nb = a._node, b._node
+    # Each operand's gradient reads the other operand.
+    backward = partial(_mul_backward, na, nb, a.data if nb.requires_grad else None,
+                       b.data if na.requires_grad else None)
+    return Tensor._result(data, (a, b), backward, "mul")
 
-    def backward_fn(grad, grads):
-        if a.requires_grad:
-            grads(a, _unbroadcast(grad * b.data, a.shape))
-        if b.requires_grad:
-            grads(b, _unbroadcast(grad * a.data, b.shape))
 
-    return Tensor._result(data, (a, b), backward_fn, "mul")
+def _matmul_backward(na, nb, a, b, grad, grads):
+    if na.requires_grad:
+        grads(na, grad @ np.swapaxes(b, -1, -2))
+    if nb.requires_grad:
+        grads(nb, _right_operand_grad(a, grad, shared=b.ndim < a.ndim))
 
 
 def matmul(a, b) -> Tensor:
@@ -215,14 +269,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     data = a.data @ b.data
-
-    def backward_fn(grad, grads):
-        if a.requires_grad:
-            grads(a, grad @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            grads(b, _right_operand_grad(a.data, grad, shared=b.ndim < a.ndim))
-
-    return Tensor._result(data, (a, b), backward_fn, "matmul")
+    return Tensor._result(data, (a, b), partial(_matmul_backward, a._node, b._node, a.data, b.data), "matmul")
 
 
 def _right_operand_grad(a: np.ndarray, grad: np.ndarray, shared: bool) -> np.ndarray:
@@ -234,6 +281,15 @@ def _right_operand_grad(a: np.ndarray, grad: np.ndarray, shared: bool) -> np.nda
     if a.shape[0] == 1:
         return np.swapaxes(a[0], -1, -2) @ grad[0]
     return (np.swapaxes(a, -1, -2) @ grad).sum(axis=0)
+
+
+def _linear_backward(nx, nw, nbias, x, w, grad, grads):
+    if nx.requires_grad:
+        grads(nx, grad @ np.swapaxes(w, -1, -2))
+    if nw.requires_grad:
+        grads(nw, _right_operand_grad(x, grad, shared=x.ndim == 3))
+    if nbias.requires_grad:
+        grads(nbias, _unbroadcast(grad, nbias.shape))
 
 
 def linear(x, w, bias) -> Tensor:
@@ -248,16 +304,16 @@ def linear(x, w, bias) -> Tensor:
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
     data = x.data @ w.data + bias.data
+    backward = partial(_linear_backward, x._node, w._node, bias._node, x.data, w.data)
+    return Tensor._result(data, (x, w, bias), backward, "linear")
 
-    def backward_fn(grad, grads):
-        if x.requires_grad:
-            grads(x, grad @ np.swapaxes(w.data, -1, -2))
-        if w.requires_grad:
-            grads(w, _right_operand_grad(x.data, grad, shared=x.ndim == 3))
-        if bias.requires_grad:
-            grads(bias, _unbroadcast(grad, bias.shape))
 
-    return Tensor._result(data, (x, w, bias), backward_fn, "linear")
+def _attention_scores_backward(nq, nk, q, k, factor, grad, grads):
+    g = grad * factor
+    if nq.requires_grad:
+        grads(nq, g @ k)
+    if nk.requires_grad:
+        grads(nk, np.swapaxes(np.swapaxes(q, -1, -2) @ g, -1, -2))
 
 
 def attention_scores(q, k, scale: float) -> Tensor:
@@ -271,15 +327,12 @@ def attention_scores(q, k, scale: float) -> Tensor:
     kt = np.swapaxes(k.data, -1, -2)
     factor = np.asarray(scale, dtype=q.data.dtype)
     data = (q.data @ kt) * factor
+    backward = partial(_attention_scores_backward, q._node, k._node, q.data, k.data, factor)
+    return Tensor._result(data, (q, k), backward, "attention_scores")
 
-    def backward_fn(grad, grads):
-        g = grad * factor
-        if q.requires_grad:
-            grads(q, g @ k.data)
-        if k.requires_grad:
-            grads(k, np.swapaxes(np.swapaxes(q.data, -1, -2) @ g, -1, -2))
 
-    return Tensor._result(data, (q, k), backward_fn, "attention_scores")
+def _transpose_backward(na, grad, grads):
+    grads(na, np.swapaxes(grad, -1, -2))
 
 
 def transpose(a) -> Tensor:
@@ -288,21 +341,17 @@ def transpose(a) -> Tensor:
     if a.ndim < 2:
         raise ShapeError(f"transpose needs >= 2 axes, got shape {a.shape}")
     data = np.swapaxes(a.data, -1, -2)
+    return Tensor._result(data, (a,), partial(_transpose_backward, a._node), "transpose")
 
-    def backward_fn(grad, grads):
-        grads(a, np.swapaxes(grad, -1, -2))
 
-    return Tensor._result(data, (a,), backward_fn, "transpose")
+def _reshape_backward(na, grad, grads):
+    grads(na, grad.reshape(na.shape))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
-
-    def backward_fn(grad, grads):
-        grads(a, grad.reshape(a.shape))
-
-    return Tensor._result(data, (a,), backward_fn, "reshape")
+    return Tensor._result(data, (a,), partial(_reshape_backward, a._node), "reshape")
 
 
 def _regroup(a: np.ndarray, four_axes: tuple, out_shape: tuple) -> np.ndarray:
@@ -311,6 +360,11 @@ def _regroup(a: np.ndarray, four_axes: tuple, out_shape: tuple) -> np.ndarray:
     The copy fixes the memory order of the result, and with it the order of
     every later sum over it."""
     return np.ascontiguousarray(np.transpose(a.reshape(four_axes), (0, 2, 1, 3))).reshape(out_shape)
+
+
+def _regroup_backward(na, four_axes, grad, grads):
+    """Hands back `grad` regrouped to `na`'s shape, `four_axes` being `grad`'s own shape as four axes."""
+    grads(na, _regroup(grad, four_axes, na.shape))
 
 
 def split_heads(y, heads: int) -> Tensor:
@@ -323,11 +377,7 @@ def split_heads(y, heads: int) -> Tensor:
     b, t, d = y.shape
     dh = d // heads
     data = _regroup(y.data, (b, t, heads, dh), (b * heads, t, dh))
-
-    def backward_fn(grad, grads):
-        grads(y, _regroup(grad, (b, heads, t, dh), (b, t, d)))
-
-    return Tensor._result(data, (y,), backward_fn, "split_heads")
+    return Tensor._result(data, (y,), partial(_regroup_backward, y._node, (b, heads, t, dh)), "split_heads")
 
 
 def merge_heads(y, batch: int) -> Tensor:
@@ -340,11 +390,17 @@ def merge_heads(y, batch: int) -> Tensor:
     bh, t, dh = y.shape
     heads = bh // batch
     data = _regroup(y.data, (batch, heads, t, dh), (batch, t, heads * dh))
+    return Tensor._result(data, (y,), partial(_regroup_backward, y._node, (batch, t, heads, dh)), "merge_heads")
 
-    def backward_fn(grad, grads):
-        grads(y, _regroup(grad, (batch, t, heads, dh), (bh, t, dh)))
 
-    return Tensor._result(data, (y,), backward_fn, "merge_heads")
+def _concat_backward(nodes, axis, grad, grads):
+    start = 0
+    for node in nodes:
+        size = node.shape[axis]
+        index = [slice(None)] * grad.ndim
+        index[axis] = slice(start, start + size)
+        grads(node, grad[tuple(index)])
+        start += size
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -352,40 +408,37 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
+    backward = partial(_concat_backward, tuple(t._node for t in tensors), axis)
+    return Tensor._result(data, tuple(tensors), backward, "concat")
 
-    def backward_fn(grad, grads):
-        start = 0
-        for t, size in zip(tensors, sizes):
-            index = [slice(None)] * grad.ndim
-            index[axis] = slice(start, start + size)
-            grads(t, grad[tuple(index)])
-            start += size
 
-    return Tensor._result(data, tuple(tensors), backward_fn, "concat")
+def _unbroadcast_backward(na, grad, grads):
+    grads(na, _unbroadcast(grad, na.shape))
 
 
 def broadcast_to(a, shape) -> Tensor:
     """`a` repeated over new leading axes (or along its size-1 axes) as a read-only view."""
     a = as_tensor(a)
     data = np.broadcast_to(a.data, shape)
+    return Tensor._result(data, (a,), partial(_unbroadcast_backward, a._node), "broadcast_to")
 
-    def backward_fn(grad, grads):
-        grads(a, _unbroadcast(grad, a.shape))
 
-    return Tensor._result(data, (a,), backward_fn, "broadcast_to")
+def _scatter_backward(na, dtype, strided, key, grad, grads):
+    """Hands back `grad` added at `key` into zeros of `na`'s shape. The zeros
+    take the memory order of `strided`, the input when it was not C-ordered
+    (None otherwise), since that order fixes the order of later sums over them."""
+    full = np.zeros(na.shape, dtype) if strided is None else np.zeros_like(strided)
+    np.add.at(full, key, grad)
+    grads(na, full)
 
 
 def tensor_slice(a, key) -> Tensor:
+    """`a[key]` as a C-contiguous copy, which does not keep `a`'s array alive."""
     a = as_tensor(a)
-    data = a.data[key]
-
-    def backward_fn(grad, grads):
-        full = np.zeros_like(a.data)
-        np.add.at(full, key, grad)
-        grads(a, full)
-
-    return Tensor._result(np.ascontiguousarray(data), (a,), backward_fn, "slice")
+    data = np.array(a.data[key], order="C")
+    strided = None if a.data.flags.c_contiguous else a.data
+    backward = partial(_scatter_backward, a._node, a.data.dtype, strided, key)
+    return Tensor._result(data, (a,), backward, "slice")
 
 
 def embedding_row_select(table, indices) -> Tensor:
@@ -397,13 +450,14 @@ def embedding_row_select(table, indices) -> Tensor:
     if idx.min(initial=0) < 0 or (idx.size and idx.max() >= table.shape[0]):
         raise ShapeError(f"row index out of range for table with {table.shape[0]} rows")
     data = table.data[idx]
+    strided = None if table.data.flags.c_contiguous else table.data
+    backward = partial(_scatter_backward, table._node, table.data.dtype, strided, idx)
+    return Tensor._result(data, (table,), backward, "embedding_row_select")
 
-    def backward_fn(grad, grads):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, grad)
-        grads(table, full)
 
-    return Tensor._result(data, (table,), backward_fn, "embedding_row_select")
+def _softmax_backward(na, out, grad, grads):
+    dot = (grad * out).sum(axis=-1, keepdims=True)
+    grads(na, (grad - dot) * out)
 
 
 def softmax(a) -> Tensor:
@@ -412,12 +466,18 @@ def softmax(a) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
+    return Tensor._result(data, (a,), partial(_softmax_backward, a._node, data), "softmax")
 
-    def backward_fn(grad, grads):
-        dot = (grad * data).sum(axis=-1, keepdims=True)
-        grads(a, (grad - dot) * data)
 
-    return Tensor._result(data, (a,), backward_fn, "softmax")
+def _layer_norm_backward(na, ngain, nbias, gain, xhat, inv_std, grad, grads):
+    d = xhat.shape[-1]
+    dxhat = grad * gain
+    # Standard closed form: dx = inv_std/d * (d*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
+    sum_dxhat = dxhat.sum(axis=-1, keepdims=True)
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=-1, keepdims=True)
+    grads(na, (inv_std / d) * (d * dxhat - sum_dxhat - xhat * sum_dxhat_xhat))
+    grads(ngain, _unbroadcast(grad * xhat, ngain.shape))
+    grads(nbias, _unbroadcast(grad, nbias.shape))
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -432,17 +492,8 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
-
-    def backward_fn(grad, grads):
-        dxhat = grad * gain.data
-        # Standard closed form: dx = inv_std/d * (d*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
-        sum_dxhat = dxhat.sum(axis=-1, keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=-1, keepdims=True)
-        grads(a, (inv_std / d) * (d * dxhat - sum_dxhat - xhat * sum_dxhat_xhat))
-        grads(gain, _unbroadcast(grad * xhat, gain.shape))
-        grads(bias, _unbroadcast(grad, bias.shape))
-
-    return Tensor._result(data, (a, gain, bias), backward_fn, "layer_norm")
+    backward = partial(_layer_norm_backward, a._node, gain._node, bias._node, gain.data, xhat, inv_std)
+    return Tensor._result(data, (a, gain, bias), backward, "layer_norm")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -450,43 +501,49 @@ _GELU_A = 0.044715
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
+def _gelu_exact_backward(na, x, phi_cdf, grad, grads):
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    grads(na, grad * (phi_cdf + x * pdf))
+
+
+def _gelu_tanh_backward(na, x, t, grad, grads):
+    dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+    grads(na, grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
+
+
 def gelu(a, exact: bool = False) -> Tensor:
     """GELU: `x * Phi(x)` with erf when `exact`, else the tanh form
     `0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x)))`, c = sqrt(2 / pi).
 
-    The cube is the product `(x * x) * x`; the backward closure holds only `x`
-    and `t = tanh(...)`.
+    The cube is the product `(x * x) * x`; the backward holds only `x` and
+    `t = tanh(...)` (or `Phi(x)`).
     """
     a = as_tensor(a)
     x = a.data
     if exact:
         phi_cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)).astype(x.dtype))
         data = x * phi_cdf
-
-        def backward_fn(grad, grads):
-            pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            grads(a, grad * (phi_cdf + x * pdf))
-
+        backward = partial(_gelu_exact_backward, a._node, x, phi_cdf)
     else:
         t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
         data = 0.5 * x * (1.0 + t)
+        backward = partial(_gelu_tanh_backward, a._node, x, t)
+    return Tensor._result(data, (a,), backward, "gelu")
 
-        def backward_fn(grad, grads):
-            dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-            grads(a, grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
 
-    return Tensor._result(data, (a,), backward_fn, "gelu")
+def _sigmoid_backward(na, out, grad, grads):
+    grads(na, grad * out * (1.0 - out))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
     data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    return Tensor._result(data, (a,), partial(_sigmoid_backward, a._node, data), "sigmoid")
 
-    def backward_fn(grad, grads):
-        grads(a, grad * data * (1.0 - data))
 
-    return Tensor._result(data, (a,), backward_fn, "sigmoid")
+def _dropout_backward(na, mask, grad, grads):
+    grads(na, grad * mask)
 
 
 def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training: bool = True) -> Tensor:
@@ -512,14 +569,15 @@ def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training:
     keep = 1.0 - p
     mask = (draws < keep).astype(a.data.dtype) / keep
     data = a.data * mask
-
-    def backward_fn(grad, grads):
-        grads(a, grad * mask)
-
-    return Tensor._result(data, (a,), backward_fn, "dropout")
+    return Tensor._result(data, (a,), partial(_dropout_backward, a._node, mask), "dropout")
 
 
 BCE_EPS = 1e-7
+
+
+def _bce_backward(npred, p, t, inside, count, per_slot, grad, grads):
+    dp = (p - t) / (p * (1.0 - p)) / count
+    grads(npred, (grad[..., None] if per_slot else grad) * dp * inside)
 
 
 def binary_cross_entropy(predictions, targets, per_slot: bool = False) -> Tensor:
@@ -533,21 +591,18 @@ def binary_cross_entropy(predictions, targets, per_slot: bool = False) -> Tensor
     data = np.asarray(-(t * np.log(p) + (1.0 - t) * np.log1p(-p)).mean(axis=-1 if per_slot else None))
     count = p.shape[-1] if per_slot else p.size
     inside = (predictions.data > BCE_EPS) & (predictions.data < 1.0 - BCE_EPS)
-
-    def backward_fn(grad, grads):
-        dp = (p - t) / (p * (1.0 - p)) / count
-        grads(predictions, (grad[..., None] if per_slot else grad) * dp * inside)
-
-    return Tensor._result(data, (predictions,), backward_fn, "binary_cross_entropy")
+    backward = partial(_bce_backward, predictions._node, p, t, inside, count, per_slot)
+    return Tensor._result(data, (predictions,), backward, "binary_cross_entropy")
 
 
 # -- reverse pass -------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: Tensor) -> list[Node]:
+    """The nodes of `root`'s graph that need a gradient, each after its parents."""
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -577,11 +632,13 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, n
     shape and dtype; anything else is a ShapeError before the pass starts.
     `loss` is a scalar or a vector of per-slot losses; the pass is seeded
     with ones, so every slot's loss is differentiated as if it were alone.
-    Each intermediate gradient is dropped as soon as its node's backward has
-    run, and each leaf gradient is added in place, `into[name] += g`, as soon
-    as its last consumer has run (see `_topo_order`), so a pass holds one
-    gradient set at most. A wanted tensor that no gradient reaches leaves its
-    array as it was.
+    The pass walks the graph's nodes, which hold no values: the arrays it
+    reads are the ones the nodes' backwards keep. Each intermediate
+    gradient is dropped as soon as its node's backward has run, and each
+    leaf gradient is added in place, `into[name] += g`, as soon as its last
+    consumer has run (see `_topo_order`), so a pass holds one gradient set
+    at most. A wanted tensor that no gradient reaches leaves its array as it
+    was.
     """
     if loss.ndim > 1:
         raise ShapeError(f"backward needs a scalar or per-slot loss vector, got shape {loss.shape}")
@@ -592,14 +649,17 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, n
         if not (isinstance(total, np.ndarray) and total.shape == t.shape and total.dtype == t.data.dtype):
             got = f"a {total.shape} {total.dtype} array" if isinstance(total, np.ndarray) else type(total).__name__
             raise ShapeError(f"collect_gradients: into[{name!r}] must be a {t.shape} {t.data.dtype} array, got {got}")
-    if loss._consumed:
+    root = loss._node
+    if root._consumed:
         raise RuntimeError("backward already ran for this graph; run forward again first")
-    loss._consumed = True
+    root._consumed = True
 
-    names = {id(t): name for name, t in wanted.items()}
-    acc: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    names = {id(t._node): name for name, t in wanted.items()}
+    acc: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
 
-    def grads(t: Tensor, g: np.ndarray):
+    def grads(t: Node | Tensor, g: np.ndarray):
+        if isinstance(t, Tensor):
+            t = t._node
         if not t.requires_grad:
             return
         if g.shape != t.shape:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .errors import ArgumentRangeError, ShapeError
+from .errors import ArgumentRangeError, RecordFormatError, ShapeError
 from .record_io import EcgRecord
 
 D_WIDE = 22
@@ -167,7 +167,11 @@ def _moments(x: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def compute_wide_features(record: EcgRecord, peaks: RPeakTrain, config: FeatureConfig | None = None) -> WideFeatures:
-    """The fixed 22-feature vector; degenerate inputs are imputed, never NaN."""
+    """The fixed 22-feature vector; degenerate inputs are imputed, never NaN.
+
+    Samples that are finite but so large that a feature overflows (a square
+    of a sample near 1e300) make the record malformed: RecordFormatError
+    naming the record."""
     config = config or FeatureConfig()
     lead = _feature_lead(record, config)
     fs = record.sampling_rate_hz
@@ -204,6 +208,9 @@ def compute_wide_features(record: EcgRecord, peaks: RPeakTrain, config: FeatureC
     values[19] = kurt
     values[20] = lead.min()
     values[21] = lead.max()
+    if not np.isfinite(values).all():
+        raise RecordFormatError(f"{record.record_id}: its samples overflow the wide features "
+                                f"({', '.join(n for n, v in zip(FEATURE_NAMES, values) if not np.isfinite(v))})")
     return WideFeatures(values, list(FEATURE_NAMES))
 
 
@@ -217,11 +224,14 @@ def _feature_lead(record: EcgRecord, config: FeatureConfig) -> np.ndarray:
 
 
 def record_features(record: EcgRecord, config: FeatureConfig | None = None) -> WideFeatures:
-    """Detect peaks on the feature lead and build the wide vector."""
+    """Detect peaks on the feature lead and build the wide vector. An
+    overflow on the way is no warning: it ends as the RecordFormatError of
+    `compute_wide_features`."""
     config = config or FeatureConfig()
     lead = _feature_lead(record, config)
-    if record.num_samples >= record.sampling_rate_hz:
-        peaks = detect_r_peaks(lead, record.sampling_rate_hz)
-    else:
-        peaks = RPeakTrain(np.empty(0, dtype=np.int64), record.sampling_rate_hz)
-    return compute_wide_features(record, peaks, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if record.num_samples >= record.sampling_rate_hz:
+            peaks = detect_r_peaks(lead, record.sampling_rate_hz)
+        else:
+            peaks = RPeakTrain(np.empty(0, dtype=np.int64), record.sampling_rate_hz)
+        return compute_wide_features(record, peaks, config)

@@ -176,32 +176,50 @@ def parameter_count(config: ModelConfig) -> int:
 
 
 def _truncated_normal(rng: np.random.Generator, shape, sigma: float = 0.02) -> np.ndarray:
-    """Normal(0, sigma) with redraws outside two sigma."""
+    """Normal(0, sigma) with redraws outside two sigma.
+
+    Each round redraws, in C order, only the positions whose last draw fell
+    outside, and scans only those draws, so the draws land where a rescan of
+    the whole tensor each round would put them."""
     out = rng.normal(0.0, sigma, size=shape)
-    bad = np.abs(out) > 2.0 * sigma
-    while bad.any():
-        out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * sigma
+    flat = out.reshape(-1)
+    outside = np.flatnonzero(np.abs(flat) > 2.0 * sigma)
+    while outside.size:
+        redrawn = rng.normal(0.0, sigma, size=outside.size)
+        flat[outside] = redrawn
+        outside = outside[np.abs(redrawn) > 2.0 * sigma]
     return out
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams:
     """Deterministic initialization: truncated normal for projections and
     embeddings, zeros for biases, ones for layer-norm gains; drawn in float64,
-    then stored as `dtype`."""
+    then stored as `dtype`.
+
+    The trainable tensors are views of one buffer, in `expected_shapes` order.
+    When `ag.adam_init` moves them into its own flat buffer, this one is
+    released whole, instead of leaving a freed array per tensor on the heap
+    beside Adam's four buffers."""
     rng = np.random.default_rng(seed)
+    shapes = expected_shapes(config)
+    fixed = "positional_embedding" if config.positional == "sinusoidal" else None
+    store = np.empty(sum(math.prod(shape) for name, shape in shapes.items() if name != fixed), dtype)
     tensors: dict[str, Tensor] = {}
-    for name, shape in expected_shapes(config).items():
+    at = 0
+    for name, shape in shapes.items():
+        if name == fixed:
+            tensors[name] = Tensor(sinusoidal_positions(shape[0], shape[1]), dtype=dtype)
+            continue
         if name.endswith(".bias") or name == "final_norm.bias":
             data = np.zeros(shape)
         elif name.endswith(".gain"):
             data = np.ones(shape)
-        elif name == "positional_embedding" and config.positional == "sinusoidal":
-            data = sinusoidal_positions(shape[0], shape[1])
         else:
             data = _truncated_normal(rng, shape)
-        trainable = not (name == "positional_embedding" and config.positional == "sinusoidal")
-        tensors[name] = Tensor(data, requires_grad=trainable, dtype=dtype)
+        view = store[at : at + data.size].reshape(shape)
+        view[...] = data
+        at += data.size
+        tensors[name] = Tensor(view, requires_grad=True, dtype=dtype)
     return ModelParams(tensors, config)
 
 
@@ -231,14 +249,21 @@ GRAPH_BUDGET = 1 << 25
 
 
 def graph_bytes(config: ModelConfig, itemsize: int = 8) -> int:
-    """Estimated bytes of one record's training graph: the activations and
-    dropout masks its ops keep for the reverse pass, about 22 token-width and
-    4 feed-forward-width arrays and 5 attention maps per layer, plus the
-    tokens and 3 token-width arrays before the first layer. (`linear` and
-    `attention_scores` keep no product before the bias or the scale.)"""
+    """Estimated bytes of one record's training graph: the arrays its nodes'
+    backwards keep once the forward has dropped every other output. Per layer
+    that is 10 token-width arrays (the two norms' outputs and normalized
+    inputs, the split q, k and v, the merged heads, two residual dropout
+    masks), 3 feed-forward-width ones (fc1's output, GELU's tanh and output),
+    3 attention maps (softmax output, its dropout mask and the dropped map)
+    and each norm's inverse deviations. Before the layers come the tokens and
+    the positional dropout mask; after them the final norm's normalized input
+    and the head's vectors (the class token's state, fc1's output, GELU's
+    tanh, the dropout mask, the row of deep and wide features and the output
+    probabilities)."""
     t, d = config.num_patches + 1, config.d_model
-    per_layer = t * (22 * d + 4 * config.d_ff + 5 * config.num_heads * t)
-    return itemsize * (config.num_patches * config.d_token + 3 * t * d + config.num_layers * per_layer)
+    per_layer = t * (10 * d + 3 * config.d_ff + 3 * config.num_heads * t + 2)
+    head = d + 4 * config.d_deep + config.d_wide + config.d_class
+    return itemsize * (config.num_patches * config.d_token + 2 * t * d + t + head + config.num_layers * per_layer)
 
 
 def records_per_forward(config: ModelConfig, records: int, itemsize: int = 8) -> int:

@@ -124,8 +124,10 @@ def _parse_header_text(path: Path) -> tuple[str, int, float, int, list[tuple[str
         num_samples = int(head[3])
     except ValueError as exc:
         raise RecordFormatError(f"{path}: line 1: {exc}") from exc
-    if num_leads < 1 or num_samples < 1 or rate <= 0:
+    if num_leads < 1 or num_samples < 1:
         raise RecordFormatError(f"{path}: line 1: non-positive dimensions")
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise RecordFormatError(f"{path}: line 1: sampling rate {head[2]!r}, expected a finite positive number")
     if len(lines) < 1 + num_leads:
         raise RecordFormatError(f"{path}: header declares {num_leads} leads but has {len(lines) - 1} more lines")
 

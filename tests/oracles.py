@@ -253,7 +253,7 @@ def allocating_collect_gradients(loss, wanted):
     a wanted tensor that no gradient reaches gets zeros. Arrays are handed
     out as the backward closures made them, so two names may share one.
     """
-    order, seen, stack = [], set(), [(loss, False)]
+    order, seen, stack = [], set(), [(loss._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -262,16 +262,17 @@ def allocating_collect_gradients(loss, wanted):
             seen.add(id(node))
             stack.append((node, True))
             stack.extend((p, False) for p in node._parents if p.requires_grad)
-    acc = {id(loss): np.ones_like(loss.data)}
+    acc = {id(loss._node): np.ones_like(loss.data)}
 
     def grads(t, g):
-        if t.requires_grad:
-            acc[id(t)] = acc[id(t)] + g if id(t) in acc else g
+        node = t._node if isinstance(t, ag.Tensor) else t  # a backward hands over a node or a tensor
+        if node.requires_grad:
+            acc[id(node)] = acc[id(node)] + g if id(node) in acc else g
 
     for node in reversed(order):
         if node._backward is not None and id(node) in acc:
             node._backward(acc[id(node)], grads)
-    return {name: acc[id(t)] if id(t) in acc else np.zeros_like(t.data) for name, t in wanted.items()}
+    return {name: acc[id(t._node)] if id(t._node) in acc else np.zeros_like(t.data) for name, t in wanted.items()}
 
 
 def gradients_into_zeros(loss, wanted):
@@ -342,6 +343,16 @@ def tensor_mean(a, axis=None):
             grads(a, np.broadcast_to(np.expand_dims(grad, axis) / a.shape[axis], a.shape).copy())
 
     return type(a)._result(data, (a,), backward_fn, "mean")
+
+
+def whole_tensor_truncated_normal(rng, shape, sigma=0.02):
+    """Normal(0, sigma) with redraws outside two sigma, rescanning the whole tensor after each round."""
+    out = rng.normal(0.0, sigma, size=shape)
+    bad = np.abs(out) > 2.0 * sigma
+    while bad.any():
+        out[bad] = rng.normal(0.0, sigma, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * sigma
+    return out
 
 
 def fold_label_deviation(label_matrix, assignment):

@@ -5,16 +5,19 @@ reading the step number from its third argument's `state["t"]`, and
 `ecgbench/tracer.py` names each `model.forward` span by its `mode`, read as a
 keyword or as the fifth positional argument, and sums the `nbytes` of the dict
 `autograd.collect_gradients` returns. Both wrap a function by rebinding it in
-every ecgformer module that holds it.
+every ecgformer module that holds it. The tracer also times each op's
+backward by reassigning `_backward` on the op's result, and counts a graph's
+nodes by walking `_parents` from the loss.
 """
 
 import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ecgformer import autograd, cli, model
+from ecgformer import autograd, cli, dsp, model
 
 BENCH = Path(__file__).resolve().parent.parent / "ecgbench"
 
@@ -127,3 +130,48 @@ def test_traced_train_stamps_each_step_and_collects_one_parameter_set(bench, cor
     parameter_set = sum(t.data.nbytes for t in model.init_params(config, 0).trainable().values())
     calls = counts["calls"]["autograd.collect_gradients"]
     assert calls == 3 and counts["counts"]["autograd.collect_gradients.bytes"] == calls * parameter_set
+
+
+def _toy_step_loss(seed: int = 3):
+    """A README-toy training forward of 4 records and its per-slot loss, with the parameters it ran on."""
+    config = model.ModelConfig(num_leads=2, d_model=16, num_layers=2, num_heads=2, d_ff=16, d_deep=8, d_wide=4,
+                               d_class=3, window_samples=192)
+    params = model.init_params(config, seed=1)
+    rng = np.random.default_rng(seed)
+    windows = [dsp.ProcessedWindow(rng.uniform(-1.0, 1.0, size=(2, 192)), 192, 0) for _ in range(4)]
+    wide, labels = rng.normal(size=(4, 4)), rng.integers(0, 2, size=(4, 3)).astype(float)
+    out = model.forward(windows, wide, params, config, mode="train", rng=list(range(4)))
+    return autograd.binary_cross_entropy(out.probabilities, labels, per_slot=True), params
+
+
+def _gradients(loss, params):
+    wanted = params.trainable()
+    return autograd.collect_gradients(loss, wanted, {name: np.zeros_like(t.data) for name, t in wanted.items()})
+
+
+def test_a_backward_reassigned_on_an_op_result_is_the_one_the_reverse_pass_calls(bench):
+    want = _gradients(*_toy_step_loss())
+    tracer = bench.Tracer()
+    tracer.install()
+    tracer.phase = "steps"  # as inside train_fold's steps, so the tracer records backward time
+    got = _gradients(*_toy_step_loss())
+    # Every traced op the model's training graph uses ran its timed backward, and the gradients did not move.
+    used = ["add", "concat", "reshape", "tensor_slice", "matmul", "softmax", "layer_norm", "gelu", "sigmoid", "dropout",
+            "binary_cross_entropy"]
+    missing = [op for op in used if tracer.seconds.get(f"autograd.{op}.bwd", 0.0) <= 0.0]
+    assert missing == []
+    assert got.keys() == want.keys() and all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
+def test_a_walk_over_parents_reaches_the_nodes_of_the_reverse_pass(bench):
+    loss, _ = _toy_step_loss()
+    reached, stack = {}, [loss]
+    while stack:
+        for parent in getattr(stack.pop(), "_parents", ()):
+            if id(parent) not in reached:
+                reached[id(parent)] = parent
+                stack.append(parent)
+    order = autograd._topo_order(loss)
+    assert order[-1] is loss._node and loss._node not in reached.values()
+    assert {key for key, node in reached.items() if node.requires_grad} == {id(node) for node in order[:-1]}
+    assert bench.count_graph_nodes(loss) == 1 + len(reached)

@@ -5,9 +5,11 @@ The INI file and `model_config.txt` are fuzzed through the command line:
 whatever their bytes, a command ends with one `ERROR` line naming a package
 error and the exit code README gives it. A signal file of any size but the
 header's is a truncation error for the reader and every command that reads
-it."""
+it. A header rate that is not a finite positive number, and samples that
+decode finite but overflow the wide features, make a malformed record."""
 
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -345,3 +347,56 @@ def test_signal_file_of_the_wrong_size_is_a_truncation_error(sized_run, tmp_path
         err = capsys.readouterr().err
         assert err.startswith("ERROR TruncationError: ") and err.count("\n") == 1, err
     assert not (tmp_path / "manifest.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "NaN", "0", "-500"])
+def test_header_rate_that_is_not_finite_and_positive_is_a_malformed_record(sized_run, tmp_path, capsys, rate):
+    data = tmp_path / "data"
+    shutil.copytree(sized_run / "data", data)
+    header = data / "synth00001.hea"
+    lines = header.read_text().splitlines(keepends=True)
+    record_id, leads, _, samples = lines[0].split()
+    header.write_text(f"{record_id} {leads} {rate} {samples}\n" + "".join(lines[1:]))
+    for leads in (None, ["I", "II"]):
+        with pytest.raises(RecordFormatError, match="sampling rate"):
+            record_io.parse_record(header, leads=leads)
+    with pytest.raises(RecordFormatError, match="sampling rate"):
+        record_io.build_manifest(data, record_io.load_class_map(data / "class_map.csv"))
+    commands = [["manifest", "--data", str(data), "--class-map", str(data / "class_map.csv"),
+                 "--out", str(tmp_path / "manifest.csv")],
+                ["predict", "--record", str(header), "--run", str(sized_run / "run"), "--out", str(tmp_path / "p.csv")]]
+    for argv in commands:
+        capsys.readouterr()
+        assert cli.main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR RecordFormatError: ") and err.count("\n") == 1, err
+        assert "synth00001.hea" in err, err
+    assert not (tmp_path / "manifest.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
+def test_samples_that_overflow_the_wide_features_are_a_malformed_record(sized_run, tmp_path, capsys):
+    # Gain 1e-300 decodes the int16 samples to finite values near 1e303, whose squares overflow.
+    data = tmp_path / "data"
+    shutil.copytree(sized_run / "data", data)
+    header = data / "synth00001.hea"
+    lines = header.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines[1:13], start=1):
+        name, fmt, _, baseline, lead = line.split()
+        lines[i] = f"{name} {fmt} 1e-300 {baseline} {lead}\n"
+    header.write_text("".join(lines))
+    (tmp_path / "run.ini").write_text(SIZE_INI)
+    manifest = tmp_path / "manifest.csv"
+    assert cli.main(["manifest", "--data", str(data), "--class-map", str(data / "class_map.csv"),
+                     "--out", str(manifest)]) == 0  # the samples are finite: nothing to decode here
+    commands = [["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                 "--out", str(tmp_path / "run"), "--config", str(tmp_path / "run.ini")],
+                ["predict", "--record", str(header), "--run", str(sized_run / "run"), "--out", str(tmp_path / "p.csv")]]
+    for argv in commands:
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning would end the command another way
+            assert cli.main(argv) == 5, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR RecordFormatError: synth00001: ") and err.count("\n") == 1, err
+        assert "overflow" in err, err
+    assert not (tmp_path / "p.csv").exists()

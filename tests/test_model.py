@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ecgformer.dsp import ProcessedWindow
 from ecgformer.errors import ConfigError, ShapeError
 
 from oracles import (allocating_collect_gradients, central_difference_grad, copy_arrays, gradients_into_zeros,
-                     max_rel_err, per_head_attention, per_head_attention_backward)
+                     max_rel_err, per_head_attention, per_head_attention_backward, whole_tensor_truncated_normal)
 
 TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
@@ -87,6 +88,31 @@ class TestInitParams:
         entries = params["patch_projection.weight"].data.ravel()
         assert entries.size >= 10_000
         assert 0.015 <= entries.std() <= 0.025
+
+    @pytest.mark.parametrize("positional", ["learned", "sinusoidal"])
+    def test_adam_init_releases_the_initial_buffer_whole(self, positional):
+        # The trainable tensors are views of one buffer; once adam_init has moved them, nothing holds it.
+        cfg = wm.ModelConfig(**{**TOY.__dict__, "positional": positional})
+        params = wm.init_params(cfg, seed=4)
+        trainable = params.trainable()
+        store = next(iter(trainable.values())).data.base
+        assert all(t.data.base is store for t in trainable.values())
+        assert store.size == sum(t.data.size for t in trainable.values())
+        released = weakref.ref(store)
+        del store
+        ag.adam_init(trainable)
+        assert released() is None
+
+    @pytest.mark.parametrize("sigma", [0.02, 1.0, 3e-5])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (64, 16), (3, 5, 4), (768, 768)])
+    def test_truncated_normal_matches_whole_tensor_redraws(self, shape, sigma):
+        # The same draws in the same places, and the generator left where the whole-tensor loop leaves it.
+        for seed in (0, 1, 2, 3, 11):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = wm._truncated_normal(fast, shape, sigma), whole_tensor_truncated_normal(slow, shape, sigma)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, shape, sigma)
+            assert fast.random() == slow.random()
+            assert np.abs(got).max() <= 2.0 * sigma
 
     def test_parameter_count_formula_20_random_configs(self):
         rng = np.random.default_rng(3)

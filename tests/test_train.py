@@ -351,8 +351,9 @@ class TestStepMemory:
         assert peak < 4 * param_bytes + graph_bytes + margin, (peak / param_bytes, graph_bytes / param_bytes)
 
 
-# One sample's training graph (about 15 MB) outweighs these parameters (2.5 MB) several times over.
-WIDE_WINDOW = model.ModelConfig(num_leads=12, d_model=128, num_layers=2, num_heads=8, d_ff=128, d_deep=8,
+# One sample's training graph (about 23 MB, over half of GRAPH_BUDGET) outweighs these parameters (3.3 MB) several
+# times over.
+WIDE_WINDOW = model.ModelConfig(num_leads=12, d_model=128, num_layers=3, num_heads=16, d_ff=128, d_deep=8,
                                 d_wide=4, d_class=3, window_samples=7680)
 
 
@@ -394,6 +395,23 @@ class TestGraphBudget:
         finally:
             tracemalloc.stop()
         assert 0.8 < model.graph_bytes(config) / kept < 1.25, (model.graph_bytes(config), kept)
+
+    def test_paper_width_graph_keeps_only_what_its_backward_reads(self):
+        # One record through two paper-width layers in train mode. When every op output stayed alive for its
+        # consumer, the graph held 51.4 MB; the arrays its backwards read come to about 30 MB.
+        config = model.ModelConfig(num_leads=12, num_layers=2)
+        params = model.init_params(config, seed=1)
+        rng = np.random.default_rng(8)
+        window = dsp.ProcessedWindow(rng.uniform(-1.0, 1.0, size=(12, 7680)), 7680, 0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = model.forward([window], rng.normal(size=(1, config.d_wide)), params, config, mode="train", rng=[0])
+            kept = tracemalloc.get_traced_memory()[0] - start
+            del out
+        finally:
+            tracemalloc.stop()
+        assert kept <= 2 / 3 * 51.4e6, kept
 
     def test_batch_of_two_holds_one_sample_graph(self):
         params = model.init_params(WIDE_WINDOW, seed=1)
