@@ -4,11 +4,15 @@ The graph is kept apart from the values. Every operation records, in a
 small `Node` (shape, parents' nodes, op), an exact backward: a module-level
 function bound by `functools.partial` to its parents' nodes and the arrays
 it reads, and nothing else. Those arrays are the operands of a product, the
-outputs of `softmax` and `sigmoid`, `gelu`'s input and tanh, `layer_norm`'s
-normalized input and inverse deviation, and `dropout`'s mask. The `Tensor` a
-caller holds carries a value and its node, so an output that no backward
-reads (a projection before the head split, the scores before the softmax, a
-residual sum) is freed as soon as the caller drops it. `collect_gradients`
+outputs of `softmax` and `sigmoid`, `gelu`'s input, `layer_norm`'s
+normalized input and inverse deviation, and each dropout's boolean draw. A
+backward rebuilds what is cheap to rebuild with the forward's own
+operations on the same arrays, so it reads the forward's bytes: the dropout
+mask from its one-byte draw, and the tanh of `gelu`'s tanh form from its
+input. The `Tensor` a caller holds carries a value and its node, so an
+output that no backward reads (a projection before the head split, the
+scores before the softmax, a residual sum) is freed as soon as the caller
+drops it. `collect_gradients`
 walks the nodes once in reverse topological order, accumulating gradients
 additively across fan-out and dropping each one as soon as nothing left in
 the pass needs it. There is one way to run backward: each pass adds every
@@ -25,9 +29,11 @@ A graph's cost at small sizes is per node (each node's output and incoming
 gradient get one finiteness scan), so the model's chains run as fused
 nodes: `linear` (product plus bias), `split_heads` and `merge_heads` (the
 reshape, axis swap, reshape that put all attention heads in one batched
-product and back) and `attention_scores` (`q @ kᵀ` times the scale). Each
-runs the NumPy calls of the chain it replaces, in the same order and on
-the same arrays, so it gives the chain's bytes, and checks once.
+product and back), `attention_scores` (`q @ kᵀ` times the scale) and
+`dropout_matmul` (the attention map's dropout, then its product with the
+values, without keeping the dropped map). Each runs the NumPy calls of the
+chain it replaces, in the same order and on the same arrays, so it gives
+the chain's bytes, and checks once.
 `embedding_row_select`, which the model no longer calls, stays while
 `ecgbench/tracer.py` traces it.
 
@@ -506,7 +512,13 @@ def _gelu_exact_backward(na, x, phi_cdf, grad, grads):
     grads(na, grad * (phi_cdf + x * pdf))
 
 
-def _gelu_tanh_backward(na, x, t, grad, grads):
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """`t = tanh(c * (x + 0.044715 * x * x * x))`, the forward's and the backward's own operations."""
+    return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+
+
+def _gelu_tanh_backward(na, x, grad, grads):
+    t = _gelu_tanh(x)
     dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
     grads(na, grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
 
@@ -515,8 +527,10 @@ def gelu(a, exact: bool = False) -> Tensor:
     """GELU: `x * Phi(x)` with erf when `exact`, else the tanh form
     `0.5 * x * (1 + tanh(c * (x + 0.044715 * x * x * x)))`, c = sqrt(2 / pi).
 
-    The cube is the product `(x * x) * x`; the backward holds only `x` and
-    `t = tanh(...)` (or `Phi(x)`).
+    The cube is the product `(x * x) * x`. The tanh form's backward holds
+    only `x` and recomputes `t = tanh(...)` from it with the forward's
+    operations, so it reads the forward's bytes; the exact form's holds `x`
+    and `Phi(x)`.
     """
     a = as_tensor(a)
     x = a.data
@@ -525,9 +539,8 @@ def gelu(a, exact: bool = False) -> Tensor:
         data = x * phi_cdf
         backward = partial(_gelu_exact_backward, a._node, x, phi_cdf)
     else:
-        t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-        data = 0.5 * x * (1.0 + t)
-        backward = partial(_gelu_tanh_backward, a._node, x, t)
+        data = 0.5 * x * (1.0 + _gelu_tanh(x))
+        backward = partial(_gelu_tanh_backward, a._node, x)
     return Tensor._result(data, (a,), backward, "gelu")
 
 
@@ -542,8 +555,41 @@ def sigmoid(a) -> Tensor:
     return Tensor._result(data, (a,), partial(_sigmoid_backward, a._node, data), "sigmoid")
 
 
-def _dropout_backward(na, mask, grad, grads):
-    grads(na, grad * mask)
+def _dropout_mask(kept: np.ndarray, keep: float, dtype) -> np.ndarray:
+    """The scaled mask of inverted dropout from its boolean draw, `kept.astype(dtype) / keep`.
+
+    A forward and its backward both build it with these two operations, so
+    a graph keeps the one-byte `kept` instead of the mask. (The division
+    runs in place: an elementwise operation rounds the same wherever it
+    writes.)"""
+    mask = kept.astype(dtype)
+    mask /= keep
+    return mask
+
+
+def _draw_kept(a: Tensor, p: float, rng: list[np.random.Generator] | None, op: str) -> tuple[np.ndarray, float]:
+    """Which units of `a` inverted dropout at rate `p` keeps, and the keep rate.
+
+    `rng` holds one generator per slot: the leading axis is cut into that
+    many equal slots, and each slot draws from its own generator, as it
+    would alone."""
+    if not (0.0 <= p < 1.0):
+        raise ShapeError(f"{op} rate must be in [0, 1), got {p}")
+    if rng is None:
+        raise ShapeError(f"training-mode {op} requires a list of generators")
+    if a.ndim == 0 or not rng or a.shape[0] % len(rng):
+        raise ShapeError(f"{op}: {len(rng)} generators do not split the leading axis of shape {a.shape}")
+    draws = np.empty(a.shape)
+    rows = a.shape[0] // len(rng)
+    for slot, gen in enumerate(rng):
+        gen.random(out=draws[slot * rows : (slot + 1) * rows])
+    keep = 1.0 - p
+    return draws < keep, keep
+
+
+def _dropout_backward(na, kept, keep, dtype, grad, grads):
+    mask = _dropout_mask(kept, keep, dtype)
+    grads(na, np.multiply(grad, mask, out=mask))
 
 
 def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training: bool = True) -> Tensor:
@@ -551,25 +597,49 @@ def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training:
 
     `rng` holds one generator per slot: the leading axis is cut into that
     many equal slots, and each slot draws its mask from its own generator, as
-    it would alone. One generator for the whole array is a list of one.
+    it would alone. One generator for the whole array is a list of one. The
+    graph keeps the boolean draw and rebuilds the mask in the backward.
     """
     a = as_tensor(a)
     if not training or p == 0.0:
         return a
-    if not (0.0 <= p < 1.0):
-        raise ShapeError(f"dropout rate must be in [0, 1), got {p}")
-    if rng is None:
-        raise ShapeError("training-mode dropout requires a list of generators")
-    if a.ndim == 0 or not rng or a.shape[0] % len(rng):
-        raise ShapeError(f"dropout: {len(rng)} generators do not split the leading axis of shape {a.shape}")
-    draws = np.empty(a.shape)
-    rows = a.shape[0] // len(rng)
-    for slot, gen in enumerate(rng):
-        gen.random(out=draws[slot * rows : (slot + 1) * rows])
-    keep = 1.0 - p
-    mask = (draws < keep).astype(a.data.dtype) / keep
-    data = a.data * mask
-    return Tensor._result(data, (a,), partial(_dropout_backward, a._node, mask), "dropout")
+    kept, keep = _draw_kept(a, p, rng, "dropout")
+    dtype = a.data.dtype
+    data = a.data * _dropout_mask(kept, keep, dtype)
+    return Tensor._result(data, (a,), partial(_dropout_backward, a._node, kept, keep, dtype), "dropout")
+
+
+def _dropout_matmul_backward(na, nb, a, kept, keep, b, grad, grads):
+    mask = _dropout_mask(kept, keep, a.dtype)
+    if na.requires_grad:
+        da = grad @ np.swapaxes(b, -1, -2)
+        da *= mask
+        grads(na, da)
+    if nb.requires_grad:
+        dropped = np.multiply(a, mask, out=mask)
+        grads(nb, _right_operand_grad(dropped, grad, shared=False))
+
+
+def dropout_matmul(a, b, p: float, rng: list[np.random.Generator]) -> Tensor:
+    """`dropout(a, p, rng) @ b` for [S, T, U] and [S, U, d] operands, as one node.
+
+    Its forward runs `dropout`'s and `matmul`'s NumPy calls in their order
+    and draws the same mask from the same generators. The graph keeps `a`,
+    `b` and the boolean draw, not the mask or the dropped `a`: the backward
+    rebuilds both with the forward's operations. It hands `a` the product
+    `grad @ bᵀ` (`bᵀ` the strided `np.swapaxes` view) times the mask, and `b`
+    the product of the dropped `a`, transposed, and `grad`: the bytes of
+    `matmul`'s then `dropout`'s backwards. At the paper's attention shape,
+    that strided `grad @ bᵀ` is one of the two products whose bytes depend
+    on the BLAS thread count.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ShapeError(f"dropout_matmul expects [S, T, U] and [S, U, d] operands, got {a.shape} @ {b.shape}")
+    kept, keep = _draw_kept(a, p, rng, "dropout_matmul")
+    data = (a.data * _dropout_mask(kept, keep, a.data.dtype)) @ b.data
+    backward = partial(_dropout_matmul_backward, a._node, b._node, a.data, kept, keep, b.data)
+    return Tensor._result(data, (a, b), backward, "dropout_matmul")
 
 
 BCE_EPS = 1e-7

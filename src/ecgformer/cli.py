@@ -86,9 +86,9 @@ def cmd_train(args) -> int:
         if args.folds is None:
             raise ArgumentRangeError("--folds is required when training per-fold")
         assignment = stratify.load_folds(_require(args.folds, "fold file"), manifest.record_ids())
-        _write_run_sidecars(out_dir, config)
         cv = train.run_cv(manifest, assignment, model_config, preprocess_config, train_config, weights, out_dir,
                           feature_config)
+        _write_run_sidecars(out_dir, config)
         for report in cv.fold_reports:
             # Fold directories are self-describing so predict/attention can
             # point straight at them.
@@ -104,11 +104,11 @@ def cmd_train(args) -> int:
         if args.folds is None:
             raise ArgumentRangeError("--folds is required when training per-fold")
         assignment = stratify.load_folds(_require(args.folds, "fold file"), manifest.record_ids())
-    _write_run_sidecars(out_dir, config)
     _, _, report = train.train_fold(
         manifest, assignment, fold_id, model_config, preprocess_config, train_config,
         weights, out_dir, feature_config,
     )
+    _write_run_sidecars(out_dir, config)
     print(f"fold {fold_id}: challenge={report.challenge!r} final_loss={report.loss_curve[-1]!r} "
           f"steps={len(report.loss_curve)} checkpoint={report.checkpoint_path}")
     return 0

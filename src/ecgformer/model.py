@@ -251,19 +251,21 @@ GRAPH_BUDGET = 1 << 25
 def graph_bytes(config: ModelConfig, itemsize: int = 8) -> int:
     """Estimated bytes of one record's training graph: the arrays its nodes'
     backwards keep once the forward has dropped every other output. Per layer
-    that is 10 token-width arrays (the two norms' outputs and normalized
-    inputs, the split q, k and v, the merged heads, two residual dropout
-    masks), 3 feed-forward-width ones (fc1's output, GELU's tanh and output),
-    3 attention maps (softmax output, its dropout mask and the dropped map)
-    and each norm's inverse deviations. Before the layers come the tokens and
-    the positional dropout mask; after them the final norm's normalized input
-    and the head's vectors (the class token's state, fc1's output, GELU's
-    tanh, the dropout mask, the row of deep and wide features and the output
-    probabilities)."""
+    that is 8 token-width arrays (the two norms' outputs and normalized
+    inputs, the split q, k and v, the merged heads), 2 feed-forward-width ones
+    (fc1's output, which GELU keeps, and GELU's output), 1 attention map (the
+    softmax output) and each norm's inverse deviations, plus the boolean
+    dropout draws at one byte each: the attention map's and the two residual
+    ones. Before the layers come the tokens and the positional dropout draw;
+    after them the final norm's normalized input and the head's vectors (the
+    class token's state, fc1's output, its dropout draw, the row of deep and
+    wide features and the output probabilities)."""
     t, d = config.num_patches + 1, config.d_model
-    per_layer = t * (10 * d + 3 * config.d_ff + 3 * config.num_heads * t + 2)
-    head = d + 4 * config.d_deep + config.d_wide + config.d_class
-    return itemsize * (config.num_patches * config.d_token + 2 * t * d + t + head + config.num_layers * per_layer)
+    maps = config.num_heads * t
+    per_layer = itemsize * t * (8 * d + 2 * config.d_ff + maps + 2) + t * (2 * d + maps)
+    head = d + 2 * config.d_deep + config.d_wide + config.d_class
+    outside = itemsize * (config.num_patches * config.d_token + t * d + t + head) + t * d + config.d_deep
+    return outside + config.num_layers * per_layer
 
 
 def records_per_forward(config: ModelConfig, records: int, itemsize: int = 8) -> int:
@@ -296,8 +298,11 @@ def _attention_block(
     attn = ag.softmax(scores)
     if capture is not None:
         capture.append(attn.data.reshape(b, heads, *attn.shape[1:]).copy())
-    attn = ag.dropout(attn, config.dropout_encoder, rng, training)
-    return _linear(ag.merge_heads(ag.matmul(attn, v), b), params, p + "w_o")
+    if training and config.dropout_encoder > 0.0:
+        heads_out = ag.dropout_matmul(attn, v, config.dropout_encoder, rng)
+    else:
+        heads_out = ag.matmul(attn, v)
+    return _linear(ag.merge_heads(heads_out, b), params, p + "w_o")
 
 
 def forward(

@@ -435,14 +435,17 @@ def _train_steps(
     preprocess_config: dsp.PreprocessConfig,
     train_config: TrainConfig,
     weights: metrics.WeightMatrix,
-) -> tuple[dict[str, np.ndarray], list[float], set[str]]:
-    """Initialise and train the parameters; returns the best checkpoint's arrays
-    (float32, as WFT1 stores them), the loss curve and the trained record ids.
+    checkpoint_path,
+) -> tuple[list[float], set[str]]:
+    """Initialise and train the parameters, writing the best checkpoint to
+    `checkpoint_path`; returns the loss curve and the trained record ids.
 
     The parameters, Adam's moments and the gradient total live only in here,
     in the flat buffers of `ag.adam_init`, so they are released before the
-    caller writes and reloads the checkpoint. Every graph of a step adds its
-    gradients in place into the zeroed total.
+    caller reloads the checkpoint. Every graph of a step adds its gradients
+    in place into the zeroed total. Each evaluation that keeps the
+    parameters writes them as the checkpoint at once, one tensor cast to
+    float32 at a time, so no copy of the model is held until training ends.
     """
     params = model.init_params(model_config, train_config.seed, np.dtype(train_config.precision))
     trainable = params.trainable()
@@ -452,8 +455,7 @@ def _train_steps(
 
     loss_curve: list[float] = []
     trained_ids: set[str] = set()
-    best_metric = -math.inf
-    best_arrays = {}  # set by the first evaluation; max_steps >= 1 and the last step evaluates
+    best_metric = -math.inf  # the first evaluation writes; max_steps >= 1 and the last step evaluates
 
     def val_metric_at_half() -> float:
         probs = predict_probabilities(val_prepared, params, model_config, preprocess_config)
@@ -510,8 +512,8 @@ def _train_steps(
             # Ties go to the later checkpoint (more training at equal metric).
             if current >= best_metric:
                 best_metric = current
-                best_arrays = {k: t.data.astype(np.float32) for k, t in params.tensors.items()}
-    return best_arrays, loss_curve, trained_ids
+                ag.save_checkpoint(checkpoint_path, params.tensors)
+    return loss_curve, trained_ids
 
 
 def train_fold(
@@ -543,31 +545,45 @@ def train_fold(
     cache = prepared if prepared is not None else prepare_records(
         manifest, np.union1d(train_idx, val_idx), subset, preprocess_config, feature_config, model_config.d_wide,
         train_config.threads)
+    scaler = None
     if train_config.standardize_wide:
         scaler = _fit_wide_scaler([cache[int(i)] for i in train_idx])
         # Fold-private copies: the records may be shared with other folds.
         cache = {i: replace(p, wide=_wide_row(p.wide, model_config.d_wide, scaler)) for i, p in cache.items()}
-        _save_wide_scaler(out_dir / "wide_scaler.csv", scaler, model_config.d_wide)
 
     val_prepared = [cache[int(i)] for i in val_idx]
     val_labels = np.stack([p.labels for p in val_prepared])
-    best_arrays, loss_curve, trained_ids = _train_steps(
-        cache, train_idx, val_prepared, val_labels, model_config, preprocess_config, train_config, weights,
-    )
-
-    # Report everything from the checkpoint actually written to disk, so a
-    # later load + evaluate reproduces these numbers bitwise.
+    # The steps write the best checkpoint to a file beside the directory's
+    # own checkpoint, and the thresholds are fitted on what that file holds.
+    # Only then does the run replace the directory's files; a run that fails
+    # before removes the file and leaves the directory as it was.
     checkpoint_path = out_dir / "checkpoint.wft1"
-    ag.save_checkpoint(checkpoint_path, best_arrays)
+    kept_path = out_dir / "checkpoint.wft1.tmp"
+    try:
+        loss_curve, trained_ids = _train_steps(
+            cache, train_idx, val_prepared, val_labels, model_config, preprocess_config, train_config, weights,
+            kept_path,
+        )
+        # Report everything from the checkpoint actually written to disk, so a
+        # later load + evaluate reproduces these numbers bitwise.
+        final_params = model.params_from_arrays(ag.load_checkpoint(kept_path), model_config)
+        val_probs = predict_probabilities(val_prepared, params=final_params, model_config=model_config,
+                                          preprocess_config=preprocess_config)
+        thresholds = fit_thresholds(val_probs, val_labels.astype(np.int64), weights)
+        challenge = metrics.challenge_metric(val_labels.astype(np.int64), apply_thresholds(val_probs, thresholds),
+                                             weights)
+        auroc_by_class = metrics.per_class_auroc(val_probs, val_labels.astype(np.int64))
+    except BaseException:
+        kept_path.unlink(missing_ok=True)
+        raise
+    kept_path.replace(checkpoint_path)
     (out_dir / "model_config.txt").write_text(model_config.to_text())
-    final_params = model.params_from_arrays(ag.load_checkpoint(checkpoint_path), model_config)
-
-    val_probs = predict_probabilities(val_prepared, params=final_params, model_config=model_config,
-                                      preprocess_config=preprocess_config)
-    thresholds = fit_thresholds(val_probs, val_labels.astype(np.int64), weights)
     save_thresholds(out_dir / "thresholds.csv", thresholds, manifest.class_list)
-    challenge = metrics.challenge_metric(val_labels.astype(np.int64), apply_thresholds(val_probs, thresholds), weights)
-    auroc_by_class = metrics.per_class_auroc(val_probs, val_labels.astype(np.int64))
+    scaler_path = out_dir / "wide_scaler.csv"
+    if scaler is None:
+        scaler_path.unlink(missing_ok=True)  # inference would apply a scaler this run never used
+    else:
+        _save_wide_scaler(scaler_path, scaler, model_config.d_wide)
 
     report = FoldReport(
         fold_id=fold_id,

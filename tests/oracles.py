@@ -5,7 +5,8 @@ summation) and never shares code with src/. The exceptions are
 `gradients_into_zeros`, the package's own reverse pass, for tests that only
 need a graph's gradients; the unfused chains, each of which builds, from the
 package's primitive ops, the graph that one fused autograd node replaces;
-and the reference record reader, which uses the package's header parser,
+the reference nodes that keep what a package backward recomputes; and the
+reference record reader, which uses the package's header parser,
 record type and features around a decode of every lead.
 """
 
@@ -317,6 +318,30 @@ def chain_attention_scores(q, k, scale):
     return ag.mul(ag.matmul(q, ag.transpose(k)), scale)
 
 
+def float_mask_dropout(a, p, rng):
+    """Inverted dropout as one graph node whose backward keeps the float mask the forward multiplied by.
+
+    The leading axis is cut into len(rng) equal slots; slot s draws its
+    uniforms from rng[s], and the mask is 1/(1-p) where a draw is below 1-p,
+    else 0."""
+    draws = np.empty(a.shape)
+    rows = a.shape[0] // len(rng)
+    for slot, gen in enumerate(rng):
+        gen.random(out=draws[slot * rows : (slot + 1) * rows])
+    keep = 1.0 - p
+    mask = (draws < keep).astype(a.data.dtype) / keep
+
+    def backward_fn(grad, grads):
+        grads(a, grad * mask)
+
+    return type(a)._result(a.data * mask, (a,), backward_fn, "float_mask_dropout")
+
+
+def chain_dropout_matmul(a, b, p, rng):
+    """`ag.dropout_matmul` as the float-mask dropout node, then a product node."""
+    return ag.matmul(float_mask_dropout(a, p, rng), b)
+
+
 def chain_positions(seq, table):
     """A positional table added to [B, T, D] tokens through a selection of all its rows in order."""
     return ag.add(seq, ag.embedding_row_select(table, np.arange(table.shape[0])))
@@ -397,6 +422,18 @@ def product_gelu(x, grad):
     t_squared = t * t
     dx = grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t_squared) * dinner)
     return y, dx
+
+
+def keep_t_gelu(a):
+    """Tanh-form GELU as one graph node whose backward keeps `t = tanh(...)` from the forward."""
+    x = a.data
+    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+
+    def backward_fn(grad, grads):
+        dinner = GELU_C * (1.0 + 3.0 * GELU_A * x**2)
+        grads(a, grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
+
+    return type(a)._result(0.5 * x * (1.0 + t), (a,), backward_fn, "keep_t_gelu")
 
 
 def pow_form_wide_features(lead, fs, num_samples, age_years, sex, peak_indices, impute_age_years=60.0,

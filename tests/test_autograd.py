@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention_scores, chain_linear,
-                     chain_merge_heads, chain_positions, chain_split_heads, gradients_into_zeros, max_rel_err, permute,
-                     product_gelu, tensor_mean, tensor_sum, textbook_adam)
+from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention_scores,
+                     chain_dropout_matmul, chain_linear, chain_merge_heads, chain_positions, chain_split_heads,
+                     float_mask_dropout, gradients_into_zeros, keep_t_gelu, max_rel_err, permute, product_gelu,
+                     tensor_mean, tensor_sum, textbook_adam)
 
 GRAD_TOL = 1e-6
 
@@ -594,9 +595,14 @@ class TestBatchedOps:
         lambda: ag.attention_scores(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), 1.0),
         lambda: ag.attention_scores(np.zeros((2, 3, 4)), np.zeros((1, 3, 4)), 1.0),
         lambda: ag.attention_scores(np.zeros((3, 4)), np.zeros((3, 4)), 1.0),
+        lambda: ag.dropout_matmul(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), 0.1, [np.random.default_rng(0)]),
+        lambda: ag.dropout_matmul(np.zeros((2, 3, 3)), np.zeros((1, 3, 4)), 0.1, [np.random.default_rng(0)]),
+        lambda: ag.dropout_matmul(np.zeros((3, 3)), np.zeros((3, 4)), 0.1, [np.random.default_rng(0)]),
+        lambda: ag.dropout_matmul(np.zeros((3, 3, 3)), np.zeros((3, 3, 4)), 0.1, [np.random.default_rng(0)] * 2),
     ], ids=["linear inner", "linear bias", "linear 4-d input", "linear 3-d weight", "split_heads uneven",
             "split_heads 2-d", "merge_heads uneven", "merge_heads 2-d", "attention_scores width",
-            "attention_scores slots", "attention_scores 2-d"])
+            "attention_scores slots", "attention_scores 2-d", "dropout_matmul inner", "dropout_matmul slots",
+            "dropout_matmul 2-d", "dropout_matmul generators"])
     def test_fused_nodes_reject_mismatched_shapes(self, build):
         with pytest.raises(ShapeError):
             build()
@@ -701,6 +707,98 @@ class TestFusedNodesKeepTheFiniteCheck:
         out = fused(*tensors)
         with pytest.raises(NumericalError, match=f"backward of {out._op}"):
             gradients_into_zeros(_poisoned_sum(out), {str(i): t for i, t in enumerate(tensors)})
+
+
+def _closure_run(build, arrays, needs_grad, upstream):
+    """build(*tensors) over `arrays`, and each input's gradient as the backward closures hand it over (signed zeros
+    included) for a seeded upstream."""
+    tensors = [ag.Tensor(a.copy(), requires_grad=r, dtype=a.dtype) for a, r in zip(arrays, needs_grad)]
+    out = build(*tensors)
+    wanted = {str(i): t for i, t in enumerate(tensors) if t.requires_grad}
+    loss = tensor_sum(ag.mul(out, ag.Tensor(upstream, dtype=upstream.dtype)))
+    return out.data, allocating_collect_gradients(loss, wanted)
+
+
+def _attention_maps(rng, slots, heads, t, dtype, mask_padding):
+    """Softmax rows over [slots * heads, t, t] scores; with `mask_padding`, each slot's keys from a random padding
+    start on are sent to -1e30 first, so their columns are exact zeros."""
+    scores = rng.normal(size=(slots * heads, t, t))
+    if mask_padding:
+        keys = np.arange(t)[None, :] < rng.integers(1, t, size=(slots, 1))
+        scores = scores + np.repeat(np.where(keys, 0.0, -1e30)[:, None, :], heads, axis=0)
+    return ag.softmax(ag.Tensor(scores, dtype=dtype)).data
+
+
+class TestRecomputingBackwards:
+    """Nodes that keep a boolean draw or their input and rebuild the rest in the backward give, byte for byte, the
+    values and gradients of reference nodes that keep the float arrays."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("slots", [1, 3])
+    @pytest.mark.parametrize("mask_padding", [False, True])
+    def test_dropout_matmul_equals_dropout_then_matmul(self, mask_padding, slots, dtype):
+        rng = np.random.default_rng(60 + slots)
+        heads, t, d, p = 4, 9, 5, 0.3
+        arrays = [_attention_maps(rng, slots, heads, t, dtype, mask_padding),
+                  rng.normal(size=(slots * heads, t, d)).astype(dtype)]
+        upstream = rng.normal(size=(slots * heads, t, d)).astype(dtype)
+        if mask_padding:
+            assert (arrays[0] == 0.0).any()
+
+        def gens():
+            return [np.random.default_rng(70 + slot) for slot in range(slots)]
+
+        for needs_grad in ([True, True], [False, True], [True, False]):
+            value, grads = _closure_run(lambda a, b: ag.dropout_matmul(a, b, p, gens()), arrays, needs_grad, upstream)
+            want_value, want_grads = _closure_run(lambda a, b: chain_dropout_matmul(a, b, p, gens()), arrays,
+                                                  needs_grad, upstream)
+            assert value.dtype == dtype and value.tobytes() == want_value.tobytes(), needs_grad
+            assert grads.keys() == want_grads.keys() and len(grads) == sum(needs_grad)
+            for name, g in grads.items():
+                assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), (needs_grad, name)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("slots", [1, 3])
+    def test_boolean_mask_dropout_equals_the_float_mask(self, slots, dtype):
+        rng = np.random.default_rng(62)
+        x = np.concatenate([rng.normal(size=(slots * 4, 7)), np.full((slots, 7), -0.0)]).astype(dtype)
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        upstream[0, :3] = -0.0
+        for p in (0.1, 0.5):
+            value, grads = _closure_run(lambda a: ag.dropout(a, p, [np.random.default_rng(s) for s in range(slots)]),
+                                        [x], [True], upstream)
+            want_value, want_grads = _closure_run(
+                lambda a: float_mask_dropout(a, p, [np.random.default_rng(s) for s in range(slots)]), [x], [True],
+                upstream)
+            assert value.dtype == dtype and value.tobytes() == want_value.tobytes(), p
+            assert grads["0"].dtype == dtype and grads["0"].tobytes() == want_grads["0"].tobytes(), p
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gelu_recomputing_tanh_equals_keeping_it(self, dtype):
+        rng = np.random.default_rng(63)
+        info = np.finfo(dtype)
+        x = np.concatenate([rng.normal(scale=3.0, size=600), np.linspace(-12, 12, 2401),
+                            [0.0, -0.0, 1e-300, -1e-300, 1e3, -1e3, float(info.max) ** (1 / 3) * 0.99]]).astype(dtype)
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        upstream[:5] = -0.0
+        value, grads = _closure_run(ag.gelu, [x], [True], upstream)
+        want_value, want_grads = _closure_run(keep_t_gelu, [x], [True], upstream)
+        assert value.dtype == dtype and value.tobytes() == want_value.tobytes()
+        assert grads["0"].dtype == dtype and grads["0"].tobytes() == want_grads["0"].tobytes()
+
+    def test_graph_keeps_one_byte_draws_and_no_tanh(self):
+        # What the nodes' backwards are bound to: the boolean draw, the operands and GELU's input, nothing else.
+        rng = np.random.default_rng(64)
+        attn = ag.Tensor(_attention_maps(rng, 2, 3, 6, np.float64, False), requires_grad=True)
+        v = ag.Tensor(rng.normal(size=(6, 6, 4)), requires_grad=True)
+        out = ag.dropout_matmul(attn, v, 0.2, [np.random.default_rng(s) for s in (1, 2)])
+        dropped = ag.dropout(out, 0.2, [np.random.default_rng(3)])
+        act = ag.gelu(dropped)
+        for node, kept, draws in ((out, [attn.data, v.data], 1), (dropped, [], 1), (act, [dropped.data], 0)):
+            arrays = [a for a in node._backward.args if isinstance(a, np.ndarray)]
+            floats = [a for a in arrays if a.dtype != np.bool_]
+            assert len(floats) == len(kept) and all(a is b for a, b in zip(floats, kept)), node._op
+            assert len(arrays) - len(floats) == draws, node._op
 
 
 def _adam_from(params, grads, state, **kwargs):

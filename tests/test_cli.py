@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgformer import autograd, cli, errors, model, record_io, train
+from ecgformer import autograd, cli, errors, metrics, model, record_io, train
 from ecgformer.runconfig import RunConfig
 
 TOY_INI = """\
@@ -166,6 +166,28 @@ class TestChain:
         assert cli.main(["predict", "--record", str(data / "synth00002.hea"), "--run", str(tmp_path / "cv" / "fold0"),
                          "--out", str(tmp_path / "p.csv")]) == 0
         assert decoded == [per_record]
+
+    def test_retraining_without_the_scaler_removes_the_earlier_one(self, workspace, tmp_path):
+        # Train runA standardising the wide features, copy it to runAB and train runAB again without: runAB must
+        # hold and predict what a fresh runB does, not apply runA's leftover wide_scaler.csv.
+        root, data, ini, manifest, folds = workspace
+
+        def train_into(run, *overrides):
+            argv = ["train", "--manifest", str(manifest), "--folds", str(folds), "--fold", "0",
+                    "--weights", str(data / "weights.csv"), "--out", str(run), "--config", str(ini)]
+            assert cli.main(argv + [arg for o in overrides for arg in ("--set", o)]) == 0
+
+        train_into(tmp_path / "runA", "train.standardize_wide=true")
+        assert (tmp_path / "runA" / "wide_scaler.csv").exists()
+        shutil.copytree(tmp_path / "runA", tmp_path / "runAB")
+        train_into(tmp_path / "runAB")
+        train_into(tmp_path / "runB")
+        for name in ("runAB", "runB"):
+            assert cli.main(["predict", "--record", str(data / "synth00000.hea"), "--run", str(tmp_path / name),
+                             "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "runAB.csv").read_bytes() == (tmp_path / "runB.csv").read_bytes()
+        files = {name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} for name in ("runAB", "runB")}
+        assert files["runAB"] == files["runB"] and "wide_scaler.csv" not in files["runB"]
 
     def test_fold_all_honours_features_section(self, workspace, tmp_path):
         # `--fold all` trains each fold exactly as `--fold N` alone does,
@@ -667,6 +689,45 @@ class TestErrors:
         assert cli.main(self._train_argv(data, ini, manifest, tmp_path / "run")) == 8
         self._assert_one_error(capsys, "NumericalError", "training diverged at step 1", "not finite")
         assert len(calls) == 2 and untouched == [True]
+
+    @pytest.mark.parametrize("failure", ["diverged", "undefined thresholds"])
+    def test_failed_train_leaves_the_directory_as_it_was(self, workspace, overfit_run, tmp_path, capsys, monkeypatch,
+                                                         failure):
+        # With eval_every = 1 the first step's evaluation writes the new checkpoint to checkpoint.wft1.tmp. Then
+        # the second step's gradient turns infinite, or, after the last step, the threshold fit finds its metric
+        # undefined: either way the run directory's own files must come out unchanged.
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        shutil.copytree(overfit_run, run)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        collect = autograd.collect_gradients
+        calls, present = [], []
+
+        def planting_collect(loss, wanted, into):
+            out = collect(loss, wanted, into)
+            calls.append(loss)
+            if len(calls) == 2:
+                present.extend(p.name for p in run.iterdir())
+                if failure == "diverged":
+                    out[next(iter(wanted))].flat[3] = np.inf
+            return out
+
+        def undefined_fit(*args, **kwargs):
+            raise metrics.UndefinedScoreError("threshold fitting target metric is undefined on this data")
+
+        monkeypatch.setattr(autograd, "collect_gradients", planting_collect)
+        if failure == "undefined thresholds":
+            monkeypatch.setattr(train, "fit_thresholds", undefined_fit)
+        capsys.readouterr()
+        code = cli.main(self._train_argv(data, ini, manifest, run) + ["--set", "train.eval_every=1"])
+        if failure == "diverged":
+            assert code == 8
+            self._assert_one_error(capsys, "NumericalError", "training diverged at step 1", "not finite")
+        else:
+            assert code == 9 and len(calls) == 12
+            self._assert_one_error(capsys, "UndefinedScoreError", "undefined")
+        assert "checkpoint.wft1.tmp" in present
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_odd_length_signal_file_exit_code(self, workspace, overfit_run, tmp_path, capsys):
         # One byte short of a whole sample is a truncation, like two bytes too many.

@@ -241,7 +241,7 @@ class TestTrainFold:
 
 class TestFlatAdamTraining:
     @pytest.mark.parametrize("precision", ["float64", "float32"])
-    def test_best_checkpoint_matches_per_tensor_textbook_adam(self, corpus, monkeypatch, precision):
+    def test_best_checkpoint_matches_per_tensor_textbook_adam(self, corpus, monkeypatch, tmp_path, precision):
         # The same steps with Adam replaced by the allocating textbook update, one tensor at a time.
         manifest, weights = corpus
         config = toy_model_config(len(manifest.class_list))
@@ -251,7 +251,7 @@ class TestFlatAdamTraining:
                                          FeatureConfig(), config.d_wide)
         val = [prepared[int(i)] for i in everything]
         args = (prepared, everything, val, np.stack([p.labels for p in val]), config, TOY_PREPROCESS, cfg, weights)
-        flat = train._train_steps(*args)
+        flat = train._train_steps(*args, tmp_path / "flat.wft1")
 
         start, history = {}, {}
 
@@ -263,12 +263,10 @@ class TestFlatAdamTraining:
             return params, state
 
         monkeypatch.setattr(ag, "adam_step", textbook_step)
-        oracle = train._train_steps(*args)
+        oracle = train._train_steps(*args, tmp_path / "oracle.wft1")
         assert len(history["patch_projection.weight"]) == cfg.max_steps
-        assert flat[1:] == oracle[1:]  # best metric, loss curve, trained ids
-        assert flat[0].keys() == oracle[0].keys()
-        for name, arr in flat[0].items():
-            assert arr.dtype == np.float32 and arr.tobytes() == oracle[0][name].tobytes(), name
+        assert flat == oracle  # loss curve, trained ids
+        assert (tmp_path / "flat.wft1").read_bytes() == (tmp_path / "oracle.wft1").read_bytes()
 
 
 class TestTrainingStreams:
@@ -350,10 +348,42 @@ class TestStepMemory:
         margin = 0.5 * param_bytes  # the largest weight's gradient in flight, Python objects, small arrays
         assert peak < 4 * param_bytes + graph_bytes + margin, (peak / param_bytes, graph_bytes / param_bytes)
 
+    def test_training_ends_without_a_copy_of_the_model(self, corpus, tmp_path, monkeypatch):
+        # From the last step's update to the end of train_fold (the last evaluation, which keeps its parameters,
+        # then the reload of the checkpoint), the parameters go to disk one tensor at a time. A float32 copy of
+        # every parameter held to the end of training is half a float64 parameter set. The width makes the
+        # parameters outweigh what validation allocates for its records.
+        manifest, weights = corpus
+        config = model.ModelConfig(num_leads=2, d_model=256, num_layers=2, num_heads=2, d_ff=256, d_deep=8,
+                                   d_wide=4, d_class=len(manifest.class_list), window_samples=192)
+        prepared = train.prepare_records(manifest, np.arange(len(manifest.entries)), record_io.lead_subset("two"),
+                                         TOY_PREPROCESS, FeatureConfig(), config.d_wide)
+        param_bytes = model.parameter_count(config) * 8
+        cfg = toy_train_config(batch_size_train=2, max_steps=2, eval_every=2)
+        adam_step, marks = ag.adam_step, []
 
-# One sample's training graph (about 23 MB, over half of GRAPH_BUDGET) outweighs these parameters (3.3 MB) several
+        def marking_adam_step(params, grads, state, *args, **kwargs):
+            out = adam_step(params, grads, state, *args, **kwargs)
+            if state["t"] == cfg.max_steps:
+                tracemalloc.reset_peak()
+                marks.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(ag, "adam_step", marking_adam_step)
+        fa = stratify.FoldAssignment(np.zeros(len(manifest.entries), dtype=int), 1)
+        tracemalloc.start()
+        try:
+            train.train_fold(manifest, fa, -1, config, TOY_PREPROCESS, cfg, weights, tmp_path / "m", prepared=prepared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == 1
+        assert peak - marks[0] < 0.25 * param_bytes, (peak - marks[0]) / param_bytes
+
+
+# One sample's training graph (about 21 MB, over half of GRAPH_BUDGET) outweighs these parameters (2.9 MB) several
 # times over.
-WIDE_WINDOW = model.ModelConfig(num_leads=12, d_model=128, num_layers=3, num_heads=16, d_ff=128, d_deep=8,
+WIDE_WINDOW = model.ModelConfig(num_leads=12, d_model=64, num_layers=12, num_heads=8, d_ff=64, d_deep=8,
                                 d_wide=4, d_class=3, window_samples=7680)
 
 
@@ -398,7 +428,9 @@ class TestGraphBudget:
 
     def test_paper_width_graph_keeps_only_what_its_backward_reads(self):
         # One record through two paper-width layers in train mode. When every op output stayed alive for its
-        # consumer, the graph held 51.4 MB; the arrays its backwards read come to about 30 MB.
+        # consumer, the graph held 51.4 MB, and 30.0 MB once it kept only what its backwards read. With boolean
+        # dropout draws, the attention dropout fused into the value product and GELU's tanh recomputed, it
+        # keeps 20.0 MB.
         config = model.ModelConfig(num_leads=12, num_layers=2)
         params = model.init_params(config, seed=1)
         rng = np.random.default_rng(8)
@@ -411,7 +443,7 @@ class TestGraphBudget:
             del out
         finally:
             tracemalloc.stop()
-        assert kept <= 2 / 3 * 51.4e6, kept
+        assert kept <= 21e6, kept
 
     def test_batch_of_two_holds_one_sample_graph(self):
         params = model.init_params(WIDE_WINDOW, seed=1)
