@@ -148,8 +148,8 @@ class Tensor:
     def _result(data, parents, backward, op):
         """A new tensor over `data`, recording `backward` under the nodes of the
         tensors in `parents` when any of them needs a gradient. `backward(grad,
-        grads)` hands each parent's gradient to `grads(parent, g)`, the parent
-        given as its node or as its tensor."""
+        grads)` hands each parent's gradient to `grads(node, g)`, the parent
+        given as its node, so the backward need not keep the parent's tensor."""
         _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
@@ -727,9 +727,7 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, n
     names = {id(t._node): name for name, t in wanted.items()}
     acc: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
 
-    def grads(t: Node | Tensor, g: np.ndarray):
-        if isinstance(t, Tensor):
-            t = t._node
+    def grads(t: Node, g: np.ndarray):
         if not t.requires_grad:
             return
         if g.shape != t.shape:

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import attention_viz, autograd, dsp, metrics, model, record_io, stratify, synth, train
-from .errors import ArgumentRangeError, EcgFormerError, MissingFileError, RecordFormatError
-from .runconfig import RunConfig, read_config_text
+from .errors import ArgumentRangeError, EcgFormerError, MissingFileError, RecordFormatError, ShapeError
+from .runconfig import RunConfig
 
 
 def _require(path, kind: str) -> Path:
@@ -115,8 +115,7 @@ def cmd_train(args) -> int:
 
 
 def _run_config(run_dir: Path, args) -> RunConfig:
-    ini = run_dir / "config_used.ini"
-    return RunConfig.load(ini if ini.exists() else None, getattr(args, "set", None) or [])
+    return RunConfig.load(_require(run_dir / "config_used.ini", "run configuration"), getattr(args, "set", None) or [])
 
 
 @dataclass
@@ -134,19 +133,23 @@ class RunArtifacts:
 
     @classmethod
     def load(cls, run_dir: Path, config: RunConfig, class_codes: list[str] | None = None) -> "RunArtifacts":
-        """Load `run_dir` under `config`; with `class_codes`, thresholds.csv must hold exactly those classes."""
-        config_path = _require(run_dir / "model_config.txt", "model config")
-        model_config = model.ModelConfig.from_text(read_config_text(config_path), str(config_path))
+        """Load `run_dir` under `config`; with `class_codes`, thresholds.csv must hold exactly those classes.
+
+        The model is built as training built it, from `config`, the lead
+        subset and thresholds.csv's classes, so a checkpoint of other shapes
+        is a ShapeError."""
+        subset = config.train_config().subset()
+        codes, thresholds = train.load_thresholds(_require(run_dir / "thresholds.csv", "thresholds file"), class_codes)
+        model_config = config.model_config(num_leads=len(subset.leads), d_class=len(codes))
         checkpoint = _require(run_dir / "checkpoint.wft1", "checkpoint")
         arrays = autograd.load_checkpoint(checkpoint)
         try:
             params = model.params_from_arrays(arrays, model_config)
-        except RecordFormatError as exc:  # a non-finite weight: name the file as well as the tensor
-            raise RecordFormatError(f"{checkpoint}: {exc}") from None
-        codes, thresholds = train.load_thresholds(_require(run_dir / "thresholds.csv", "thresholds file"), class_codes)
+        except (RecordFormatError, ShapeError) as exc:  # a non-finite weight or a wrong shape: name the file too
+            raise type(exc)(f"{checkpoint}: {exc}") from None
         scaler_path = run_dir / "wide_scaler.csv"
         scaler = train.load_wide_scaler(scaler_path, model_config.d_wide) if scaler_path.exists() else None
-        return cls(config, config.train_config().subset(), model_config, params, codes, thresholds, scaler)
+        return cls(config, subset, model_config, params, codes, thresholds, scaler)
 
     def inputs(self, header_path: Path) -> tuple[str, dsp.ProcessedWindow, np.ndarray]:
         """One record's id, start window (the whole chain, `dsp.preprocess`) and wide row."""

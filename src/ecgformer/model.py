@@ -12,7 +12,7 @@ probability per diagnosis class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,30 +68,6 @@ class ModelConfig:
     @property
     def head_dim(self) -> int:
         return self.d_model // self.num_heads
-
-    def to_text(self) -> str:
-        return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
-
-    @classmethod
-    def from_text(cls, text: str, source: str = "model config") -> "ModelConfig":
-        """Parse `to_text` output strictly: each line a known key, once, with a value of the key's type."""
-        casts = {"int": int, "float": float, "str": str, "bool": {"True": True, "False": False}.__getitem__}
-        types = {f.name: casts[f.type] for f in fields(cls)}
-        kwargs = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in types or key in kwargs:
-                raise ConfigError(f"{source}: {'unknown' if key not in types else 'repeated'} key {key!r}")
-            try:
-                kwargs[key] = types[key](value)
-            except (KeyError, ValueError):
-                raise ConfigError(f"{source}: bad value {value!r} for {key}") from None
-        if "num_leads" not in kwargs:
-            raise ConfigError(f"{source}: no num_leads")
-        return cls(**kwargs)
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:

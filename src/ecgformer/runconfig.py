@@ -5,7 +5,8 @@ with the field's type and default: `[preprocess]` is dsp.PreprocessConfig,
 `[model]` model.ModelConfig, `[train]` train.TrainConfig and `[features]`
 features.FeatureConfig. Four fields are set elsewhere: the model's
 num_leads (from the lead subset), window_samples (from `[preprocess]`) and
-d_class (from the manifest), and train's threads (from the command line).
+d_class (from the manifest's classes in training, from thresholds.csv's in
+inference), and train's threads (from the command line).
 OTHER_KEYS holds the keys that are no field, d_class among them.
 
 Unknown sections or keys are errors so config-file typos never pass silently.
@@ -61,8 +62,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 
 
 def read_config_text(path) -> str:
-    """The configuration file at `path` (an INI file, `model_config.txt`) as
-    UTF-8 text; a file that is not UTF-8 raises ConfigError naming it."""
+    """The INI file at `path` (a `--config` file or a run's `config_used.ini`)
+    as UTF-8 text; a file that is not UTF-8 raises ConfigError naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

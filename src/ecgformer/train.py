@@ -80,8 +80,6 @@ def fit_thresholds(
     probabilities: np.ndarray,
     labels: np.ndarray,
     weights: metrics.WeightMatrix,
-    normal_class_index: int | None = None,
-    passes: int = 2,
 ) -> ThresholdVector:
     """Coordinate-ascent grid search of per-class thresholds.
 
@@ -105,13 +103,11 @@ def fit_thresholds(
     if probs.min(initial=0.0) < 0.0 or probs.max(initial=0.0) > 1.0:
         raise ShapeError("probabilities must lie in [0, 1]")
     num_records, num_classes = probs.shape
-    if normal_class_index is None:
-        normal_class_index = weights.normal_class_index
 
     w = weights.w
     correct = float(np.sum(w * metrics.confusion_weighted(labels, labels)))
     normal_only = np.zeros_like(labels)
-    normal_only[:, normal_class_index] = 1
+    normal_only[:, weights.normal_class_index] = 1
     inactive = float(np.sum(w * metrics.confusion_weighted(labels, normal_only)))
     if correct == inactive:
         raise metrics.UndefinedScoreError("threshold fitting target metric is undefined on this data")
@@ -133,7 +129,7 @@ def fit_thresholds(
     thresholds = np.full(num_classes, 0.5)
     degenerate = [c for c in range(num_classes) if labels[:, c].sum() == 0]
     preds = (probs >= thresholds).astype(np.int64)
-    for _ in range(passes):
+    for _ in range(2):
         for c in range(num_classes):
             if c in degenerate:
                 continue
@@ -577,7 +573,6 @@ def train_fold(
         kept_path.unlink(missing_ok=True)
         raise
     kept_path.replace(checkpoint_path)
-    (out_dir / "model_config.txt").write_text(model_config.to_text())
     save_thresholds(out_dir / "thresholds.csv", thresholds, manifest.class_list)
     scaler_path = out_dir / "wide_scaler.csv"
     if scaler is None:

@@ -265,8 +265,7 @@ def allocating_collect_gradients(loss, wanted):
             stack.extend((p, False) for p in node._parents if p.requires_grad)
     acc = {id(loss._node): np.ones_like(loss.data)}
 
-    def grads(t, g):
-        node = t._node if isinstance(t, ag.Tensor) else t  # a backward hands over a node or a tensor
+    def grads(node, g):
         if node.requires_grad:
             acc[id(node)] = acc[id(node)] + g if id(node) in acc else g
 
@@ -288,9 +287,10 @@ def permute(a, axes):
     """Axes reordered as `np.transpose` does, as one graph node; value and gradient are C-contiguous copies."""
     inverse = tuple(int(i) for i in np.argsort(axes))
     data = np.ascontiguousarray(np.transpose(a.data, axes))
+    na = a._node
 
     def backward_fn(grad, grads):
-        grads(a, np.ascontiguousarray(np.transpose(grad, inverse)))
+        grads(na, np.ascontiguousarray(np.transpose(grad, inverse)))
 
     return type(a)._result(data, (a,), backward_fn, "permute")
 
@@ -330,9 +330,10 @@ def float_mask_dropout(a, p, rng):
         gen.random(out=draws[slot * rows : (slot + 1) * rows])
     keep = 1.0 - p
     mask = (draws < keep).astype(a.data.dtype) / keep
+    na = a._node
 
     def backward_fn(grad, grads):
-        grads(a, grad * mask)
+        grads(na, grad * mask)
 
     return type(a)._result(a.data * mask, (a,), backward_fn, "float_mask_dropout")
 
@@ -350,9 +351,10 @@ def chain_positions(seq, table):
 def tensor_sum(a):
     """Total sum of a tensor to a scalar tensor, as one graph node whose gradient is all ones."""
     data = np.asarray(a.data.sum())
+    na, x = a._node, a.data
 
     def backward_fn(grad, grads):
-        grads(a, np.full_like(a.data, 1.0) * grad)
+        grads(na, np.full_like(x, 1.0) * grad)
 
     return type(a)._result(data, (a,), backward_fn, "sum")
 
@@ -360,12 +362,13 @@ def tensor_sum(a):
 def tensor_mean(a, axis=None):
     """Mean of a tensor over `axis` (all of it by default), as one graph node."""
     data = np.asarray(a.data.mean(axis=axis))
+    na, x = a._node, a.data
 
     def backward_fn(grad, grads):
         if axis is None:
-            grads(a, np.full_like(a.data, 1.0 / a.data.size) * grad)
+            grads(na, np.full_like(x, 1.0 / x.size) * grad)
         else:
-            grads(a, np.broadcast_to(np.expand_dims(grad, axis) / a.shape[axis], a.shape).copy())
+            grads(na, np.broadcast_to(np.expand_dims(grad, axis) / x.shape[axis], x.shape).copy())
 
     return type(a)._result(data, (a,), backward_fn, "mean")
 
@@ -428,10 +431,11 @@ def keep_t_gelu(a):
     """Tanh-form GELU as one graph node whose backward keeps `t = tanh(...)` from the forward."""
     x = a.data
     t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+    na = a._node
 
     def backward_fn(grad, grads):
         dinner = GELU_C * (1.0 + 3.0 * GELU_A * x**2)
-        grads(a, grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
+        grads(na, grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
 
     return type(a)._result(0.5 * x * (1.0 + t), (a,), backward_fn, "keep_t_gelu")
 
@@ -509,8 +513,9 @@ def reference_parse_record(header_path):
         raise TruncationError(f"{header_path}: signal file of {len(blob)} bytes")
     adc = np.frombuffer(blob, dtype="<i2").reshape(num_samples, num_leads).T.astype(np.float64)
     signal = np.empty_like(adc)
-    for i, (_, gain, baseline, _) in enumerate(leads):
-        signal[i] = (adc[i] - baseline) / gain
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny gain overflows to inf, as the package's decode does
+        for i, (_, gain, baseline, _) in enumerate(leads):
+            signal[i] = (adc[i] - baseline) / gain
     return EcgRecord(record_id, rate, signal, [name for _, _, _, name in leads], meta["age"], meta["sex"], meta["dx"])
 
 

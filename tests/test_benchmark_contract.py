@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from ecgformer import autograd, cli, dsp, model
+from ecgformer.runconfig import RunConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "ecgbench"
 
@@ -126,7 +127,8 @@ def test_traced_train_stamps_each_step_and_collects_one_parameter_set(bench, cor
     assert cli.main(_train(corpus, corpus / "run")) == 0
     counts = tracer.take_counts()
     assert steps == [1, 2, 3] and counts["calls"]["autograd.adam_step"] == 3
-    config = model.ModelConfig.from_text((corpus / "run" / "model_config.txt").read_text(), "model_config.txt")
+    run = corpus / "run"
+    config = cli.RunArtifacts.load(run, RunConfig.load(run / "config_used.ini")).model_config
     parameter_set = sum(t.data.nbytes for t in model.init_params(config, 0).trainable().values())
     calls = counts["calls"]["autograd.collect_gradients"]
     assert calls == 3 and counts["counts"]["autograd.collect_gradients.bytes"] == calls * parameter_set

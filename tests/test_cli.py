@@ -2,6 +2,7 @@ import dataclasses
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,10 +83,7 @@ class TestChain:
         assert cli.main(["train", "--manifest", str(manifest), "--folds", str(folds), "--fold", "0",
                          "--weights", str(data / "weights.csv"), "--out", str(run),
                          "--config", str(ini), "--threads", "2"]) == 0
-        assert (run / "checkpoint.wft1").exists()
-        assert (run / "thresholds.csv").exists()
-        assert (run / "model_config.txt").exists()
-        assert (run / "config_used.ini").exists()
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint.wft1", "config_used.ini", "thresholds.csv"]
 
     def test_overfit_mode_then_single_evaluate(self, workspace, tmp_path, capsys):
         root, data, ini, manifest, folds = workspace
@@ -228,10 +226,11 @@ class TestChain:
                          "--out", str(run), "--config", str(ini), "--set", f"preprocess.normalize_scope={scope}",
                          "--set", f"train.standardize_wide={standardize}"]) == 0
         config = RunConfig.load(run / "config_used.ini")
-        model_config = model.ModelConfig.from_text((run / "model_config.txt").read_text())
-        params = model.params_from_arrays(autograd.load_checkpoint(run / "checkpoint.wft1"), model_config)
         loaded = record_io.load_manifest(manifest)
-        prepared = train.prepare_records(loaded, np.arange(len(loaded.entries)), config.train_config().subset(),
+        subset = config.train_config().subset()
+        model_config = config.model_config(num_leads=len(subset.leads), d_class=len(loaded.class_list))
+        params = model.params_from_arrays(autograd.load_checkpoint(run / "checkpoint.wft1"), model_config)
+        prepared = train.prepare_records(loaded, np.arange(len(loaded.entries)), subset,
                                          config.preprocess_config(), config.feature_config(), model_config.d_wide)
         records = [prepared[i] for i in range(len(loaded.entries))]
         if standardize == "true":
@@ -357,37 +356,63 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    @pytest.mark.parametrize("damage, code, needle", [
-        (None, 3, "ERROR MissingFileError: model config not found"),
-        (("gelu_exact=False\n", "gelu_exact=False\nd_modle=16\n"), 2, "unknown key 'd_modle'"),
-        (("d_model=16\n", "d_model=16.5\n"), 2, "bad value '16.5' for d_model"),
-        (("mask_padding=False", "mask_padding=false"), 2, "bad value 'false' for mask_padding"),
-    ], ids=["missing", "unknown_key", "non_integer", "bad_bool"])
-    def test_malformed_model_config_exit_code(self, workspace, overfit_run, tmp_path, capsys, command, damage, code,
-                                              needle):
+    def _inference_argv(self, command, data, manifest, run, tmp_path):
+        return {
+            "predict": ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                        "--out", str(tmp_path / "p.csv")],
+            "attention": ["attention", "--record", str(data / "synth00000.hea"), "--run", str(run),
+                          "--out", str(tmp_path / "maps")],
+            "evaluate": ["evaluate", "--manifest", str(manifest), "--runs", str(run),
+                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "report.csv")],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["predict", "attention"])
+    @pytest.mark.parametrize("cause, tensor", [("thresholds_row", "'head.fc2.weight'"),
+                                               ("set_dimension", "'layers.0.ff.fc1.weight'")])
+    def test_model_that_does_not_fit_the_checkpoint_is_a_shape_error(self, workspace, overfit_run, tmp_path, capsys,
+                                                                     command, cause, tensor):
+        # The model is built from config_used.ini, --set and the classes of thresholds.csv: a thresholds.csv
+        # one row short or a --set of another width no longer fits the checkpoint.
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run"
         shutil.copytree(overfit_run, run)
-        path = run / "model_config.txt"
+        argv = self._inference_argv(command, data, manifest, run, tmp_path)
+        if cause == "thresholds_row":
+            lines = (run / "thresholds.csv").read_text().splitlines(keepends=True)
+            assert len(lines) == 6
+            (run / "thresholds.csv").write_text("".join(lines[:-1]))
+        else:
+            argv += ["--set", "model.d_ff=32"]
+        capsys.readouterr()
+        assert cli.main(argv) == 7
+        self._assert_one_error(capsys, "ShapeError", str(run / "checkpoint.wft1"), tensor)
+        assert not (tmp_path / "p.csv").exists() and not (tmp_path / "maps").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "attention", "evaluate"])
+    @pytest.mark.parametrize("damage, code, kind, needle", [
+        (None, 3, "MissingFileError", "run configuration not found"),
+        (("d_model = 16\n", "d_model = 16\nd_modle = 16\n"), 2, "ConfigError",
+         "unknown key 'd_modle' in section [model]"),
+        (("d_model = 16\n", "d_model = 16.5\n"), 2, "ConfigError", "bad value for model.d_model"),
+        (("mask_padding = False\n", "mask_padding = maybe\n"), 2, "ConfigError", "bad value for model.mask_padding"),
+    ], ids=["missing", "unknown_key", "non_integer", "bad_bool"])
+    def test_malformed_run_config_exit_code(self, workspace, overfit_run, tmp_path, capsys, command, damage, code,
+                                            kind, needle):
+        # Inference builds the model from the run's own config_used.ini, and from nothing else.
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        shutil.copytree(overfit_run, run)
+        path = run / "config_used.ini"
         if damage is None:
             path.unlink()
         else:
             text = path.read_text()
             assert damage[0] in text
             path.write_text(text.replace(*damage))
-        argv = {
-            "predict": ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
-                        "--out", str(tmp_path / "p.csv")],
-            "evaluate": ["evaluate", "--manifest", str(manifest), "--runs", str(run),
-                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "report.csv")],
-        }[command]
         capsys.readouterr()
-        assert cli.main(argv) == code
-        err = capsys.readouterr().err
-        assert err.startswith("ERROR ") and err.count("\n") == 1 and needle in err, err
-        if code == 2:
-            assert err.startswith("ERROR ConfigError:") and "model_config.txt" in err, err
+        assert cli.main(self._inference_argv(command, data, manifest, run, tmp_path)) == code
+        self._assert_one_error(capsys, kind, str(path), needle)
+        assert not any((tmp_path / name).exists() for name in ("p.csv", "maps", "report.csv"))
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_non_finite_checkpoint_weight_exit_code(self, workspace, overfit_run, tmp_path, capsys, command):
@@ -398,14 +423,8 @@ class TestErrors:
         arrays = autograd.load_checkpoint(run / "checkpoint.wft1")
         arrays["layers.1.ff.fc2.weight"][3, 2] = np.nan
         autograd.save_checkpoint(run / "checkpoint.wft1", arrays)
-        argv = {
-            "predict": ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
-                        "--out", str(tmp_path / "p.csv")],
-            "evaluate": ["evaluate", "--manifest", str(manifest), "--runs", str(run),
-                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "report.csv")],
-        }[command]
         capsys.readouterr()
-        assert cli.main(argv) == 5
+        assert cli.main(self._inference_argv(command, data, manifest, run, tmp_path)) == 5
         self._assert_one_error(capsys, "RecordFormatError", str(run / "checkpoint.wft1"), "'layers.1.ff.fc2.weight'",
                                "non-finite")
 
@@ -415,20 +434,19 @@ class TestErrors:
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run"
         shutil.copytree(overfit_run, run)
-        path = run / "model_config.txt"
+        path = run / "config_used.ini"
         text = path.read_text()
-        assert "num_layers=2\n" in text
-        path.write_text(text.replace("num_layers=2\n", "num_layers=1000000000\n"))
-        argv = {
-            "predict": ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run),
-                        "--out", str(tmp_path / "p.csv")],
-            "evaluate": ["evaluate", "--manifest", str(manifest), "--runs", str(run),
-                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "report.csv")],
-        }[command]
+        assert "num_layers = 2\n" in text
+        path.write_text(text.replace("num_layers = 2\n", "num_layers = 1000000000\n"))
         capsys.readouterr()
-        assert cli.main(argv) == 7
-        err = capsys.readouterr().err
-        assert err.startswith("ERROR ShapeError:") and err.count("\n") == 1 and "num_layers=1000000000" in err, err
+        tracemalloc.start()
+        try:
+            assert cli.main(self._inference_argv(command, data, manifest, run, tmp_path)) == 7
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak  # no shape map, parameter or graph of a billion layers
+        self._assert_one_error(capsys, "ShapeError", str(run / "checkpoint.wft1"), "num_layers=1000000000")
 
     @pytest.mark.parametrize("source", ["--set", "ini"])
     def test_ignored_key_must_be_an_integer(self, workspace, tmp_path, capsys, source):
@@ -623,7 +641,7 @@ class TestErrors:
         self._assert_one_error(capsys, "RecordFormatError", str(bad), "not UTF-8")
         assert not out.exists()
 
-    @pytest.mark.parametrize("target", ["ini", "model_config_predict", "model_config_evaluate"])
+    @pytest.mark.parametrize("target", ["ini", "run_config_predict", "run_config_evaluate"])
     def test_non_utf8_configuration_is_a_config_error(self, workspace, overfit_run, tmp_path, capsys, target):
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run"
@@ -631,9 +649,9 @@ class TestErrors:
         out = tmp_path / "out"
         bad, argv = {
             "ini": (tmp_path / "bad.ini", self._train_argv(data, tmp_path / "bad.ini", manifest, out)),
-            "model_config_predict": (run / "model_config.txt", [
+            "run_config_predict": (run / "config_used.ini", [
                 "predict", "--record", str(data / "synth00000.hea"), "--run", str(run), "--out", str(out)]),
-            "model_config_evaluate": (run / "model_config.txt", [
+            "run_config_evaluate": (run / "config_used.ini", [
                 "evaluate", "--manifest", str(manifest), "--runs", str(run), "--weights", str(data / "weights.csv"),
                 "--out", str(out)]),
         }[target]

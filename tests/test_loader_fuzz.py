@@ -1,11 +1,11 @@
 """Fuzz the manifest, fold and reward-matrix CSV loaders: whatever the text,
 a loader returns a usable object or raises an `EcgFormerError` subclass. Raw
 bytes, which need not be UTF-8, go to every text-file loader the same way.
-The INI file and `model_config.txt` are fuzzed through the command line:
-whatever their bytes, a command ends with one `ERROR` line naming a package
-error and the exit code README gives it. A signal file of any size but the
-header's is a truncation error for the reader and every command that reads
-it. A header rate that is not a finite positive number, and samples that
+The INI file is fuzzed through the command line, as `train --config` and
+as a run's `config_used.ini`: whatever its bytes, a command ends with one
+`ERROR` line naming a package error and the exit code README gives it. A
+signal file of any size but the header's is a truncation error for the
+reader and every command that reads it. A header rate that is not a finite positive number, and samples that
 decode finite but overflow the wide features, make a malformed record."""
 
 import shutil
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecgformer import cli, errors, metrics, model, record_io, stratify, train
+from ecgformer import cli, errors, metrics, record_io, stratify, train
 from ecgformer.errors import EcgFormerError, RecordFormatError
 from ecgformer.features import FEATURE_NAMES
 
@@ -188,9 +188,6 @@ precision = float32
 feature_lead = II
 """.splitlines()
 
-VALID_MODEL_CONFIG = model.ModelConfig(num_leads=2, d_model=16, num_layers=2, num_heads=2, d_ff=16, d_deep=8, d_wide=4,
-                                       d_class=3, window_samples=192).to_text().splitlines()
-
 LINES = st.one_of(
     st.sampled_from(["", "[model]", "[train]", "[nope]", "[DEFAULT]", "[", "]", "=", ":", "; note", "# note",
                      "d_model = 17", "num_heads = 0", "d_patch = 7", "folds = x", "learning_rate = nan",
@@ -250,24 +247,26 @@ def _train_on_config(tmp_path, capsys, blob: bytes, overrides=()):
     return code
 
 
-def _predict_on_model_config(tmp_path, capsys, blob: bytes):
-    """`predict` on a run directory that holds only `model_config.txt` (here `blob`): a configuration
-    it accepts stops at the missing checkpoint, exit 3."""
+def _predict_on_run_config(tmp_path, capsys, blob: bytes):
+    """`predict` on a run directory that holds `config_used.ini` (here `blob`) and `thresholds.csv`
+    but no checkpoint: once the model configuration is built, it stops at the missing checkpoint, exit 3.
+    An unknown lead subset is exit 4, as in `train`."""
     run = tmp_path / "run"
     run.mkdir(exist_ok=True)
-    (run / "model_config.txt").write_bytes(blob)
+    (run / "config_used.ini").write_bytes(blob)
+    (run / "thresholds.csv").write_bytes(VALID_FILES["thresholds"][0])
     capsys.readouterr()
     code = cli.main(["predict", "--record", str(tmp_path / "r0.hea"), "--run", str(run),
                      "--out", str(tmp_path / "p.csv")])
     _assert_one_package_error(capsys, code)
-    assert code in (2, 3)
+    assert code in (2, 3, 4) and not (tmp_path / "p.csv").exists()
     return code
 
 
 def test_valid_configuration_files_pass_the_loaders(tmp_path, capsys):
     valid_ini = "\n".join(VALID_INI).encode()
     assert _train_on_config(tmp_path, capsys, valid_ini) == 4
-    assert _predict_on_model_config(tmp_path, capsys, "\n".join(VALID_MODEL_CONFIG).encode()) == 3
+    assert _predict_on_run_config(tmp_path, capsys, valid_ini) == 3
 
 
 @FUZZ
@@ -287,18 +286,17 @@ def test_overrides_fail_only_with_package_errors(tmp_path, capsys, items):
 
 
 @FUZZ
-@given(text=_line_edits(VALID_MODEL_CONFIG))
-def test_model_config_fails_only_with_package_errors(tmp_path, capsys, text):
-    _predict_on_model_config(tmp_path, capsys, text.encode())
+@given(text=_line_edits(VALID_INI))
+def test_run_config_fails_only_with_package_errors(tmp_path, capsys, text):
+    _predict_on_run_config(tmp_path, capsys, text.encode())
 
 
 @FUZZ
-@given(model_config=st.booleans(), at=st.integers(0, 1000), raw=st.binary(min_size=1, max_size=8))
-def test_configuration_files_fail_only_with_package_errors_on_raw_bytes(tmp_path, capsys, model_config, at, raw):
-    lines, run = (VALID_MODEL_CONFIG, _predict_on_model_config) if model_config else (VALID_INI, _train_on_config)
-    blob = "\n".join(lines).encode()
+@given(run_config=st.booleans(), at=st.integers(0, 1000), raw=st.binary(min_size=1, max_size=8))
+def test_configuration_files_fail_only_with_package_errors_on_raw_bytes(tmp_path, capsys, run_config, at, raw):
+    blob = "\n".join(VALID_INI).encode()
     at %= len(blob) + 1
-    run(tmp_path, capsys, blob[:at] + raw + blob[at:])
+    (_predict_on_run_config if run_config else _train_on_config)(tmp_path, capsys, blob[:at] + raw + blob[at:])
 
 
 # -- signal file sizes ------------------------------------------------------------------------------------------

@@ -169,9 +169,7 @@ class TestTrainFold:
         fa = stratify.stratified_folds(manifest.label_matrix(), k=2, seed=2)
         params, thresholds, report = train.train_fold(manifest, fa, 0, toy_model_config(), TOY_PREPROCESS,
                                                       toy_train_config(max_steps=10), weights, tmp_path / "c")
-        cfg_text = (tmp_path / "c" / "model_config.txt").read_text()
-        reloaded = model.params_from_arrays(ag.load_checkpoint(report.checkpoint_path),
-                                            model.ModelConfig.from_text(cfg_text))
+        reloaded = model.params_from_arrays(ag.load_checkpoint(report.checkpoint_path), toy_model_config())
         val_idx = [manifest.record_ids().index(r) for r in report.val_record_ids]
         prepared = train.prepare_records(manifest, np.array(val_idx), record_io.lead_subset("two"),
                                          TOY_PREPROCESS, FeatureConfig(), 4)
