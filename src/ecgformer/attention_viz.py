@@ -55,15 +55,15 @@ def extract_attention(
     layer: int,
     head_mode: str = "mean",
 ) -> AttentionMap:
-    """Eval-mode forward pass returning one layer's softmaxed attention.
+    """One record's eval-mode forward, as a batch of one, returning one layer's softmaxed attention.
 
     head_mode is "mean" (average over heads) or an integer-like string /
     integer selecting a single head.
     """
     if not (0 <= layer < config.num_layers):
         raise ArgumentRangeError(f"layer {layer} out of range for {config.num_layers} layers")
-    out = wm.forward(window, wide, params, config, mode="eval", capture_attention=True)
-    per_head = out.attention_maps[layer]  # [H, N+1, N+1]
+    out = wm.forward([window], np.asarray(wide)[None], params, config, mode="eval", capture_attention=True)
+    per_head = out.attention_maps[layer][0]  # [H, N+1, N+1]
     if head_mode == "mean":
         matrix = per_head.mean(axis=0)
         label = "mean"

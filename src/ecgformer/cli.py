@@ -60,15 +60,19 @@ def cmd_folds(args) -> int:
     return 0
 
 
+def _load_weights(args, train_config: train.TrainConfig, manifest: record_io.DatasetManifest) -> metrics.WeightMatrix:
+    """The reward matrix, with `[train] normal_class` (default: the manifest's first class) as the normal class."""
+    normal = train_config.normal_class or manifest.class_list[0]
+    return metrics.load_weight_matrix(_require(args.weights, "weight matrix"), normal)
+
+
 def _train_setup(args):
     config = _load_config(args)
     manifest = record_io.load_manifest(_require(args.manifest, "manifest"))
     train_config = config.train_config(args.threads)
     subset = train_config.subset()
     model_config = config.model_config(num_leads=len(subset.leads), d_class=len(manifest.class_list))
-    normal = train_config.normal_class or manifest.class_list[0]
-    weights = metrics.load_weight_matrix(_require(args.weights, "weight matrix"), normal)
-    return config, manifest, train_config, model_config, weights
+    return config, manifest, train_config, model_config, _load_weights(args, train_config, manifest)
 
 
 def _write_run_sidecars(out_dir: Path, config: RunConfig):
@@ -139,37 +143,29 @@ class RunArtifacts:
         subset and thresholds.csv's classes, so a checkpoint of other shapes
         is a ShapeError."""
         subset = config.train_config().subset()
-        codes, thresholds = train.load_thresholds(_require(run_dir / "thresholds.csv", "thresholds file"), class_codes)
+        thresholds_path = _require(run_dir / "thresholds.csv", "thresholds file")
+        codes, thresholds = train.load_thresholds(thresholds_path, class_codes)
         model_config = config.model_config(num_leads=len(subset.leads), d_class=len(codes))
         checkpoint = _require(run_dir / "checkpoint.wft1", "checkpoint")
         arrays = autograd.load_checkpoint(checkpoint)
         try:
             params = model.params_from_arrays(arrays, model_config)
-        except (RecordFormatError, ShapeError) as exc:  # a non-finite weight or a wrong shape: name the file too
-            raise type(exc)(f"{checkpoint}: {exc}") from None
+        except RecordFormatError as exc:  # a non-finite weight: name the file too
+            raise RecordFormatError(f"{checkpoint}: {exc}") from None
+        except ShapeError as exc:  # name the file, and where the expected shapes came from
+            raise ShapeError(f"{checkpoint}: {exc}; the expected shapes follow the {len(codes)} classes of "
+                             f"{thresholds_path}, config_used.ini and --set") from None
         scaler_path = run_dir / "wide_scaler.csv"
         scaler = train.load_wide_scaler(scaler_path, model_config.d_wide) if scaler_path.exists() else None
         return cls(config, subset, model_config, params, codes, thresholds, scaler)
-
-    def inputs(self, header_path: Path) -> tuple[str, dsp.ProcessedWindow, np.ndarray]:
-        """One record's id, start window (the whole chain, `dsp.preprocess`) and wide row."""
-        selected, wide = train.prepare_record(header_path, self.subset, self.config.feature_config(),
-                                              self.model_config.d_wide, self.scaler)
-        window = dsp.preprocess(selected.signal, selected.sampling_rate_hz, self.config.preprocess_config())
-        return selected.record_id, window, wide
-
-    def prepare_rows(self, manifest, indices, threads: int) -> list[train.PreparedRecord]:
-        prepared = train.prepare_records(manifest, indices, self.subset, self.config.preprocess_config(),
-                                         self.config.feature_config(), self.model_config.d_wide, threads, self.scaler)
-        return [prepared[int(i)] for i in indices]
 
 
 def cmd_evaluate(args) -> int:
     runs = _require(args.runs, "run directory")
     config = _run_config(runs, args)
     manifest = record_io.load_manifest(_require(args.manifest, "manifest"))
-    normal = config["train"]["normal_class"] or manifest.class_list[0]
-    weights = metrics.load_weight_matrix(_require(args.weights, "weight matrix"), normal)
+    weights = _load_weights(args, config.train_config(), manifest)
+    preprocess_config = config.preprocess_config()
 
     if (runs / "checkpoint.wft1").exists():
         fold_dirs = [(-1, runs)]
@@ -187,8 +183,10 @@ def cmd_evaluate(args) -> int:
     for fold, run_dir in fold_dirs:
         run = RunArtifacts.load(run_dir, config, manifest.class_list)
         indices = np.arange(len(manifest.entries)) if fold == -1 else assignment.records_in_fold(fold)
-        probs = train.predict_probabilities(run.prepare_rows(manifest, indices, args.threads), run.params,
-                                            run.model_config, config.preprocess_config())
+        prepared = train.prepare_records(manifest, indices, run.subset, preprocess_config, config.feature_config(),
+                                         run.model_config.d_wide, args.threads, run.scaler)
+        probs = train.predict_probabilities([prepared[int(i)] for i in indices], run.params, run.model_config,
+                                            preprocess_config)
         labels = labels_all[indices]
         challenge = metrics.challenge_metric(labels, train.apply_thresholds(probs, run.thresholds), weights)
         scores.append(train.FoldScore(fold, challenge, metrics.per_class_auroc(probs, labels)))
@@ -203,15 +201,18 @@ def cmd_evaluate(args) -> int:
 
 
 def _run_and_inputs(args) -> tuple[RunArtifacts, str, dsp.ProcessedWindow, np.ndarray]:
-    """The run directory, then the record's id, start window and wide row."""
+    """The run directory, then the record's id, start window (`dsp.preprocess`) and wide row."""
     run_dir = _require(args.run, "run directory")
     run = RunArtifacts.load(run_dir, _run_config(run_dir, args))
-    return run, *run.inputs(_require(args.record, "record header"))
+    selected, wide = train.read_record(_require(args.record, "record header"), run.subset, run.config.feature_config(),
+                                       run.model_config.d_wide, run.scaler)
+    window = dsp.preprocess(selected.signal, selected.sampling_rate_hz, run.config.preprocess_config())
+    return run, selected.record_id, window, wide
 
 
 def cmd_predict(args) -> int:
     run, record_id, window, wide = _run_and_inputs(args)
-    probs = model.forward(window, wide, run.params, run.model_config, mode="eval").probabilities.data
+    probs = model.forward([window], wide[None], run.params, run.model_config, mode="eval").probabilities.data[0]
     lines = ["record_id," + ",".join(run.class_codes),
              record_id + "," + ",".join(repr(float(p)) for p in probs)]
     Path(args.out).write_text("\n".join(lines) + "\n")

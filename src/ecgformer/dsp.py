@@ -226,6 +226,7 @@ def preprocess(signal, from_hz: float, config: PreprocessConfig, offset_policy: 
     """Full chain: resample -> bandpass -> normalize -> window.
 
     With normalize_scope == "window" the normalization runs on the extracted
-    window instead of the whole filtered recording.
+    window instead of the whole filtered recording. `predict` and `attention`
+    run it; training and `evaluate` keep each recording and run the halves.
     """
     return cut_window(process_recording(signal, from_hz, config), config, offset_policy, seed)

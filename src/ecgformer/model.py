@@ -282,41 +282,36 @@ def _attention_block(
 
 
 def forward(
-    window: ProcessedWindow | list[ProcessedWindow],
+    windows: list[ProcessedWindow],
     wide: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
     mode: str = "eval",
-    rng: np.random.Generator | int | list | None = None,
+    rng: list[np.random.Generator] | None = None,
     capture_attention: bool = False,
 ) -> ModelOutput:
     """A batch of records through the network as one graph; mode is 'train'
     (dropout live) or 'eval'.
 
-    `window` is a list of B windows with `wide` [B, d_wide] and `rng` a list
-    of B generators or seeds (slot b draws every dropout mask from rng[b], as
-    a forward of its record alone would); outputs are [B, d_class] and the
-    attention maps [B, H, T, T]. Every slot's outputs and gradients are those
-    of its record in a batch of one. One window with `wide` [d_wide] and one
-    generator or seed is a batch of one with the batch axis dropped from the
-    outputs. Eval runs on `params.no_grad()`, so it records no graph. The
-    inputs become constants of the parameters' dtype.
+    `windows` is a list of B windows, `wide` their [B, d_wide] feature rows
+    and, in train mode, `rng` a list of B generators: slot b draws every
+    dropout mask from rng[b], as a forward of its record alone would. The
+    outputs are [B, d_class] and the attention maps [B, H, T, T], and every
+    slot's outputs and gradients are those of its record in a batch of one.
+    Eval runs on `params.no_grad()`, so it records no graph. The inputs
+    become constants of the parameters' dtype.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train|eval, got {mode!r}")
     training = mode == "train"
-    single = isinstance(window, ProcessedWindow)
-    windows = [window] if single else list(window)
     batch = len(windows)
     if not training:
         params, rng = params.no_grad(), None
-    elif rng is not None:
-        rng = [np.random.default_rng(r) for r in ([rng] if single else rng)]  # a generator passes through
-        if len(rng) != batch:
-            raise ShapeError(f"{len(rng)} dropout generators for a batch of {batch}")
+    elif rng is not None and len(rng) != batch:
+        raise ShapeError(f"{len(rng)} dropout generators for a batch of {batch}")
     dtype = params["patch_projection.weight"].data.dtype
     wide = np.asarray(wide, dtype=np.float64)
-    if wide.shape != ((config.d_wide,) if single else (batch, config.d_wide)):
+    if wide.shape != (batch, config.d_wide):
         raise ShapeError(f"wide features have shape {wide.shape}, expected {batch} row(s) of {config.d_wide}")
 
     d, n = config.d_model, config.num_patches
@@ -352,11 +347,8 @@ def forward(
     deep = ag.gelu(_linear(cls_state, params, "head.fc1"), config.gelu_exact)
     deep = ag.dropout(deep, config.dropout_head, rng, training)
     combined = ag.concat([deep, Tensor(wide.reshape(batch, 1, config.d_wide), dtype=dtype)], axis=2)
-    out_shape = (config.d_class,) if single else (batch, config.d_class)
-    logits = ag.reshape(_linear(combined, params, "head.fc2"), out_shape)
+    logits = ag.reshape(_linear(combined, params, "head.fc2"), (batch, config.d_class))
     probabilities = ag.sigmoid(logits)
-    if single and attention_maps is not None:
-        attention_maps = [maps[0] for maps in attention_maps]
     return ModelOutput(probabilities=probabilities, logits=logits, attention_maps=attention_maps)
 
 

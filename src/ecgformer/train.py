@@ -195,10 +195,8 @@ def load_thresholds(path, class_codes: list[str] | None = None) -> tuple[list[st
 
 @dataclass
 class PreparedRecord:
-    record_id: str
     processed: np.ndarray  # resampled + filtered (+ normalized) full recording
     wide: np.ndarray  # already truncated to d_wide (and standardized if enabled)
-    labels: np.ndarray
 
 
 def _wide_row(values: np.ndarray, d_wide: int, scaler: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
@@ -210,7 +208,7 @@ def _wide_row(values: np.ndarray, d_wide: int, scaler: tuple[np.ndarray, np.ndar
 
 
 def _leads_to_decode(subset: LeadSubset, feature_config: features.FeatureConfig):
-    """`prepare_record`'s choice of leads to decode from a file whose leads are
+    """`read_record`'s choice of leads to decode from a file whose leads are
     `names`: the subset's leads it has, once each and in subset order, and the
     feature lead. A file without the configured feature lead falls back to
     its first lead, which then goes first, so that the decoded record falls
@@ -240,8 +238,8 @@ def _select_leads(record: EcgRecord, subset: LeadSubset) -> EcgRecord:
                      record.age_years, record.sex, set(record.dx_codes))
 
 
-def prepare_record(header_path, subset: LeadSubset, feature_config: features.FeatureConfig, d_wide: int,
-                   scaler: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[EcgRecord, np.ndarray]:
+def read_record(header_path, subset: LeadSubset, feature_config: features.FeatureConfig, d_wide: int,
+                scaler: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[EcgRecord, np.ndarray]:
     """What the model reads of a record: its subset's leads (still to be
     preprocessed) and its wide feature row. Only those leads and the feature
     lead are decoded; the errors, and their order, are those of decoding the
@@ -249,6 +247,17 @@ def prepare_record(header_path, subset: LeadSubset, feature_config: features.Fea
     record = parse_record(header_path, _leads_to_decode(subset, feature_config))
     wide = _wide_row(features.record_features(record, feature_config).values, d_wide, scaler)
     return _select_leads(record, subset), wide
+
+
+def prepare_record(header_path, subset: LeadSubset, preprocess_config: dsp.PreprocessConfig,
+                   feature_config: features.FeatureConfig, d_wide: int,
+                   scaler: tuple[np.ndarray, np.ndarray] | None = None,
+                   taps: np.ndarray | None = None) -> PreparedRecord:
+    """`read_record` with the leads through `dsp.process_recording` (with `taps`
+    when given): what training, validation and `evaluate` cut windows from."""
+    selected, wide = read_record(header_path, subset, feature_config, d_wide, scaler)
+    processed = dsp.process_recording(selected.signal, selected.sampling_rate_hz, preprocess_config, taps)
+    return PreparedRecord(processed, wide)
 
 
 def prepare_records(
@@ -261,27 +270,18 @@ def prepare_records(
     threads: int = 1,
     scaler: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[int, PreparedRecord]:
-    """Parse and prepare the given manifest rows, with their labels, each
-    recording through the recording half of the chain (order independent)."""
-    label_matrix = manifest.label_matrix()
+    """`prepare_record` of the given manifest rows, keyed by row (order independent)."""
+    rows = [int(i) for i in indices]
     taps = dsp.design_bandpass(preprocess_config)
 
-    def build(i: int) -> tuple[int, PreparedRecord]:
-        entry = manifest.entries[i]
-        selected, wide = prepare_record(entry.file_path, subset, feature_config, d_wide, scaler)
-        processed = dsp.process_recording(selected.signal, selected.sampling_rate_hz, preprocess_config, taps)
-        return i, PreparedRecord(entry.record_id, processed, wide, label_matrix[i].astype(np.float64))
+    def prepare(i: int) -> PreparedRecord:
+        return prepare_record(manifest.entries[i].file_path, subset, preprocess_config, feature_config, d_wide,
+                              scaler, taps)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(build, [int(i) for i in indices]))
-    else:
-        built = [build(int(i)) for i in indices]
-    return dict(built)
-
-
-def _stable_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+            return dict(zip(rows, pool.map(prepare, rows)))
+    return {i: prepare(i) for i in rows}
 
 
 DROPOUT_BLOCK_STEPS = 32  # steps whose dropout generator states are seeded in one pass
@@ -291,7 +291,7 @@ class _Streams:
     """The random draws of training, each the stream NumPy gives a fresh generator:
 
     - the window offset of record `rec` in epoch `epoch`, drawn from
-      `np.random.default_rng(_stable_seed(seed, 13, epoch, rec))`;
+      `np.random.default_rng(seeding.stable_seeds([(seed, 13, epoch, rec)])[0])`;
     - the dropout masks of batch slot `slot` at step `step`, drawn from
       `np.random.default_rng(np.random.SeedSequence([seed, 17, step, slot]))`.
 
@@ -424,17 +424,19 @@ def _check_shapes(manifest: DatasetManifest, model_config: model.ModelConfig, tr
 
 def _train_steps(
     cache: dict[int, PreparedRecord],
+    labels: np.ndarray,
     train_idx: np.ndarray,
-    val_prepared: list[PreparedRecord],
-    val_labels: np.ndarray,
+    val_idx: np.ndarray,
     model_config: model.ModelConfig,
     preprocess_config: dsp.PreprocessConfig,
     train_config: TrainConfig,
     weights: metrics.WeightMatrix,
     checkpoint_path,
-) -> tuple[list[float], set[str]]:
-    """Initialise and train the parameters, writing the best checkpoint to
-    `checkpoint_path`; returns the loss curve and the trained record ids.
+) -> tuple[list[float], set[int]]:
+    """Initialise and train the parameters on the `train_idx` rows of `cache`
+    and `labels` (the manifest's label matrix), validating on the `val_idx`
+    rows, and write the best checkpoint to `checkpoint_path`; returns the
+    loss curve and the trained rows.
 
     The parameters, Adam's moments and the gradient total live only in here,
     in the flat buffers of `ag.adam_init`, so they are released before the
@@ -450,14 +452,15 @@ def _train_steps(
     seed = train_config.seed
 
     loss_curve: list[float] = []
-    trained_ids: set[str] = set()
+    trained_rows: set[int] = set()
     best_metric = -math.inf  # the first evaluation writes; max_steps >= 1 and the last step evaluates
+    val_prepared, val_labels = [cache[int(i)] for i in val_idx], labels[val_idx]
 
     def val_metric_at_half() -> float:
         probs = predict_probabilities(val_prepared, params, model_config, preprocess_config)
         preds = (probs >= 0.5).astype(np.int64)
         try:
-            return metrics.challenge_metric(val_labels.astype(np.int64), preds, weights)
+            return metrics.challenge_metric(val_labels, preds, weights)
         except metrics.UndefinedScoreError:
             # Degenerate tiny validation sets: fall back to negative BCE.
             p = np.clip(probs, ag.BCE_EPS, 1 - ag.BCE_EPS)
@@ -468,15 +471,16 @@ def _train_steps(
 
     def train_step(step: int, batch: list[tuple[int, object]]) -> float:
         """One Adam update from the batch-mean gradient; returns the mean loss."""
-        records = [cache[rec_idx] for rec_idx, _ in batch]
+        rows = [rec_idx for rec_idx, _ in batch]
+        records = [cache[rec_idx] for rec_idx in rows]
         windows = [dsp.cut_window(r.processed, preprocess_config, "random", streams.window_rng(window_seed))
                    for r, (_, window_seed) in zip(records, batch)]
         rngs = streams.dropout_rngs(step)
-        wide, labels = np.stack([r.wide for r in records]), np.stack([r.labels for r in records])
+        wide = np.stack([r.wide for r in records])
         grad_total.fill(0.0)
         scale = 1.0 / len(batch)
         try:
-            losses = batch_gradients(windows, wide, labels, rngs, params, model_config, grads)
+            losses = batch_gradients(windows, wide, labels[rows], rngs, params, model_config, grads)
             np.multiply(grad_total, scale, out=grad_total)  # the batch mean, in place
             loss_sum = 0.0
             for value in losses:  # in slot order; sum() compensates its rounding from Python 3.12 on
@@ -496,12 +500,12 @@ def _train_steps(
         while len(batch) < batch_size:
             if not stream:
                 epoch += 1
-                order = np.random.default_rng(_stable_seed(seed, 11, epoch)).permutation(len(train_idx))
+                order = np.random.default_rng(seeding.stable_seeds([(seed, 11, epoch)])[0]).permutation(len(train_idx))
                 records = [int(train_idx[j]) for j in order]
                 stream = list(zip(records, streams.window_seeds(epoch, records)))
             batch.append(stream.pop())
         loss_curve.append(train_step(step, batch))
-        trained_ids.update(cache[rec_idx].record_id for rec_idx, _ in batch)
+        trained_rows.update(rec_idx for rec_idx, _ in batch)
 
         if (step + 1) % train_config.eval_every == 0 or step + 1 == train_config.max_steps:
             current = val_metric_at_half()
@@ -509,7 +513,7 @@ def _train_steps(
             if current >= best_metric:
                 best_metric = current
                 ag.save_checkpoint(checkpoint_path, params.tensors)
-    return loss_curve, trained_ids
+    return loss_curve, trained_rows
 
 
 def train_fold(
@@ -547,8 +551,7 @@ def train_fold(
         # Fold-private copies: the records may be shared with other folds.
         cache = {i: replace(p, wide=_wide_row(p.wide, model_config.d_wide, scaler)) for i, p in cache.items()}
 
-    val_prepared = [cache[int(i)] for i in val_idx]
-    val_labels = np.stack([p.labels for p in val_prepared])
+    labels = manifest.label_matrix()
     # The steps write the best checkpoint to a file beside the directory's
     # own checkpoint, and the thresholds are fitted on what that file holds.
     # Only then does the run replace the directory's files; a run that fails
@@ -556,19 +559,18 @@ def train_fold(
     checkpoint_path = out_dir / "checkpoint.wft1"
     kept_path = out_dir / "checkpoint.wft1.tmp"
     try:
-        loss_curve, trained_ids = _train_steps(
-            cache, train_idx, val_prepared, val_labels, model_config, preprocess_config, train_config, weights,
-            kept_path,
+        loss_curve, trained_rows = _train_steps(
+            cache, labels, train_idx, val_idx, model_config, preprocess_config, train_config, weights, kept_path,
         )
         # Report everything from the checkpoint actually written to disk, so a
         # later load + evaluate reproduces these numbers bitwise.
         final_params = model.params_from_arrays(ag.load_checkpoint(kept_path), model_config)
-        val_probs = predict_probabilities(val_prepared, params=final_params, model_config=model_config,
-                                          preprocess_config=preprocess_config)
-        thresholds = fit_thresholds(val_probs, val_labels.astype(np.int64), weights)
-        challenge = metrics.challenge_metric(val_labels.astype(np.int64), apply_thresholds(val_probs, thresholds),
-                                             weights)
-        auroc_by_class = metrics.per_class_auroc(val_probs, val_labels.astype(np.int64))
+        val_probs = predict_probabilities([cache[int(i)] for i in val_idx], final_params, model_config,
+                                          preprocess_config)
+        val_labels = labels[val_idx]
+        thresholds = fit_thresholds(val_probs, val_labels, weights)
+        challenge = metrics.challenge_metric(val_labels, apply_thresholds(val_probs, thresholds), weights)
+        auroc_by_class = metrics.per_class_auroc(val_probs, val_labels)
     except BaseException:
         kept_path.unlink(missing_ok=True)
         raise
@@ -585,7 +587,7 @@ def train_fold(
         challenge=challenge,
         auroc_by_class=auroc_by_class,
         loss_curve=loss_curve,
-        trained_record_ids=sorted(trained_ids),
+        trained_record_ids=sorted(manifest.entries[i].record_id for i in trained_rows),
         val_record_ids=val_ids,
         checkpoint_path=str(checkpoint_path),
     )

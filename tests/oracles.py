@@ -3,10 +3,11 @@
 Everything here is written the dumbest correct way (explicit loops, direct
 summation) and never shares code with src/. The exceptions are
 `gradients_into_zeros`, the package's own reverse pass, for tests that only
-need a graph's gradients; the unfused chains, each of which builds, from the
-package's primitive ops, the graph that one fused autograd node replaces;
-the reference nodes that keep what a package backward recomputes; and the
-reference record reader, which uses the package's header parser,
+need a graph's gradients; `forward_one`, the package's forward on a batch of
+one, for tests of a single record; the unfused chains, each of which builds,
+from the package's primitive ops, the graph that one fused autograd node
+replaces; the reference nodes that keep what a package backward recomputes;
+and the reference record reader, which uses the package's header parser,
 record type and features around a decode of every lead.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ecgformer import autograd as ag
-from ecgformer import features
+from ecgformer import features, model
 from ecgformer.errors import ArgumentRangeError
 from ecgformer.errors import RecordFormatError, TruncationError
 from ecgformer.record_io import EcgRecord, _parse_header_text
@@ -392,6 +393,16 @@ def fold_label_deviation(label_matrix, assignment):
         counts = labels[assignment.fold_of == fold].sum(axis=0)
         total += float(np.abs(counts - ideal).sum())
     return total
+
+
+def forward_one(window, wide, params, config, mode="eval", seed=None, capture_attention=False):
+    """`model.forward` of one record as a batch of one, with the batch axis dropped from every output. In
+    train mode the record draws its dropout from `np.random.default_rng(seed)` (none without a seed)."""
+    rng = None if seed is None else [np.random.default_rng(seed)]
+    out = model.forward([window], np.asarray(wide)[None], params, config, mode, rng, capture_attention)
+    maps = None if out.attention_maps is None else [m[0] for m in out.attention_maps]
+    return model.ModelOutput(ag.reshape(out.probabilities, (config.d_class,)),
+                             ag.reshape(out.logits, (config.d_class,)), maps)
 
 
 def copy_arrays(params):

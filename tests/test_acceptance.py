@@ -17,6 +17,7 @@ from oracles import (
     copy_arrays,
     dtft_magnitude,
     fold_label_deviation,
+    forward_one,
     gradients_into_zeros,
     max_rel_err,
     read_csv_map,
@@ -67,13 +68,13 @@ def test_a1_gradient_integrity():
     live = model.params_from_arrays(arrays, TOY)
     # An eval forward records no graph; train mode without dropout is the same forward with one.
     no_dropout = model.ModelConfig(**{**TOY.__dict__, "dropout_encoder": 0.0, "dropout_head": 0.0})
-    out = model.forward(window, wide, live, no_dropout, mode="train")
+    out = forward_one(window, wide, live, no_dropout, mode="train")
     loss = ag.binary_cross_entropy(out.probabilities, targets)
     analytic = gradients_into_zeros(loss, live.trainable())
 
     def loss_at(probe_arrays):
         p = model.params_from_arrays(probe_arrays, TOY)
-        o = model.forward(window, wide, p, TOY, mode="eval")
+        o = forward_one(window, wide, p, TOY, mode="eval")
         return ag.binary_cross_entropy(o.probabilities, targets).item()
 
     worst = 0.0
@@ -136,7 +137,7 @@ def test_a3_shape_fidelity(subset_name):
 
     params = model.init_params(cfg, seed=0)
     assert params["head.fc2.weight"].shape == (64 + 22, 26)  # head input width 86
-    out = model.forward(window, rng.normal(size=22), params, cfg, capture_attention=True)
+    out = forward_one(window, rng.normal(size=22), params, cfg, capture_attention=True)
     assert out.logits.shape == (26,)
     assert out.probabilities.shape == (26,)
     for maps in out.attention_maps:

@@ -142,7 +142,7 @@ def _toy_step_loss(seed: int = 3):
     rng = np.random.default_rng(seed)
     windows = [dsp.ProcessedWindow(rng.uniform(-1.0, 1.0, size=(2, 192)), 192, 0) for _ in range(4)]
     wide, labels = rng.normal(size=(4, 4)), rng.integers(0, 2, size=(4, 3)).astype(float)
-    out = model.forward(windows, wide, params, config, mode="train", rng=list(range(4)))
+    out = model.forward(windows, wide, params, config, mode="train", rng=[np.random.default_rng(s) for s in range(4)])
     return autograd.binary_cross_entropy(out.probabilities, labels, per_slot=True), params
 
 

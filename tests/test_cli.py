@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ecgformer import autograd, cli, errors, metrics, model, record_io, train
+from ecgformer import attention_viz, autograd, cli, dsp, errors, metrics, model, record_io, train
 from ecgformer.runconfig import RunConfig
 
 TOY_INI = """\
@@ -244,6 +244,39 @@ class TestChain:
             assert record_id == entry.record_id
             assert np.array_equal(np.array([float(v) for v in values]), row), record_id
 
+    @pytest.mark.parametrize("standardize", ["false", "true"])
+    @pytest.mark.parametrize("scope", ["recording", "window"])
+    def test_attention_csv_equals_the_map_of_an_eval_forward(self, workspace, tmp_path, scope, standardize):
+        # `attention --format csv` writes, byte for byte, the map that an eval forward captures on the record
+        # as the manifest path (validation, `evaluate`) prepares it: `prepare_records`, then the start window.
+        root, data, ini, manifest, folds = workspace
+        run = tmp_path / "run"
+        assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(run), "--config", str(ini), "--set", f"preprocess.normalize_scope={scope}",
+                         "--set", f"train.standardize_wide={standardize}"]) == 0
+        config = RunConfig.load(run / "config_used.ini")
+        loaded = record_io.load_manifest(manifest)
+        subset = config.train_config().subset()
+        model_config = config.model_config(num_leads=len(subset.leads), d_class=len(loaded.class_list))
+        params = model.params_from_arrays(autograd.load_checkpoint(run / "checkpoint.wft1"), model_config)
+        scaler = train.load_wide_scaler(run / "wide_scaler.csv", model_config.d_wide) if standardize == "true" else None
+        indices = np.arange(len(loaded.entries))
+        prepared = train.prepare_records(loaded, indices, subset, config.preprocess_config(), config.feature_config(),
+                                         model_config.d_wide, scaler=scaler)
+        windows = [dsp.cut_window(prepared[i].processed, config.preprocess_config()) for i in indices]
+        wide = np.stack([prepared[i].wide for i in indices])
+        maps = model.forward(windows, wide, params, model_config, mode="eval", capture_attention=True).attention_maps
+        for layer, head, region in [(1, "mean", "patch"), (0, "1", "full")]:
+            label = "mean" if head == "mean" else f"head{head}"
+            for i, entry in enumerate(loaded.entries):
+                assert cli.main(["attention", "--record", entry.file_path, "--run", str(run), "--format", "csv",
+                                 "--layer", str(layer), "--head", head, "--region", region,
+                                 "--out", str(tmp_path / "maps")]) == 0
+                matrix = maps[layer][i].mean(axis=0) if head == "mean" else maps[layer][i][int(head)]
+                expected = attention_viz.render_csv(matrix[1:, 1:] if region == "patch" else matrix)
+                written = tmp_path / "maps" / f"{entry.record_id}_L{layer}_{label}.csv"
+                assert written.read_text() == expected, (entry.record_id, layer, head)
+
     def test_attention_export(self, workspace, tmp_path):
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run_att"
@@ -372,7 +405,8 @@ class TestErrors:
     def test_model_that_does_not_fit_the_checkpoint_is_a_shape_error(self, workspace, overfit_run, tmp_path, capsys,
                                                                      command, cause, tensor):
         # The model is built from config_used.ini, --set and the classes of thresholds.csv: a thresholds.csv
-        # one row short or a --set of another width no longer fits the checkpoint.
+        # one row short or a --set of another width no longer fits the checkpoint. The error names the
+        # checkpoint, and where the shape it was checked against came from.
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run"
         shutil.copytree(overfit_run, run)
@@ -381,11 +415,14 @@ class TestErrors:
             lines = (run / "thresholds.csv").read_text().splitlines(keepends=True)
             assert len(lines) == 6
             (run / "thresholds.csv").write_text("".join(lines[:-1]))
+            classes = 4
         else:
             argv += ["--set", "model.d_ff=32"]
+            classes = 5
         capsys.readouterr()
         assert cli.main(argv) == 7
-        self._assert_one_error(capsys, "ShapeError", str(run / "checkpoint.wft1"), tensor)
+        self._assert_one_error(capsys, "ShapeError", str(run / "checkpoint.wft1"), tensor,
+                               f"the {classes} classes of {run / 'thresholds.csv'}, config_used.ini and --set")
         assert not (tmp_path / "p.csv").exists() and not (tmp_path / "maps").exists()
 
     @pytest.mark.parametrize("command", ["predict", "attention", "evaluate"])

@@ -9,8 +9,9 @@ from ecgformer import model as wm
 from ecgformer.dsp import ProcessedWindow
 from ecgformer.errors import ConfigError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, copy_arrays, gradients_into_zeros,
-                     max_rel_err, per_head_attention, per_head_attention_backward, whole_tensor_truncated_normal)
+from oracles import (allocating_collect_gradients, central_difference_grad, copy_arrays, forward_one,
+                     gradients_into_zeros, max_rel_err, per_head_attention, per_head_attention_backward,
+                     whole_tensor_truncated_normal)
 
 TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
@@ -137,7 +138,7 @@ class TestForward:
         self.wide = self.rng.normal(size=TOY.d_wide)
 
     def test_output_shapes(self):
-        out = wm.forward(self.window, self.wide, self.params, TOY)
+        out = forward_one(self.window, self.wide, self.params, TOY)
         assert out.logits.shape == (TOY.d_class,)
         assert out.probabilities.shape == (TOY.d_class,)
         np.testing.assert_allclose(out.probabilities.data, 1 / (1 + np.exp(-out.logits.data)), atol=1e-12)
@@ -145,23 +146,23 @@ class TestForward:
     def test_zero_params_give_half_probabilities(self):
         zeros = {name: np.zeros(shape) for name, shape in wm.expected_shapes(TOY).items()}
         params = wm.params_from_arrays(zeros, TOY)
-        out = wm.forward(self.window, self.wide, params, TOY)
+        out = forward_one(self.window, self.wide, params, TOY)
         np.testing.assert_array_equal(out.logits.data, 0.0)
         np.testing.assert_array_equal(out.probabilities.data, 0.5)
 
     def test_eval_deterministic_bitwise(self):
-        a = wm.forward(self.window, self.wide, self.params, TOY).logits.data
-        b = wm.forward(self.window, self.wide, self.params, TOY).logits.data
+        a = forward_one(self.window, self.wide, self.params, TOY).logits.data
+        b = forward_one(self.window, self.wide, self.params, TOY).logits.data
         np.testing.assert_array_equal(a, b)
 
     def test_train_mode_deterministic_per_seed(self):
-        a = wm.forward(self.window, self.wide, self.params, TOY, mode="train", rng=3).logits.data
-        b = wm.forward(self.window, self.wide, self.params, TOY, mode="train", rng=3).logits.data
+        a = forward_one(self.window, self.wide, self.params, TOY, mode="train", seed=3).logits.data
+        b = forward_one(self.window, self.wide, self.params, TOY, mode="train", seed=3).logits.data
         np.testing.assert_array_equal(a, b)
 
     def test_attention_rows_sum_to_one_train_and_eval(self):
-        for mode, rng in (("eval", None), ("train", 5)):
-            out = wm.forward(self.window, self.wide, self.params, TOY, mode=mode, rng=rng, capture_attention=True)
+        for mode, seed in (("eval", None), ("train", 5)):
+            out = forward_one(self.window, self.wide, self.params, TOY, mode=mode, seed=seed, capture_attention=True)
             assert len(out.attention_maps) == TOY.num_layers
             for maps in out.attention_maps:
                 assert maps.shape == (TOY.num_heads, TOY.num_patches + 1, TOY.num_patches + 1)
@@ -170,14 +171,14 @@ class TestForward:
 
     def test_wide_length_check(self):
         with pytest.raises(ShapeError):
-            wm.forward(self.window, np.zeros(TOY.d_wide + 1), self.params, TOY)
+            wm.forward([self.window], np.zeros((1, TOY.d_wide + 1)), self.params, TOY)
 
     def test_permutation_equivariance(self):
         # Permuting patch tokens together with their positional rows leaves
         # the class-token output unchanged.
         n = TOY.num_patches
         perm = np.random.default_rng(11).permutation(n)
-        base = wm.forward(self.window, self.wide, self.params, TOY).logits.data
+        base = forward_one(self.window, self.wide, self.params, TOY).logits.data
 
         blocks = self.window.signal.reshape(TOY.num_leads, n, TOY.d_patch)
         permuted_window = ProcessedWindow(
@@ -187,16 +188,16 @@ class TestForward:
         pos = arrays["positional_embedding"]
         arrays["positional_embedding"] = np.concatenate([pos[:1], pos[1:][perm]], axis=0)
         permuted_params = wm.params_from_arrays(arrays, TOY)
-        permuted = wm.forward(permuted_window, self.wide, permuted_params, TOY).logits.data
+        permuted = forward_one(permuted_window, self.wide, permuted_params, TOY).logits.data
         assert np.max(np.abs(base - permuted)) < 1e-9
 
     def test_padded_region_still_attended_without_mask(self):
         rng = np.random.default_rng(12)
         win = toy_window(rng, pad_start=100)
-        base = wm.forward(win, self.wide, self.params, TOY).logits.data
+        base = forward_one(win, self.wide, self.params, TOY).logits.data
         tweaked = ProcessedWindow(win.signal.copy(), win.pad_start, 0)
         tweaked.signal[:, 150:] = 0.5
-        changed = wm.forward(tweaked, self.wide, self.params, TOY).logits.data
+        changed = forward_one(tweaked, self.wide, self.params, TOY).logits.data
         assert np.max(np.abs(base - changed)) > 0.0
 
     def test_mask_padding_blocks_padded_keys(self):
@@ -204,10 +205,10 @@ class TestForward:
         params = wm.params_from_arrays(copy_arrays(self.params), cfg)
         rng = np.random.default_rng(13)
         win = toy_window(rng, pad_start=100)  # tokens 1 and 2 fully padded
-        base = wm.forward(win, self.wide, params, cfg, capture_attention=True)
+        base = forward_one(win, self.wide, params, cfg, capture_attention=True)
         tweaked = ProcessedWindow(win.signal.copy(), win.pad_start, 0)
         tweaked.signal[:, 150:] = 0.9
-        changed = wm.forward(tweaked, self.wide, params, cfg).logits.data
+        changed = forward_one(tweaked, self.wide, params, cfg).logits.data
         np.testing.assert_allclose(base.logits.data, changed, atol=1e-12)
         for maps in base.attention_maps:
             # Keys for tokens starting at samples 128 and 64.. wait token starts
@@ -221,7 +222,7 @@ class TestForward:
         assert not params["positional_embedding"].requires_grad
         expected = wm.sinusoidal_positions(cfg.num_patches + 1, cfg.d_model)
         np.testing.assert_allclose(params["positional_embedding"].data, expected)
-        out = wm.forward(self.window, self.wide, params, cfg)
+        out = forward_one(self.window, self.wide, params, cfg)
         assert np.isfinite(out.logits.data).all()
 
 
@@ -237,12 +238,12 @@ class TestModelGradients:
 
         def loss_with(arrays):
             p = wm.params_from_arrays(arrays, TOY)
-            out = wm.forward(window, wide, p, TOY)
+            out = forward_one(window, wide, p, TOY)
             return ag.binary_cross_entropy(out.probabilities, targets)
 
         arrays = copy_arrays(params)
         live = wm.params_from_arrays(arrays, TOY)
-        out = wm.forward(window, wide, live, NO_DROPOUT, mode="train")
+        out = forward_one(window, wide, live, NO_DROPOUT, mode="train")
         loss = ag.binary_cross_entropy(out.probabilities, targets)
         analytic = gradients_into_zeros(loss, live.trainable())
 
@@ -294,12 +295,12 @@ class TestFusedAttentionOracle:
         window = ProcessedWindow(signal=sig, pad_start=pad_start, source_offset=0)
         wide = rng.normal(size=config.d_wide)
         targets = rng.integers(0, 2, size=config.d_class).astype(float)
-        out = wm.forward(window, wide, params, config, mode=mode, rng=7, capture_attention=True)
+        out = forward_one(window, wide, params, config, mode=mode, seed=7, capture_attention=True)
         if mode == "eval":
             # An eval forward records no graph: take the gradients from the same
             # forward with a graph, train mode without dropout.
             no_dropout = wm.ModelConfig(**{**config.__dict__, "dropout_encoder": 0.0, "dropout_head": 0.0})
-            graph_out = wm.forward(window, wide, params, no_dropout, mode="train", rng=7)
+            graph_out = forward_one(window, wide, params, no_dropout, mode="train", seed=7)
             assert graph_out.probabilities.data.tobytes() == out.probabilities.data.tobytes()
         else:
             graph_out = out
@@ -351,7 +352,7 @@ class TestReversePassOracle:
         sig = rng.uniform(-1.0, 1.0, size=(config.num_leads, config.window_samples))
         sig[:, pad_start:] = 0.0
         window = ProcessedWindow(signal=sig, pad_start=pad_start, source_offset=0)
-        out = wm.forward(window, rng.normal(size=config.d_wide), params, config, mode="train", rng=sample)
+        out = forward_one(window, rng.normal(size=config.d_wide), params, config, mode="train", seed=sample)
         return ag.binary_cross_entropy(out.probabilities, rng.integers(0, 2, size=config.d_class).astype(float))
 
     @pytest.mark.parametrize("mask_padding", [False, True])
@@ -410,7 +411,7 @@ class TestBatchedEngineOracle:
 
         total = {name: np.zeros_like(t.data) for name, t in trainable.items()}
         for slot in range(batch):
-            one = wm.forward(windows[slot], wide[slot], params, config, mode="train", rng=seeds[slot])
+            one = forward_one(windows[slot], wide[slot], params, config, mode="train", seed=seeds[slot])
             assert one.probabilities.data.tobytes() == out.probabilities.data[slot].tobytes(), slot
             one_loss = ag.binary_cross_entropy(one.probabilities, targets[slot])
             assert one_loss.data.tobytes() == loss.data[slot].tobytes(), slot
@@ -430,7 +431,7 @@ class TestBatchedEngineOracle:
         windows, wide, _ = _batch_inputs(config, batch)
         out = wm.forward(windows, wide, params, config, mode="eval", capture_attention=True)
         for slot in range(batch):
-            one = wm.forward(windows[slot], wide[slot], params, config, mode="eval", capture_attention=True)
+            one = forward_one(windows[slot], wide[slot], params, config, mode="eval", capture_attention=True)
             assert one.probabilities.data.tobytes() == out.probabilities.data[slot].tobytes(), slot
             assert one.logits.data.tobytes() == out.logits.data[slot].tobytes(), slot
             for one_map, maps in zip(one.attention_maps, out.attention_maps):
@@ -443,7 +444,7 @@ class TestBatchedEngineOracle:
         with pytest.raises(ShapeError):
             wm.forward(windows, wide[:1], params, TOY)
         with pytest.raises(ShapeError):
-            wm.forward(windows, wide, params, TOY, mode="train", rng=[1, 2, 3])
+            wm.forward(windows, wide, params, TOY, mode="train", rng=[np.random.default_rng(s) for s in (1, 2, 3)])
 
 
 class TestEvalForward:
@@ -454,12 +455,12 @@ class TestEvalForward:
                                 d_wide=4, d_class=3, window_samples=7680)
         params = wm.init_params(config, seed=2)
         rng = np.random.default_rng(3)
-        window = ProcessedWindow(rng.uniform(-1.0, 1.0, size=(12, 7680)), 7680, 0)
-        wide = rng.normal(size=config.d_wide)
+        windows = [ProcessedWindow(rng.uniform(-1.0, 1.0, size=(12, 7680)), 7680, 0)]
+        wide = rng.normal(size=(1, config.d_wide))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            out = wm.forward(window, wide, params, config, mode="eval")
+            out = wm.forward(windows, wide, params, config, mode="eval")
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
@@ -470,9 +471,9 @@ class TestEvalForward:
 
         # The same forward with a graph: train mode without dropout, bitwise equal.
         no_dropout = wm.ModelConfig(**{**config.__dict__, "dropout_encoder": 0.0, "dropout_head": 0.0})
-        graph_out = wm.forward(window, wide, params, no_dropout, mode="train")
+        graph_out = wm.forward(windows, wide, params, no_dropout, mode="train")
         assert np.array_equal(graph_out.probabilities.data, out.probabilities.data)
-        loss = ag.binary_cross_entropy(graph_out.probabilities, np.array([1.0, 0.0, 1.0]))
+        loss = ag.binary_cross_entropy(graph_out.probabilities, np.array([[1.0, 0.0, 1.0]]))
         grads = gradients_into_zeros(loss, params.trainable())
         assert grads.keys() == params.trainable().keys()
         assert np.any(grads["patch_projection.weight"] != 0.0)
@@ -482,8 +483,8 @@ class TestEvalForward:
         assert all(t.data.dtype == np.float32 for t in params.tensors.values())
         window = toy_window(np.random.default_rng(4))
         wide = np.ones(TOY.d_wide)
-        assert wm.forward(window, wide, params, TOY, mode="eval").probabilities.data.dtype == np.float32
-        out = wm.forward(window, wide, params, TOY, mode="train", rng=1)
+        assert forward_one(window, wide, params, TOY, mode="eval").probabilities.data.dtype == np.float32
+        out = forward_one(window, wide, params, TOY, mode="train", seed=1)
         assert out.probabilities.data.dtype == np.float32
         loss = ag.binary_cross_entropy(out.probabilities, np.zeros(TOY.d_class))
         grads = gradients_into_zeros(loss, params.trainable())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecgformer import record_io, train
+from ecgformer import dsp, record_io, train
 from ecgformer.features import FeatureConfig
 from ecgformer.errors import (
     ArgumentRangeError,
@@ -295,6 +295,7 @@ BASELINES = [0.0, 12.5, -3.0, 1e308, -1e308, math.nan, math.inf, -math.inf]
 SUBSETS = [record_io.lead_subset(name) for name in sorted(record_io.LEAD_SUBSETS)] + [
     record_io.LeadSubset("custom", leads) for leads in
     (["II"], ["V1", "V1"], ["XX"], ["I", "XX"], ["V6", "I", "V3"], ["II", "I", "II"], ["aVF", "V2", "aVR", "V5"])]
+PREPROCESS = dsp.PreprocessConfig()
 
 
 @st.composite
@@ -327,6 +328,12 @@ def _outcome(call):
         return type(exc), getattr(exc, "exit_code", None)
 
 
+def _reference_prepared_record(header, subset, feature_config, d_wide):
+    """The reference record and wide row, the record's subset through the recording half of the chain."""
+    record, wide = oracles.reference_prepare_record(header, subset, feature_config, d_wide)
+    return train.PreparedRecord(dsp.process_recording(record.signal, record.sampling_rate_hz, PREPROCESS), wide)
+
+
 def _same_record(new, old):
     assert new.signal.tobytes() == old.signal.tobytes() and new.signal.shape == old.signal.shape
     assert (new.record_id, new.sampling_rate_hz, new.lead_names) == (old.record_id, old.sampling_rate_hz, old.lead_names)
@@ -346,8 +353,10 @@ class TestReaderAgainstReference:
             (lambda: record_io.parse_record(header), lambda: oracles.reference_parse_record(header)),
             (lambda: record_io.parse_record(header, leads=subset.leads),
              lambda: oracles.select_leads(oracles.reference_parse_record(header), subset)),
-            (lambda: train.prepare_record(header, subset, config, d_wide),
+            (lambda: train.read_record(header, subset, config, d_wide),
              lambda: oracles.reference_prepare_record(header, subset, config, d_wide)),
+            (lambda: train.prepare_record(header, subset, PREPROCESS, config, d_wide),
+             lambda: _reference_prepared_record(header, subset, config, d_wide)),
         ]
         for new_call, old_call in cases:
             new, old = _outcome(new_call), _outcome(old_call)
@@ -356,6 +365,9 @@ class TestReaderAgainstReference:
             elif isinstance(old, tuple):
                 _same_record(new[0], old[0])
                 assert new[1].tobytes() == old[1].tobytes()
+            elif isinstance(old, train.PreparedRecord):
+                assert new.processed.tobytes() == old.processed.tobytes() and new.processed.shape == old.processed.shape
+                assert new.wide.tobytes() == old.wide.tobytes()
             else:
                 _same_record(new, old)
 
@@ -369,4 +381,4 @@ class TestReaderAgainstReference:
             with pytest.raises(RecordFormatError, match="non-finite"):
                 record_io.parse_record(header, leads=leads)
         with pytest.raises(RecordFormatError, match="non-finite"):
-            train.prepare_record(header, record_io.lead_subset("two"), FeatureConfig(), 4)
+            train.read_record(header, record_io.lead_subset("two"), FeatureConfig(), 4)

@@ -247,8 +247,7 @@ class TestFlatAdamTraining:
         everything = np.arange(len(manifest.entries))
         prepared = train.prepare_records(manifest, everything, record_io.lead_subset("two"), TOY_PREPROCESS,
                                          FeatureConfig(), config.d_wide)
-        val = [prepared[int(i)] for i in everything]
-        args = (prepared, everything, val, np.stack([p.labels for p in val]), config, TOY_PREPROCESS, cfg, weights)
+        args = (prepared, manifest.label_matrix(), everything, everything, config, TOY_PREPROCESS, cfg, weights)
         flat = train._train_steps(*args, tmp_path / "flat.wft1")
 
         start, history = {}, {}
@@ -263,7 +262,7 @@ class TestFlatAdamTraining:
         monkeypatch.setattr(ag, "adam_step", textbook_step)
         oracle = train._train_steps(*args, tmp_path / "oracle.wft1")
         assert len(history["patch_projection.weight"]) == cfg.max_steps
-        assert flat == oracle  # loss curve, trained ids
+        assert flat == oracle  # loss curve, trained rows
         assert (tmp_path / "flat.wft1").read_bytes() == (tmp_path / "oracle.wft1").read_bytes()
 
 
@@ -290,8 +289,9 @@ class TestTrainingStreams:
             assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
 
     def test_no_generator_is_built_inside_a_step(self, corpus, tmp_path, monkeypatch):
-        # The README-toy model over 40 steps builds a SeedSequence and a generator for each epoch's order, one
-        # generator for the initial parameters and the generators the run keeps: none per step or per draw.
+        # The README-toy model over 40 steps builds a generator for each epoch's order, seeded through `seeding`
+        # without a SeedSequence, one generator for the initial parameters and the generators the run keeps:
+        # none per step or per draw.
         built = {"SeedSequence": 0, "default_rng": 0}
         seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
 
@@ -308,7 +308,7 @@ class TestTrainingStreams:
         self._train(corpus, tmp_path / "r")
         epochs = -(-self.STEPS * self.BATCH // len(corpus[0].entries))
         kept = 1 + self.BATCH  # the window generator and one dropout generator per slot
-        assert built == {"SeedSequence": epochs, "default_rng": epochs + 1 + kept}
+        assert built == {"SeedSequence": 0, "default_rng": epochs + 1 + kept}
 
 
 class TestStepMemory:
@@ -325,13 +325,14 @@ class TestStepMemory:
         param_bytes = model.parameter_count(config) * 8
 
         params = model.init_params(config, seed=1)
-        record = prepared[0]
+        record, labels = prepared[0], manifest.label_matrix()[:1]
         window = dsp.cut_window(record.processed, TOY_PREPROCESS, "random", 1)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            out = model.forward(window, record.wide, params, config, mode="train", rng=0)
-            loss = ag.binary_cross_entropy(out.probabilities, record.labels)
+            out = model.forward([window], record.wide[None], params, config, mode="train",
+                                rng=[np.random.default_rng(0)])
+            loss = ag.binary_cross_entropy(out.probabilities, labels)
             graph_bytes = tracemalloc.get_traced_memory()[1] - start
             del out, loss
 
@@ -417,7 +418,7 @@ class TestGraphBudget:
         try:
             start = tracemalloc.get_traced_memory()[0]
             out = model.forward(windows, rng.normal(size=(batch, config.d_wide)), params, config, mode="train",
-                                rng=list(range(batch)))
+                                rng=[np.random.default_rng(s) for s in range(batch)])
             kept = (tracemalloc.get_traced_memory()[0] - start) / batch
             del out
         finally:
@@ -436,7 +437,8 @@ class TestGraphBudget:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            out = model.forward([window], rng.normal(size=(1, config.d_wide)), params, config, mode="train", rng=[0])
+            out = model.forward([window], rng.normal(size=(1, config.d_wide)), params, config, mode="train",
+                                rng=[np.random.default_rng(0)])
             kept = tracemalloc.get_traced_memory()[0] - start
             del out
         finally:
@@ -453,7 +455,7 @@ class TestGraphBudget:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            out = model.forward(windows[:1], wide[:1], params, WIDE_WINDOW, mode="train", rng=[0])
+            out = model.forward(windows[:1], wide[:1], params, WIDE_WINDOW, mode="train", rng=[np.random.default_rng(0)])
             loss = ag.binary_cross_entropy(out.probabilities, labels[:1], per_slot=True)
             graph_bytes = tracemalloc.get_traced_memory()[0] - start
             del out, loss
