@@ -75,12 +75,13 @@ def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
     """Linear interpolation onto the continuous-time grid of the new rate.
 
     Output length is round(num_samples * to_hz / from_hz). Equal rates return
-    the input values untouched.
+    the input values untouched. All leads are interpolated at once with
+    `np.interp`'s arithmetic, so each lead gets the bytes `np.interp` gives it.
     """
     if from_hz <= 0 or to_hz <= 0:
         raise ArgumentRangeError(f"sampling rates must be positive, got {from_hz} -> {to_hz}")
     sig = _as_lead_matrix(signal)
-    num_leads, n = sig.shape
+    n = sig.shape[1]
     if n == 0:
         raise ShapeError("cannot resample an empty signal")
     if from_hz == to_hz:
@@ -88,16 +89,22 @@ def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
     m = int(round(n * to_hz / from_hz))
     # Position of output sample j on the input index grid: j * from/to.
     positions = np.arange(m, dtype=np.float64) * (from_hz / to_hz)
-    src = np.arange(n, dtype=np.float64)
-    out = np.empty((num_leads, m), dtype=np.float64)
+    left = np.minimum(np.floor(positions), n - 1)
+    fraction = positions - left
+    j = left.astype(np.intp)
+    # Strictly between two samples: slope times the distance past the left
+    # sample, plus the left sample, as np.interp computes it. On a sample, or
+    # past the last one, the sample itself.
+    between = (fraction > 0) & (positions < n - 1)
+    below = sig[:, j]
+    above = sig[:, np.minimum(j + 1, n - 1)]
+    out = np.where(between, (above - below) * fraction + below, below)
     # Rounding up can push the last output position a fraction of a sample
     # past the input grid; extend the final segment linearly there.
     overhang = positions > n - 1
-    for lead in range(num_leads):
-        out[lead] = np.interp(positions, src, sig[lead])
-        if overhang.any() and n >= 2:
-            last_slope = sig[lead, n - 1] - sig[lead, n - 2]
-            out[lead, overhang] = sig[lead, n - 1] + (positions[overhang] - (n - 1)) * last_slope
+    if overhang.any() and n >= 2:
+        last_slope = sig[:, n - 1 : n] - sig[:, n - 2 : n - 1]
+        out[:, overhang] = sig[:, n - 1 : n] + (positions[overhang] - (n - 1)) * last_slope
     return out
 
 
@@ -125,24 +132,42 @@ def design_bandpass(config: PreprocessConfig) -> np.ndarray:
     )
 
 
+def fft_length(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c that is at least n (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            # odd = 3**b * 5**c times the smallest power of two reaching n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
+
+
 def filter_signal(signal, taps: np.ndarray) -> np.ndarray:
     """Per-lead convolution, zero-extended at the edges, group-delay compensated.
 
     Output sample j lines up with input sample j (the (taps-1)/2 delay of the
     symmetric kernel is removed); output length equals input length.
+
+    The convolution is one real-FFT product over all leads, zero-padded to
+    `fft_length(n + taps - 1)` so no wrap-around reaches the output. It
+    differs from the direct sum (`np.convolve`) by rounding only: every lead
+    stays within 1e-13 of the lead's largest direct-form magnitude. A lead's
+    bytes do not depend on the other leads or on the input's memory layout.
     """
     sig = _as_lead_matrix(signal)
-    if sig.shape[1] < 1:
+    n = sig.shape[1]
+    if n < 1:
         raise ShapeError("signal must have at least one sample")
     taps = np.asarray(taps, dtype=np.float64)
-    n = sig.shape[1]
-    # "same" is the centre of the full convolution: from the delay on when the
-    # signal is at least as long as the kernel, else as long as the kernel.
-    start = max((len(taps) - 1) // 2 - (n - 1) // 2, 0)
-    out = np.empty_like(sig)
-    for lead in range(sig.shape[0]):
-        out[lead] = np.convolve(sig[lead], taps, mode="same")[start : start + n]
-    return out
+    size = fft_length(n + len(taps) - 1)
+    spectrum = np.fft.rfft(sig, size, axis=1)
+    spectrum *= np.fft.rfft(taps, size)
+    delay = (len(taps) - 1) // 2
+    return np.fft.irfft(spectrum, size, axis=1)[:, delay : delay + n].copy()
 
 
 def normalize(signal) -> np.ndarray:

@@ -131,8 +131,9 @@ def detect_r_peaks(lead_signal, fs_hz: float) -> RPeakTrain:
     noise_level = float(np.mean(envelope[: int(2 * fs_hz)])) * 0.5 if envelope.size else 0.0
     accepted: list[int] = []
     last_peak = -refractory - 1
-    for idx in candidates:
-        value = envelope[idx]
+    # The walk runs on Python floats and ints: the same double arithmetic as
+    # NumPy scalars, without their per-operation overhead.
+    for idx, value in zip(candidates.tolist(), envelope[candidates].tolist()):
         threshold = noise_level + 0.25 * (signal_level - noise_level)
         if value <= 0:
             continue

@@ -136,6 +136,21 @@ def full_convolution_filter(signal, taps):
     return out
 
 
+def per_lead_interp_resample(signal, from_hz, to_hz):
+    """Each lead by `np.interp` onto the grid j * from/to, the last segment extended linearly past the input's end."""
+    num_leads, n = signal.shape
+    positions = np.arange(int(round(n * to_hz / from_hz)), dtype=np.float64) * (from_hz / to_hz)
+    src = np.arange(n, dtype=np.float64)
+    out = np.empty((num_leads, positions.size), dtype=np.float64)
+    overhang = positions > n - 1
+    for lead in range(num_leads):
+        out[lead] = np.interp(positions, src, signal[lead])
+        if overhang.any() and n >= 2:
+            last_slope = signal[lead, n - 1] - signal[lead, n - 2]
+            out[lead, overhang] = signal[lead, n - 1] + (positions[overhang] - (n - 1)) * last_slope
+    return out
+
+
 def central_difference_grad(f, x, h=1e-5):
     """Elementwise central finite differences of scalar f at array x."""
     x = np.asarray(x, dtype=np.float64)

@@ -7,7 +7,25 @@ from scipy import signal as sps
 from ecgformer import dsp
 from ecgformer.errors import ArgumentRangeError, ConfigError, ShapeError
 
-from oracles import dtft_magnitude, full_convolution_filter
+from oracles import dtft_magnitude, full_convolution_filter, per_lead_interp_resample
+
+# The FFT filter may differ from the direct sum by rounding only: at most this
+# fraction of a lead's largest direct-form magnitude.
+FFT_BOUND = 1e-13
+
+
+def assert_within_bound_of_the_direct_form(x, taps):
+    got = dsp.filter_signal(x, taps)
+    want = full_convolution_filter(x, taps)
+    assert got.shape == want.shape
+    for lead, (g, w) in enumerate(zip(got, want)):
+        assert np.max(np.abs(g - w)) <= FFT_BOUND * np.max(np.abs(w)), (x.shape, len(taps), lead)
+
+
+def detector_taps(n):
+    """The R-peak detector's bandpass, shortened to 2 * (n // 2) - 1 taps below 201 samples."""
+    return dsp.design_bandpass(dsp.PreprocessConfig(target_rate_hz=100.0, band_low_hz=5.0, band_high_hz=15.0,
+                                                    fir_taps=min(201, 2 * (n // 2) - 1)))
 
 
 class TestResample:
@@ -40,6 +58,34 @@ class TestResample:
     def test_bad_rates_rejected(self):
         with pytest.raises(ArgumentRangeError):
             dsp.resample(np.zeros((1, 10)), 0, 500)
+
+    @pytest.mark.parametrize("n, from_hz, to_hz", [
+        (1, 250.0, 500.0), (1, 500.0, 250.0), (2, 3.0, 5.0), (2, 500.0, 257.0), (3, 257.0, 500.0),
+        (777, 257.0, 500.0), (5000, 1000.0, 500.0), (3001, 1000.0, 257.0), (1234, 360.0, 500.0),
+    ])
+    def test_same_bytes_as_per_lead_interp(self, n, from_hz, to_hz):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(3, n))
+        x[1, ::7] = -0.0
+        assert dsp.resample(x, from_hz, to_hz).tobytes() == per_lead_interp_resample(x, from_hz, to_hz).tobytes()
+
+    def test_overhang_extends_the_last_segment(self):
+        # Two samples at 3 Hz become round(2 * 5 / 3) = 3 at 5 Hz: positions 0, 0.6 and 1.2, the last past the end.
+        x = np.array([[1.0, 2.0], [0.5, -0.25]])
+        out = dsp.resample(x, 3.0, 5.0)
+        assert out.tobytes() == per_lead_interp_resample(x, 3.0, 5.0).tobytes()
+        np.testing.assert_allclose(out[:, 2], [2.2, -0.4], rtol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=400),
+        from_hz=st.sampled_from([128.0, 257.0, 360.0, 500.0, 1000.0]),
+        to_hz=st.sampled_from([100.0, 257.0, 500.0]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_same_bytes_as_per_lead_interp_on_random_signals(self, n, from_hz, to_hz, seed):
+        x = np.random.default_rng(seed).normal(size=(2, n))
+        assert dsp.resample(x, from_hz, to_hz).tobytes() == per_lead_interp_resample(x, from_hz, to_hz).tobytes()
 
 
 class TestBandpassDesign:
@@ -125,21 +171,58 @@ class TestFilterSignal:
         assert out.shape == (3, 123)
 
     @pytest.mark.parametrize("num_taps", [513, 201])
-    def test_same_bytes_as_the_middle_of_the_full_convolution(self, num_taps):
+    def test_within_the_bound_of_the_full_convolution(self, num_taps):
         taps = dsp.design_bandpass(dsp.PreprocessConfig(fir_taps=num_taps))
         rng = np.random.default_rng(num_taps)
         for n in [*range(1, num_taps + 3), 5000, 12345]:
-            x = rng.normal(size=(2, n))
-            assert dsp.filter_signal(x, taps).tobytes() == full_convolution_filter(x, taps).tobytes(), n
+            assert_within_bound_of_the_direct_form(rng.normal(size=(2, n)), taps)
 
-    def test_same_bytes_at_the_shortened_detector_taps(self):
-        # The R-peak detector shortens its kernel to 2 * (n // 2) - 1 taps below 201 samples.
+    def test_within_the_bound_at_the_shortened_detector_taps(self):
         rng = np.random.default_rng(3)
         for n in range(4, 204):
-            taps = dsp.design_bandpass(dsp.PreprocessConfig(target_rate_hz=100.0, band_low_hz=5.0, band_high_hz=15.0,
-                                                            fir_taps=min(201, 2 * (n // 2) - 1)))
-            x = rng.normal(size=(1, n))
-            assert dsp.filter_signal(x, taps).tobytes() == full_convolution_filter(x, taps).tobytes(), n
+            assert_within_bound_of_the_direct_form(rng.normal(size=(1, n)), detector_taps(n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=700),
+        kernel=st.sampled_from(["513", "201", "detector"]),
+        scale=st.sampled_from([1e-6, 1.0, 1e3]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_within_the_bound_on_random_signals(self, n, kernel, scale, seed):
+        if kernel == "detector":
+            n = max(n, 4)  # the detector needs at least three taps
+            taps = detector_taps(n)
+        else:
+            taps = dsp.design_bandpass(dsp.PreprocessConfig(fir_taps=int(kernel)))
+        x = np.random.default_rng(seed).normal(size=(3, n)) * scale
+        x[1] = 0.0  # a silent lead's bound is 0: it must come out exactly silent
+        assert_within_bound_of_the_direct_form(x, taps)
+
+    @pytest.mark.parametrize("n", [1, 100, 512, 513, 514, 4000, 5000, 6001])
+    def test_a_leads_bytes_depend_only_on_the_lead(self, n):
+        # Training filters a record's leads together; these bytes must not
+        # depend on which other leads came along or on the memory layout.
+        x = np.random.default_rng(n).normal(size=(12, n))
+        whole = dsp.filter_signal(x, self.taps)
+        for lead in range(12):
+            assert whole[lead].tobytes() == dsp.filter_signal(x[lead], self.taps).tobytes(), lead
+        misaligned = np.empty(x.nbytes + 1, dtype=np.uint8)[1:].view(np.float64).reshape(x.shape)
+        misaligned[:] = x
+        assert not misaligned.flags.aligned
+        assert dsp.filter_signal(misaligned, self.taps).tobytes() == whole.tobytes()
+        assert dsp.filter_signal(np.asfortranarray(x), self.taps).tobytes() == whole.tobytes()
+
+    def test_fft_length_is_the_smallest_5_smooth_length_at_least_n(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        lengths = [k for k in range(1, 5121) if smooth(k)]  # 5120 = 2**10 * 5 is the first one past 5000
+        for n in range(1, 5001):
+            assert dsp.fft_length(n) == next(k for k in lengths if k >= n), n
 
 
 class TestNormalize:

@@ -1,12 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from ecgformer import features
+from ecgformer import dsp, features
 from ecgformer.errors import ArgumentRangeError
-from ecgformer.record_io import EcgRecord
+from ecgformer.record_io import EcgRecord, parse_record
 
-from oracles import pow_form_wide_features, straight_line_stats
+from oracles import full_convolution_filter, pow_form_wide_features, straight_line_stats
+
+BENCH = Path(__file__).resolve().parent.parent / "ecgbench"
 
 
 def impulse_train(fs=500.0, duration_s=15.0, period_s=1.0, amplitude=1.0, first_at_s=0.5):
@@ -228,3 +232,22 @@ class TestMomentProducts:
         assert got[19] == pytest.approx(kurt, rel=1e-12, abs=0.0)
         assert got[18] == pytest.approx(sstats.skew(lead, bias=True), rel=1e-12, abs=0.0)
         assert got[19] == pytest.approx(sstats.kurtosis(lead, bias=True, fisher=True), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("workload", ["toy-cv", "paper-12lead", "score-cohort"])
+def test_r_peaks_equal_the_direct_form_detectors_on_the_benchmark_corpora(workload, tmp_path, monkeypatch):
+    # The detector's bandpass runs by FFT; on every lead of every record of the
+    # benchmark's corpora it must find the peaks the direct-form sum finds.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import corpus
+    import run
+
+    spec = run.WORKLOADS[workload]
+    ids = corpus.generate(tmp_path, spec["records"], 1, spec["rates_hz"], spec["duration_s"])
+    records = [parse_record(tmp_path / f"{record_id}.hea") for record_id in ids]
+    fft = [[features.detect_r_peaks(lead, r.sampling_rate_hz).peak_indices for lead in r.signal] for r in records]
+    monkeypatch.setattr(dsp, "filter_signal", lambda signal, taps: full_convolution_filter(np.atleast_2d(signal), taps))
+    for record, peaks in zip(records, fft):
+        for name, lead, found in zip(record.lead_names, record.signal, peaks):
+            want = features.detect_r_peaks(lead, record.sampling_rate_hz).peak_indices
+            assert found.tobytes() == want.tobytes(), (record.record_id, name)
