@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import attention_viz, autograd, dsp, metrics, model, record_io, stratify, synth, train
-from .errors import ArgumentRangeError, EcgFormerError, MissingFileError, RecordFormatError, ShapeError
+from .errors import (ArgumentRangeError, ConfigError, EcgFormerError, MissingFileError, RecordFormatError,
+                     ShapeError)
 from .runconfig import RunConfig
 
 
@@ -141,8 +142,10 @@ class RunArtifacts:
 
         The model is built as training built it, from `config`, the lead
         subset and thresholds.csv's classes, so a checkpoint of other shapes
-        is a ShapeError."""
-        subset = config.train_config().subset()
+        is a ShapeError. wide_scaler.csv must be there exactly when `config`
+        has standardize_wide = true."""
+        train_config = config.train_config()
+        subset = train_config.subset()
         thresholds_path = _require(run_dir / "thresholds.csv", "thresholds file")
         codes, thresholds = train.load_thresholds(thresholds_path, class_codes)
         model_config = config.model_config(num_leads=len(subset.leads), d_class=len(codes))
@@ -157,6 +160,12 @@ class RunArtifacts:
                              f"{thresholds_path}, config_used.ini and --set") from None
         scaler_path = run_dir / "wide_scaler.csv"
         scaler = train.load_wide_scaler(scaler_path, model_config.d_wide) if scaler_path.exists() else None
+        if scaler is not None and not train_config.standardize_wide:
+            raise ConfigError(f"{scaler_path} is present, but the run's config_used.ini and --set "
+                              f"say standardize_wide = false")
+        if scaler is None and train_config.standardize_wide:
+            raise MissingFileError(f"wide scaler not found: {scaler_path}; the run's config_used.ini and --set "
+                                   f"say standardize_wide = true")
         return cls(config, subset, model_config, params, codes, thresholds, scaler)
 
 

@@ -8,6 +8,7 @@ a fixed-width window.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +97,13 @@ def resample(signal, from_hz: float, to_hz: float) -> np.ndarray:
     # sample, plus the left sample, as np.interp computes it. On a sample, or
     # past the last one, the sample itself.
     between = (fraction > 0) & (positions < n - 1)
-    below = sig[:, j]
-    above = sig[:, np.minimum(j + 1, n - 1)]
-    out = np.where(between, (above - below) * fraction + below, below)
+    out = below = np.take(sig, j, axis=1)
+    if between.any():  # not on integer decimation, where every output lands on a sample
+        out = np.take(sig, np.minimum(j + 1, n - 1), axis=1)
+        out -= below
+        out *= fraction
+        out += below
+        np.copyto(out, below, where=~between)
     # Rounding up can push the last output position a fraction of a sample
     # past the input grid; extend the final segment linearly there.
     overhang = positions > n - 1
@@ -132,6 +137,7 @@ def design_bandpass(config: PreprocessConfig) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=1024)
 def fft_length(n: int) -> int:
     """The smallest 2**a * 3**b * 5**c that is at least n (n >= 1)."""
     best = 1 << (n - 1).bit_length()
@@ -146,6 +152,14 @@ def fft_length(n: int) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=64)
+def _tap_spectrum(taps: bytes, size: int) -> np.ndarray:
+    """`np.fft.rfft` of the float64 taps held in `taps`, zero-padded to size; read-only, as it is shared."""
+    spectrum = np.fft.rfft(np.frombuffer(taps, dtype=np.float64), size)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def filter_signal(signal, taps: np.ndarray) -> np.ndarray:
     """Per-lead convolution, zero-extended at the edges, group-delay compensated.
 
@@ -153,10 +167,12 @@ def filter_signal(signal, taps: np.ndarray) -> np.ndarray:
     symmetric kernel is removed); output length equals input length.
 
     The convolution is one real-FFT product over all leads, zero-padded to
-    `fft_length(n + taps - 1)` so no wrap-around reaches the output. It
-    differs from the direct sum (`np.convolve`) by rounding only: every lead
-    stays within 1e-13 of the lead's largest direct-form magnitude. A lead's
-    bytes do not depend on the other leads or on the input's memory layout.
+    `fft_length(n + taps - 1)` so no wrap-around reaches the output. The taps'
+    spectrum is computed once per (taps, FFT length) and shared read-only by
+    every later call, from any thread. It differs from the direct sum
+    (`np.convolve`) by rounding only: every lead stays within 1e-13 of the
+    lead's largest direct-form magnitude. A lead's bytes do not depend on the
+    other leads or on the input's memory layout.
     """
     sig = _as_lead_matrix(signal)
     n = sig.shape[1]
@@ -165,7 +181,7 @@ def filter_signal(signal, taps: np.ndarray) -> np.ndarray:
     taps = np.asarray(taps, dtype=np.float64)
     size = fft_length(n + len(taps) - 1)
     spectrum = np.fft.rfft(sig, size, axis=1)
-    spectrum *= np.fft.rfft(taps, size)
+    spectrum *= _tap_spectrum(taps.tobytes(), size)
     delay = (len(taps) - 1) // 2
     return np.fft.irfft(spectrum, size, axis=1)[:, delay : delay + n].copy()
 
@@ -176,11 +192,13 @@ def normalize(signal) -> np.ndarray:
     Leads whose max magnitude is below 1e-8 come back as all zeros.
     """
     sig = _as_lead_matrix(signal)
-    out = np.zeros_like(sig)
-    for lead in range(sig.shape[0]):
-        peak = np.max(np.abs(sig[lead])) if sig.shape[1] else 0.0
-        if peak >= DEGENERATE_LEAD_EPS:
-            out[lead] = sig[lead] / peak
+    if not sig.shape[1]:
+        return np.zeros_like(sig)
+    peak = np.abs(sig).max(axis=1, keepdims=True)
+    live = peak >= DEGENERATE_LEAD_EPS
+    # Dead leads divide by 1 and are then zeroed: a masked divide is several times slower.
+    out = sig / np.where(live, peak, 1.0)
+    out[~live[:, 0]] = 0.0
     return out
 
 

@@ -13,6 +13,7 @@ with the powers as products: `squared = centered * centered` gives m2,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,15 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(inner) + 1
 
 
+@functools.lru_cache(maxsize=32)
+def _qrs_bandpass(fs_hz: float, num_taps: int) -> np.ndarray:
+    """The detector's QRS bandpass at this rate and tap count; read-only, as it is shared."""
+    taps = dsp.design_bandpass(dsp.PreprocessConfig(target_rate_hz=fs_hz, band_low_hz=QRS_BAND_HZ[0],
+                                                    band_high_hz=QRS_BAND_HZ[1], fir_taps=num_taps))
+    taps.flags.writeable = False
+    return taps
+
+
 def detect_r_peaks(lead_signal, fs_hz: float) -> RPeakTrain:
     """Locate R peaks in one lead; requires at least one second of signal."""
     x = np.asarray(lead_signal, dtype=np.float64).ravel()
@@ -108,14 +118,7 @@ def detect_r_peaks(lead_signal, fs_hz: float) -> RPeakTrain:
     if x.size < fs_hz:
         raise ArgumentRangeError(f"need at least 1 s of signal ({int(fs_hz)} samples), got {x.size}")
 
-    taps = dsp.design_bandpass(
-        dsp.PreprocessConfig(
-            target_rate_hz=fs_hz,
-            band_low_hz=QRS_BAND_HZ[0],
-            band_high_hz=QRS_BAND_HZ[1],
-            fir_taps=min(DETECTOR_TAPS, 2 * (x.size // 2) - 1),
-        )
-    )
+    taps = _qrs_bandpass(fs_hz, min(DETECTOR_TAPS, 2 * (x.size // 2) - 1))
     bandpassed = dsp.filter_signal(x, taps)[0]
     derivative = np.diff(bandpassed, prepend=bandpassed[0])
     squared = derivative * derivative

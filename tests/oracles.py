@@ -136,6 +136,16 @@ def full_convolution_filter(signal, taps):
     return out
 
 
+def per_lead_normalize(signal, eps=1e-8):
+    """Each lead divided by its own max magnitude; a lead whose max magnitude is below eps stays all zeros."""
+    out = np.zeros_like(signal)
+    for lead in range(signal.shape[0]):
+        peak = np.max(np.abs(signal[lead])) if signal.shape[1] else 0.0
+        if peak >= eps:
+            out[lead] = signal[lead] / peak
+    return out
+
+
 def per_lead_interp_resample(signal, from_hz, to_hz):
     """Each lead by `np.interp` onto the grid j * from/to, the last segment extended linearly past the input's end."""
     num_leads, n = signal.shape

@@ -585,6 +585,46 @@ class TestErrors:
                 assert err.startswith("ERROR RecordFormatError:") and err.count("\n") == 1, err
                 assert "wide_scaler.csv" in err and needle in err, err
 
+    def test_wide_scaler_must_agree_with_the_run_config(self, workspace, overfit_run, tmp_path, capsys):
+        # A valid wide_scaler.csv in a run whose config says standardize_wide = false is a configuration error,
+        # and a run whose config says true but has no scaler misses a file; both for every inference command.
+        root, data, ini, manifest, folds = workspace
+        std_ini = tmp_path / "std.ini"
+        std_ini.write_text(TOY_INI + "standardize_wide = true\n")
+        std_run = tmp_path / "std_run"
+        assert cli.main(["train", "--manifest", str(manifest), "--fold", "-1", "--weights", str(data / "weights.csv"),
+                         "--out", str(std_run), "--config", str(std_ini)]) == 0
+        stray = tmp_path / "stray"
+        shutil.copytree(overfit_run, stray)
+        shutil.copy(std_run / "wide_scaler.csv", stray / "wide_scaler.csv")
+        missing = tmp_path / "missing"
+        shutil.copytree(std_run, missing)
+        (missing / "wide_scaler.csv").unlink()
+
+        def commands(run):
+            return [
+                ["evaluate", "--manifest", str(manifest), "--runs", str(run), "--weights", str(data / "weights.csv"),
+                 "--out", str(tmp_path / "report.csv")],
+                ["predict", "--record", str(data / "synth00000.hea"), "--run", str(run), "--out", str(tmp_path / "p.csv")],
+                ["attention", "--record", str(data / "synth00000.hea"), "--run", str(run), "--format", "csv",
+                 "--out", str(tmp_path / "maps")],
+            ]
+
+        capsys.readouterr()
+        for argv in commands(stray):
+            assert cli.main(argv) == 2, argv[0]
+            self._assert_one_error(capsys, "ConfigError", str(stray / "wide_scaler.csv"), "config_used.ini",
+                                   "standardize_wide = false")
+        for argv in commands(missing):
+            assert cli.main(argv) == 3, argv[0]
+            self._assert_one_error(capsys, "MissingFileError", str(missing / "wide_scaler.csv"), "config_used.ini",
+                                   "standardize_wide = true")
+        # The same checks hold against --set, and an agreeing override loads the run.
+        assert cli.main(commands(std_run)[1] + ["--set", "train.standardize_wide=false"]) == 2
+        self._assert_one_error(capsys, "ConfigError", "--set")
+        assert cli.main(commands(stray)[1] + ["--set", "train.standardize_wide=true"]) == 0
+        assert not (tmp_path / "report.csv").exists() and not (tmp_path / "maps").exists()
+
     def _train_argv(self, data, ini, manifest, out, folds=None, weights=None):
         fold = ["--folds", str(folds), "--fold", "0"] if folds else ["--fold", "-1"]
         return ["train", "--manifest", str(manifest), *fold, "--weights", str(weights or data / "weights.csv"),

@@ -1,13 +1,16 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from ecgformer import dsp
+from ecgformer import dsp, features
 from ecgformer.errors import ArgumentRangeError, ConfigError, ShapeError
 
-from oracles import dtft_magnitude, full_convolution_filter, per_lead_interp_resample
+from oracles import dtft_magnitude, full_convolution_filter, per_lead_interp_resample, per_lead_normalize
 
 # The FFT filter may differ from the direct sum by rounding only: at most this
 # fraction of a lead's largest direct-form magnitude.
@@ -248,6 +251,101 @@ class TestNormalize:
         once = dsp.normalize(x)
         twice = dsp.normalize(once)
         assert np.max(np.abs(twice - once)) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 500, 4097])
+    def test_same_bytes_as_per_lead_normalize(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            x = rng.normal(size=(6, n)) * rng.uniform(1e-3, 1e3, size=(6, 1))
+            x[1] = 0.0  # silent
+            x[2] *= 1e-9 / max(np.max(np.abs(x[2])) if n else 1.0, 1e-300)  # below 1e-8, not zero
+            x[3, rng.random(n) < 0.3] = -0.0
+            x[4] = -0.0
+            x[5, : n // 2] = -x[5, : n // 2]
+            assert dsp.normalize(x).tobytes() == per_lead_normalize(x).tobytes(), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(leads=st.integers(1, 5), n=st.integers(0, 300), scale=st.floats(1e-12, 1e6), seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes_as_per_lead_normalize_on_random_signals(self, leads, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(leads, n)) * scale * rng.uniform(0.0, 1.0, size=(leads, 1))
+        x[rng.random(x.shape) < 0.1] = -0.0
+        assert dsp.normalize(x).tobytes() == per_lead_normalize(x).tobytes()
+
+
+class TestSharedCaches:
+    """The tap spectrum and the detector's bandpass are computed once and shared: they must be read-only, and a
+    cached result must be the bytes a fresh computation gives."""
+
+    def test_cached_arrays_are_read_only(self):
+        taps = dsp.design_bandpass(dsp.PreprocessConfig())
+        dsp.filter_signal(np.ones((2, 1000)), taps)
+        spectrum = dsp._tap_spectrum(taps.tobytes(), dsp.fft_length(1000 + len(taps) - 1))
+        qrs = features._qrs_bandpass(500.0, features.DETECTOR_TAPS)
+        for shared in (spectrum, qrs):
+            with pytest.raises(ValueError):
+                shared[0] = 1.0
+            with pytest.raises(ValueError):
+                shared *= 2.0
+
+    def test_detector_taps_are_the_designed_bandpass(self):
+        for fs, num_taps in [(257.0, 201), (500.0, 201), (1000.0, 201), (100.0, 99)]:
+            want = dsp.design_bandpass(dsp.PreprocessConfig(target_rate_hz=fs, band_low_hz=features.QRS_BAND_HZ[0],
+                                                            band_high_hz=features.QRS_BAND_HZ[1], fir_taps=num_taps))
+            assert features._qrs_bandpass(fs, num_taps).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 300, 5000])
+    def test_fresh_taps_give_the_bytes_of_an_empty_cache(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(3, n))
+        taps = dsp.design_bandpass(dsp.PreprocessConfig())
+        dsp._tap_spectrum.cache_clear()
+        dsp.fft_length.cache_clear()
+        cold = dsp.filter_signal(x, taps)
+        for fresh in (taps.copy(), list(taps), taps[::-1].copy()[::-1], np.asfortranarray(taps)):
+            assert dsp.filter_signal(x, fresh).tobytes() == cold.tobytes()
+        assert dsp._tap_spectrum.cache_info().hits >= 4
+
+    def test_other_taps_of_the_same_length_are_not_confused(self):
+        x = np.random.default_rng(5).normal(size=(1, 2000))
+        a = dsp.design_bandpass(dsp.PreprocessConfig())
+        b = dsp.design_bandpass(dsp.PreprocessConfig(band_low_hz=1.0))
+        dsp.filter_signal(x, a)
+        dsp._tap_spectrum.cache_clear()
+        want = dsp.filter_signal(x, b)
+        dsp.filter_signal(x, a)
+        assert dsp.filter_signal(x, b).tobytes() == want.tobytes()
+
+    def test_threads_filling_the_caches_at_once_get_the_serial_bytes(self):
+        # More threads than cores, switching as often as the interpreter allows, all starting from empty caches.
+        rng = np.random.default_rng(9)
+        signals = [rng.normal(size=(2, n)) for n in (300, 1000, 1001, 2500, 5000)]
+        tap_sets = [dsp.design_bandpass(dsp.PreprocessConfig(fir_taps=t)) for t in (101, 513)]
+        jobs = [("filter", s, t) for s in signals for t in tap_sets]
+        jobs += [("peaks", s[0], fs) for s in signals for fs in (257.0, 500.0) if s.shape[1] >= fs]
+        jobs *= 3
+
+        def run(job):
+            kind, x, arg = job
+            out = dsp.filter_signal(x, arg) if kind == "filter" else features.detect_r_peaks(x, arg).peak_indices
+            return out.tobytes()
+
+        want = [run(job) for job in jobs]
+        switch = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for cached in (dsp._tap_spectrum, dsp.fft_length, features._qrs_bandpass):
+                cached.cache_clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run, job) for job in jobs]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == want
+
+    def test_caches_are_bounded(self):
+        for cached in (dsp._tap_spectrum, dsp.fft_length, features._qrs_bandpass):
+            assert cached.cache_info().maxsize is not None
 
 
 class TestExtractWindow:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecgformer import autograd as ag
-from ecgformer import dsp, metrics, model, record_io, stratify, synth, train
+from ecgformer import dsp, features, metrics, model, record_io, stratify, synth, train
 from ecgformer.errors import ArgumentRangeError, ConfigError, UndefinedScoreError
 from ecgformer.features import FeatureConfig
 
@@ -551,3 +551,26 @@ class TestRunCV:
                                             toy_model_config(), TOY_PREPROCESS)
         train_metric = metrics.challenge_metric(manifest.label_matrix(), train.apply_thresholds(probs, thresholds), weights)
         assert abs(train_metric - report.challenge) < 1e-12
+
+
+class TestPrepareRecordsSharedCaches:
+    def _clear_caches(self):
+        for cached in (dsp._tap_spectrum, dsp.fft_length, features._qrs_bandpass):
+            cached.cache_clear()
+
+    @pytest.mark.parametrize("subset", ["two", "twelve"])
+    def test_two_threads_give_the_bytes_of_one_from_empty_caches(self, ten_record_corpus, subset):
+        # Preparation threads share the tap-spectrum and detector-bandpass caches; whichever thread fills an
+        # entry, every record gets the bytes a single thread gives it.
+        manifest, _ = ten_record_corpus
+        assert {e.sampling_rate_hz for e in manifest.entries} == {257.0, 500.0, 1000.0}
+        everything = np.arange(len(manifest.entries))
+        prepared = {}
+        for threads in (1, 2):
+            self._clear_caches()
+            prepared[threads] = train.prepare_records(manifest, everything, record_io.lead_subset(subset),
+                                                      dsp.PreprocessConfig(), FeatureConfig(), 22, threads)
+        for i in everything:
+            one, two = prepared[1][int(i)], prepared[2][int(i)]
+            assert one.processed.tobytes() == two.processed.tobytes(), i
+            assert one.wide.tobytes() == two.wide.tobytes(), i
