@@ -10,9 +10,8 @@ backward rebuilds what is cheap to rebuild with the forward's own
 operations on the same arrays, so it reads the forward's bytes: the dropout
 mask from its one-byte draw, and the tanh of `gelu`'s tanh form from its
 input. The `Tensor` a caller holds carries a value and its node, so an
-output that no backward reads (a projection before the head split, the
-scores before the softmax, a residual sum) is freed as soon as the caller
-drops it. `collect_gradients`
+output that no backward reads (a projection before the head split, a
+residual sum) is freed as soon as the caller drops it. `collect_gradients`
 walks the nodes once in reverse topological order, accumulating gradients
 additively across fan-out and dropping each one as soon as nothing left in
 the pass needs it. There is one way to run backward: each pass adds every
@@ -27,13 +26,16 @@ which is many times slower than a product: `gelu` (tanh form) cubes as
 
 A graph's cost at small sizes is per node (each node's output and incoming
 gradient get one finiteness scan), so the model's chains run as fused
-nodes: `linear` (product plus bias), `split_heads` and `merge_heads` (the
-reshape, axis swap, reshape that put all attention heads in one batched
-product and back), `attention_scores` (`q @ kᵀ` times the scale) and
-`dropout_matmul` (the attention map's dropout, then its product with the
-values, without keeping the dropped map). Each runs the NumPy calls of the
-chain it replaces, in the same order and on the same arrays, so it gives
-the chain's bytes, and checks once.
+nodes: `linear` (product plus bias) and `attention` (the head split, the
+scaled scores `q @ kᵀ`, the key mask, the softmax, the map's dropout, the
+product with the values and the head merge, between the q/k/v projections
+and the output projection). Each runs the NumPy calls of the chain it
+replaces, in the same order and on the same arrays, so it gives the chain's
+bytes, and scans its output once (`attention` also scans its scores before
+the softmax, which would turn -inf scores into finite weights). Sums, means
+and maxima are called as `np.add.reduce`, `np.true_divide` by the count and
+`np.maximum.reduce`, the bytes of the `.sum`, `.mean` and `.max` methods
+without their Python wrappers.
 `embedding_row_select`, which the model no longer calls, stays while
 `ecgbench/tracer.py` traces it.
 
@@ -64,9 +66,11 @@ import numpy as np
 
 from .errors import NumericalError, RecordFormatError, ShapeError
 
-def _check_finite(data: np.ndarray, op: str):
+def _check_finite(data: np.ndarray, op):
+    """A NumericalError naming `op` unless `data` is finite. `op` is an op's name, or the node whose
+    incoming gradient `data` is, named "backward of <op>" only when the scan fails."""
     if not np.isfinite(data).all():
-        raise NumericalError(f"{op} produced non-finite values")
+        raise NumericalError(f"{op if isinstance(op, str) else 'backward of ' + op._op} produced non-finite values")
 
 
 class Node:
@@ -153,10 +157,12 @@ class Tensor:
         _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
-        if any(p._node.requires_grad for p in parents):
-            out._node = Node(True, data.shape, tuple(p._node for p in parents), backward, op)
-        else:
-            out._node = Node(False, data.shape, (), None, op)
+        nodes = tuple([p._node for p in parents])
+        for node in nodes:
+            if node.requires_grad:
+                out._node = Node(True, data.shape, nodes, backward, op)
+                return out
+        out._node = Node(False, data.shape, (), None, op)
         return out
 
     # -- operators ----------------------------------------------------------
@@ -205,11 +211,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """
     slots = grad.ndim > len(shape)
     while grad.ndim > len(shape) + slots:
-        grad = grad.sum(axis=1)
+        grad = np.add.reduce(grad, axis=1)
     for axis, size in enumerate(shape, start=slots):
         if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.sum(axis=0) if slots else grad
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
+    return np.add.reduce(grad, axis=0) if slots else grad
 
 
 def _check_trailing_broadcast(a: Tensor, b: Tensor, op: str):
@@ -286,7 +292,7 @@ def _right_operand_grad(a: np.ndarray, grad: np.ndarray, shared: bool) -> np.nda
         return np.swapaxes(a, -1, -2) @ grad
     if a.shape[0] == 1:
         return np.swapaxes(a[0], -1, -2) @ grad[0]
-    return (np.swapaxes(a, -1, -2) @ grad).sum(axis=0)
+    return np.add.reduce(np.swapaxes(a, -1, -2) @ grad, axis=0)
 
 
 def _linear_backward(nx, nw, nbias, x, w, grad, grads):
@@ -314,29 +320,6 @@ def linear(x, w, bias) -> Tensor:
     return Tensor._result(data, (x, w, bias), backward, "linear")
 
 
-def _attention_scores_backward(nq, nk, q, k, factor, grad, grads):
-    g = grad * factor
-    if nq.requires_grad:
-        grads(nq, g @ k)
-    if nk.requires_grad:
-        grads(nk, np.swapaxes(np.swapaxes(q, -1, -2) @ g, -1, -2))
-
-
-def attention_scores(q, k, scale: float) -> Tensor:
-    """`(q @ kᵀ) * scale` for [S, T, d] queries and keys, as one node: the
-    `transpose`, `matmul` and `mul` chain's NumPy calls, with `kᵀ` the strided
-    `np.swapaxes` view and `scale` cast to the queries' dtype, without keeping
-    the product before the scale."""
-    q, k = as_tensor(q), as_tensor(k)
-    if q.ndim != 3 or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
-        raise ShapeError(f"attention_scores expects [S, T, d] queries and keys, got {q.shape} and {k.shape}")
-    kt = np.swapaxes(k.data, -1, -2)
-    factor = np.asarray(scale, dtype=q.data.dtype)
-    data = (q.data @ kt) * factor
-    backward = partial(_attention_scores_backward, q._node, k._node, q.data, k.data, factor)
-    return Tensor._result(data, (q, k), backward, "attention_scores")
-
-
 def _transpose_backward(na, grad, grads):
     grads(na, np.swapaxes(grad, -1, -2))
 
@@ -358,45 +341,6 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
     return Tensor._result(data, (a,), partial(_reshape_backward, a._node), "reshape")
-
-
-def _regroup(a: np.ndarray, four_axes: tuple, out_shape: tuple) -> np.ndarray:
-    """`a` as `four_axes`, axes 1 and 2 swapped into a C-contiguous copy, as `out_shape`.
-
-    The copy fixes the memory order of the result, and with it the order of
-    every later sum over it."""
-    return np.ascontiguousarray(np.transpose(a.reshape(four_axes), (0, 2, 1, 3))).reshape(out_shape)
-
-
-def _regroup_backward(na, four_axes, grad, grads):
-    """Hands back `grad` regrouped to `na`'s shape, `four_axes` being `grad`'s own shape as four axes."""
-    grads(na, _regroup(grad, four_axes, na.shape))
-
-
-def split_heads(y, heads: int) -> Tensor:
-    """[B, T, D] -> [B*H, T, D/H]: row b*H + h holds slot b's columns h*D/H .. (h+1)*D/H.
-
-    Value and gradient are C-contiguous copies."""
-    y = as_tensor(y)
-    if y.ndim != 3 or heads < 1 or y.shape[2] % heads:
-        raise ShapeError(f"split_heads: {heads} heads do not split the last axis of shape {y.shape}")
-    b, t, d = y.shape
-    dh = d // heads
-    data = _regroup(y.data, (b, t, heads, dh), (b * heads, t, dh))
-    return Tensor._result(data, (y,), partial(_regroup_backward, y._node, (b, heads, t, dh)), "split_heads")
-
-
-def merge_heads(y, batch: int) -> Tensor:
-    """[B*H, T, d_h] -> [B, T, H*d_h], the inverse of `split_heads`.
-
-    Value and gradient are C-contiguous copies."""
-    y = as_tensor(y)
-    if y.ndim != 3 or batch < 1 or y.shape[0] % batch:
-        raise ShapeError(f"merge_heads: a batch of {batch} does not split the leading axis of shape {y.shape}")
-    bh, t, dh = y.shape
-    heads = bh // batch
-    data = _regroup(y.data, (batch, heads, t, dh), (batch, t, heads * dh))
-    return Tensor._result(data, (y,), partial(_regroup_backward, y._node, (batch, t, heads, dh)), "merge_heads")
 
 
 def _concat_backward(nodes, axis, grad, grads):
@@ -461,26 +405,42 @@ def embedding_row_select(table, indices) -> Tensor:
     return Tensor._result(data, (table,), backward, "embedding_row_select")
 
 
+def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, shifted by the row maximum, into `out` (which may be `x`) when given."""
+    shifted = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
+    e = np.exp(shifted, out=shifted)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_grad(grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The gradient of a softmax's input from its output's gradient and the output."""
+    return (grad - np.add.reduce(grad * out, axis=-1, keepdims=True)) * out
+
+
 def _softmax_backward(na, out, grad, grads):
-    dot = (grad * out).sum(axis=-1, keepdims=True)
-    grads(na, (grad - dot) * out)
+    grads(na, _softmax_grad(grad, out))
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis, numerically stabilized."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = _softmax(a.data)
     return Tensor._result(data, (a,), partial(_softmax_backward, a._node, data), "softmax")
+
+
+def _mean_last_axis(x: np.ndarray) -> np.ndarray:
+    """`x.mean(axis=-1, keepdims=True)` as NumPy computes it: the sum, divided in place by the intp count."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(x.shape[-1]), out=total, casting="unsafe")
 
 
 def _layer_norm_backward(na, ngain, nbias, gain, xhat, inv_std, grad, grads):
     d = xhat.shape[-1]
     dxhat = grad * gain
     # Standard closed form: dx = inv_std/d * (d*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat))
-    sum_dxhat = dxhat.sum(axis=-1, keepdims=True)
-    sum_dxhat_xhat = (dxhat * xhat).sum(axis=-1, keepdims=True)
+    sum_dxhat = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    sum_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True)
     grads(na, (inv_std / d) * (d * dxhat - sum_dxhat - xhat * sum_dxhat_xhat))
     grads(ngain, _unbroadcast(grad * xhat, ngain.shape))
     grads(nbias, _unbroadcast(grad, nbias.shape))
@@ -492,9 +452,9 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    mu = _mean_last_axis(a.data)
     centered = a.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = _mean_last_axis(centered**2)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     data = xhat * gain.data + bias.data
@@ -567,8 +527,8 @@ def _dropout_mask(kept: np.ndarray, keep: float, dtype) -> np.ndarray:
     return mask
 
 
-def _draw_kept(a: Tensor, p: float, rng: list[np.random.Generator] | None, op: str) -> tuple[np.ndarray, float]:
-    """Which units of `a` inverted dropout at rate `p` keeps, and the keep rate.
+def _draw_kept(shape: tuple, p: float, rng: list[np.random.Generator] | None, op: str) -> tuple[np.ndarray, float]:
+    """Which units of an array of `shape` inverted dropout at rate `p` keeps, and the keep rate.
 
     `rng` holds one generator per slot: the leading axis is cut into that
     many equal slots, and each slot draws from its own generator, as it
@@ -577,10 +537,10 @@ def _draw_kept(a: Tensor, p: float, rng: list[np.random.Generator] | None, op: s
         raise ShapeError(f"{op} rate must be in [0, 1), got {p}")
     if rng is None:
         raise ShapeError(f"training-mode {op} requires a list of generators")
-    if a.ndim == 0 or not rng or a.shape[0] % len(rng):
-        raise ShapeError(f"{op}: {len(rng)} generators do not split the leading axis of shape {a.shape}")
-    draws = np.empty(a.shape)
-    rows = a.shape[0] // len(rng)
+    if not shape or not rng or shape[0] % len(rng):
+        raise ShapeError(f"{op}: {len(rng)} generators do not split the leading axis of shape {shape}")
+    draws = np.empty(shape)
+    rows = shape[0] // len(rng)
     for slot, gen in enumerate(rng):
         gen.random(out=draws[slot * rows : (slot + 1) * rows])
     keep = 1.0 - p
@@ -603,43 +563,89 @@ def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training:
     a = as_tensor(a)
     if not training or p == 0.0:
         return a
-    kept, keep = _draw_kept(a, p, rng, "dropout")
+    kept, keep = _draw_kept(a.shape, p, rng, "dropout")
     dtype = a.data.dtype
     data = a.data * _dropout_mask(kept, keep, dtype)
     return Tensor._result(data, (a,), partial(_dropout_backward, a._node, kept, keep, dtype), "dropout")
 
 
-def _dropout_matmul_backward(na, nb, a, kept, keep, b, grad, grads):
-    mask = _dropout_mask(kept, keep, a.dtype)
-    if na.requires_grad:
-        da = grad @ np.swapaxes(b, -1, -2)
-        da *= mask
-        grads(na, da)
-    if nb.requires_grad:
-        dropped = np.multiply(a, mask, out=mask)
-        grads(nb, _right_operand_grad(dropped, grad, shared=False))
+def _regroup(a: np.ndarray, four_axes: tuple, out_shape: tuple) -> np.ndarray:
+    """`a` as `four_axes`, axes 1 and 2 swapped into a C-contiguous copy, as `out_shape`.
+
+    The copy fixes the memory order of the result, and with it the order of
+    every later sum over it."""
+    return np.ascontiguousarray(np.transpose(a.reshape(four_axes), (0, 2, 1, 3))).reshape(out_shape)
 
 
-def dropout_matmul(a, b, p: float, rng: list[np.random.Generator]) -> Tensor:
-    """`dropout(a, p, rng) @ b` for [S, T, U] and [S, U, d] operands, as one node.
+def _attention_backward(nq, nk, nv, q, k, v, probs, kept, keep, factor, grad, grads):
+    """The backwards of the head merge, the value product (after the dropout, when there was one), the
+    softmax, the bias add (the identity), the scaled scores and the three head splits, in that order."""
+    s, t, dh = q.shape
+    b = grad.shape[0]
+    heads_axes = (b, s // b, t, dh)  # a head gradient's four axes, regrouped back to [B, T, D]
+    g = _regroup(grad, (b, t, s // b, dh), q.shape)
+    mask = None if kept is None else _dropout_mask(kept, keep, probs.dtype)
+    if nq.requires_grad or nk.requires_grad:
+        dprobs = g @ np.swapaxes(v, -1, -2)
+        if mask is not None:
+            dprobs *= mask
+        dscores = _softmax_grad(dprobs, probs) * factor
+        if nq.requires_grad:
+            grads(nq, _regroup(dscores @ k, heads_axes, grad.shape))
+        if nk.requires_grad:
+            grads(nk, _regroup(np.swapaxes(np.swapaxes(q, -1, -2) @ dscores, -1, -2), heads_axes, grad.shape))
+    if nv.requires_grad:
+        dropped = probs if mask is None else np.multiply(probs, mask, out=mask)
+        grads(nv, _regroup(np.swapaxes(dropped, -1, -2) @ g, heads_axes, grad.shape))
 
-    Its forward runs `dropout`'s and `matmul`'s NumPy calls in their order
-    and draws the same mask from the same generators. The graph keeps `a`,
-    `b` and the boolean draw, not the mask or the dropped `a`: the backward
-    rebuilds both with the forward's operations. It hands `a` the product
-    `grad @ bᵀ` (`bᵀ` the strided `np.swapaxes` view) times the mask, and `b`
-    the product of the dropped `a`, transposed, and `grad`: the bytes of
-    `matmul`'s then `dropout`'s backwards. At the paper's attention shape,
-    that strided `grad @ bᵀ` is one of the two products whose bytes depend
-    on the BLAS thread count.
+
+def attention(q, k, v, heads: int, key_mask: np.ndarray | None = None, p: float = 0.0,
+              rng: list[np.random.Generator] | None = None, maps: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention of [B, T, D] projections, as one [B, T, D] node.
+
+    Its forward runs the NumPy calls of the chain it replaces, in their order
+    and on the same arrays, so it gives the chain's bytes: each projection
+    regrouped to [B*H, T, D/H] (row b*H + h holds slot b's columns
+    h*D/H .. (h+1)*D/H, as a C-contiguous copy); the scores `q @ kᵀ` (`kᵀ`
+    the strided `np.swapaxes` view) times 1/sqrt(D/H) in the inputs' dtype;
+    with a [B, T] boolean `key_mask`, -1e30 added to the scores of masked
+    keys; the softmax over keys; with a rate `p` > 0, inverted dropout of the
+    map, each slot drawing from its own generator in `rng` as `dropout` does;
+    the product with the values; and the heads merged back to [B, T, D]. It
+    scans the scores after the mask, since a softmax maps -inf scores to
+    finite weights, and its output. The graph keeps the three regrouped
+    projections, the softmax output and the boolean draw. `maps`, when given,
+    receives a [B, H, T, T] copy of the softmax output. At the paper's shape,
+    `q @ kᵀ` and the map gradient's `grad @ vᵀ` are the two products whose
+    bytes depend on the BLAS thread count.
     """
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"dropout_matmul expects [S, T, U] and [S, U, d] operands, got {a.shape} @ {b.shape}")
-    kept, keep = _draw_kept(a, p, rng, "dropout_matmul")
-    data = (a.data * _dropout_mask(kept, keep, a.data.dtype)) @ b.data
-    backward = partial(_dropout_matmul_backward, a._node, b._node, a.data, kept, keep, b.data)
-    return Tensor._result(data, (a, b), backward, "dropout_matmul")
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[2] % heads:
+        raise ShapeError(f"attention expects [B, T, D] projections of one shape with {heads} heads dividing D, "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    b, t, d = q.shape
+    if key_mask is not None and np.shape(key_mask) != (b, t):
+        raise ShapeError(f"attention: a key mask of shape {np.shape(key_mask)} for projections of shape {q.shape}")
+    dh = d // heads
+    qh, kh, vh = (_regroup(y.data, (b, t, heads, dh), (b * heads, t, dh)) for y in (q, k, v))
+    factor = qh.dtype.type(1.0 / math.sqrt(dh))
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= factor
+    if key_mask is not None:
+        scores += np.repeat(np.where(key_mask, 0.0, -1e30)[:, None, :], heads, axis=0).astype(qh.dtype)
+    _check_finite(scores, "attention")
+    probs = _softmax(scores, out=scores)
+    if maps is not None:
+        maps.append(probs.reshape(b, heads, t, t).copy())
+    kept, keep = _draw_kept((b, heads * t, t), p, rng, "attention") if p else (None, 1.0)
+    if kept is None:
+        heads_out = probs @ vh
+    else:
+        kept = kept.reshape(probs.shape)
+        heads_out = (probs * _dropout_mask(kept, keep, probs.dtype)) @ vh
+    data = _regroup(heads_out, (b, heads, t, dh), (b, t, d))
+    backward = partial(_attention_backward, q._node, k._node, v._node, qh, kh, vh, probs, kept, keep, factor)
+    return Tensor._result(data, (q, k, v), backward, "attention")
 
 
 BCE_EPS = 1e-7
@@ -671,16 +677,16 @@ def binary_cross_entropy(predictions, targets, per_slot: bool = False) -> Tensor
 def _topo_order(root: Tensor) -> list[Node]:
     """The nodes of `root`'s graph that need a gradient, each after its parents."""
     order: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         # Leaf parents go below the others, so a leaf is popped only after the
         # subgraphs of its consumer's other parents: it lands in `order` just
@@ -724,28 +730,26 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, n
         raise RuntimeError("backward already ran for this graph; run forward again first")
     root._consumed = True
 
-    names = {id(t._node): name for name, t in wanted.items()}
-    acc: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    names = {t._node: name for name, t in wanted.items()}
+    acc: dict[Node, np.ndarray] = {root: np.ones_like(loss.data)}
 
     def grads(t: Node, g: np.ndarray):
         if not t.requires_grad:
             return
         if g.shape != t.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {t.shape} ({t._op})")
-        if id(t) in acc:
-            acc[id(t)] = acc[id(t)] + g
-        else:
-            acc[id(t)] = g
+        total = acc.get(t)
+        acc[t] = g if total is None else total + g
 
     for node in reversed(_topo_order(loss)):
-        g = acc.pop(id(node), None)
+        g = acc.pop(node, None)
         if g is None:
             continue
         if node._backward is not None:
-            _check_finite(g, f"backward of {node._op}")
+            _check_finite(g, node)
             node._backward(g, grads)
-        elif id(node) in names:
-            into[names[id(node)]] += g
+        elif node in names:
+            into[names[node]] += g
     return into
 
 

@@ -8,6 +8,7 @@ success, and on failure prints exactly one machine-parseable line to stderr
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -265,21 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", type=int, required=True, help="number of records")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--leads", type=int, default=12, help="leads per record (prefix of the standard 12)")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("manifest", help="scan a record directory into a labeled manifest")
     p.add_argument("--data", required=True, help="directory of .hea/.dat records")
     p.add_argument("--class-map", required=True, help="CSV code,class_index,class_code")
     p.add_argument("--out", required=True, help="manifest CSV to write")
     common(p)
-    p.set_defaults(func=cmd_manifest)
 
     p = sub.add_parser("folds", help="multi-label stratified fold assignment")
     p.add_argument("--manifest", required=True)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="fold CSV to write")
-    p.set_defaults(func=cmd_folds)
 
     p = sub.add_parser("train", help="train one fold (or all) and fit thresholds")
     p.add_argument("--manifest", required=True)
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     common(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score trained runs and write the per-fold report")
     p.add_argument("--manifest", required=True)
@@ -299,14 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report CSV to write")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("predict", help="probabilities for one record")
     p.add_argument("--record", required=True, help="record header path")
     p.add_argument("--run", required=True, help="run directory with checkpoint")
     p.add_argument("--out", required=True, help="CSV to write")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("attention", help="export an attention heatmap for one record")
     p.add_argument("--record", required=True)
@@ -317,15 +312,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=("patch", "full"), default="patch")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p.set_defaults(func=cmd_attention)
 
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: building costs far more than parsing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The subcommand runs through this module's `cmd_<name>` as it stands now, so a wrapper put there
+        # after the parser was built still runs.
+        return globals()[f"cmd_{args.command}"](args)
     except EcgFormerError as exc:
         message = " ".join(str(exc).split())
         print(f"ERROR {type(exc).__name__}: {message}", file=sys.stderr)

@@ -130,11 +130,16 @@ def design_bandpass(config: PreprocessConfig) -> np.ndarray:
 
     Linear phase by construction: taps are exactly symmetric about the center.
     DC gain is zero because each low-pass is normalized to unit DC gain first.
+    Designed once per (rate, band, tap count) and shared read-only.
     """
-    fs = config.target_rate_hz
-    return _hamming_lowpass(config.band_high_hz, fs, config.fir_taps) - _hamming_lowpass(
-        config.band_low_hz, fs, config.fir_taps
-    )
+    return _bandpass(config.target_rate_hz, config.band_low_hz, config.band_high_hz, config.fir_taps)
+
+
+@functools.lru_cache(maxsize=32)
+def _bandpass(fs_hz: float, low_hz: float, high_hz: float, num_taps: int) -> np.ndarray:
+    taps = _hamming_lowpass(high_hz, fs_hz, num_taps) - _hamming_lowpass(low_hz, fs_hz, num_taps)
+    taps.flags.writeable = False
+    return taps
 
 
 @functools.lru_cache(maxsize=1024)
@@ -243,14 +248,9 @@ def _normalize_at(signal: np.ndarray, config: PreprocessConfig, scope: str) -> n
     return normalize(signal) if config.normalize_scope == scope else signal
 
 
-def process_recording(signal, from_hz: float, config: PreprocessConfig, taps: np.ndarray | None = None) -> np.ndarray:
-    """Recording half of the chain: resample -> bandpass -> normalize (scope "recording").
-
-    taps, when given, must be `design_bandpass(config)`; callers that process
-    many recordings design it once.
-    """
-    taps = design_bandpass(config) if taps is None else taps
-    sig = filter_signal(resample(signal, from_hz, config.target_rate_hz), taps)
+def process_recording(signal, from_hz: float, config: PreprocessConfig) -> np.ndarray:
+    """Recording half of the chain: resample -> bandpass -> normalize (scope "recording")."""
+    sig = filter_signal(resample(signal, from_hz, config.target_rate_hz), design_bandpass(config))
     return _normalize_at(sig, config, "recording")
 
 

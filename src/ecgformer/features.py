@@ -103,11 +103,9 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _qrs_bandpass(fs_hz: float, num_taps: int) -> np.ndarray:
-    """The detector's QRS bandpass at this rate and tap count; read-only, as it is shared."""
-    taps = dsp.design_bandpass(dsp.PreprocessConfig(target_rate_hz=fs_hz, band_low_hz=QRS_BAND_HZ[0],
+    """The detector's QRS bandpass at this rate and tap count (read-only), without building a config per record."""
+    return dsp.design_bandpass(dsp.PreprocessConfig(target_rate_hz=fs_hz, band_low_hz=QRS_BAND_HZ[0],
                                                     band_high_hz=QRS_BAND_HZ[1], fir_taps=num_taps))
-    taps.flags.writeable = False
-    return taps
 
 
 def detect_r_peaks(lead_signal, fs_hz: float) -> RPeakTrain:

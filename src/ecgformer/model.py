@@ -264,21 +264,9 @@ def _attention_block(
     capture: list | None,
 ) -> Tensor:
     p = f"layers.{layer}.attn."
-    b, heads = x.shape[0], config.num_heads
-    q, k, v = (ag.split_heads(_linear(x, params, p + name), heads) for name in ("w_q", "w_k", "w_v"))
-    scores = ag.attention_scores(q, k, 1.0 / math.sqrt(config.head_dim))
-    if key_mask is not None:
-        # Masked keys are pushed to -inf-like scores before softmax: one bias row per slot and head.
-        bias = np.repeat(np.where(key_mask, 0.0, -1e30)[:, None, :], heads, axis=0)
-        scores = ag.add(scores, Tensor(bias, dtype=x.data.dtype))
-    attn = ag.softmax(scores)
-    if capture is not None:
-        capture.append(attn.data.reshape(b, heads, *attn.shape[1:]).copy())
-    if training and config.dropout_encoder > 0.0:
-        heads_out = ag.dropout_matmul(attn, v, config.dropout_encoder, rng)
-    else:
-        heads_out = ag.matmul(attn, v)
-    return _linear(ag.merge_heads(heads_out, b), params, p + "w_o")
+    q, k, v = (_linear(x, params, p + name) for name in ("w_q", "w_k", "w_v"))
+    rate = config.dropout_encoder if training else 0.0
+    return _linear(ag.attention(q, k, v, config.num_heads, key_mask, rate, rng, capture), params, p + "w_o")
 
 
 def forward(

@@ -251,12 +251,11 @@ def read_record(header_path, subset: LeadSubset, feature_config: features.Featur
 
 def prepare_record(header_path, subset: LeadSubset, preprocess_config: dsp.PreprocessConfig,
                    feature_config: features.FeatureConfig, d_wide: int,
-                   scaler: tuple[np.ndarray, np.ndarray] | None = None,
-                   taps: np.ndarray | None = None) -> PreparedRecord:
-    """`read_record` with the leads through `dsp.process_recording` (with `taps`
-    when given): what training, validation and `evaluate` cut windows from."""
+                   scaler: tuple[np.ndarray, np.ndarray] | None = None) -> PreparedRecord:
+    """`read_record` with the leads through `dsp.process_recording`: what
+    training, validation and `evaluate` cut windows from."""
     selected, wide = read_record(header_path, subset, feature_config, d_wide, scaler)
-    processed = dsp.process_recording(selected.signal, selected.sampling_rate_hz, preprocess_config, taps)
+    processed = dsp.process_recording(selected.signal, selected.sampling_rate_hz, preprocess_config)
     return PreparedRecord(processed, wide)
 
 
@@ -272,11 +271,9 @@ def prepare_records(
 ) -> dict[int, PreparedRecord]:
     """`prepare_record` of the given manifest rows, keyed by row (order independent)."""
     rows = [int(i) for i in indices]
-    taps = dsp.design_bandpass(preprocess_config)
 
     def prepare(i: int) -> PreparedRecord:
-        return prepare_record(manifest.entries[i].file_path, subset, preprocess_config, feature_config, d_wide,
-                              scaler, taps)
+        return prepare_record(manifest.entries[i].file_path, subset, preprocess_config, feature_config, d_wide, scaler)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -7,7 +7,8 @@ need a graph's gradients; `forward_one`, the package's forward on a batch of
 one, for tests of a single record; the unfused chains, each of which builds,
 from the package's primitive ops, the graph that one fused autograd node
 replaces; the reference nodes that keep what a package backward recomputes;
-and the reference record reader, which uses the package's header parser,
+the reductions written as NumPy's methods, which the package calls as ufunc
+reductions; and the reference record reader, which uses the package's header parser,
 record type and features around a decode of every lead.
 """
 
@@ -327,21 +328,34 @@ def chain_linear(x, w, bias):
 
 
 def chain_split_heads(y, heads):
-    """`ag.split_heads` as reshape, permute, reshape."""
+    """[B, T, D] -> [B*H, T, D/H], the head split of `ag.attention`, as reshape, permute, reshape."""
     b, t, d = y.shape
     return ag.reshape(permute(ag.reshape(y, (b, t, heads, d // heads)), (0, 2, 1, 3)), (b * heads, t, d // heads))
 
 
 def chain_merge_heads(y, batch):
-    """`ag.merge_heads` as reshape, permute, reshape."""
+    """[B*H, T, d_h] -> [B, T, H*d_h], the head merge of `ag.attention`, as reshape, permute, reshape."""
     bh, t, dh = y.shape
     heads = bh // batch
     return ag.reshape(permute(ag.reshape(y, (batch, heads, t, dh)), (0, 2, 1, 3)), (batch, t, heads * dh))
 
 
 def chain_attention_scores(q, k, scale):
-    """`ag.attention_scores` as transpose, product, scale."""
+    """`(q @ kᵀ) * scale`, the scores of `ag.attention`, as transpose, product, scale."""
     return ag.mul(ag.matmul(q, ag.transpose(k)), scale)
+
+
+def chain_attention(q, k, v, heads, key_mask=None, p=0.0, rng=None):
+    """`ag.attention` as the three head splits, the scaled scores, the key-mask bias add, the softmax, the dropout
+    then value product (a plain product without dropout) and the head merge."""
+    b, t, d = q.shape
+    qh, kh, vh = (chain_split_heads(y, heads) for y in (q, k, v))
+    scores = chain_attention_scores(qh, kh, 1.0 / np.sqrt(d // heads))
+    if key_mask is not None:
+        bias = np.repeat(np.where(key_mask, 0.0, -1e30)[:, None, :], heads, axis=0)
+        scores = ag.add(scores, ag.Tensor(bias, dtype=q.data.dtype))
+    attn = ag.softmax(scores)
+    return chain_merge_heads(chain_dropout_matmul(attn, vh, p, rng) if p else ag.matmul(attn, vh), b)
 
 
 def float_mask_dropout(a, p, rng):
@@ -365,8 +379,64 @@ def float_mask_dropout(a, p, rng):
 
 
 def chain_dropout_matmul(a, b, p, rng):
-    """`ag.dropout_matmul` as the float-mask dropout node, then a product node."""
+    """`dropout(a) @ b`, the value product of `ag.attention` in training, as the float-mask dropout node, then a
+    product node."""
     return ag.matmul(float_mask_dropout(a, p, rng), b)
+
+
+# -- the reductions as NumPy's methods `.sum`, `.mean` and `.max`, for the package's ufunc reductions ----------
+
+
+def method_unbroadcast(grad, shape):
+    """A gradient reduced to `shape`: each slot over its broadcast axes, then the slots in order, by `.sum`."""
+    slots = grad.ndim > len(shape)
+    while grad.ndim > len(shape) + slots:
+        grad = grad.sum(axis=1)
+    for axis, size in enumerate(shape, start=slots):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.sum(axis=0) if slots else grad
+
+
+def method_right_operand_grad(a, grad, shared):
+    """The gradient of `b` in `a @ b`; a `shared` 2-d b sums the slots' products by `.sum`."""
+    if not shared:
+        return np.swapaxes(a, -1, -2) @ grad
+    if a.shape[0] == 1:
+        return np.swapaxes(a[0], -1, -2) @ grad[0]
+    return (np.swapaxes(a, -1, -2) @ grad).sum(axis=0)
+
+
+def method_softmax(a):
+    """`ag.softmax` as one node whose row maximum and sums are `.max` and `.sum`."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=-1, keepdims=True)
+    na = a._node
+
+    def backward_fn(grad, grads):
+        grads(na, (grad - (grad * out).sum(axis=-1, keepdims=True)) * out)
+
+    return type(a)._result(out, (a,), backward_fn, "method_softmax")
+
+
+def method_layer_norm(a, gain, bias, eps=1e-5):
+    """`ag.layer_norm` as one node whose means are `.mean` and whose sums are `.sum`."""
+    x, d = a.data, a.shape[-1]
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv_std
+    na, ngain, nbias, g_data = a._node, gain._node, bias._node, gain.data
+
+    def backward_fn(grad, grads):
+        dxhat = grad * g_data
+        sum_dxhat = dxhat.sum(axis=-1, keepdims=True)
+        sum_dxhat_xhat = (dxhat * xhat).sum(axis=-1, keepdims=True)
+        grads(na, (inv_std / d) * (d * dxhat - sum_dxhat - xhat * sum_dxhat_xhat))
+        grads(ngain, method_unbroadcast(grad * xhat, ngain.shape))
+        grads(nbias, method_unbroadcast(grad, nbias.shape))
+
+    return type(a)._result(xhat * gain.data + bias.data, (a, gain, bias), backward_fn, "method_layer_norm")
 
 
 def chain_positions(seq, table):

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention_scores,
-                     chain_dropout_matmul, chain_linear, chain_merge_heads, chain_positions, chain_split_heads,
-                     float_mask_dropout, gradients_into_zeros, keep_t_gelu, max_rel_err, permute, product_gelu,
-                     tensor_mean, tensor_sum, textbook_adam)
+from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention, chain_linear,
+                     chain_positions, float_mask_dropout, gradients_into_zeros, keep_t_gelu, max_rel_err,
+                     method_layer_norm, method_right_operand_grad, method_softmax, method_unbroadcast, permute,
+                     product_gelu, tensor_mean, tensor_sum, textbook_adam)
 
 GRAD_TOL = 1e-6
 
@@ -318,21 +318,19 @@ class TestGradientsAgainstFiniteDifferences:
         w = rng.normal(size=x_shape[:-1] + (2,))
         check_op_gradient(lambda x, m, b: tensor_sum(ag.mul(ag.linear(x, m, b), ag.Tensor(w))), x_shape, (4, 2), (2,))
 
-    def test_split_heads(self):
-        rng = np.random.default_rng(23)
-        w = rng.normal(size=(6, 3, 2))
-        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.split_heads(a, 3), ag.Tensor(w))), (2, 3, 6))
-
-    def test_merge_heads(self):
-        rng = np.random.default_rng(24)
-        w = rng.normal(size=(2, 3, 6))
-        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.merge_heads(a, 2), ag.Tensor(w))), (6, 3, 2))
-
-    def test_attention_scores(self):
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_attention(self, p, masked):
+        # The same generators each call, so the dropout mask is a constant of the loss.
         rng = np.random.default_rng(25)
-        w = rng.normal(size=(2, 3, 4))
-        check_op_gradient(lambda q, k: tensor_sum(ag.mul(ag.attention_scores(q, k, 0.5), ag.Tensor(w))),
-                          (2, 3, 5), (2, 4, 5))
+        w = rng.normal(size=(2, 4, 6))
+        key_mask = np.array([[True, True, True, False], [True, False, False, False]]) if masked else None
+
+        def loss(q, k, v):
+            out = ag.attention(q, k, v, 3, key_mask, p, [np.random.default_rng(s) for s in (1, 2)])
+            return tensor_sum(ag.mul(out, ag.Tensor(w)))
+
+        check_op_gradient(loss, (2, 4, 6), (2, 4, 6), (2, 4, 6))
 
     def test_transpose(self):
         check_op_gradient(lambda a, b: tensor_sum(ag.matmul(ag.transpose(a), b)), (4, 3), (4, 2))
@@ -525,17 +523,15 @@ class TestBatchedOps:
         with pytest.raises(ShapeError):
             ag.matmul(ag.Tensor(np.zeros((2, 2, 3, 4))), ag.Tensor(np.zeros((2, 2, 4, 5))))
 
-    @pytest.mark.parametrize("regroup", [lambda a: ag.split_heads(a, 2), lambda a: ag.merge_heads(a, 2)],
-                             ids=["split_heads", "merge_heads"])
-    def test_head_regroupings_hand_on_c_contiguous_values_and_gradients(self, regroup):
+    def test_attention_hands_on_c_contiguous_values_and_gradients(self):
         rng = np.random.default_rng(15)
-        a = ag.Tensor(rng.normal(size=(4, 3, 4)), requires_grad=True)
-        out = regroup(a)
+        qkv = {name: ag.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for name in "qkv"}
+        out = ag.attention(qkv["q"], qkv["k"], qkv["v"], 2)
         assert out.data.flags.c_contiguous
-        # The incoming gradient is a strided view; the one handed on is not.
-        grads = allocating_collect_gradients(tensor_sum(ag.transpose(out)), {"a": a})
-        assert grads["a"].flags.c_contiguous
-        np.testing.assert_array_equal(grads["a"], 1.0)
+        # The incoming gradient is a strided view; the ones handed on are not.
+        grads = allocating_collect_gradients(tensor_sum(ag.transpose(out)), qkv)
+        for name, g in grads.items():
+            assert g.flags.c_contiguous and g.shape == (2, 3, 4), name
 
     @pytest.mark.parametrize("rows, d, f", [(1, 768, 64), (1, 86, 26), (5, 16, 16), (121, 64, 48)])
     def test_shared_matrix_product_equals_per_slot_products(self, rows, d, f):
@@ -588,21 +584,23 @@ class TestBatchedOps:
         lambda: ag.linear(np.zeros((2, 4)), np.zeros((4, 5)), np.zeros(4)),  # bias width
         lambda: ag.linear(np.zeros((2, 2, 2, 4)), np.zeros((4, 5)), np.zeros(5)),  # 4-d input
         lambda: ag.linear(np.zeros((2, 4)), np.zeros((2, 4, 5)), np.zeros(5)),  # 3-d weight
-        lambda: ag.split_heads(np.zeros((2, 3, 6)), 4),
-        lambda: ag.split_heads(np.zeros((3, 6)), 2),
-        lambda: ag.merge_heads(np.zeros((6, 3, 2)), 4),
-        lambda: ag.merge_heads(np.zeros((6, 3)), 2),
-        lambda: ag.attention_scores(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)), 1.0),
-        lambda: ag.attention_scores(np.zeros((2, 3, 4)), np.zeros((1, 3, 4)), 1.0),
-        lambda: ag.attention_scores(np.zeros((3, 4)), np.zeros((3, 4)), 1.0),
-        lambda: ag.dropout_matmul(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)), 0.1, [np.random.default_rng(0)]),
-        lambda: ag.dropout_matmul(np.zeros((2, 3, 3)), np.zeros((1, 3, 4)), 0.1, [np.random.default_rng(0)]),
-        lambda: ag.dropout_matmul(np.zeros((3, 3)), np.zeros((3, 4)), 0.1, [np.random.default_rng(0)]),
-        lambda: ag.dropout_matmul(np.zeros((3, 3, 3)), np.zeros((3, 3, 4)), 0.1, [np.random.default_rng(0)] * 2),
-    ], ids=["linear inner", "linear bias", "linear 4-d input", "linear 3-d weight", "split_heads uneven",
-            "split_heads 2-d", "merge_heads uneven", "merge_heads 2-d", "attention_scores width",
-            "attention_scores slots", "attention_scores 2-d", "dropout_matmul inner", "dropout_matmul slots",
-            "dropout_matmul 2-d", "dropout_matmul generators"])
+        lambda: ag.attention(*[np.zeros((2, 3, 6))] * 3, 4),  # heads do not split D
+        lambda: ag.attention(*[np.zeros((2, 3, 6))] * 3, 0),
+        lambda: ag.attention(*[np.zeros((3, 6))] * 3, 2),  # 2-d projections
+        lambda: ag.attention(np.zeros((2, 3, 6)), np.zeros((2, 3, 4)), np.zeros((2, 3, 6)), 2),  # key width
+        lambda: ag.attention(np.zeros((2, 3, 6)), np.zeros((1, 3, 6)), np.zeros((2, 3, 6)), 2),  # key slots
+        lambda: ag.attention(np.zeros((2, 3, 6)), np.zeros((2, 3, 6)), np.zeros((2, 4, 6)), 2),  # value length
+        lambda: ag.attention(*[np.zeros((2, 3, 6))] * 3, 2, np.ones((2, 4), bool)),  # key mask length
+        lambda: ag.attention(*[np.zeros((2, 3, 6))] * 3, 2, np.ones(3, bool)),  # key mask slots
+        lambda: ag.attention(*[np.zeros((3, 3, 4))] * 3, 2, None, 0.1, [np.random.default_rng(0)] * 2),
+        lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 0.1, [np.random.default_rng(0)] * 4),
+        lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 0.1, None),
+        lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 1.0, [np.random.default_rng(0)] * 2),
+    ], ids=["linear inner", "linear bias", "linear 4-d input", "linear 3-d weight", "attention uneven heads",
+            "attention no heads", "attention 2-d", "attention key width", "attention key slots",
+            "attention value length", "attention key mask length", "attention key mask slots",
+            "attention generators", "attention generators per head", "attention no generators",
+            "attention rate"])
     def test_fused_nodes_reject_mismatched_shapes(self, build):
         with pytest.raises(ShapeError):
             build()
@@ -617,16 +615,28 @@ def _run_graph(build, arrays, needs_grad, upstream):
 
 
 def _attention_core(fused):
-    """Projections, heads, scores, softmax, values and the merge, fused or as the unfused chains."""
-    linear, split, merge, scores = ((ag.linear, ag.split_heads, ag.merge_heads, ag.attention_scores) if fused
-                                    else (chain_linear, chain_split_heads, chain_merge_heads, chain_attention_scores))
+    """The projections, the attention and the output projection, fused or as the unfused chains."""
+    linear, attention = (ag.linear, ag.attention) if fused else (chain_linear, chain_attention)
 
     def build(x, wq, bq, wk, bk, wv, bv, wo, bo):
-        q, k, v = (split(linear(x, w, b), 2) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-        attn = ag.softmax(scores(q, k, 1.0 / np.sqrt(2.0)))
-        return linear(merge(ag.matmul(attn, v), x.shape[0]), wo, bo)
+        q, k, v = (linear(x, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+        return linear(attention(q, k, v, 2), wo, bo)
 
     return build
+
+
+def _attention_case(heads, slots, masked=False, p=0.0):
+    """(fused, chain) for `ag.attention` over [slots, 5, D] projections; with `masked`, each slot's keys from its own
+    padding start on are masked; with a rate `p`, each slot draws its dropout from its own generator."""
+    key_mask = np.arange(5)[None, :] < np.arange(4, 4 - slots, -1)[:, None] if masked else None
+
+    def run(attention):
+        def build(q, k, v):
+            return attention(q, k, v, heads, key_mask, p, [np.random.default_rng(40 + s) for s in range(slots)])
+
+        return build
+
+    return run(ag.attention), run(chain_attention)
 
 
 FUSED_CASES = {
@@ -635,14 +645,14 @@ FUSED_CASES = {
     "linear one slot": (ag.linear, chain_linear, [(1, 5, 4), (4, 3), (3,)]),
     "linear one row per slot": (ag.linear, chain_linear, [(3, 1, 4), (4, 3), (3,)]),
     "linear slots": (ag.linear, chain_linear, [(3, 5, 4), (4, 3), (3,)]),
-    "split_heads one slot": (lambda y: ag.split_heads(y, 2), lambda y: chain_split_heads(y, 2), [(1, 5, 6)]),
-    "split_heads slots": (lambda y: ag.split_heads(y, 3), lambda y: chain_split_heads(y, 3), [(4, 5, 6)]),
-    "merge_heads one slot": (lambda y: ag.merge_heads(y, 1), lambda y: chain_merge_heads(y, 1), [(2, 5, 3)]),
-    "merge_heads slots": (lambda y: ag.merge_heads(y, 3), lambda y: chain_merge_heads(y, 3), [(6, 5, 3)]),
-    "attention_scores one slot": (lambda q, k: ag.attention_scores(q, k, 0.125),
-                                  lambda q, k: chain_attention_scores(q, k, 0.125), [(1, 5, 8), (1, 5, 8)]),
-    "attention_scores slots": (lambda q, k: ag.attention_scores(q, k, 1.0 / np.sqrt(3.0)),
-                               lambda q, k: chain_attention_scores(q, k, 1.0 / np.sqrt(3.0)), [(6, 5, 3), (6, 5, 3)]),
+    "attention one slot": (*_attention_case(2, 1), [(1, 5, 6)] * 3),
+    "attention one head": (*_attention_case(1, 3), [(3, 5, 4)] * 3),
+    "attention slots": (*_attention_case(3, 4), [(4, 5, 6)] * 3),
+    "attention one slot, dropout": (*_attention_case(2, 1, p=0.3), [(1, 5, 6)] * 3),
+    "attention slots, dropout": (*_attention_case(3, 4, p=0.3), [(4, 5, 6)] * 3),
+    "attention one slot, key mask": (*_attention_case(2, 1, masked=True), [(1, 5, 6)] * 3),
+    "attention slots, key mask": (*_attention_case(3, 4, masked=True), [(4, 5, 6)] * 3),
+    "attention slots, key mask, dropout": (*_attention_case(2, 3, masked=True, p=0.5), [(3, 5, 8)] * 3),
     "positions": (ag.add, chain_positions, [(3, 5, 4), (5, 4)]),
     "attention core": (_attention_core(True), _attention_core(False),
                        [(3, 5, 4)] + [(4, 4), (4,)] * 4),
@@ -671,6 +681,67 @@ class TestFusedNodesMatchTheirChains:
                 assert g.tobytes() == want_grads[name].tobytes(), (case, frozen, name)
 
 
+def _spread(rng, shape):
+    """Normal draws scaled row by row over many magnitudes, so each row's sums round."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape[:-1] + (1,))
+
+
+class TestReductionForms:
+    """The package calls its sums, means and maxima as `np.add.reduce`, `np.true_divide` by the count and
+    `np.maximum.reduce`; they give the bytes of the `.sum`, `.mean` and `.max` method calls."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("build, chain, shapes", [
+        (ag.softmax, method_softmax, [(4, 5, 7)]),
+        (ag.softmax, method_softmax, [(1, 3)]),
+        (ag.layer_norm, method_layer_norm, [(3, 5, 8), (8,), (8,)]),
+        (ag.layer_norm, method_layer_norm, [(2, 1, 768), (768,), (768,)]),
+        (ag.layer_norm, method_layer_norm, [(6, 3), (3,), (3,)]),
+    ], ids=["softmax 3-d", "softmax one row", "layer_norm slots", "layer_norm paper width", "layer_norm 2-d"])
+    def test_nodes_give_the_bytes_of_the_method_forms(self, build, chain, shapes, dtype):
+        rng = np.random.default_rng(29)
+        arrays = [_spread(rng, shape).astype(dtype) for shape in shapes]
+        upstream = _spread(rng, shapes[0]).astype(dtype)
+        for frozen in [None, *range(1, len(arrays))]:
+            needs_grad = [i != frozen for i in range(len(arrays))]
+            value, grads = _run_graph(build, arrays, needs_grad, upstream)
+            want_value, want_grads = _run_graph(chain, arrays, needs_grad, upstream)
+            assert value.dtype == dtype and value.tobytes() == want_value.tobytes(), frozen
+            assert grads.keys() == want_grads.keys()
+            for name, g in grads.items():
+                assert g.tobytes() == want_grads[name].tobytes(), (frozen, name)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("grad_shape, shape", [
+        ((3, 5, 4), (4,)), ((3, 5, 4), (1, 4)), ((3, 5, 4), (5, 1)), ((2, 3, 5, 4), (4,)), ((5, 4), (1, 4)),
+        ((5, 4), (5, 4)), ((1, 7, 6), (6,)),
+    ])
+    def test_unbroadcast(self, grad_shape, shape, dtype):
+        grad = _spread(np.random.default_rng(30), grad_shape).astype(dtype)
+        assert ag._unbroadcast(grad, shape).tobytes() == method_unbroadcast(grad, shape).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("slots, shared", [(1, True), (4, True), (4, False)])
+    def test_right_operand_grad(self, slots, shared, dtype):
+        rng = np.random.default_rng(31)
+        a, grad = _spread(rng, (slots, 9, 6)).astype(dtype), _spread(rng, (slots, 9, 5)).astype(dtype)
+        got, want = ag._right_operand_grad(a, grad, shared), method_right_operand_grad(a, grad, shared)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_mean_and_softmax_rows(self, dtype):
+        rng = np.random.default_rng(32)
+        x = np.concatenate([_spread(rng, (40, 17)), np.full((1, 17), -0.0), np.full((1, 17), 3.0)]).astype(dtype)
+        x[:3, 5] = -1e30
+        mean = ag._mean_last_axis(x)
+        assert mean.dtype == dtype and mean.tobytes() == x.mean(axis=-1, keepdims=True).tobytes()
+        want = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = want / want.sum(axis=-1, keepdims=True)
+        assert ag._softmax(x).tobytes() == want.tobytes()
+        ag._softmax(x, out=x)
+        assert x.tobytes() == want.tobytes()
+
+
 def _poisoned_sum(a):
     """A scalar node that hands `a` an infinite gradient."""
     na, x = a._node, a.data
@@ -693,15 +764,28 @@ class TestFusedNodesKeepTheFiniteCheck:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError, match="linear"):
                 ag.linear(ag.Tensor([[1e308, 1e308]]), ag.Tensor([[10.0], [10.0]]), ag.Tensor([0.0]))
-            with pytest.raises(NumericalError, match="attention_scores"):
-                ag.attention_scores(ag.Tensor(np.full((1, 2, 2), 1e200)), ag.Tensor(np.full((1, 2, 2), 1e200)), 0.5)
+            with pytest.raises(NumericalError, match="attention"):
+                ag.attention(*[ag.Tensor(np.full((1, 2, 2), 1e200))] * 3, 1)
 
-    @pytest.mark.parametrize("op", ["split_heads", "merge_heads"])
-    def test_non_finite_input_raises(self, op):
-        with pytest.raises(NumericalError, match=op):
-            getattr(ag, op)(_non_finite_constant((2, 3, 4)), 2)
+    def test_scores_overflowing_to_minus_inf_below_the_row_maximum_raise(self):
+        # Query 0 scores -inf against key 0 and 0 against key 1: a softmax would give it the finite weights
+        # [0, 1], so only the scan of the scores before the softmax sees the overflow.
+        q = np.array([[[1e200, 0.0], [0.0, 1.0]]])
+        k = np.array([[[-1e200, 0.0], [0.0, 1.0]]])
+        with np.errstate(over="ignore"):
+            scores = q[0] @ k[0].T
+            assert scores[0, 0] == -np.inf and np.isfinite(np.exp(scores - scores.max(axis=-1, keepdims=True))).all()
+            with pytest.raises(NumericalError, match="attention"):
+                ag.attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(np.ones((1, 2, 2))), 1)
 
-    @pytest.mark.parametrize("case", ["linear slots", "split_heads slots", "merge_heads slots", "attention_scores slots"])
+    @pytest.mark.parametrize("bad", range(3), ids=["q", "k", "v"])
+    def test_non_finite_input_raises(self, bad):
+        inputs = [ag.Tensor(np.zeros((2, 3, 4))) for _ in range(3)]
+        inputs[bad] = _non_finite_constant((2, 3, 4))
+        with pytest.raises(NumericalError, match="attention"):
+            ag.attention(*inputs, 2)
+
+    @pytest.mark.parametrize("case", ["linear slots", "attention slots", "attention slots, key mask, dropout"])
     def test_non_finite_incoming_gradient_raises(self, case):
         fused, _, shapes = FUSED_CASES[case]
         rng = np.random.default_rng(28)
@@ -721,16 +805,6 @@ def _closure_run(build, arrays, needs_grad, upstream):
     return out.data, allocating_collect_gradients(loss, wanted)
 
 
-def _attention_maps(rng, slots, heads, t, dtype, mask_padding):
-    """Softmax rows over [slots * heads, t, t] scores; with `mask_padding`, each slot's keys from a random padding
-    start on are sent to -1e30 first, so their columns are exact zeros."""
-    scores = rng.normal(size=(slots * heads, t, t))
-    if mask_padding:
-        keys = np.arange(t)[None, :] < rng.integers(1, t, size=(slots, 1))
-        scores = scores + np.repeat(np.where(keys, 0.0, -1e30)[:, None, :], heads, axis=0)
-    return ag.softmax(ag.Tensor(scores, dtype=dtype)).data
-
-
 class TestRecomputingBackwards:
     """Nodes that keep a boolean draw or their input and rebuild the rest in the backward give, byte for byte, the
     values and gradients of reference nodes that keep the float arrays."""
@@ -738,22 +812,24 @@ class TestRecomputingBackwards:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("slots", [1, 3])
     @pytest.mark.parametrize("mask_padding", [False, True])
-    def test_dropout_matmul_equals_dropout_then_matmul(self, mask_padding, slots, dtype):
+    def test_attention_dropout_equals_dropout_then_matmul(self, mask_padding, slots, dtype):
         rng = np.random.default_rng(60 + slots)
-        heads, t, d, p = 4, 9, 5, 0.3
-        arrays = [_attention_maps(rng, slots, heads, t, dtype, mask_padding),
-                  rng.normal(size=(slots * heads, t, d)).astype(dtype)]
-        upstream = rng.normal(size=(slots * heads, t, d)).astype(dtype)
-        if mask_padding:
-            assert (arrays[0] == 0.0).any()
+        heads, t, d, p = 4, 9, 8, 0.3
+        arrays = [rng.normal(size=(slots, t, d)).astype(dtype) for _ in range(3)]
+        upstream = rng.normal(size=(slots, t, d)).astype(dtype)
+        key_mask = np.arange(t)[None, :] < rng.integers(1, t, size=(slots, 1)) if mask_padding else None
+        maps = []
+        ag.attention(*arrays, heads, key_mask, maps=maps)
+        assert (maps[0] == 0.0).any() == mask_padding  # masked keys get exact zeros
 
         def gens():
             return [np.random.default_rng(70 + slot) for slot in range(slots)]
 
-        for needs_grad in ([True, True], [False, True], [True, False]):
-            value, grads = _closure_run(lambda a, b: ag.dropout_matmul(a, b, p, gens()), arrays, needs_grad, upstream)
-            want_value, want_grads = _closure_run(lambda a, b: chain_dropout_matmul(a, b, p, gens()), arrays,
-                                                  needs_grad, upstream)
+        for needs_grad in ([True, True, True], [False, True, True], [True, False, True], [True, True, False]):
+            value, grads = _closure_run(lambda q, k, v: ag.attention(q, k, v, heads, key_mask, p, gens()), arrays,
+                                        needs_grad, upstream)
+            want_value, want_grads = _closure_run(lambda q, k, v: chain_attention(q, k, v, heads, key_mask, p, gens()),
+                                                  arrays, needs_grad, upstream)
             assert value.dtype == dtype and value.tobytes() == want_value.tobytes(), needs_grad
             assert grads.keys() == want_grads.keys() and len(grads) == sum(needs_grad)
             for name, g in grads.items():
@@ -790,13 +866,17 @@ class TestRecomputingBackwards:
 
     def test_graph_keeps_one_byte_draws_and_no_tanh(self):
         # What the nodes' backwards are bound to: the boolean draw, the operands and GELU's input, nothing else.
+        # The attention keeps its three regrouped projections and its softmax output.
         rng = np.random.default_rng(64)
-        attn = ag.Tensor(_attention_maps(rng, 2, 3, 6, np.float64, False), requires_grad=True)
-        v = ag.Tensor(rng.normal(size=(6, 6, 4)), requires_grad=True)
-        out = ag.dropout_matmul(attn, v, 0.2, [np.random.default_rng(s) for s in (1, 2)])
+        q, k, v = (ag.Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True) for _ in range(3))
+        maps = []
+        out = ag.attention(q, k, v, 3, None, 0.2, [np.random.default_rng(s) for s in (1, 2)], maps)
+        floats = [a for a in out._backward.args if isinstance(a, np.ndarray) and a.dtype != np.bool_]
+        assert [a.shape for a in floats] == [(6, 6, 2)] * 3 + [(6, 6, 6)]
+        assert floats[3].tobytes() == maps[0].tobytes()
         dropped = ag.dropout(out, 0.2, [np.random.default_rng(3)])
         act = ag.gelu(dropped)
-        for node, kept, draws in ((out, [attn.data, v.data], 1), (dropped, [], 1), (act, [dropped.data], 0)):
+        for node, kept, draws in ((out, floats, 1), (dropped, [], 1), (act, [dropped.data], 0)):
             arrays = [a for a in node._backward.args if isinstance(a, np.ndarray)]
             floats = [a for a in arrays if a.dtype != np.bool_]
             assert len(floats) == len(kept) and all(a is b for a, b in zip(floats, kept)), node._op

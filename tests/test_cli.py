@@ -864,6 +864,27 @@ class TestErrors:
             assert "--help" in capsys.readouterr().out
 
 
+    def test_parser_is_built_once_and_dispatches_to_the_current_command(self, monkeypatch, tmp_path, capsys):
+        argv = ["predict", "--record", str(tmp_path / "r.hea"), "--run", str(tmp_path / "run"),
+                "--out", str(tmp_path / "p.csv")]
+        assert cli.main(argv) == 3  # no run directory; the parser is built by now
+        parser = cli._parser()
+        calls = []
+
+        def wrapper(args):
+            calls.append(args.record)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_predict", wrapper)
+        assert cli.main(argv) == 0 and calls == [str(tmp_path / "r.hea")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--record", "r.hea", "--bogus"])
+        assert exc.value.code == 2
+        assert cli.main(argv) == 0 and len(calls) == 2
+        assert cli._parser() is parser
+        capsys.readouterr()
+
+
 class TestConsoleScript:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

@@ -288,6 +288,23 @@ class TestSharedCaches:
             with pytest.raises(ValueError):
                 shared *= 2.0
 
+    @pytest.mark.parametrize("fs, low, high, num_taps", [(500.0, 3.0, 45.0, 513), (500, 3, 45, 513),
+                                                         (257.0, 0.5, 100.0, 129), (100.0, 5.0, 15.0, 3)])
+    def test_designed_taps_are_read_only_and_the_bytes_of_a_fresh_design(self, fs, low, high, num_taps):
+        dsp._bandpass.cache_clear()
+        values = dict(target_rate_hz=fs, band_low_hz=low, band_high_hz=high, fir_taps=num_taps)
+        fresh = dsp._hamming_lowpass(high, fs, num_taps) - dsp._hamming_lowpass(low, fs, num_taps)
+        for _ in range(2):  # designed, then from the cache
+            taps = dsp.design_bandpass(dsp.PreprocessConfig(**values))
+            assert taps.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                taps[0] = 1.0
+        assert dsp._bandpass.cache_info().hits == 1 and dsp._bandpass.cache_info().maxsize is not None
+        # Each of the four values the design reads is part of the key.
+        for change in (dict(target_rate_hz=2 * fs), dict(band_low_hz=low / 2), dict(band_high_hz=high / 2),
+                       dict(fir_taps=num_taps + 2)):
+            assert dsp.design_bandpass(dsp.PreprocessConfig(**{**values, **change})).tobytes() != taps.tobytes()
+
     def test_detector_taps_are_the_designed_bandpass(self):
         for fs, num_taps in [(257.0, 201), (500.0, 201), (1000.0, 201), (100.0, 99)]:
             want = dsp.design_bandpass(dsp.PreprocessConfig(target_rate_hz=fs, band_low_hz=features.QRS_BAND_HZ[0],
@@ -443,8 +460,7 @@ class TestPipeline:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(2, 9000))
         cfg = dsp.PreprocessConfig(normalize_scope=scope)
-        recording = dsp.process_recording(x, 977.0, cfg, dsp.design_bandpass(cfg))
-        assert recording.tobytes() == dsp.process_recording(x, 977.0, cfg).tobytes()
+        recording = dsp.process_recording(x, 977.0, cfg)
         for policy, seed in [("start", None), ("random", 5)]:
             whole = dsp.preprocess(x, 977.0, cfg, policy, seed)
             halves = dsp.cut_window(recording, cfg, policy, seed)

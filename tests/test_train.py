@@ -501,6 +501,23 @@ def test_toy_training_step_graph_size(monkeypatch):
     assert len(checks) <= 50, len(checks)
 
 
+def test_toy_training_graph_has_one_attention_node_per_layer():
+    # The README-toy training graph of 4 records, taken from the reverse pass's own order: its op nodes (those with
+    # a backward), one of them the attention of each encoder layer. A change that splits the attention into a
+    # chain again, or adds nodes, shows here.
+    config = toy_model_config()
+    params = model.init_params(config, seed=1)
+    rng = np.random.default_rng(8)
+    windows = [dsp.ProcessedWindow(rng.uniform(-1.0, 1.0, size=(2, 192)), 192, 0) for _ in range(4)]
+    wide, labels = rng.normal(size=(4, config.d_wide)), rng.integers(0, 2, size=(4, config.d_class)).astype(float)
+    out = model.forward(windows, wide, params, config, mode="train", rng=[np.random.default_rng(s) for s in range(4)])
+    loss = ag.binary_cross_entropy(out.probabilities, labels, per_slot=True)
+    ops = [node._op for node in ag._topo_order(loss) if node._backward is not None]
+    assert len(ops) == 43, len(ops)
+    assert ops.count("attention") == config.num_layers
+    assert not {"softmax", "matmul"} & set(ops)
+
+
 @pytest.fixture(scope="module")
 def ten_record_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("cv_corpus")
