@@ -62,18 +62,19 @@ def extract_attention(
     """
     if not (0 <= layer < config.num_layers):
         raise ArgumentRangeError(f"layer {layer} out of range for {config.num_layers} layers")
-    out = wm.forward([window], np.asarray(wide)[None], params, config, mode="eval", capture_attention=True)
-    per_head = out.attention_maps[layer][0]  # [H, N+1, N+1]
-    if head_mode == "mean":
-        matrix = per_head.mean(axis=0)
-        label = "mean"
-    else:
-        head = int(head_mode)
+    head = None
+    if head_mode != "mean":
+        try:
+            head = int(head_mode)
+        except ValueError:
+            raise ArgumentRangeError(f"--head must be 'mean' or a head index, got {head_mode!r}") from None
         if not (0 <= head < config.num_heads):
             raise ArgumentRangeError(f"head {head} out of range for {config.num_heads} heads")
-        matrix = per_head[head]
-        label = f"head{head}"
-    return AttentionMap(layer=layer, head_mode=label, matrix=matrix)
+    out = wm.forward([window], np.asarray(wide)[None], params, config, mode="eval", capture_attention=True)
+    per_head = out.attention_maps[layer][0]  # [H, N+1, N+1]
+    if head is None:
+        return AttentionMap(layer=layer, head_mode="mean", matrix=per_head.mean(axis=0))
+    return AttentionMap(layer=layer, head_mode=f"head{head}", matrix=per_head[head])
 
 
 def _region(amap: AttentionMap, region: str) -> np.ndarray:

@@ -16,8 +16,9 @@ walks the nodes once in reverse topological order, accumulating gradients
 additively across fan-out and dropping each one as soon as nothing left in
 the pass needs it. There is one way to run backward: each pass adds every
 wanted leaf's gradient in place into a gradient total the caller owns and
-zeroes. Tensors are float64 unless built with another dtype (float32
-training runs on float32 parameters); gradient checks always run in float64. `matmul` takes 2-d
+zeroes, as soon as the leaf's last gradient is handed over. Tensors are
+float64 unless built with another dtype (float32 training runs on float32
+parameters); gradient checks always run in float64. `matmul` takes 2-d
 operands, 3-d operands batched over a shared leading axis, or a 3-d operand
 times a shared 2-d matrix; a backward skips the product for any operand
 that needs no gradient. No array power goes through NumPy's general `pow`,
@@ -26,14 +27,21 @@ which is many times slower than a product: `gelu` (tanh form) cubes as
 
 A graph's cost at small sizes is per node (each node's output and incoming
 gradient get one finiteness scan), so the model's chains run as fused
-nodes: `linear` (product plus bias) and `attention` (the head split, the
+nodes: `linear` (product plus bias); `attention` (the head split, the
 scaled scores `q @ kᵀ`, the key mask, the softmax, the map's dropout, the
-product with the values and the head merge, between the q/k/v projections
-and the output projection). Each runs the NumPy calls of the chain it
-replaces, in the same order and on the same arrays, so it gives the chain's
-bytes, and scans its output once (`attention` also scans its scores before
-the softmax, which would turn -inf scores into finite weights). Sums, means
-and maxima are called as `np.add.reduce`, `np.true_divide` by the count and
+product with the values and the head merge); and the encoder's two pre-norm
+sublayers, `attention_sublayer` (`x + dropout(linear(attention(q, k, v)))`
+with q, k and v the projections of `layer_norm(x)`) and
+`feed_forward_sublayer` (`x + dropout(linear(gelu(linear(layer_norm(x)))))`).
+Each runs the NumPy calls of the chain it replaces, in the same order and
+on the same arrays, so it gives the chain's bytes; keeps the arrays the
+chain's backwards keep; and scans its output once (`attention` and
+`attention_sublayer` also scan their scores before the softmax, which would
+turn -inf scores into finite weights). The standalone ops and the fused
+nodes share their arithmetic through array-level functions (`_affine`,
+`_layer_norm_value`, `_gelu_value`, `_attention_value`, their gradients and
+the dropout draw), so each formula is written once. Sums, means and maxima
+are called as `np.add.reduce`, `np.true_divide` by the count and
 `np.maximum.reduce`, the bytes of the `.sum`, `.mean` and `.max` methods
 without their Python wrappers.
 `embedding_row_select`, which the model no longer calls, stays while
@@ -263,9 +271,14 @@ def mul(a, b) -> Tensor:
     return Tensor._result(data, (a, b), backward, "mul")
 
 
+def _left_operand_grad(grad: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The gradient of `a` in `a @ b`."""
+    return grad @ np.swapaxes(b, -1, -2)
+
+
 def _matmul_backward(na, nb, a, b, grad, grads):
     if na.requires_grad:
-        grads(na, grad @ np.swapaxes(b, -1, -2))
+        grads(na, _left_operand_grad(grad, b))
     if nb.requires_grad:
         grads(nb, _right_operand_grad(a, grad, shared=b.ndim < a.ndim))
 
@@ -295,13 +308,33 @@ def _right_operand_grad(a: np.ndarray, grad: np.ndarray, shared: bool) -> np.nda
     return np.add.reduce(np.swapaxes(a, -1, -2) @ grad, axis=0)
 
 
-def _linear_backward(nx, nw, nbias, x, w, grad, grads):
-    if nx.requires_grad:
-        grads(nx, grad @ np.swapaxes(w, -1, -2))
+def _affine(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """`x @ w + bias`, the value of `linear`."""
+    return x @ w + bias
+
+
+def _linear_grads(nw, nbias, x, w, grad, grads, to_input: bool):
+    """Hands the weight and the bias of `x @ w + bias` their gradients, when they need one, and returns the
+    gradient of `x` when `to_input` (else None)."""
     if nw.requires_grad:
         grads(nw, _right_operand_grad(x, grad, shared=x.ndim == 3))
     if nbias.requires_grad:
         grads(nbias, _unbroadcast(grad, nbias.shape))
+    return _left_operand_grad(grad, w) if to_input else None
+
+
+def _linear_backward(nx, nw, nbias, x, w, grad, grads):
+    g = _linear_grads(nw, nbias, x, w, grad, grads, nx.requires_grad)
+    if g is not None:
+        grads(nx, g)
+
+
+def _check_linear(x: Tensor, w: Tensor, bias: Tensor, op: str):
+    if x.ndim not in (2, 3) or w.ndim != 2 or bias.shape != w.shape[1:]:
+        raise ShapeError(f"{op} expects a 2-d or 3-d input, a 2-d weight and a bias of its width, "
+                         f"got {x.shape}, {w.shape} and {bias.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op}: inner dimensions differ, {x.shape} @ {w.shape}")
 
 
 def linear(x, w, bias) -> Tensor:
@@ -310,12 +343,8 @@ def linear(x, w, bias) -> Tensor:
     slot per index of axis 0; `w` is a 2-d matrix shared by every slot and
     `bias` a vector of its width."""
     x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
-    if x.ndim not in (2, 3) or w.ndim != 2 or bias.shape != w.shape[1:]:
-        raise ShapeError(f"linear expects a 2-d or 3-d input, a 2-d weight and a bias of its width, "
-                         f"got {x.shape}, {w.shape} and {bias.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
-    data = x.data @ w.data + bias.data
+    _check_linear(x, w, bias, "linear")
+    data = _affine(x.data, w.data, bias.data)
     backward = partial(_linear_backward, x._node, w._node, bias._node, x.data, w.data)
     return Tensor._result(data, (x, w, bias), backward, "linear")
 
@@ -435,6 +464,16 @@ def _mean_last_axis(x: np.ndarray) -> np.ndarray:
     return np.true_divide(total, np.intp(x.shape[-1]), out=total, casting="unsafe")
 
 
+def _layer_norm_value(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """`layer_norm`'s output, its normalized input and its inverse deviation."""
+    mu = _mean_last_axis(x)
+    centered = x - mu
+    var = _mean_last_axis(centered**2)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return xhat * gain + bias, xhat, inv_std
+
+
 def _layer_norm_backward(na, ngain, nbias, gain, xhat, inv_std, grad, grads):
     d = xhat.shape[-1]
     dxhat = grad * gain
@@ -446,18 +485,17 @@ def _layer_norm_backward(na, ngain, nbias, gain, xhat, inv_std, grad, grads):
     grads(nbias, _unbroadcast(grad, nbias.shape))
 
 
+def _check_norm(a: Tensor, gain: Tensor, bias: Tensor, op: str):
+    d = a.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(f"{op} gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+
+
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean/unit variance, then scale and shift."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    d = a.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = _mean_last_axis(a.data)
-    centered = a.data - mu
-    var = _mean_last_axis(centered**2)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
+    _check_norm(a, gain, bias, "layer_norm")
+    data, xhat, inv_std = _layer_norm_value(a.data, gain.data, bias.data, eps)
     backward = partial(_layer_norm_backward, a._node, gain._node, bias._node, gain.data, xhat, inv_std)
     return Tensor._result(data, (a, gain, bias), backward, "layer_norm")
 
@@ -467,20 +505,31 @@ _GELU_A = 0.044715
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
-def _gelu_exact_backward(na, x, phi_cdf, grad, grads):
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    grads(na, grad * (phi_cdf + x * pdf))
-
-
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     """`t = tanh(c * (x + 0.044715 * x * x * x))`, the forward's and the backward's own operations."""
     return np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
 
 
-def _gelu_tanh_backward(na, x, grad, grads):
+def _gelu_value(x: np.ndarray, exact: bool):
+    """GELU of `x`, and the `Phi(x)` the exact form's backward keeps (None for the tanh form)."""
+    if exact:
+        phi_cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)).astype(x.dtype))
+        return x * phi_cdf, phi_cdf
+    return 0.5 * x * (1.0 + _gelu_tanh(x)), None
+
+
+def _gelu_grad(x: np.ndarray, phi_cdf: np.ndarray | None, grad: np.ndarray) -> np.ndarray:
+    """The gradient of GELU's input `x`: the exact form's from its `Phi(x)`, the tanh form's from `x` alone."""
+    if phi_cdf is not None:
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        return grad * (phi_cdf + x * pdf)
     t = _gelu_tanh(x)
     dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-    grads(na, grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner))
+    return grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner)
+
+
+def _gelu_backward(na, x, phi_cdf, grad, grads):
+    grads(na, _gelu_grad(x, phi_cdf, grad))
 
 
 def gelu(a, exact: bool = False) -> Tensor:
@@ -493,15 +542,8 @@ def gelu(a, exact: bool = False) -> Tensor:
     and `Phi(x)`.
     """
     a = as_tensor(a)
-    x = a.data
-    if exact:
-        phi_cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)).astype(x.dtype))
-        data = x * phi_cdf
-        backward = partial(_gelu_exact_backward, a._node, x, phi_cdf)
-    else:
-        data = 0.5 * x * (1.0 + _gelu_tanh(x))
-        backward = partial(_gelu_tanh_backward, a._node, x)
-    return Tensor._result(data, (a,), backward, "gelu")
+    data, phi_cdf = _gelu_value(a.data, exact)
+    return Tensor._result(data, (a,), partial(_gelu_backward, a._node, a.data, phi_cdf), "gelu")
 
 
 def _sigmoid_backward(na, out, grad, grads):
@@ -547,9 +589,23 @@ def _draw_kept(shape: tuple, p: float, rng: list[np.random.Generator] | None, op
     return draws < keep, keep
 
 
-def _dropout_backward(na, kept, keep, dtype, grad, grads):
+def _dropout_value(x: np.ndarray, p: float, rng: list[np.random.Generator] | None, op: str):
+    """Inverted dropout of `x` at rate `p` (none at 0): the dropped array, and the boolean draw, keep rate
+    and dtype that its backward rebuilds the mask from (None at rate 0)."""
+    if not p:
+        return x, None
+    kept, keep = _draw_kept(x.shape, p, rng, op)
+    return x * _dropout_mask(kept, keep, x.dtype), (kept, keep, x.dtype)
+
+
+def _dropout_grad(kept: np.ndarray, keep: float, dtype, grad: np.ndarray) -> np.ndarray:
+    """The gradient of a dropout's input, through the mask rebuilt from its draw."""
     mask = _dropout_mask(kept, keep, dtype)
-    grads(na, np.multiply(grad, mask, out=mask))
+    return np.multiply(grad, mask, out=mask)
+
+
+def _dropout_backward(na, kept, keep, dtype, grad, grads):
+    grads(na, _dropout_grad(kept, keep, dtype, grad))
 
 
 def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training: bool = True) -> Tensor:
@@ -563,10 +619,8 @@ def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training:
     a = as_tensor(a)
     if not training or p == 0.0:
         return a
-    kept, keep = _draw_kept(a.shape, p, rng, "dropout")
-    dtype = a.data.dtype
-    data = a.data * _dropout_mask(kept, keep, dtype)
-    return Tensor._result(data, (a,), partial(_dropout_backward, a._node, kept, keep, dtype), "dropout")
+    data, drop = _dropout_value(a.data, p, rng, "dropout")
+    return Tensor._result(data, (a,), partial(_dropout_backward, a._node, *drop), "dropout")
 
 
 def _regroup(a: np.ndarray, four_axes: tuple, out_shape: tuple) -> np.ndarray:
@@ -577,26 +631,72 @@ def _regroup(a: np.ndarray, four_axes: tuple, out_shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(a.reshape(four_axes), (0, 2, 1, 3))).reshape(out_shape)
 
 
-def _attention_backward(nq, nk, nv, q, k, v, probs, kept, keep, factor, grad, grads):
-    """The backwards of the head merge, the value product (after the dropout, when there was one), the
+def _check_heads(shape: tuple, heads: int, key_mask: np.ndarray | None, op: str):
+    """A ShapeError unless `shape` is [B, T, D] with `heads` dividing D and `key_mask`, if any, is [B, T]."""
+    if len(shape) != 3 or heads < 1 or shape[2] % heads:
+        raise ShapeError(f"{op} expects [B, T, D] inputs with {heads} heads dividing D, got {shape}")
+    if key_mask is not None and np.shape(key_mask) != shape[:2]:
+        raise ShapeError(f"{op}: a key mask of shape {np.shape(key_mask)} for inputs of shape {shape}")
+
+
+def _attention_value(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, key_mask, p: float, rng, maps,
+                     op: str):
+    """The attention of [B, T, D] projections (see `attention`), and what its backward keeps: the three
+    regrouped projections, the softmax output, the boolean draw (None at rate 0), the keep rate and the
+    score scale."""
+    b, t, d = q.shape
+    dh = d // heads
+    qh, kh, vh = (_regroup(y, (b, t, heads, dh), (b * heads, t, dh)) for y in (q, k, v))
+    factor = qh.dtype.type(1.0 / math.sqrt(dh))
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= factor
+    if key_mask is not None:
+        scores += np.repeat(np.where(key_mask, 0.0, -1e30)[:, None, :], heads, axis=0).astype(qh.dtype)
+    _check_finite(scores, op)
+    probs = _softmax(scores, out=scores)
+    if maps is not None:
+        maps.append(probs.reshape(b, heads, t, t).copy())
+    kept, keep = _draw_kept((b, heads * t, t), p, rng, op) if p else (None, 1.0)
+    if kept is None:
+        heads_out = probs @ vh
+    else:
+        kept = kept.reshape(probs.shape)
+        heads_out = (probs * _dropout_mask(kept, keep, probs.dtype)) @ vh
+    data = _regroup(heads_out, (b, heads, t, dh), (b, t, d))
+    return data, (qh, kh, vh, probs, kept, keep, factor)
+
+
+def _attention_grads(wanted: tuple, q, k, v, probs, kept, keep, factor, grad):
+    """The gradients of the three projections of an attention, as a list (None for those not `wanted`, three flags):
+    the backwards of the head merge, the value product (after the dropout, when there was one), the
     softmax, the bias add (the identity), the scaled scores and the three head splits, in that order."""
+    want_q, want_k, want_v = wanted
     s, t, dh = q.shape
     b = grad.shape[0]
     heads_axes = (b, s // b, t, dh)  # a head gradient's four axes, regrouped back to [B, T, D]
     g = _regroup(grad, (b, t, s // b, dh), q.shape)
     mask = None if kept is None else _dropout_mask(kept, keep, probs.dtype)
-    if nq.requires_grad or nk.requires_grad:
+    gq = gk = gv = None
+    if want_q or want_k:
         dprobs = g @ np.swapaxes(v, -1, -2)
         if mask is not None:
             dprobs *= mask
         dscores = _softmax_grad(dprobs, probs) * factor
-        if nq.requires_grad:
-            grads(nq, _regroup(dscores @ k, heads_axes, grad.shape))
-        if nk.requires_grad:
-            grads(nk, _regroup(np.swapaxes(np.swapaxes(q, -1, -2) @ dscores, -1, -2), heads_axes, grad.shape))
-    if nv.requires_grad:
+        if want_q:
+            gq = _regroup(dscores @ k, heads_axes, grad.shape)
+        if want_k:
+            gk = _regroup(np.swapaxes(np.swapaxes(q, -1, -2) @ dscores, -1, -2), heads_axes, grad.shape)
+    if want_v:
         dropped = probs if mask is None else np.multiply(probs, mask, out=mask)
-        grads(nv, _regroup(np.swapaxes(dropped, -1, -2) @ g, heads_axes, grad.shape))
+        gv = _regroup(np.swapaxes(dropped, -1, -2) @ g, heads_axes, grad.shape)
+    return [gq, gk, gv]
+
+
+def _attention_backward(nq, nk, nv, q, k, v, probs, kept, keep, factor, grad, grads):
+    wanted = (nq.requires_grad, nk.requires_grad, nv.requires_grad)
+    for node, g in zip((nq, nk, nv), _attention_grads(wanted, q, k, v, probs, kept, keep, factor, grad)):
+        if g is not None:
+            grads(node, g)
 
 
 def attention(q, k, v, heads: int, key_mask: np.ndarray | None = None, p: float = 0.0,
@@ -620,32 +720,131 @@ def attention(q, k, v, heads: int, key_mask: np.ndarray | None = None, p: float 
     bytes depend on the BLAS thread count.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[2] % heads:
-        raise ShapeError(f"attention expects [B, T, D] projections of one shape with {heads} heads dividing D, "
-                         f"got {q.shape}, {k.shape} and {v.shape}")
-    b, t, d = q.shape
-    if key_mask is not None and np.shape(key_mask) != (b, t):
-        raise ShapeError(f"attention: a key mask of shape {np.shape(key_mask)} for projections of shape {q.shape}")
-    dh = d // heads
-    qh, kh, vh = (_regroup(y.data, (b, t, heads, dh), (b * heads, t, dh)) for y in (q, k, v))
-    factor = qh.dtype.type(1.0 / math.sqrt(dh))
-    scores = qh @ np.swapaxes(kh, -1, -2)
-    scores *= factor
-    if key_mask is not None:
-        scores += np.repeat(np.where(key_mask, 0.0, -1e30)[:, None, :], heads, axis=0).astype(qh.dtype)
-    _check_finite(scores, "attention")
-    probs = _softmax(scores, out=scores)
-    if maps is not None:
-        maps.append(probs.reshape(b, heads, t, t).copy())
-    kept, keep = _draw_kept((b, heads * t, t), p, rng, "attention") if p else (None, 1.0)
-    if kept is None:
-        heads_out = probs @ vh
-    else:
-        kept = kept.reshape(probs.shape)
-        heads_out = (probs * _dropout_mask(kept, keep, probs.dtype)) @ vh
-    data = _regroup(heads_out, (b, heads, t, dh), (b, t, d))
-    backward = partial(_attention_backward, q._node, k._node, v._node, qh, kh, vh, probs, kept, keep, factor)
+    _check_heads(q.shape, heads, key_mask, "attention")
+    if k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention expects projections of one shape, got {q.shape}, {k.shape} and {v.shape}")
+    data, kept = _attention_value(q.data, k.data, v.data, heads, key_mask, p, rng, maps, "attention")
+    backward = partial(_attention_backward, q._node, k._node, v._node, *kept)
     return Tensor._result(data, (q, k, v), backward, "attention")
+
+
+# -- the encoder's two pre-norm sublayers, one node each ------------------------
+
+
+def _attention_sublayer_backward(nodes, gain, xhat, inv_std, pre, w_qkv, kept_attention, merged, w_o, drop, grad,
+                                 grads):
+    """The backwards of the residual add, the dropout, the output projection, the attention, the q, k and v
+    projections and the norm, in that order; the norm output's three gradients are summed q, then k, then v."""
+    nx, ngain, nbias, nwq, nbq, nwk, nbk, nwv, nbv, nwo, nbo = nodes
+    grads(nx, grad)
+    to_pre = nx.requires_grad or ngain.requires_grad or nbias.requires_grad
+    projections = ((nwq, nbq), (nwk, nbk), (nwv, nbv))
+    wanted = tuple([to_pre or nw.requires_grad or nb.requires_grad for nw, nb in projections])
+    # Each stage's gradient is dropped once the next one is computed, as the chain's reverse pass drops it.
+    g = grad if drop is None else _dropout_grad(*drop, grad)
+    g = _linear_grads(nwo, nbo, merged, w_o, g, grads, any(wanted))
+    if g is None:
+        return
+    g_heads = _attention_grads(wanted, *kept_attention, g)
+    g = None
+    for w, (nw, nb) in zip(w_qkv, projections):
+        g_in = _linear_grads(nw, nb, pre, w, g_heads.pop(0), grads, to_pre)
+        if g_in is not None:
+            g = g_in if g is None else g + g_in
+        del g_in
+    if g is not None:
+        _layer_norm_backward(nx, ngain, nbias, gain, xhat, inv_std, g, grads)
+
+
+def attention_sublayer(x, gain, bias, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, heads: int,
+                       key_mask: np.ndarray | None = None, p: float = 0.0,
+                       rng: list[np.random.Generator] | None = None, maps: list | None = None,
+                       eps: float = 1e-5) -> Tensor:
+    """A pre-norm self-attention sublayer of a [B, T, D] input as one node:
+    `x + dropout(linear(attention(q, k, v), w_o, b_o))`, where q, k and v are
+    the `linear` projections of `layer_norm(x, gain, bias)`.
+
+    The forward runs the NumPy calls of that chain of nodes in their order and
+    on the same arrays, so it gives the chain's bytes; with a rate `p` > 0 the
+    attention map draws its dropout before the output does, each from the
+    slots' generators in `rng`. The backward runs the chain's backwards in
+    reverse and sums the norm output's three gradients q, then k, then v, as
+    the chain's reverse pass does. The graph keeps what the chain's backwards
+    keep: the norm's gain, normalized input and inverse deviation, its output,
+    the four weights, the attention's regrouped projections, softmax output and
+    draw, the merged heads and the output's draw. It scans the attention scores
+    before the softmax (as `attention` does) and its output, and the reverse
+    pass scans its incoming gradient; the arrays in between are not scanned.
+    """
+    tensors = tuple([as_tensor(t) for t in (x, gain, bias, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o)])
+    x, gain, bias, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o = tensors
+    op = "attention_sublayer"
+    _check_heads(x.shape, heads, key_mask, op)
+    _check_norm(x, gain, bias, op)
+    for w, b in ((w_q, b_q), (w_k, b_k), (w_v, b_v), (w_o, b_o)):
+        _check_linear(x, w, b, op)
+        if w.shape[1] != x.shape[2]:
+            raise ShapeError(f"{op}: a projection of width {w.shape[1]} for an input of width {x.shape[2]}")
+    pre, xhat, inv_std = _layer_norm_value(x.data, gain.data, bias.data, eps)
+    q, k, v = (_affine(pre, w.data, b.data) for w, b in ((w_q, b_q), (w_k, b_k), (w_v, b_v)))
+    merged, kept_attention = _attention_value(q, k, v, heads, key_mask, p, rng, maps, op)
+    out, drop = _dropout_value(_affine(merged, w_o.data, b_o.data), p, rng, op)
+    data = x.data + out
+    backward = partial(_attention_sublayer_backward, tuple([t._node for t in tensors]), gain.data, xhat, inv_std,
+                       pre, (w_q.data, w_k.data, w_v.data), kept_attention, merged, w_o.data, drop)
+    return Tensor._result(data, tensors, backward, op)
+
+
+def _feed_forward_sublayer_backward(nodes, gain, xhat, inv_std, pre, w1, hidden, phi_cdf, act, w2, drop, grad, grads):
+    """The backwards of the residual add, the dropout, the second linear, the GELU, the first linear and the
+    norm, in that order."""
+    nx, ngain, nbias, nw1, nb1, nw2, nb2 = nodes
+    grads(nx, grad)
+    to_pre = nx.requires_grad or ngain.requires_grad or nbias.requires_grad
+    # Each stage's gradient is dropped once the next one is computed, as the chain's reverse pass drops it.
+    g = grad if drop is None else _dropout_grad(*drop, grad)
+    g = _linear_grads(nw2, nb2, act, w2, g, grads, to_pre or nw1.requires_grad or nb1.requires_grad)
+    if g is None:
+        return
+    g = _gelu_grad(hidden, phi_cdf, g)
+    g = _linear_grads(nw1, nb1, pre, w1, g, grads, to_pre)
+    if g is not None:
+        _layer_norm_backward(nx, ngain, nbias, gain, xhat, inv_std, g, grads)
+
+
+def feed_forward_sublayer(x, gain, bias, w1, b1, w2, b2, p: float = 0.0,
+                          rng: list[np.random.Generator] | None = None, exact: bool = False,
+                          eps: float = 1e-5) -> Tensor:
+    """A pre-norm feed-forward sublayer of a [B, T, D] input as one node:
+    `x + dropout(linear(gelu(linear(layer_norm(x, gain, bias), w1, b1)), w2, b2))`.
+
+    The forward runs the NumPy calls of that chain of nodes in their order and
+    on the same arrays, so it gives the chain's bytes; `exact` picks GELU's
+    erf form, and a rate `p` > 0 draws the output's dropout from the slots'
+    generators in `rng`. The graph keeps what the chain's backwards keep: the
+    norm's gain, normalized input and inverse deviation, its output, both
+    weights, the hidden layer (GELU's input; the exact form also keeps its
+    `Phi`), GELU's output and the draw. It scans its output, and the reverse
+    pass scans its incoming gradient; the arrays in between are not scanned.
+    """
+    tensors = tuple([as_tensor(t) for t in (x, gain, bias, w1, b1, w2, b2)])
+    x, gain, bias, w1, b1, w2, b2 = tensors
+    op = "feed_forward_sublayer"
+    if x.ndim != 3:
+        raise ShapeError(f"{op} expects a [B, T, D] input, got {x.shape}")
+    _check_norm(x, gain, bias, op)
+    _check_linear(x, w1, b1, op)
+    if w2.shape != (w1.shape[1], x.shape[2]) or b2.shape != x.shape[2:]:
+        raise ShapeError(f"{op}: a second weight {w2.shape} and bias {b2.shape} after a first weight {w1.shape}, "
+                         f"for an input of width {x.shape[2]}")
+    pre, xhat, inv_std = _layer_norm_value(x.data, gain.data, bias.data, eps)
+    hidden = _affine(pre, w1.data, b1.data)
+    act, phi_cdf = _gelu_value(hidden, exact)
+    out, drop = _dropout_value(_affine(act, w2.data, b2.data), p, rng, op)
+    data = x.data + out
+    backward = partial(_feed_forward_sublayer_backward, tuple([t._node for t in tensors]), gain.data, xhat, inv_std,
+                       pre, w1.data, hidden, phi_cdf, act, w2.data, drop)
+    return Tensor._result(data, tensors, backward, op)
 
 
 BCE_EPS = 1e-7
@@ -674,8 +873,12 @@ def binary_cross_entropy(predictions, targets, per_slot: bool = False) -> Tensor
 # -- reverse pass -------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Node]:
-    """The nodes of `root`'s graph that need a gradient, each after its parents."""
+def _topo_order(root: Tensor, uses: dict | None = None) -> list[Node]:
+    """The nodes of `root`'s graph that need a gradient, each after its parents.
+
+    With `uses`, each leaf that needs a gradient is counted into it once per
+    edge to a consumer: the number of gradients the reverse pass hands it."""
+    uses = {} if uses is None else uses
     order: list[Node] = []
     seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root._node, False)]
@@ -688,21 +891,20 @@ def _topo_order(root: Tensor) -> list[Node]:
             continue
         seen.add(node)
         stack.append((node, True))
-        # Leaf parents go below the others, so a leaf is popped only after the
-        # subgraphs of its consumer's other parents: it lands in `order` just
-        # before its first consumer, and the reverse pass reaches it just after
-        # its last consumer has run. Non-leaves keep their relative order.
-        for parent in node._parents:
-            if parent.requires_grad and parent._backward is None:
-                stack.append((parent, False))
         for parent in node._parents:
             if parent._backward is not None:
                 stack.append((parent, False))
+            elif parent.requires_grad:
+                if parent in uses:
+                    uses[parent] += 1
+                else:
+                    uses[parent] = 1
+                    order.append(parent)
     return order
 
 
 def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Reverse pass from `loss`: adds each wanted tensor's gradient into `into`, and returns `into`.
+    """Reverse pass from `loss`: adds each wanted leaf's gradient into `into`, and returns `into`.
 
     `into` must hold, under every wanted name, an array of that tensor's
     shape and dtype; anything else is a ShapeError before the pass starts.
@@ -710,11 +912,13 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, n
     with ones, so every slot's loss is differentiated as if it were alone.
     The pass walks the graph's nodes, which hold no values: the arrays it
     reads are the ones the nodes' backwards keep. Each intermediate
-    gradient is dropped as soon as its node's backward has run, and each
-    leaf gradient is added in place, `into[name] += g`, as soon as its last
-    consumer has run (see `_topo_order`), so a pass holds one gradient set
-    at most. A wanted tensor that no gradient reaches leaves its array as it
-    was.
+    gradient is dropped as soon as its node's backward has run. A leaf's
+    gradients are summed in the order they are handed over, and the sum is
+    added in place, `into[name] += g`, as soon as the last of them (one per
+    edge, counted by `_topo_order`) is in, even while a fused node's backward
+    is still running, so a pass holds one gradient set at most. A wanted
+    tensor that no gradient reaches, or one that is not a leaf, leaves its
+    array as it was.
     """
     if loss.ndim > 1:
         raise ShapeError(f"backward needs a scalar or per-slot loss vector, got shape {loss.shape}")
@@ -731,6 +935,8 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, n
     root._consumed = True
 
     names = {t._node: name for name, t in wanted.items()}
+    uses: dict[Node, int] = {}
+    order = _topo_order(loss, uses)
     acc: dict[Node, np.ndarray] = {root: np.ones_like(loss.data)}
 
     def grads(t: Node, g: np.ndarray):
@@ -738,17 +944,26 @@ def collect_gradients(loss: Tensor, wanted: dict[str, Tensor], into: dict[str, n
             return
         if g.shape != t.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {t.shape} ({t._op})")
-        total = acc.get(t)
-        acc[t] = g if total is None else total + g
+        total = acc.pop(t, None)
+        if total is not None:
+            g = total + g
+        if t._backward is not None:
+            acc[t] = g
+            return
+        uses[t] -= 1
+        if uses[t]:
+            acc[t] = g
+        elif t in names:
+            into[names[t]] += g
 
-    for node in reversed(_topo_order(loss)):
+    for node in reversed(order):
         g = acc.pop(node, None)
         if g is None:
             continue
         if node._backward is not None:
             _check_finite(g, node)
             node._backward(g, grads)
-        elif node in names:
+        elif node in names:  # a leaf loss
             into[names[node]] += g
     return into
 
@@ -826,8 +1041,11 @@ def adam_step(
         raise ShapeError(f"adam_step: parameters {sorted(params)}, but the state holds {sorted(views)}")
     flat_params, flat_m, flat_v, flat_grad = state["flat"]
     # A sum is NaN or Inf when any term is, and needs no temporary; only a
-    # sum that overflowed on finite terms needs the exact scan.
-    if not math.isfinite(flat_grad.sum()) and not np.isfinite(flat_grad).all():
+    # sum that overflowed on finite terms needs the exact scan. (Opposite
+    # infinities and overflow are what the sum looks for, so they warn nothing.)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = flat_grad.sum()
+    if not math.isfinite(total) and not np.isfinite(flat_grad).all():
         bad = next(name for name, g in views.items() if not np.isfinite(g).all())
         raise NumericalError(f"adam_step: the gradient of {bad!r} is not finite")
     state["t"] += 1

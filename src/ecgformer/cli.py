@@ -103,7 +103,10 @@ def cmd_train(args) -> int:
         print(f"mean challenge: {cv.mean_challenge!r} +- {cv.sd_challenge!r}")
         return 0
 
-    fold_id = int(args.fold)
+    try:
+        fold_id = int(args.fold)
+    except ValueError:
+        raise ArgumentRangeError(f"--fold must be a fold id, 'all' or -1, got {args.fold!r}") from None
     if fold_id == -1:
         assignment = stratify.FoldAssignment(np.zeros(len(manifest.entries), dtype=np.int64), 1)
     else:
@@ -127,7 +130,8 @@ def _run_config(run_dir: Path, args) -> RunConfig:
 @dataclass
 class RunArtifacts:
     """A trained run directory as inference reads it: every file read once, the
-    checkpoint loaded as float64 parameters whatever precision trained it."""
+    checkpoint loaded as float64 parameters whatever precision trained it, as
+    constants built once for every eval forward of the run."""
 
     config: RunConfig
     subset: record_io.LeadSubset
@@ -153,7 +157,7 @@ class RunArtifacts:
         checkpoint = _require(run_dir / "checkpoint.wft1", "checkpoint")
         arrays = autograd.load_checkpoint(checkpoint)
         try:
-            params = model.params_from_arrays(arrays, model_config)
+            params = model.params_from_arrays(arrays, model_config).no_grad()
         except RecordFormatError as exc:  # a non-finite weight: name the file too
             raise RecordFormatError(f"{checkpoint}: {exc}") from None
         except ShapeError as exc:  # name the file, and where the expected shapes came from

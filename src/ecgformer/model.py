@@ -88,6 +88,7 @@ class ModelParams:
 
     tensors: dict[str, Tensor]
     config: ModelConfig
+    constant: bool = False  # every tensor a constant: what `no_grad` returns
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -96,8 +97,15 @@ class ModelParams:
         return {k: t for k, t in self.tensors.items() if t.requires_grad}
 
     def no_grad(self) -> "ModelParams":
-        """The same arrays as constants: a forward through them records no graph."""
-        return ModelParams({k: t.detach() for k, t in self.tensors.items()}, self.config)
+        """The same arrays as constants: a forward through them records no graph.
+
+        Built once, the constants read the arrays as they are at each forward,
+        so an in-place update shows; a set that is already constant is its
+        own. A parameter whose `Tensor.data` is rebound afterwards (as
+        `ag.adam_init` does) needs a new one."""
+        if self.constant:
+            return self
+        return ModelParams({k: t.detach() for k, t in self.tensors.items()}, self.config, constant=True)
 
 
 TENSORS_OUTSIDE_LAYERS = 10  # patch projection (2), class token, positional table, final norm (2), head (4)
@@ -253,20 +261,10 @@ def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return ag.linear(x, params[prefix + ".weight"], params[prefix + ".bias"])
 
 
-def _attention_block(
-    x: Tensor,
-    params: ModelParams,
-    layer: int,
-    config: ModelConfig,
-    training: bool,
-    rng,
-    key_mask: np.ndarray | None,
-    capture: list | None,
-) -> Tensor:
-    p = f"layers.{layer}.attn."
-    q, k, v = (_linear(x, params, p + name) for name in ("w_q", "w_k", "w_v"))
-    rate = config.dropout_encoder if training else 0.0
-    return _linear(ag.attention(q, k, v, config.num_heads, key_mask, rate, rng, capture), params, p + "w_o")
+# Each encoder layer's parameters, in the order of the sublayers' arguments.
+ATTENTION_SUBLAYER = ("norm1.gain", "norm1.bias", "attn.w_q.weight", "attn.w_q.bias", "attn.w_k.weight",
+                      "attn.w_k.bias", "attn.w_v.weight", "attn.w_v.bias", "attn.w_o.weight", "attn.w_o.bias")
+FEED_FORWARD_SUBLAYER = ("norm2.gain", "norm2.bias", "ff.fc1.weight", "ff.fc1.bias", "ff.fc2.weight", "ff.fc2.bias")
 
 
 def forward(
@@ -286,8 +284,15 @@ def forward(
     dropout mask from rng[b], as a forward of its record alone would. The
     outputs are [B, d_class] and the attention maps [B, H, T, T], and every
     slot's outputs and gradients are those of its record in a batch of one.
-    Eval runs on `params.no_grad()`, so it records no graph. The inputs
-    become constants of the parameters' dtype.
+    Eval runs on `params.no_grad()`, so it records no graph; a caller that
+    runs many eval forwards passes constants built once. The inputs become
+    constants of the parameters' dtype.
+
+    The graph has one node per encoder sublayer (`ag.attention_sublayer` and
+    `ag.feed_forward_sublayer`), five before the layers (patch projection,
+    class token, sequence, positions and their dropout) and nine after them
+    (the final norm, the class token's row and the head), so a README-toy
+    training graph and its loss hold 19 op nodes.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train|eval, got {mode!r}")
@@ -320,13 +325,13 @@ def forward(
         key_mask = np.array([np.concatenate([[True], starts < w.pad_start]) for w in windows])
 
     attention_maps: list[np.ndarray] | None = [] if capture_attention else None
+    rate = config.dropout_encoder if training else 0.0
     for layer in range(config.num_layers):
-        pre = ag.layer_norm(x, params[f"layers.{layer}.norm1.gain"], params[f"layers.{layer}.norm1.bias"])
-        attn_out = _attention_block(pre, params, layer, config, training, rng, key_mask, attention_maps)
-        x = ag.add(x, ag.dropout(attn_out, config.dropout_encoder, rng, training))
-        pre = ag.layer_norm(x, params[f"layers.{layer}.norm2.gain"], params[f"layers.{layer}.norm2.bias"])
-        ff = _linear(ag.gelu(_linear(pre, params, f"layers.{layer}.ff.fc1"), config.gelu_exact), params, f"layers.{layer}.ff.fc2")
-        x = ag.add(x, ag.dropout(ff, config.dropout_encoder, rng, training))
+        prefix = f"layers.{layer}."
+        x = ag.attention_sublayer(x, *[params[prefix + name] for name in ATTENTION_SUBLAYER], config.num_heads,
+                                  key_mask, rate, rng, attention_maps)
+        x = ag.feed_forward_sublayer(x, *[params[prefix + name] for name in FEED_FORWARD_SUBLAYER], rate, rng,
+                                     config.gelu_exact)
 
     x = ag.layer_norm(x, params["final_norm.gain"], params["final_norm.bias"])
     # Each slot's class token as a one-row matrix [B, 1, D]: a one-row product

@@ -330,7 +330,9 @@ def predict_probabilities(
     preprocess_config: dsp.PreprocessConfig,
 ) -> np.ndarray:
     """Eval-mode probabilities for each record (deterministic start windows),
-    as many records per forward as `model.records_per_forward` allows."""
+    as many records per forward as `model.records_per_forward` allows, on
+    constants built once."""
+    params = params.no_grad()
     chunk = model.records_per_forward(model_config, len(prepared), params["patch_projection.weight"].data.itemsize)
     rows = []
     for start in range(0, len(prepared), chunk):
@@ -446,6 +448,7 @@ def _train_steps(
     trainable = params.trainable()
     state = ag.adam_init(trainable)
     grads, grad_total = state["grad"], state["flat"][3]  # the step's gradient total: views and their flat buffer
+    constants = params.no_grad()  # after adam_init rebinds the data; Adam then updates those arrays in place
     seed = train_config.seed
 
     loss_curve: list[float] = []
@@ -454,7 +457,7 @@ def _train_steps(
     val_prepared, val_labels = [cache[int(i)] for i in val_idx], labels[val_idx]
 
     def val_metric_at_half() -> float:
-        probs = predict_probabilities(val_prepared, params, model_config, preprocess_config)
+        probs = predict_probabilities(val_prepared, constants, model_config, preprocess_config)
         preds = (probs >= 0.5).astype(np.int64)
         try:
             return metrics.challenge_metric(val_labels, preds, weights)

@@ -358,6 +358,23 @@ def chain_attention(q, k, v, heads, key_mask=None, p=0.0, rng=None):
     return chain_merge_heads(chain_dropout_matmul(attn, vh, p, rng) if p else ag.matmul(attn, vh), b)
 
 
+def chain_attention_sublayer(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, key_mask=None, p=0.0, rng=None,
+                             maps=None):
+    """`ag.attention_sublayer` as the chain of nodes it replaces: the norm, the q, k and v projections of its output,
+    the attention (drawing its map's dropout first), the output projection, its dropout and the residual add."""
+    pre = ag.layer_norm(x, gain, bias)
+    q, k, v = (ag.linear(pre, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    out = ag.linear(ag.attention(q, k, v, heads, key_mask, p, rng, maps), wo, bo)
+    return ag.add(x, ag.dropout(out, p, rng))
+
+
+def chain_feed_forward_sublayer(x, gain, bias, w1, b1, w2, b2, p=0.0, rng=None, exact=False):
+    """`ag.feed_forward_sublayer` as the chain of nodes it replaces: the norm, the first linear, the GELU, the
+    second linear, its dropout and the residual add."""
+    out = ag.linear(ag.gelu(ag.linear(ag.layer_norm(x, gain, bias), w1, b1), exact), w2, b2)
+    return ag.add(x, ag.dropout(out, p, rng))
+
+
 def float_mask_dropout(a, p, rng):
     """Inverted dropout as one graph node whose backward keeps the float mask the forward multiplied by.
 

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention, chain_linear,
-                     chain_positions, float_mask_dropout, gradients_into_zeros, keep_t_gelu, max_rel_err,
+from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention,
+                     chain_attention_sublayer, chain_feed_forward_sublayer, chain_linear, chain_positions,
+                     float_mask_dropout, gradients_into_zeros, keep_t_gelu, max_rel_err,
                      method_layer_norm, method_right_operand_grad, method_softmax, method_unbroadcast, permute,
                      product_gelu, tensor_mean, tensor_sum, textbook_adam)
 
@@ -596,14 +597,38 @@ class TestBatchedOps:
         lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 0.1, [np.random.default_rng(0)] * 4),
         lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 0.1, None),
         lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 1.0, [np.random.default_rng(0)] * 2),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6)), 4),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6), {0: (2, 6)}), 2),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6)), 2, np.ones((2, 4), bool)),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6), {1: (4,), 2: (4,)}), 2),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6), {9: (6, 4), 10: (4,)}), 2),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6), {4: (4,)}), 2),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(3, 6)), 2, None, 0.1,
+                                      [np.random.default_rng(0)] * 2),
+        lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {0: (5, 4)})),
+        lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {5: (6, 4)})),
+        lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {5: (7, 3), 6: (3,)})),
+        lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {6: (7,)})),
+        lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {4: (4,)})),
+        lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(2, 4, 7)), 0.1, None),
     ], ids=["linear inner", "linear bias", "linear 4-d input", "linear 3-d weight", "attention uneven heads",
             "attention no heads", "attention 2-d", "attention key width", "attention key slots",
             "attention value length", "attention key mask length", "attention key mask slots",
             "attention generators", "attention generators per head", "attention no generators",
-            "attention rate"])
+            "attention rate", "attention sublayer uneven heads", "attention sublayer 2-d",
+            "attention sublayer key mask length", "attention sublayer norm width",
+            "attention sublayer output width", "attention sublayer query bias", "attention sublayer generators",
+            "feed-forward sublayer 2-d", "feed-forward sublayer second weight rows",
+            "feed-forward sublayer second weight width", "feed-forward sublayer second bias",
+            "feed-forward sublayer first bias", "feed-forward sublayer no generators"])
     def test_fused_nodes_reject_mismatched_shapes(self, build):
         with pytest.raises(ShapeError):
             build()
+
+
+def _zero_inputs(shapes, replaced=None):
+    """Zero arrays of `shapes`, those at the positions in `replaced` of the shapes given there instead."""
+    return [np.zeros((replaced or {}).get(i, shape)) for i, shape in enumerate(shapes)]
 
 
 def _run_graph(build, arrays, needs_grad, upstream):
@@ -639,6 +664,40 @@ def _attention_case(heads, slots, masked=False, p=0.0):
     return run(ag.attention), run(chain_attention)
 
 
+def _attention_sublayer_case(heads, slots, masked=False, p=0.0):
+    """(fused, chain) for `ag.attention_sublayer` over a [slots, 5, D] input, masked and drawing as
+    `_attention_case`."""
+    key_mask = np.arange(5)[None, :] < np.arange(4, 4 - slots, -1)[:, None] if masked else None
+
+    def run(sublayer):
+        def build(*tensors):
+            return sublayer(*tensors, heads, key_mask, p, [np.random.default_rng(50 + s) for s in range(slots)])
+
+        return build
+
+    return run(ag.attention_sublayer), run(chain_attention_sublayer)
+
+
+def _attention_sublayer_shapes(slots, d):
+    return [(slots, 5, d), (d,), (d,)] + [(d, d), (d,)] * 4
+
+
+def _feed_forward_sublayer_case(slots, exact=False, p=0.0):
+    """(fused, chain) for `ag.feed_forward_sublayer`, each slot drawing its dropout from its own generator."""
+
+    def run(sublayer):
+        def build(*tensors):
+            return sublayer(*tensors, p, [np.random.default_rng(60 + s) for s in range(slots)], exact)
+
+        return build
+
+    return run(ag.feed_forward_sublayer), run(chain_feed_forward_sublayer)
+
+
+def _feed_forward_sublayer_shapes(slots, d, ff):
+    return [(slots, 5, d), (d,), (d,), (d, ff), (ff,), (ff, d), (d,)]
+
+
 FUSED_CASES = {
     # name: (fused, chain, input shapes)
     "linear 2-d": (ag.linear, chain_linear, [(5, 4), (4, 3), (3,)]),
@@ -656,6 +715,29 @@ FUSED_CASES = {
     "positions": (ag.add, chain_positions, [(3, 5, 4), (5, 4)]),
     "attention core": (_attention_core(True), _attention_core(False),
                        [(3, 5, 4)] + [(4, 4), (4,)] * 4),
+    "attention sublayer one slot": (*_attention_sublayer_case(2, 1), _attention_sublayer_shapes(1, 6)),
+    "attention sublayer one head": (*_attention_sublayer_case(1, 3), _attention_sublayer_shapes(3, 4)),
+    "attention sublayer slots": (*_attention_sublayer_case(3, 3), _attention_sublayer_shapes(3, 6)),
+    "attention sublayer one slot, dropout": (*_attention_sublayer_case(2, 1, p=0.3), _attention_sublayer_shapes(1, 6)),
+    "attention sublayer slots, dropout": (*_attention_sublayer_case(3, 3, p=0.3), _attention_sublayer_shapes(3, 6)),
+    "attention sublayer one slot, key mask": (*_attention_sublayer_case(2, 1, masked=True),
+                                              _attention_sublayer_shapes(1, 6)),
+    "attention sublayer slots, key mask": (*_attention_sublayer_case(3, 3, masked=True),
+                                           _attention_sublayer_shapes(3, 6)),
+    "attention sublayer slots, key mask, dropout": (*_attention_sublayer_case(2, 3, masked=True, p=0.5),
+                                                    _attention_sublayer_shapes(3, 8)),
+    "feed-forward sublayer one slot": (*_feed_forward_sublayer_case(1), _feed_forward_sublayer_shapes(1, 4, 7)),
+    "feed-forward sublayer slots": (*_feed_forward_sublayer_case(3), _feed_forward_sublayer_shapes(3, 4, 7)),
+    "feed-forward sublayer one slot, dropout": (*_feed_forward_sublayer_case(1, p=0.3),
+                                                _feed_forward_sublayer_shapes(1, 4, 7)),
+    "feed-forward sublayer slots, dropout": (*_feed_forward_sublayer_case(3, p=0.3),
+                                             _feed_forward_sublayer_shapes(3, 4, 7)),
+    "feed-forward sublayer one slot, exact": (*_feed_forward_sublayer_case(1, exact=True),
+                                              _feed_forward_sublayer_shapes(1, 4, 7)),
+    "feed-forward sublayer slots, exact": (*_feed_forward_sublayer_case(3, exact=True),
+                                           _feed_forward_sublayer_shapes(3, 4, 7)),
+    "feed-forward sublayer slots, exact, dropout": (*_feed_forward_sublayer_case(3, exact=True, p=0.5),
+                                                    _feed_forward_sublayer_shapes(3, 6, 5)),
 }
 
 
@@ -766,6 +848,15 @@ class TestFusedNodesKeepTheFiniteCheck:
                 ag.linear(ag.Tensor([[1e308, 1e308]]), ag.Tensor([[10.0], [10.0]]), ag.Tensor([0.0]))
             with pytest.raises(NumericalError, match="attention"):
                 ag.attention(*[ag.Tensor(np.full((1, 2, 2), 1e200))] * 3, 1)
+            # Finite inputs of 1e307 (normalized to zeros) whose residual sum with an output bias of 1.7e308
+            # overflows.
+            x = ag.Tensor(np.full((1, 2, 2), 1e307))
+            zeros, big = ag.Tensor(np.zeros((2, 2))), ag.Tensor(np.full(2, 1.7e308))
+            norm = [ag.Tensor(np.ones(2)), ag.Tensor(np.zeros(2))]
+            with pytest.raises(NumericalError, match="attention_sublayer"):
+                ag.attention_sublayer(x, *norm, *[zeros, ag.Tensor(np.zeros(2))] * 3, zeros, big, 1)
+            with pytest.raises(NumericalError, match="feed_forward_sublayer"):
+                ag.feed_forward_sublayer(x, *norm, zeros, ag.Tensor(np.zeros(2)), zeros, big)
 
     def test_scores_overflowing_to_minus_inf_below_the_row_maximum_raise(self):
         # Query 0 scores -inf against key 0 and 0 against key 1: a softmax would give it the finite weights
@@ -778,6 +869,24 @@ class TestFusedNodesKeepTheFiniteCheck:
             with pytest.raises(NumericalError, match="attention"):
                 ag.attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(np.ones((1, 2, 2))), 1)
 
+    def test_sublayer_scores_overflowing_to_minus_inf_below_the_row_maximum_raise(self):
+        # Token 0 normalizes to s * [0, -1, 1] and token 1 to s * [-1, 0, 1], so the key column c * [0, 1, 0] gives
+        # token 0 the key -c * s and token 1 exactly 0. Every query is [c, 0, 0]: it scores -inf against key 0 and 0
+        # against key 1, which its softmax would turn into the finite weights [0, 1].
+        c = 1e200
+        x = ag.Tensor(np.array([[[1.0, 0.0, 2.0], [0.0, 1.0, 2.0]]]))
+        norm = [ag.Tensor(np.ones(3)), ag.Tensor(np.zeros(3))]
+        w_k = np.zeros((3, 3))
+        w_k[1, 0] = c
+        zeros, no_bias = ag.Tensor(np.zeros((3, 3))), ag.Tensor(np.zeros(3))
+        projections = [zeros, ag.Tensor([c, 0.0, 0.0]), ag.Tensor(w_k), no_bias, zeros, no_bias, zeros, no_bias]
+        with np.errstate(over="ignore"):
+            pre = ag.layer_norm(x, *norm).data[0]
+            keys = pre @ w_k
+            assert keys[1, 0] == 0.0 and (c * keys[0, 0]) / np.sqrt(3.0) == -np.inf
+            with pytest.raises(NumericalError, match="attention_sublayer"):
+                ag.attention_sublayer(x, *norm, *projections, 1)
+
     @pytest.mark.parametrize("bad", range(3), ids=["q", "k", "v"])
     def test_non_finite_input_raises(self, bad):
         inputs = [ag.Tensor(np.zeros((2, 3, 4))) for _ in range(3)]
@@ -785,7 +894,9 @@ class TestFusedNodesKeepTheFiniteCheck:
         with pytest.raises(NumericalError, match="attention"):
             ag.attention(*inputs, 2)
 
-    @pytest.mark.parametrize("case", ["linear slots", "attention slots", "attention slots, key mask, dropout"])
+    @pytest.mark.parametrize("case", ["linear slots", "attention slots", "attention slots, key mask, dropout",
+                                      "attention sublayer slots", "attention sublayer slots, key mask, dropout",
+                                      "feed-forward sublayer slots", "feed-forward sublayer slots, exact, dropout"])
     def test_non_finite_incoming_gradient_raises(self, case):
         fused, _, shapes = FUSED_CASES[case]
         rng = np.random.default_rng(28)
@@ -881,6 +992,42 @@ class TestRecomputingBackwards:
             floats = [a for a in arrays if a.dtype != np.bool_]
             assert len(floats) == len(kept) and all(a is b for a, b in zip(floats, kept)), node._op
             assert len(arrays) - len(floats) == draws, node._op
+
+
+def _kept_arrays(backward) -> dict[int, np.ndarray]:
+    """The arrays a node's backward is bound to (inside tuples too), each once, by identity."""
+    kept, stack = {}, list(backward.args)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray):
+            kept[id(item)] = item
+    return kept
+
+
+class TestSublayerMemory:
+    @pytest.mark.parametrize("case", ["attention sublayer slots", "attention sublayer slots, key mask, dropout",
+                                      "feed-forward sublayer slots, dropout",
+                                      "feed-forward sublayer slots, exact, dropout"])
+    def test_a_sublayer_keeps_what_its_chain_keeps(self, case):
+        # The same arrays by shape, dtype and count as the chain's nodes keep together, the parameters by
+        # reference: so `model.graph_bytes` holds for the fused graph.
+        fused, chain, shapes = FUSED_CASES[case]
+        rng = np.random.default_rng(65)
+        tensors = [ag.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        kept = _kept_arrays(fused(*tensors)._backward)
+        chain_kept = {}
+        for node in ag._topo_order(chain(*tensors)):
+            if node._backward is not None:
+                chain_kept.update(_kept_arrays(node._backward))
+
+        def summary(arrays):
+            return sorted((a.shape, a.dtype.str) for a in arrays.values())
+
+        assert summary(kept) == summary(chain_kept)
+        params = {id(t.data) for t in tensors[1:]}
+        assert params & kept.keys() == params & chain_kept.keys()
 
 
 def _adam_from(params, grads, state, **kwargs):
@@ -1012,6 +1159,22 @@ class TestFlatAdam:
         _adam_from(params, grads[0], state, lr=3e-3)
         before = [flat.copy() for flat in state["flat"][:3]]
         grads[1]["c"][2, 5] = bad
+        with pytest.raises(NumericalError, match="'c'"):
+            _adam_from(params, grads[1], state, lr=3e-3)
+        assert state["t"] == 1
+        for flat, old in zip(state["flat"][:3], before):
+            assert flat.tobytes() == old.tobytes()
+
+    def test_mixed_infinities_raise_the_numerical_error_and_warn_nothing(self):
+        # +inf in one tensor and -inf in a later one sum to NaN. Under the suite's warnings-as-errors setting a
+        # warning from that sum would escape in place of the NumericalError.
+        start, grads = _flat_problem(np.float64, steps=2)
+        params = {k: ag.Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+        state = ag.adam_init(params)
+        _adam_from(params, grads[0], state, lr=3e-3)
+        before = [flat.copy() for flat in state["flat"][:3]]
+        grads[1]["c"][1, 4] = np.inf
+        grads[1]["f"][7, 2] = -np.inf
         with pytest.raises(NumericalError, match="'c'"):
             _adam_from(params, grads[1], state, lr=3e-3)
         assert state["t"] == 1

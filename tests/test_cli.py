@@ -318,6 +318,44 @@ class TestErrors:
         assert code == 4
         assert capsys.readouterr().err.startswith("ERROR ArgumentRangeError:")
 
+    def test_a_loaded_run_detaches_its_parameters_once(self, overfit_run, monkeypatch):
+        detached, detach = [], autograd.Tensor.detach
+
+        def counted_detach(tensor):
+            detached.append(tensor)
+            return detach(tensor)
+
+        monkeypatch.setattr(autograd.Tensor, "detach", counted_detach)
+        run = cli.RunArtifacts.load(overfit_run, RunConfig.load(overfit_run / "config_used.ini"))
+        config = run.model_config
+        rng = np.random.default_rng(5)
+        window = dsp.ProcessedWindow(rng.uniform(-1.0, 1.0, size=(config.num_leads, config.window_samples)),
+                                     config.window_samples, 0)
+        wide = rng.normal(size=(1, config.d_wide))
+        first, second = (model.forward([window], wide, run.params, config).probabilities.data for _ in range(2))
+        assert len(detached) == len(run.params.tensors) and first.tobytes() == second.tobytes()
+
+    def test_non_integer_fold_exit_code(self, workspace, tmp_path, capsys):
+        root, data, ini, manifest, folds = workspace
+        code = cli.main(["train", "--manifest", str(manifest), "--folds", str(folds), "--fold", "xyz",
+                         "--weights", str(data / "weights.csv"), "--out", str(tmp_path / "y"),
+                         "--config", str(ini)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ArgumentRangeError:") and "--fold" in err and err.count("\n") == 1
+        assert not (tmp_path / "y").exists()
+
+    def test_non_integer_head_exit_code(self, workspace, overfit_run, tmp_path, capsys):
+        data = workspace[1]
+        capsys.readouterr()
+        for head in ("abc", "1.5", ""):
+            code = cli.main(["attention", "--record", str(data / "synth00000.hea"), "--run", str(overfit_run),
+                             "--head", head, "--out", str(tmp_path / "maps")])
+            assert code == 4, head
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR ArgumentRangeError:") and "--head" in err and err.count("\n") == 1
+        assert not (tmp_path / "maps").exists()
+
     def test_damaged_checkpoint_exit_code(self, workspace, tmp_path, capsys):
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run_damaged"

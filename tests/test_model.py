@@ -262,18 +262,18 @@ class TestModelGradients:
             assert err < 1e-4, f"{name}: rel err {err}"
 
 
-def _oracle_attention_block(x, params, layer, config, training, rng, key_mask, capture):
-    """Drop-in for wm._attention_block on a batch of one: the per-head oracle as one graph node."""
+def _oracle_attention_sublayer(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, key_mask, p, rng, capture):
+    """Drop-in for ag.attention_sublayer on a batch of one: the norm, the per-head oracle as one graph node, then
+    the residual dropout and add as their own nodes."""
     assert x.shape[0] == 1
-    prefix = f"layers.{layer}.attn."
-    tensors = [params[prefix + f"{m}.{kind}"] for m in ("w_q", "w_k", "w_v", "w_o") for kind in ("weight", "bias")]
-    drop = config.dropout_encoder if training else 0.0
-    out, maps, cache = per_head_attention(x.data[0], *[t.data for t in tensors], config.num_heads,
-                                          None if key_mask is None else key_mask[0], drop, rng[0] if rng else None)
+    pre = ag.layer_norm(x, gain, bias)
+    tensors = [wq, bq, wk, bk, wv, bv, wo, bo]
+    out, maps, cache = per_head_attention(pre.data[0], *[t.data for t in tensors], heads,
+                                          None if key_mask is None else key_mask[0], p, rng[0] if rng else None)
     if capture is not None:
         capture.append(maps[None])
 
-    nodes = [t._node for t in (x, *tensors)]
+    nodes = [t._node for t in (pre, *tensors)]
 
     def backward_fn(grad, grads):
         dx, dparams = per_head_attention_backward(grad[0], cache)
@@ -281,7 +281,8 @@ def _oracle_attention_block(x, params, layer, config, training, rng, key_mask, c
         for node, g in zip(nodes[1:], dparams):
             grads(node, g)
 
-    return ag.Tensor._result(out[None], (x, *tensors), backward_fn, "oracle_attention")
+    attended = ag.Tensor._result(out[None], (pre, *tensors), backward_fn, "oracle_attention")
+    return ag.add(x, ag.dropout(attended, p, rng))
 
 
 class TestFusedAttentionOracle:
@@ -322,7 +323,7 @@ class TestFusedAttentionOracle:
         config = wm.ModelConfig(**{**base.__dict__, "mask_padding": mask_padding})
         pad_start = config.window_samples - config.d_patch - 7
         fused_out, fused_grads = self._run(config, mode, pad_start)
-        monkeypatch.setattr(wm, "_attention_block", _oracle_attention_block)
+        monkeypatch.setattr(ag, "attention_sublayer", _oracle_attention_sublayer)
         oracle_out, oracle_grads = self._run(config, mode, pad_start)
 
         assert np.array_equal(fused_out.probabilities.data, oracle_out.probabilities.data)

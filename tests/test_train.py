@@ -311,6 +311,46 @@ class TestTrainingStreams:
         assert built == {"SeedSequence": 0, "default_rng": epochs + 1 + kept}
 
 
+class TestEvalConstants:
+    """Eval forwards run on constants built once per parameter set, over the arrays Adam updates in place."""
+
+    def test_validation_reads_the_parameters_adam_updated(self, corpus, tmp_path, monkeypatch):
+        manifest, weights = corpus
+        config = toy_model_config(d_class=len(manifest.class_list))
+        prepared = train.prepare_records(manifest, np.arange(len(manifest.entries)), record_io.lead_subset("two"),
+                                         TOY_PREPROCESS, FeatureConfig(), config.d_wide)
+        live, checked, detached = {}, [], []
+        adam_step, predict, detach = ag.adam_step, train.predict_probabilities, ag.Tensor.detach
+
+        def stepping(params, grads, state, **kwargs):
+            live.update(params)  # the trainable tensors, whose data are views of Adam's flat buffer
+            return adam_step(params, grads, state, **kwargs)
+
+        def predicting(records, params, model_config, preprocess_config):
+            probs = predict(records, params, model_config, preprocess_config)
+            if params.constant:  # a validation pass inside the steps
+                fresh = model.ModelParams({k: ag.Tensor(t.data.copy(), requires_grad=True) for k, t in live.items()},
+                                          model_config).no_grad()
+                want = predict(records, fresh, model_config, preprocess_config)
+                checked.append(probs.tobytes() == want.tobytes())
+            return probs
+
+        def counted_detach(tensor):
+            detached.append(tensor)
+            return detach(tensor)
+
+        monkeypatch.setattr(ag, "adam_step", stepping)
+        monkeypatch.setattr(train, "predict_probabilities", predicting)
+        monkeypatch.setattr(ag.Tensor, "detach", counted_detach)
+        fa = stratify.FoldAssignment(np.zeros(len(manifest.entries), dtype=int), 1)
+        cfg = toy_train_config(batch_size_train=4, max_steps=3, eval_every=1)
+        train.train_fold(manifest, fa, -1, config, TOY_PREPROCESS, cfg, weights, tmp_path / "m", prepared=prepared)
+        assert checked == [True] * 3
+        # Constants for the steps' three validation passes (built once, after adam_init), once for the final
+        # threshold fit on the reloaded checkpoint, and once for each `fresh` set above.
+        assert len(detached) == (2 + 3) * len(model.expected_shapes(config))
+
+
 class TestStepMemory:
     def test_step_holds_one_gradient_set(self, corpus, tmp_path):
         # At a width where parameters dominate, a step holds the parameters,
@@ -503,8 +543,8 @@ def test_toy_training_step_graph_size(monkeypatch):
 
 def test_toy_training_graph_has_one_attention_node_per_layer():
     # The README-toy training graph of 4 records, taken from the reverse pass's own order: its op nodes (those with
-    # a backward), one of them the attention of each encoder layer. A change that splits the attention into a
-    # chain again, or adds nodes, shows here.
+    # a backward), two per encoder layer (its attention sublayer and its feed-forward sublayer, the attention core
+    # inside the first). A change that splits a sublayer into a chain again, or adds nodes, shows here.
     config = toy_model_config()
     params = model.init_params(config, seed=1)
     rng = np.random.default_rng(8)
@@ -513,9 +553,10 @@ def test_toy_training_graph_has_one_attention_node_per_layer():
     out = model.forward(windows, wide, params, config, mode="train", rng=[np.random.default_rng(s) for s in range(4)])
     loss = ag.binary_cross_entropy(out.probabilities, labels, per_slot=True)
     ops = [node._op for node in ag._topo_order(loss) if node._backward is not None]
-    assert len(ops) == 43, len(ops)
-    assert ops.count("attention") == config.num_layers
-    assert not {"softmax", "matmul"} & set(ops)
+    assert len(ops) == 19, len(ops)
+    assert ops.count("attention_sublayer") == ops.count("feed_forward_sublayer") == config.num_layers
+    assert ops.count("layer_norm") == 1  # the final norm
+    assert not {"softmax", "matmul", "attention"} & set(ops)
 
 
 @pytest.fixture(scope="module")
