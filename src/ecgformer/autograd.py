@@ -27,25 +27,26 @@ which is many times slower than a product: `gelu` (tanh form) cubes as
 
 A graph's cost at small sizes is per node (each node's output and incoming
 gradient get one finiteness scan), so the model's chains run as fused
-nodes: `linear` (product plus bias); `attention` (the head split, the
-scaled scores `q @ kᵀ`, the key mask, the softmax, the map's dropout, the
-product with the values and the head merge); and the encoder's two pre-norm
+nodes: `linear` (product plus bias) and the encoder's two pre-norm
 sublayers, `attention_sublayer` (`x + dropout(linear(attention(q, k, v)))`
-with q, k and v the projections of `layer_norm(x)`) and
+with q, k and v the projections of `layer_norm(x)`, the attention being the
+head split, the scaled scores `q @ kᵀ`, the key mask, the softmax, the map's
+dropout, the product with the values and the head merge) and
 `feed_forward_sublayer` (`x + dropout(linear(gelu(linear(layer_norm(x)))))`).
-Each runs the NumPy calls of the chain it replaces, in the same order and
-on the same arrays, so it gives the chain's bytes; keeps the arrays the
-chain's backwards keep; and scans its output once (`attention` and
-`attention_sublayer` also scan their scores before the softmax, which would
-turn -inf scores into finite weights). The standalone ops and the fused
-nodes share their arithmetic through array-level functions (`_affine`,
-`_layer_norm_value`, `_gelu_value`, `_attention_value`, their gradients and
-the dropout draw), so each formula is written once. Sums, means and maxima
-are called as `np.add.reduce`, `np.true_divide` by the count and
-`np.maximum.reduce`, the bytes of the `.sum`, `.mean` and `.max` methods
-without their Python wrappers.
-`embedding_row_select`, which the model no longer calls, stays while
-`ecgbench/tracer.py` traces it.
+Each runs the NumPy calls of the chain of ops it replaces, in the same order
+and on the same arrays, so it gives the chain's bytes; keeps no more than
+the chain's backwards keep; and scans its output once (`attention_sublayer`
+also scans its scores before the softmax, which would turn -inf scores into
+finite weights). The standalone ops and the fused nodes share their
+arithmetic through array-level functions (`_affine`, `_layer_norm_value`,
+`_gelu_value`, `_attention_value`, their gradients and the dropout draw), so
+each formula is written once. Sums, means and maxima are called as
+`np.add.reduce`, `np.true_divide` by the count and `np.maximum.reduce`, the
+bytes of the `.sum`, `.mean` and `.max` methods without their Python
+wrappers. The model calls none of `matmul`, `mul`, `transpose`, `softmax`
+and `embedding_row_select`: they stay because `ecgbench/tracer.py` traces
+them, and the tests' chains of ops, which the fused nodes are checked
+against bitwise, are built from the first four.
 
 Graphs are batch-first: the leading axis of an activation holds one record
 per slot. A parameter shared by every slot gets the gradient each slot would
@@ -106,10 +107,10 @@ class Tensor:
 
     __slots__ = ("data", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, _op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or np.float64)
-        _check_finite(self.data, _op)
-        self._node = Node(bool(requires_grad), self.data.shape, (), None, _op)
+        _check_finite(self.data, "leaf")
+        self._node = Node(bool(requires_grad), self.data.shape, (), None, "leaf")
 
     @property
     def shape(self):
@@ -172,36 +173,6 @@ class Tensor:
                 return out
         out._node = Node(False, data.shape, (), None, op)
         return out
-
-    # -- operators ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return tensor_slice(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self):
-        return transpose(self)
 
 
 def as_tensor(x, dtype=None) -> Tensor:
@@ -608,8 +579,8 @@ def _dropout_backward(na, kept, keep, dtype, grad, grads):
     grads(na, _dropout_grad(kept, keep, dtype, grad))
 
 
-def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training: bool = True) -> Tensor:
-    """Inverted dropout: scales kept units by 1/(1-p); identity in eval mode.
+def dropout(a, p: float, rng: list[np.random.Generator] | None = None) -> Tensor:
+    """Inverted dropout: scales kept units by 1/(1-p); at rate 0 (as in eval mode) `a` itself.
 
     `rng` holds one generator per slot: the leading axis is cut into that
     many equal slots, and each slot draws its mask from its own generator, as
@@ -617,7 +588,7 @@ def dropout(a, p: float, rng: list[np.random.Generator] | None = None, training:
     graph keeps the boolean draw and rebuilds the mask in the backward.
     """
     a = as_tensor(a)
-    if not training or p == 0.0:
+    if p == 0.0:
         return a
     data, drop = _dropout_value(a.data, p, rng, "dropout")
     return Tensor._result(data, (a,), partial(_dropout_backward, a._node, *drop), "dropout")
@@ -631,19 +602,30 @@ def _regroup(a: np.ndarray, four_axes: tuple, out_shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(a.reshape(four_axes), (0, 2, 1, 3))).reshape(out_shape)
 
 
-def _check_heads(shape: tuple, heads: int, key_mask: np.ndarray | None, op: str):
+def _check_heads(shape: tuple, heads: int, key_mask: np.ndarray | None):
     """A ShapeError unless `shape` is [B, T, D] with `heads` dividing D and `key_mask`, if any, is [B, T]."""
     if len(shape) != 3 or heads < 1 or shape[2] % heads:
-        raise ShapeError(f"{op} expects [B, T, D] inputs with {heads} heads dividing D, got {shape}")
+        raise ShapeError(f"attention_sublayer expects [B, T, D] inputs with {heads} heads dividing D, got {shape}")
     if key_mask is not None and np.shape(key_mask) != shape[:2]:
-        raise ShapeError(f"{op}: a key mask of shape {np.shape(key_mask)} for inputs of shape {shape}")
+        raise ShapeError(f"attention_sublayer: a key mask of shape {np.shape(key_mask)} for inputs of shape {shape}")
 
 
-def _attention_value(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, key_mask, p: float, rng, maps,
-                     op: str):
-    """The attention of [B, T, D] projections (see `attention`), and what its backward keeps: the three
-    regrouped projections, the softmax output, the boolean draw (None at rate 0), the keep rate and the
-    score scale."""
+def _attention_value(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, key_mask, p: float, rng, maps):
+    """Multi-head scaled dot-product self-attention of [B, T, D] projections, and what its backward keeps: the
+    three regrouped projections, the softmax output, the boolean draw (None at rate 0), the keep rate and the
+    score scale.
+
+    Each projection is regrouped to [B*H, T, D/H] (row b*H + h holds slot b's
+    columns h*D/H .. (h+1)*D/H, as a C-contiguous copy); the scores `q @ kᵀ`
+    (`kᵀ` the strided `np.swapaxes` view) are scaled by 1/sqrt(D/H) in the
+    inputs' dtype; with a [B, T] boolean `key_mask`, -1e30 is added to the
+    scores of masked keys; the scores are scanned (a softmax maps -inf scores
+    to finite weights), softmaxed over keys and, with a rate `p` > 0,
+    dropped out, each slot drawing from its own generator in `rng`; the
+    product with the values is merged back to [B, T, D]. `maps`, when given,
+    receives a [B, H, T, T] copy of the softmax output. At the paper's shape,
+    `q @ kᵀ` and the map gradient's `grad @ vᵀ` are the two products whose
+    bytes depend on the BLAS thread count."""
     b, t, d = q.shape
     dh = d // heads
     qh, kh, vh = (_regroup(y, (b, t, heads, dh), (b * heads, t, dh)) for y in (q, k, v))
@@ -652,11 +634,11 @@ def _attention_value(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int, ke
     scores *= factor
     if key_mask is not None:
         scores += np.repeat(np.where(key_mask, 0.0, -1e30)[:, None, :], heads, axis=0).astype(qh.dtype)
-    _check_finite(scores, op)
+    _check_finite(scores, "attention_sublayer")
     probs = _softmax(scores, out=scores)
     if maps is not None:
         maps.append(probs.reshape(b, heads, t, t).copy())
-    kept, keep = _draw_kept((b, heads * t, t), p, rng, op) if p else (None, 1.0)
+    kept, keep = _draw_kept((b, heads * t, t), p, rng, "attention_sublayer") if p else (None, 1.0)
     if kept is None:
         heads_out = probs @ vh
     else:
@@ -690,42 +672,6 @@ def _attention_grads(wanted: tuple, q, k, v, probs, kept, keep, factor, grad):
         dropped = probs if mask is None else np.multiply(probs, mask, out=mask)
         gv = _regroup(np.swapaxes(dropped, -1, -2) @ g, heads_axes, grad.shape)
     return [gq, gk, gv]
-
-
-def _attention_backward(nq, nk, nv, q, k, v, probs, kept, keep, factor, grad, grads):
-    wanted = (nq.requires_grad, nk.requires_grad, nv.requires_grad)
-    for node, g in zip((nq, nk, nv), _attention_grads(wanted, q, k, v, probs, kept, keep, factor, grad)):
-        if g is not None:
-            grads(node, g)
-
-
-def attention(q, k, v, heads: int, key_mask: np.ndarray | None = None, p: float = 0.0,
-              rng: list[np.random.Generator] | None = None, maps: list | None = None) -> Tensor:
-    """Multi-head scaled dot-product self-attention of [B, T, D] projections, as one [B, T, D] node.
-
-    Its forward runs the NumPy calls of the chain it replaces, in their order
-    and on the same arrays, so it gives the chain's bytes: each projection
-    regrouped to [B*H, T, D/H] (row b*H + h holds slot b's columns
-    h*D/H .. (h+1)*D/H, as a C-contiguous copy); the scores `q @ kᵀ` (`kᵀ`
-    the strided `np.swapaxes` view) times 1/sqrt(D/H) in the inputs' dtype;
-    with a [B, T] boolean `key_mask`, -1e30 added to the scores of masked
-    keys; the softmax over keys; with a rate `p` > 0, inverted dropout of the
-    map, each slot drawing from its own generator in `rng` as `dropout` does;
-    the product with the values; and the heads merged back to [B, T, D]. It
-    scans the scores after the mask, since a softmax maps -inf scores to
-    finite weights, and its output. The graph keeps the three regrouped
-    projections, the softmax output and the boolean draw. `maps`, when given,
-    receives a [B, H, T, T] copy of the softmax output. At the paper's shape,
-    `q @ kᵀ` and the map gradient's `grad @ vᵀ` are the two products whose
-    bytes depend on the BLAS thread count.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    _check_heads(q.shape, heads, key_mask, "attention")
-    if k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"attention expects projections of one shape, got {q.shape}, {k.shape} and {v.shape}")
-    data, kept = _attention_value(q.data, k.data, v.data, heads, key_mask, p, rng, maps, "attention")
-    backward = partial(_attention_backward, q._node, k._node, v._node, *kept)
-    return Tensor._result(data, (q, k, v), backward, "attention")
 
 
 # -- the encoder's two pre-norm sublayers, one node each ------------------------
@@ -762,24 +708,26 @@ def attention_sublayer(x, gain, bias, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, he
                        eps: float = 1e-5) -> Tensor:
     """A pre-norm self-attention sublayer of a [B, T, D] input as one node:
     `x + dropout(linear(attention(q, k, v), w_o, b_o))`, where q, k and v are
-    the `linear` projections of `layer_norm(x, gain, bias)`.
+    the `linear` projections of `layer_norm(x, gain, bias)` and `attention` is
+    the `heads`-head attention of `_attention_value`.
 
-    The forward runs the NumPy calls of that chain of nodes in their order and
-    on the same arrays, so it gives the chain's bytes; with a rate `p` > 0 the
-    attention map draws its dropout before the output does, each from the
-    slots' generators in `rng`. The backward runs the chain's backwards in
-    reverse and sums the norm output's three gradients q, then k, then v, as
-    the chain's reverse pass does. The graph keeps what the chain's backwards
-    keep: the norm's gain, normalized input and inverse deviation, its output,
+    The forward runs the NumPy calls of that chain of ops (the attention as
+    its head splits, scores, mask, softmax, dropout, value product and head
+    merge) in their order and on the same arrays, so it gives the chain's
+    bytes; with a rate `p` > 0 the attention map draws its dropout before the
+    output does, each from the slots' generators in `rng`. The backward runs
+    the chain's backwards in reverse and sums the norm output's three
+    gradients q, then k, then v, as the chain's reverse pass does. The graph
+    keeps the norm's gain, normalized input and inverse deviation, its output,
     the four weights, the attention's regrouped projections, softmax output and
     draw, the merged heads and the output's draw. It scans the attention scores
-    before the softmax (as `attention` does) and its output, and the reverse
-    pass scans its incoming gradient; the arrays in between are not scanned.
+    before the softmax and its output, and the reverse pass scans its incoming
+    gradient; the arrays in between are not scanned.
     """
     tensors = tuple([as_tensor(t) for t in (x, gain, bias, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o)])
     x, gain, bias, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o = tensors
     op = "attention_sublayer"
-    _check_heads(x.shape, heads, key_mask, op)
+    _check_heads(x.shape, heads, key_mask)
     _check_norm(x, gain, bias, op)
     for w, b in ((w_q, b_q), (w_k, b_k), (w_v, b_v), (w_o, b_o)):
         _check_linear(x, w, b, op)
@@ -787,7 +735,7 @@ def attention_sublayer(x, gain, bias, w_q, b_q, w_k, b_k, w_v, b_v, w_o, b_o, he
             raise ShapeError(f"{op}: a projection of width {w.shape[1]} for an input of width {x.shape[2]}")
     pre, xhat, inv_std = _layer_norm_value(x.data, gain.data, bias.data, eps)
     q, k, v = (_affine(pre, w.data, b.data) for w, b in ((w_q, b_q), (w_k, b_k), (w_v, b_v)))
-    merged, kept_attention = _attention_value(q, k, v, heads, key_mask, p, rng, maps, op)
+    merged, kept_attention = _attention_value(q, k, v, heads, key_mask, p, rng, maps)
     out, drop = _dropout_value(_affine(merged, w_o.data, b_o.data), p, rng, op)
     data = x.data + out
     backward = partial(_attention_sublayer_backward, tuple([t._node for t in tensors]), gain.data, xhat, inv_std,
@@ -1024,11 +972,13 @@ def adam_step(
     gradient views, `state["grad"]`, into which the step's reverse passes
     added their gradients; any other dict, or parameters under other names,
     is a ShapeError before anything changes. The flat gradient total is then
-    checked once: a NaN or Inf raises NumericalError and leaves the
-    parameters, m, v and t as they were. Then m, v and the parameters are
-    overwritten block by block over the flat buffers with the textbook
-    update's operations in its order, so the numbers are bitwise those of
-    the allocating form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    checked: a NaN or Inf, or an entry whose square would make v or the
+    bias-corrected v / (1 - beta2**t) overflow, raises NumericalError naming
+    the tensor and leaves the parameters, m, v and t as they were (an
+    infinite v would stop that parameter for good). Then m, v and the
+    parameters are overwritten block by block over the flat buffers with the
+    textbook update's operations in its order, so the numbers are bitwise
+    those of the allocating form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr * (m/c1) / (sqrt(v/c2) + eps) applied to each tensor on its own.
     The update runs in the parameters' dtype; the hyperparameters are taken
     as Python floats.
@@ -1040,18 +990,25 @@ def adam_step(
     if params.keys() != views.keys():
         raise ShapeError(f"adam_step: parameters {sorted(params)}, but the state holds {sorted(views)}")
     flat_params, flat_m, flat_v, flat_grad = state["flat"]
-    # A sum is NaN or Inf when any term is, and needs no temporary; only a
-    # sum that overflowed on finite terms needs the exact scan. (Opposite
-    # infinities and overflow are what the sum looks for, so they warn nothing.)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = flat_grad.sum()
-    if not math.isfinite(total) and not np.isfinite(flat_grad).all():
-        bad = next(name for name, g in views.items() if not np.isfinite(g).all())
-        raise NumericalError(f"adam_step: the gradient of {bad!r} is not finite")
-    state["t"] += 1
-    t = state["t"]
+    t = state["t"] + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
+    # g . g is NaN or Inf when any entry is, and needs no temporary. Up to half
+    # the dtype's largest value it bounds every square by that, so v / c2, an
+    # average of the squares, stays finite; only a larger total needs the
+    # exact scan, which runs v's update on each tensor. (Overflow is what the
+    # scan looks for, so it warns nothing.)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.dot(flat_grad, flat_grad)
+        if not total <= np.finfo(flat_grad.dtype).max / 2:
+            for name, g in views.items():
+                if not np.isfinite(g).all():
+                    raise NumericalError(f"adam_step: the gradient of {name!r} is not finite")
+                v = np.multiply(state["v"][name], beta2)
+                v += np.multiply(g, 1.0 - beta2) * g
+                if not np.isfinite(np.divide(v, c2, out=v)).all():
+                    raise NumericalError(f"adam_step: the gradient of {name!r} overflows its second moment")
+    state["t"] = t
     for start in range(0, flat_params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         pb, mb, vb, gb = flat_params[block], flat_m[block], flat_v[block], flat_grad[block]

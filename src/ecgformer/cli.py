@@ -237,7 +237,7 @@ def cmd_predict(args) -> int:
 def cmd_attention(args) -> int:
     run, record_id, window, wide = _run_and_inputs(args)
 
-    layer = args.layer if args.layer >= 0 else run.model_config.num_layers - 1
+    layer = run.model_config.num_layers - 1 if args.layer == -1 else args.layer
     amap = attention_viz.extract_attention(window, wide, run.params, run.model_config, layer, args.head)
     feature_lead = run.config["features"]["feature_lead"]
     trace_row = run.subset.leads.index(feature_lead) if feature_lead in run.subset.leads else 0

@@ -226,14 +226,17 @@ def _feature_lead(record: EcgRecord, config: FeatureConfig) -> np.ndarray:
 
 
 def record_features(record: EcgRecord, config: FeatureConfig | None = None) -> WideFeatures:
-    """Detect peaks on the feature lead and build the wide vector. An
-    overflow on the way is no warning: it ends as the RecordFormatError of
-    `compute_wide_features`."""
+    """Detect peaks on the feature lead and build the wide vector. A record
+    shorter than 1 s, or sampled at no more than twice the QRS band's upper
+    edge (30 Hz), where that band cannot be designed, gets no peaks, so its
+    peak features are imputed. An overflow on the way is no warning: it ends
+    as the RecordFormatError of `compute_wide_features`."""
     config = config or FeatureConfig()
     lead = _feature_lead(record, config)
+    fs = record.sampling_rate_hz
     with np.errstate(over="ignore", invalid="ignore"):
-        if record.num_samples >= record.sampling_rate_hz:
-            peaks = detect_r_peaks(lead, record.sampling_rate_hz)
+        if record.num_samples >= fs and fs > 2 * QRS_BAND_HZ[1]:
+            peaks = detect_r_peaks(lead, fs)
         else:
-            peaks = RPeakTrain(np.empty(0, dtype=np.int64), record.sampling_rate_hz)
+            peaks = RPeakTrain(np.empty(0, dtype=np.int64), fs)
         return compute_wide_features(record, peaks, config)

@@ -119,6 +119,30 @@ def confusion_weighted(labels: np.ndarray, predictions: np.ndarray) -> np.ndarra
     return a
 
 
+def challenge_scorer(labels: np.ndarray, weights: WeightMatrix):
+    """The challenge metric on `labels` as a function of binary predictions, and whether it rises with the raw
+    weighted sum.
+
+    The normalization, the weighted sums of a perfect and of an always-normal
+    predictor, is computed once here; a dataset on which they are equal
+    raises UndefinedScoreError. Each call of the returned function is one
+    `confusion_weighted`."""
+    correct = float(np.sum(weights.w * confusion_weighted(labels, labels)))
+    normal_only = np.zeros_like(labels)
+    normal_only[:, weights.normal_class_index] = 1
+    inactive = float(np.sum(weights.w * confusion_weighted(labels, normal_only)))
+    if correct == inactive:
+        raise UndefinedScoreError(
+            "perfect and always-normal predictors score identically on this dataset; metric undefined"
+        )
+
+    def score(predictions: np.ndarray) -> float:
+        observed = float(np.sum(weights.w * confusion_weighted(labels, predictions)))
+        return (observed - inactive) / (correct - inactive)
+
+    return score, correct > inactive
+
+
 def challenge_metric(labels: np.ndarray, predictions: np.ndarray, weights: WeightMatrix) -> float:
     """Normalized weighted score: 1.0 for perfect, 0.0 for always-normal."""
     labels = np.asarray(labels)
@@ -128,18 +152,8 @@ def challenge_metric(labels: np.ndarray, predictions: np.ndarray, weights: Weigh
     num_records, num_classes = labels.shape
     if weights.w.shape[0] != num_classes:
         raise ShapeError(f"weight matrix is {weights.w.shape[0]}x{weights.w.shape[0]} but data has {num_classes} classes")
-
-    observed = float(np.sum(weights.w * confusion_weighted(labels, predictions)))
-    correct = float(np.sum(weights.w * confusion_weighted(labels, labels)))
-    normal_only = np.zeros_like(labels)
-    normal_only[:, weights.normal_class_index] = 1
-    inactive = float(np.sum(weights.w * confusion_weighted(labels, normal_only)))
-
-    if correct == inactive:
-        raise UndefinedScoreError(
-            "perfect and always-normal predictors score identically on this dataset; metric undefined"
-        )
-    return (observed - inactive) / (correct - inactive)
+    score, _ = challenge_scorer(labels, weights)
+    return score(predictions)
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float | None:

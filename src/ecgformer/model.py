@@ -313,8 +313,10 @@ def forward(
     cls = ag.broadcast_to(params["class_token"], (batch, 1, d))
     seq = ag.concat([cls, projected], axis=1)
     x = ag.add(seq, params["positional_embedding"])
+    # Eval mode runs every dropout at rate 0, which hands back its input.
+    rate = config.dropout_encoder if training else 0.0
     if config.dropout_positional:
-        x = ag.dropout(x, config.dropout_encoder, rng, training)
+        x = ag.dropout(x, rate, rng)
 
     key_mask = None
     if config.mask_padding:
@@ -325,7 +327,6 @@ def forward(
         key_mask = np.array([np.concatenate([[True], starts < w.pad_start]) for w in windows])
 
     attention_maps: list[np.ndarray] | None = [] if capture_attention else None
-    rate = config.dropout_encoder if training else 0.0
     for layer in range(config.num_layers):
         prefix = f"layers.{layer}."
         x = ag.attention_sublayer(x, *[params[prefix + name] for name in ATTENTION_SUBLAYER], config.num_heads,
@@ -336,9 +337,9 @@ def forward(
     x = ag.layer_norm(x, params["final_norm.gain"], params["final_norm.bias"])
     # Each slot's class token as a one-row matrix [B, 1, D]: a one-row product
     # takes another BLAS kernel than a row of a larger one, so it stays one row.
-    cls_state = x[:, :1, :]
+    cls_state = ag.tensor_slice(x, np.s_[:, :1, :])
     deep = ag.gelu(_linear(cls_state, params, "head.fc1"), config.gelu_exact)
-    deep = ag.dropout(deep, config.dropout_head, rng, training)
+    deep = ag.dropout(deep, config.dropout_head if training else 0.0, rng)
     combined = ag.concat([deep, Tensor(wide.reshape(batch, 1, config.d_wide), dtype=dtype)], axis=2)
     logits = ag.reshape(_linear(combined, params, "head.fc2"), (batch, config.d_class))
     probabilities = ag.sigmoid(logits)

@@ -96,6 +96,8 @@ def generate_corpus(out_dir, num_records: int, seed: int, num_leads: int = 12) -
         raise ArgumentRangeError("num_records must be >= 1")
     if seed < 0:
         raise ArgumentRangeError(f"seed must be a non-negative integer, got {seed}")
+    if not 1 <= num_leads <= len(STANDARD_12_LEADS):
+        raise ArgumentRangeError(f"num_leads must be in 1..{len(STANDARD_12_LEADS)}, got {num_leads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []

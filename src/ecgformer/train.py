@@ -92,9 +92,10 @@ def fit_thresholds(
     grid is scored as one [grid, records] sum. That sum rounds differently
     from `metrics.challenge_metric`, so it only shortlists: every prediction
     column within a bound on both rounding errors of the best one. When more
-    than one column is short-listed, they are re-scored with
-    `metrics.challenge_metric`'s own arithmetic, so the chosen thresholds are
-    exactly those of scoring every grid point that way.
+    than one column is short-listed, they are re-scored by
+    `metrics.challenge_scorer`, `metrics.challenge_metric`'s own arithmetic,
+    so the chosen thresholds are exactly those of scoring every grid point
+    that way.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
     labels = np.asarray(labels)
@@ -105,21 +106,10 @@ def fit_thresholds(
     num_records, num_classes = probs.shape
 
     w = weights.w
-    correct = float(np.sum(w * metrics.confusion_weighted(labels, labels)))
-    normal_only = np.zeros_like(labels)
-    normal_only[:, weights.normal_class_index] = 1
-    inactive = float(np.sum(w * metrics.confusion_weighted(labels, normal_only)))
-    if correct == inactive:
-        raise metrics.UndefinedScoreError("threshold fitting target metric is undefined on this data")
-
-    def score(preds: np.ndarray) -> float:
-        observed = float(np.sum(w * metrics.confusion_weighted(labels, preds)))
-        return (observed - inactive) / (correct - inactive)
-
+    score, rising = metrics.challenge_scorer(labels, weights)
     truth = labels != 0
     truth_weights = truth @ w  # [records, classes]: sum of w[i, j] over true classes i
-    # The score rises with the raw weighted sum when correct > inactive, falls otherwise.
-    sign = 1.0 if correct > inactive else -1.0
+    sign = 1.0 if rising else -1.0
     # Rounding bound: the grid sum below and challenge_metric's sum each round
     # fewer than records + classes^2 + 2 * classes + 8 times, on partial sums
     # no larger than `magnitude`; 4x covers both errors twice and the division.

@@ -328,26 +328,27 @@ def chain_linear(x, w, bias):
 
 
 def chain_split_heads(y, heads):
-    """[B, T, D] -> [B*H, T, D/H], the head split of `ag.attention`, as reshape, permute, reshape."""
+    """[B, T, D] -> [B*H, T, D/H], the head split of `ag.attention_sublayer`, as reshape, permute, reshape."""
     b, t, d = y.shape
     return ag.reshape(permute(ag.reshape(y, (b, t, heads, d // heads)), (0, 2, 1, 3)), (b * heads, t, d // heads))
 
 
 def chain_merge_heads(y, batch):
-    """[B*H, T, d_h] -> [B, T, H*d_h], the head merge of `ag.attention`, as reshape, permute, reshape."""
+    """[B*H, T, d_h] -> [B, T, H*d_h], the head merge of `ag.attention_sublayer`, as reshape, permute, reshape."""
     bh, t, dh = y.shape
     heads = bh // batch
     return ag.reshape(permute(ag.reshape(y, (batch, heads, t, dh)), (0, 2, 1, 3)), (batch, t, heads * dh))
 
 
 def chain_attention_scores(q, k, scale):
-    """`(q @ kᵀ) * scale`, the scores of `ag.attention`, as transpose, product, scale."""
+    """`(q @ kᵀ) * scale`, the scores of `ag.attention_sublayer`, as transpose, product, scale."""
     return ag.mul(ag.matmul(q, ag.transpose(k)), scale)
 
 
 def chain_attention(q, k, v, heads, key_mask=None, p=0.0, rng=None):
-    """`ag.attention` as the three head splits, the scaled scores, the key-mask bias add, the softmax, the dropout
-    then value product (a plain product without dropout) and the head merge."""
+    """The attention of `ag.attention_sublayer` over q, k and v as the three head splits, the scaled scores, the
+    key-mask bias add, the softmax, the dropout then value product (a plain product without dropout) and the head
+    merge."""
     b, t, d = q.shape
     qh, kh, vh = (chain_split_heads(y, heads) for y in (q, k, v))
     scores = chain_attention_scores(qh, kh, 1.0 / np.sqrt(d // heads))
@@ -358,13 +359,13 @@ def chain_attention(q, k, v, heads, key_mask=None, p=0.0, rng=None):
     return chain_merge_heads(chain_dropout_matmul(attn, vh, p, rng) if p else ag.matmul(attn, vh), b)
 
 
-def chain_attention_sublayer(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, key_mask=None, p=0.0, rng=None,
-                             maps=None):
+def chain_attention_sublayer(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, key_mask=None, p=0.0, rng=None):
     """`ag.attention_sublayer` as the chain of nodes it replaces: the norm, the q, k and v projections of its output,
-    the attention (drawing its map's dropout first), the output projection, its dropout and the residual add."""
+    the attention as `chain_attention` (drawing its map's dropout first), the output projection, its dropout and the
+    residual add."""
     pre = ag.layer_norm(x, gain, bias)
     q, k, v = (ag.linear(pre, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    out = ag.linear(ag.attention(q, k, v, heads, key_mask, p, rng, maps), wo, bo)
+    out = ag.linear(chain_attention(q, k, v, heads, key_mask, p, rng), wo, bo)
     return ag.add(x, ag.dropout(out, p, rng))
 
 
@@ -396,8 +397,8 @@ def float_mask_dropout(a, p, rng):
 
 
 def chain_dropout_matmul(a, b, p, rng):
-    """`dropout(a) @ b`, the value product of `ag.attention` in training, as the float-mask dropout node, then a
-    product node."""
+    """`dropout(a) @ b`, the value product of `ag.attention_sublayer` in training, as the float-mask dropout node,
+    then a product node."""
     return ag.matmul(float_mask_dropout(a, p, rng), b)
 
 

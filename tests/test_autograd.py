@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention,
-                     chain_attention_sublayer, chain_feed_forward_sublayer, chain_linear, chain_positions,
-                     float_mask_dropout, gradients_into_zeros, keep_t_gelu, max_rel_err,
-                     method_layer_norm, method_right_operand_grad, method_softmax, method_unbroadcast, permute,
+from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention_sublayer,
+                     chain_feed_forward_sublayer, chain_linear, chain_positions, float_mask_dropout,
+                     gradients_into_zeros, keep_t_gelu, max_rel_err, method_layer_norm, method_right_operand_grad, method_softmax, method_unbroadcast, permute,
                      product_gelu, tensor_mean, tensor_sum, textbook_adam)
 
 GRAD_TOL = 1e-6
@@ -68,7 +67,7 @@ class TestForwardValues:
 
     def test_dropout_eval_is_identity(self):
         x = ag.Tensor(np.arange(6.0).reshape(2, 3))
-        assert ag.dropout(x, 0.5, training=False) is x
+        assert ag.dropout(x, 0.0) is x
 
     def test_dropout_deterministic_per_seed(self):
         x = ag.Tensor(np.ones((4, 4)))
@@ -113,7 +112,7 @@ class TestBackwardBasics:
         xv, yv = rng.normal(size=5), rng.normal(size=5)
         x = ag.Tensor(xv, requires_grad=True)
         y = ag.Tensor(yv, requires_grad=True)
-        grads = gradients_into_zeros(tensor_sum(x * y), {"x": x, "y": y})
+        grads = gradients_into_zeros(tensor_sum(ag.mul(x, y)), {"x": x, "y": y})
         np.testing.assert_allclose(grads["x"], yv)
         np.testing.assert_allclose(grads["y"], xv)
 
@@ -134,7 +133,7 @@ class TestBackwardBasics:
         # A loss is a scalar or a vector of per-slot losses; a matrix is neither.
         x = ag.Tensor(np.ones((3, 2)), requires_grad=True)
         with pytest.raises(ShapeError):
-            gradients_into_zeros(x * 2.0, {"x": x})
+            gradients_into_zeros(ag.mul(x, 2.0), {"x": x})
 
     def test_per_slot_loss_vector_is_seeded_with_ones(self):
         # Each slot's loss and gradient are those of its row differentiated alone.
@@ -322,16 +321,30 @@ class TestGradientsAgainstFiniteDifferences:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("p", [0.0, 0.3])
     def test_attention(self, p, masked):
-        # The same generators each call, so the dropout mask is a constant of the loss.
+        # The attention sublayer. The same generators each call, so both dropout masks are constants of the loss.
+        # The key bias gets an exactly zero gradient (a softmax ignores a constant added to a row of scores), so
+        # its central difference is the loss's rounding alone: a small upstream keeps that under the check's guard.
         rng = np.random.default_rng(25)
-        w = rng.normal(size=(2, 4, 6))
-        key_mask = np.array([[True, True, True, False], [True, False, False, False]]) if masked else None
+        w = 0.1 * rng.normal(size=(2, 5, 6))
+        key_mask = np.array([[True, True, True, False, False], [True, False, False, False, False]]) if masked else None
 
-        def loss(q, k, v):
-            out = ag.attention(q, k, v, 3, key_mask, p, [np.random.default_rng(s) for s in (1, 2)])
+        def loss(*tensors):
+            out = ag.attention_sublayer(*tensors, 3, key_mask, p, [np.random.default_rng(s) for s in (1, 2)])
             return tensor_sum(ag.mul(out, ag.Tensor(w)))
 
-        check_op_gradient(loss, (2, 4, 6), (2, 4, 6), (2, 4, 6))
+        check_op_gradient(loss, *_attention_sublayer_shapes(2, 6))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("p", [0.0, 0.3])
+    def test_feed_forward_sublayer(self, p, exact):
+        rng = np.random.default_rng(27)
+        w = rng.normal(size=(2, 5, 4))
+
+        def loss(*tensors):
+            out = ag.feed_forward_sublayer(*tensors, p, [np.random.default_rng(s) for s in (3, 4)], exact)
+            return tensor_sum(ag.mul(out, ag.Tensor(w)))
+
+        check_op_gradient(loss, *_feed_forward_sublayer_shapes(2, 4, 7))
 
     def test_transpose(self):
         check_op_gradient(lambda a, b: tensor_sum(ag.matmul(ag.transpose(a), b)), (4, 3), (4, 2))
@@ -347,7 +360,8 @@ class TestGradientsAgainstFiniteDifferences:
         )
 
     def test_slice(self):
-        check_op_gradient(lambda a: tensor_sum(ag.mul(a[1:3, :2], a[1:3, :2])), (4, 3))
+        check_op_gradient(lambda a: tensor_sum(ag.mul(ag.tensor_slice(a, np.s_[1:3, :2]),
+                                                      ag.tensor_slice(a, np.s_[1:3, :2]))), (4, 3))
 
     def test_softmax(self):
         rng = np.random.default_rng(5)
@@ -526,13 +540,14 @@ class TestBatchedOps:
 
     def test_attention_hands_on_c_contiguous_values_and_gradients(self):
         rng = np.random.default_rng(15)
-        qkv = {name: ag.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True) for name in "qkv"}
-        out = ag.attention(qkv["q"], qkv["k"], qkv["v"], 2)
+        shapes = _attention_sublayer_shapes(2, 4)
+        tensors = {str(i): ag.Tensor(rng.normal(size=shape), requires_grad=True) for i, shape in enumerate(shapes)}
+        out = ag.attention_sublayer(*tensors.values(), 2)
         assert out.data.flags.c_contiguous
         # The incoming gradient is a strided view; the ones handed on are not.
-        grads = allocating_collect_gradients(tensor_sum(ag.transpose(out)), qkv)
-        for name, g in grads.items():
-            assert g.flags.c_contiguous and g.shape == (2, 3, 4), name
+        grads = allocating_collect_gradients(tensor_sum(ag.transpose(out)), tensors)
+        for (name, g), shape in zip(grads.items(), shapes):
+            assert g.flags.c_contiguous and g.shape == shape, name
 
     @pytest.mark.parametrize("rows, d, f", [(1, 768, 64), (1, 86, 26), (5, 16, 16), (121, 64, 48)])
     def test_shared_matrix_product_equals_per_slot_products(self, rows, d, f):
@@ -585,18 +600,6 @@ class TestBatchedOps:
         lambda: ag.linear(np.zeros((2, 4)), np.zeros((4, 5)), np.zeros(4)),  # bias width
         lambda: ag.linear(np.zeros((2, 2, 2, 4)), np.zeros((4, 5)), np.zeros(5)),  # 4-d input
         lambda: ag.linear(np.zeros((2, 4)), np.zeros((2, 4, 5)), np.zeros(5)),  # 3-d weight
-        lambda: ag.attention(*[np.zeros((2, 3, 6))] * 3, 4),  # heads do not split D
-        lambda: ag.attention(*[np.zeros((2, 3, 6))] * 3, 0),
-        lambda: ag.attention(*[np.zeros((3, 6))] * 3, 2),  # 2-d projections
-        lambda: ag.attention(np.zeros((2, 3, 6)), np.zeros((2, 3, 4)), np.zeros((2, 3, 6)), 2),  # key width
-        lambda: ag.attention(np.zeros((2, 3, 6)), np.zeros((1, 3, 6)), np.zeros((2, 3, 6)), 2),  # key slots
-        lambda: ag.attention(np.zeros((2, 3, 6)), np.zeros((2, 3, 6)), np.zeros((2, 4, 6)), 2),  # value length
-        lambda: ag.attention(*[np.zeros((2, 3, 6))] * 3, 2, np.ones((2, 4), bool)),  # key mask length
-        lambda: ag.attention(*[np.zeros((2, 3, 6))] * 3, 2, np.ones(3, bool)),  # key mask slots
-        lambda: ag.attention(*[np.zeros((3, 3, 4))] * 3, 2, None, 0.1, [np.random.default_rng(0)] * 2),
-        lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 0.1, [np.random.default_rng(0)] * 4),
-        lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 0.1, None),
-        lambda: ag.attention(*[np.zeros((2, 3, 4))] * 3, 2, None, 1.0, [np.random.default_rng(0)] * 2),
         lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6)), 4),
         lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6), {0: (2, 6)}), 2),
         lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6)), 2, np.ones((2, 4), bool)),
@@ -605,20 +608,26 @@ class TestBatchedOps:
         lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6), {4: (4,)}), 2),
         lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(3, 6)), 2, None, 0.1,
                                       [np.random.default_rng(0)] * 2),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6)), 0),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6), {5: (6, 4), 6: (4,)}), 2),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 6)), 2, np.ones(3, bool)),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 4)), 2, None, 0.1,
+                                      [np.random.default_rng(0)] * 4),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 4)), 2, None, 0.1, None),
+        lambda: ag.attention_sublayer(*_zero_inputs(_attention_sublayer_shapes(2, 4)), 2, None, 1.0,
+                                      [np.random.default_rng(0)] * 2),
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {0: (5, 4)})),
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {5: (6, 4)})),
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {5: (7, 3), 6: (3,)})),
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {6: (7,)})),
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {4: (4,)})),
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(2, 4, 7)), 0.1, None),
-    ], ids=["linear inner", "linear bias", "linear 4-d input", "linear 3-d weight", "attention uneven heads",
-            "attention no heads", "attention 2-d", "attention key width", "attention key slots",
-            "attention value length", "attention key mask length", "attention key mask slots",
-            "attention generators", "attention generators per head", "attention no generators",
-            "attention rate", "attention sublayer uneven heads", "attention sublayer 2-d",
-            "attention sublayer key mask length", "attention sublayer norm width",
-            "attention sublayer output width", "attention sublayer query bias", "attention sublayer generators",
-            "feed-forward sublayer 2-d", "feed-forward sublayer second weight rows",
+    ], ids=["linear inner", "linear bias", "linear 4-d input", "linear 3-d weight",
+            "attention sublayer uneven heads", "attention sublayer 2-d", "attention sublayer key mask length",
+            "attention sublayer norm width", "attention sublayer output width", "attention sublayer query bias",
+            "attention sublayer generators", "attention sublayer no heads", "attention sublayer key width",
+            "attention sublayer key mask slots", "attention sublayer generators per head",
+            "attention sublayer no generators", "attention sublayer rate", "feed-forward sublayer 2-d", "feed-forward sublayer second weight rows",
             "feed-forward sublayer second weight width", "feed-forward sublayer second bias",
             "feed-forward sublayer first bias", "feed-forward sublayer no generators"])
     def test_fused_nodes_reject_mismatched_shapes(self, build):
@@ -639,34 +648,9 @@ def _run_graph(build, arrays, needs_grad, upstream):
     return out.data, gradients_into_zeros(tensor_sum(ag.mul(out, ag.Tensor(upstream, dtype=upstream.dtype))), wanted)
 
 
-def _attention_core(fused):
-    """The projections, the attention and the output projection, fused or as the unfused chains."""
-    linear, attention = (ag.linear, ag.attention) if fused else (chain_linear, chain_attention)
-
-    def build(x, wq, bq, wk, bk, wv, bv, wo, bo):
-        q, k, v = (linear(x, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-        return linear(attention(q, k, v, 2), wo, bo)
-
-    return build
-
-
-def _attention_case(heads, slots, masked=False, p=0.0):
-    """(fused, chain) for `ag.attention` over [slots, 5, D] projections; with `masked`, each slot's keys from its own
-    padding start on are masked; with a rate `p`, each slot draws its dropout from its own generator."""
-    key_mask = np.arange(5)[None, :] < np.arange(4, 4 - slots, -1)[:, None] if masked else None
-
-    def run(attention):
-        def build(q, k, v):
-            return attention(q, k, v, heads, key_mask, p, [np.random.default_rng(40 + s) for s in range(slots)])
-
-        return build
-
-    return run(ag.attention), run(chain_attention)
-
-
 def _attention_sublayer_case(heads, slots, masked=False, p=0.0):
-    """(fused, chain) for `ag.attention_sublayer` over a [slots, 5, D] input, masked and drawing as
-    `_attention_case`."""
+    """(fused, chain) for `ag.attention_sublayer` over a [slots, 5, D] input; with `masked`, each slot's keys from
+    its own padding start on are masked; with a rate `p`, each slot draws its dropout from its own generator."""
     key_mask = np.arange(5)[None, :] < np.arange(4, 4 - slots, -1)[:, None] if masked else None
 
     def run(sublayer):
@@ -680,6 +664,11 @@ def _attention_sublayer_case(heads, slots, masked=False, p=0.0):
 
 def _attention_sublayer_shapes(slots, d):
     return [(slots, 5, d), (d,), (d,)] + [(d, d), (d,)] * 4
+
+
+# Frozen input sets of an attention sublayer that leave one of the q, k and v projections without a gradient:
+# the input, the norm's gain and bias, and that projection's weight and bias.
+PROJECTION_OFF = ({0, 1, 2, 3, 4}, {0, 1, 2, 5, 6}, {0, 1, 2, 7, 8})
 
 
 def _feed_forward_sublayer_case(slots, exact=False, p=0.0):
@@ -704,17 +693,7 @@ FUSED_CASES = {
     "linear one slot": (ag.linear, chain_linear, [(1, 5, 4), (4, 3), (3,)]),
     "linear one row per slot": (ag.linear, chain_linear, [(3, 1, 4), (4, 3), (3,)]),
     "linear slots": (ag.linear, chain_linear, [(3, 5, 4), (4, 3), (3,)]),
-    "attention one slot": (*_attention_case(2, 1), [(1, 5, 6)] * 3),
-    "attention one head": (*_attention_case(1, 3), [(3, 5, 4)] * 3),
-    "attention slots": (*_attention_case(3, 4), [(4, 5, 6)] * 3),
-    "attention one slot, dropout": (*_attention_case(2, 1, p=0.3), [(1, 5, 6)] * 3),
-    "attention slots, dropout": (*_attention_case(3, 4, p=0.3), [(4, 5, 6)] * 3),
-    "attention one slot, key mask": (*_attention_case(2, 1, masked=True), [(1, 5, 6)] * 3),
-    "attention slots, key mask": (*_attention_case(3, 4, masked=True), [(4, 5, 6)] * 3),
-    "attention slots, key mask, dropout": (*_attention_case(2, 3, masked=True, p=0.5), [(3, 5, 8)] * 3),
     "positions": (ag.add, chain_positions, [(3, 5, 4), (5, 4)]),
-    "attention core": (_attention_core(True), _attention_core(False),
-                       [(3, 5, 4)] + [(4, 4), (4,)] * 4),
     "attention sublayer one slot": (*_attention_sublayer_case(2, 1), _attention_sublayer_shapes(1, 6)),
     "attention sublayer one head": (*_attention_sublayer_case(1, 3), _attention_sublayer_shapes(3, 4)),
     "attention sublayer slots": (*_attention_sublayer_case(3, 3), _attention_sublayer_shapes(3, 6)),
@@ -752,9 +731,13 @@ class TestFusedNodesMatchTheirChains:
         arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
         out_shape = chain(*[ag.Tensor(a, dtype=dtype) for a in arrays]).shape
         upstream = rng.normal(size=out_shape).astype(dtype)
-        # Every input wanted, then (with several inputs) each input alone left without a gradient.
-        for frozen in [None, *(range(len(arrays)) if len(arrays) > 1 else ())]:
-            needs_grad = [i != frozen for i in range(len(arrays))]
+        # Every input wanted, then (with several inputs) each input alone left without a gradient, then (for an
+        # attention sublayer) each of the q, k and v projections left out of the backward.
+        frozen_sets = [set(), *({i} for i in (range(len(arrays)) if len(arrays) > 1 else ()))]
+        if case.startswith("attention sublayer"):
+            frozen_sets += PROJECTION_OFF
+        for frozen in frozen_sets:
+            needs_grad = [i not in frozen for i in range(len(arrays))]
             value, grads = _run_graph(fused, arrays, needs_grad, upstream)
             want_value, want_grads = _run_graph(chain, arrays, needs_grad, upstream)
             assert value.dtype == want_value.dtype and value.tobytes() == want_value.tobytes(), (case, frozen)
@@ -846,8 +829,6 @@ class TestFusedNodesKeepTheFiniteCheck:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericalError, match="linear"):
                 ag.linear(ag.Tensor([[1e308, 1e308]]), ag.Tensor([[10.0], [10.0]]), ag.Tensor([0.0]))
-            with pytest.raises(NumericalError, match="attention"):
-                ag.attention(*[ag.Tensor(np.full((1, 2, 2), 1e200))] * 3, 1)
             # Finite inputs of 1e307 (normalized to zeros) whose residual sum with an output bias of 1.7e308
             # overflows.
             x = ag.Tensor(np.full((1, 2, 2), 1e307))
@@ -857,17 +838,6 @@ class TestFusedNodesKeepTheFiniteCheck:
                 ag.attention_sublayer(x, *norm, *[zeros, ag.Tensor(np.zeros(2))] * 3, zeros, big, 1)
             with pytest.raises(NumericalError, match="feed_forward_sublayer"):
                 ag.feed_forward_sublayer(x, *norm, zeros, ag.Tensor(np.zeros(2)), zeros, big)
-
-    def test_scores_overflowing_to_minus_inf_below_the_row_maximum_raise(self):
-        # Query 0 scores -inf against key 0 and 0 against key 1: a softmax would give it the finite weights
-        # [0, 1], so only the scan of the scores before the softmax sees the overflow.
-        q = np.array([[[1e200, 0.0], [0.0, 1.0]]])
-        k = np.array([[[-1e200, 0.0], [0.0, 1.0]]])
-        with np.errstate(over="ignore"):
-            scores = q[0] @ k[0].T
-            assert scores[0, 0] == -np.inf and np.isfinite(np.exp(scores - scores.max(axis=-1, keepdims=True))).all()
-            with pytest.raises(NumericalError, match="attention"):
-                ag.attention(ag.Tensor(q), ag.Tensor(k), ag.Tensor(np.ones((1, 2, 2))), 1)
 
     def test_sublayer_scores_overflowing_to_minus_inf_below_the_row_maximum_raise(self):
         # Token 0 normalizes to s * [0, -1, 1] and token 1 to s * [-1, 0, 1], so the key column c * [0, 1, 0] gives
@@ -887,15 +857,21 @@ class TestFusedNodesKeepTheFiniteCheck:
             with pytest.raises(NumericalError, match="attention_sublayer"):
                 ag.attention_sublayer(x, *norm, *projections, 1)
 
-    @pytest.mark.parametrize("bad", range(3), ids=["q", "k", "v"])
-    def test_non_finite_input_raises(self, bad):
-        inputs = [ag.Tensor(np.zeros((2, 3, 4))) for _ in range(3)]
-        inputs[bad] = _non_finite_constant((2, 3, 4))
-        with pytest.raises(NumericalError, match="attention"):
-            ag.attention(*inputs, 2)
+    @pytest.mark.parametrize("case, op, bad", [
+        *[("attention sublayer slots", "attention_sublayer", i) for i in range(11)],
+        *[("feed-forward sublayer slots", "feed_forward_sublayer", i) for i in range(7)],
+    ], ids=[*[f"attention sublayer {name}" for name in ("x", "gain", "bias", "w_q", "b_q", "w_k", "b_k", "w_v",
+                                                         "b_v", "w_o", "b_o")],
+            *[f"feed-forward sublayer {name}" for name in ("x", "gain", "bias", "w1", "b1", "w2", "b2")]])
+    def test_non_finite_input_raises(self, case, op, bad):
+        fused, _, shapes = FUSED_CASES[case]
+        inputs = [ag.Tensor(np.zeros(shape)) for shape in shapes]
+        inputs[bad] = _non_finite_constant(shapes[bad])
+        with pytest.raises(NumericalError, match=op):
+            fused(*inputs)
 
-    @pytest.mark.parametrize("case", ["linear slots", "attention slots", "attention slots, key mask, dropout",
-                                      "attention sublayer slots", "attention sublayer slots, key mask, dropout",
+    @pytest.mark.parametrize("case", ["linear slots", "attention sublayer slots",
+                                      "attention sublayer slots, key mask, dropout",
                                       "feed-forward sublayer slots", "feed-forward sublayer slots, exact, dropout"])
     def test_non_finite_incoming_gradient_raises(self, case):
         fused, _, shapes = FUSED_CASES[case]
@@ -924,27 +900,32 @@ class TestRecomputingBackwards:
     @pytest.mark.parametrize("slots", [1, 3])
     @pytest.mark.parametrize("mask_padding", [False, True])
     def test_attention_dropout_equals_dropout_then_matmul(self, mask_padding, slots, dtype):
+        # The attention sublayer against its chain of ops, whose map dropout keeps the float mask.
         rng = np.random.default_rng(60 + slots)
         heads, t, d, p = 4, 9, 8, 0.3
-        arrays = [rng.normal(size=(slots, t, d)).astype(dtype) for _ in range(3)]
+        shapes = [(slots, t, d), (d,), (d,)] + [(d, d), (d,)] * 4
+        arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
         upstream = rng.normal(size=(slots, t, d)).astype(dtype)
         key_mask = np.arange(t)[None, :] < rng.integers(1, t, size=(slots, 1)) if mask_padding else None
         maps = []
-        ag.attention(*arrays, heads, key_mask, maps=maps)
+        ag.attention_sublayer(*arrays, heads, key_mask, maps=maps)
         assert (maps[0] == 0.0).any() == mask_padding  # masked keys get exact zeros
 
         def gens():
             return [np.random.default_rng(70 + slot) for slot in range(slots)]
 
-        for needs_grad in ([True, True, True], [False, True, True], [True, False, True], [True, True, False]):
-            value, grads = _closure_run(lambda q, k, v: ag.attention(q, k, v, heads, key_mask, p, gens()), arrays,
+        # Every input wanted, then the query, key and value weights each left without a gradient, then each of
+        # the q, k and v projections left out of the backward.
+        for frozen in (set(), {3}, {5}, {7}, *PROJECTION_OFF):
+            needs_grad = [i not in frozen for i in range(len(arrays))]
+            value, grads = _closure_run(lambda *ts: ag.attention_sublayer(*ts, heads, key_mask, p, gens()), arrays,
                                         needs_grad, upstream)
-            want_value, want_grads = _closure_run(lambda q, k, v: chain_attention(q, k, v, heads, key_mask, p, gens()),
-                                                  arrays, needs_grad, upstream)
-            assert value.dtype == dtype and value.tobytes() == want_value.tobytes(), needs_grad
+            want_value, want_grads = _closure_run(
+                lambda *ts: chain_attention_sublayer(*ts, heads, key_mask, p, gens()), arrays, needs_grad, upstream)
+            assert value.dtype == dtype and value.tobytes() == want_value.tobytes(), frozen
             assert grads.keys() == want_grads.keys() and len(grads) == sum(needs_grad)
             for name, g in grads.items():
-                assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), (needs_grad, name)
+                assert g.dtype == dtype and g.tobytes() == want_grads[name].tobytes(), (frozen, name)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("slots", [1, 3])
@@ -977,17 +958,18 @@ class TestRecomputingBackwards:
 
     def test_graph_keeps_one_byte_draws_and_no_tanh(self):
         # What the nodes' backwards are bound to: the boolean draw, the operands and GELU's input, nothing else.
-        # The attention keeps its three regrouped projections and its softmax output.
+        # The attention sublayer keeps a one-byte draw for its map and one for its output, and the softmax output
+        # it reports as the map.
         rng = np.random.default_rng(64)
-        q, k, v = (ag.Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True) for _ in range(3))
+        tensors = [ag.Tensor(rng.normal(size=shape), requires_grad=True) for shape in _attention_sublayer_shapes(2, 6)]
         maps = []
-        out = ag.attention(q, k, v, 3, None, 0.2, [np.random.default_rng(s) for s in (1, 2)], maps)
-        floats = [a for a in out._backward.args if isinstance(a, np.ndarray) and a.dtype != np.bool_]
-        assert [a.shape for a in floats] == [(6, 6, 2)] * 3 + [(6, 6, 6)]
-        assert floats[3].tobytes() == maps[0].tobytes()
+        out = ag.attention_sublayer(*tensors, 3, None, 0.2, [np.random.default_rng(s) for s in (1, 2)], maps)
+        kept = _kept_arrays(out._backward).values()
+        assert sorted(a.shape for a in kept if a.dtype == np.bool_) == [(2, 5, 6), (6, 5, 5)]
+        assert [a.tobytes() for a in kept if a.shape == (6, 5, 5) and a.dtype != np.bool_] == [maps[0].tobytes()]
         dropped = ag.dropout(out, 0.2, [np.random.default_rng(3)])
         act = ag.gelu(dropped)
-        for node, kept, draws in ((out, floats, 1), (dropped, [], 1), (act, [dropped.data], 0)):
+        for node, kept, draws in ((dropped, [], 1), (act, [dropped.data], 0)):
             arrays = [a for a in node._backward.args if isinstance(a, np.ndarray)]
             floats = [a for a in arrays if a.dtype != np.bool_]
             assert len(floats) == len(kept) and all(a is b for a, b in zip(floats, kept)), node._op
@@ -1006,13 +988,18 @@ def _kept_arrays(backward) -> dict[int, np.ndarray]:
     return kept
 
 
+def _summary(arrays):
+    return sorted((a.shape, a.dtype.str) for a in arrays.values())
+
+
 class TestSublayerMemory:
-    @pytest.mark.parametrize("case", ["attention sublayer slots", "attention sublayer slots, key mask, dropout",
-                                      "feed-forward sublayer slots, dropout",
+    """What a sublayer keeps, which `model.graph_bytes` counts."""
+
+    @pytest.mark.parametrize("case", ["feed-forward sublayer slots, dropout",
                                       "feed-forward sublayer slots, exact, dropout"])
     def test_a_sublayer_keeps_what_its_chain_keeps(self, case):
         # The same arrays by shape, dtype and count as the chain's nodes keep together, the parameters by
-        # reference: so `model.graph_bytes` holds for the fused graph.
+        # reference.
         fused, chain, shapes = FUSED_CASES[case]
         rng = np.random.default_rng(65)
         tensors = [ag.Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
@@ -1021,13 +1008,28 @@ class TestSublayerMemory:
         for node in ag._topo_order(chain(*tensors)):
             if node._backward is not None:
                 chain_kept.update(_kept_arrays(node._backward))
-
-        def summary(arrays):
-            return sorted((a.shape, a.dtype.str) for a in arrays.values())
-
-        assert summary(kept) == summary(chain_kept)
+        assert _summary(kept) == _summary(chain_kept)
         params = {id(t.data) for t in tensors[1:]}
         assert params & kept.keys() == params & chain_kept.keys()
+
+    @pytest.mark.parametrize("heads, d, p", [(3, 6, 0.0), (2, 8, 0.5)])
+    def test_an_attention_sublayer_keeps_what_its_docstring_names(self, heads, d, p):
+        # The norm's gain, normalized input, inverse deviation and output; the four weights, by reference; the
+        # regrouped q, k and v; the softmax output; the merged heads; with dropout, the map's and the output's
+        # one-byte draws. Nothing else: no float mask, no dropped map and no copy of a parameter.
+        slots, t, dh = 3, 5, d // heads
+        rng = np.random.default_rng(65)
+        tensors = [ag.Tensor(rng.normal(size=shape), requires_grad=True)
+                   for shape in _attention_sublayer_shapes(slots, d)]
+        key_mask = np.arange(t)[None, :] < np.array([[5], [3], [1]])
+        out = ag.attention_sublayer(*tensors, heads, key_mask, p, [np.random.default_rng(s) for s in range(slots)])
+        kept = _kept_arrays(out._backward)
+        floats = [(d,), (slots, t, d), (slots, t, 1), (slots, t, d)] + [(d, d)] * 4
+        floats += [(slots * heads, t, dh)] * 3 + [(slots * heads, t, t), (slots, t, d)]
+        draws = [(slots * heads, t, t), (slots, t, d)] if p else []
+        assert _summary(kept) == sorted([(shape, "<f8") for shape in floats] + [(shape, "|b1") for shape in draws])
+        params = {id(t.data) for t in tensors[1:]}
+        assert params & kept.keys() == {id(tensors[i].data) for i in (1, 3, 5, 7, 9)}
 
 
 def _adam_from(params, grads, state, **kwargs):
@@ -1182,11 +1184,32 @@ class TestFlatAdam:
             assert flat.tobytes() == old.tobytes()
 
     def test_overflowing_finite_gradient_sum_is_accepted(self):
-        params = {"w": ag.Tensor(np.zeros(2), requires_grad=True)}
+        # The squares' sum overflows, each square and v stay finite: the step runs, and warns nothing.
+        g = np.array([1.2e154, -1.2e154, 1.2e154, 1e3])
+        params = {"w": ag.Tensor(np.zeros(4), requires_grad=True)}
         state = ag.adam_init(params)
-        with np.errstate(over="ignore"):
-            _adam_from(params, {"w": np.array([1.5e308, 1.5e308])}, state, lr=0.1)
-        assert state["t"] == 1 and np.isfinite(params["w"].data).all()
+        _adam_from(params, {"w": g}, state, lr=0.1)
+        want_p, _, want_v = textbook_adam(np.zeros(4), [g], lr=0.1)
+        assert state["t"] == 1 and np.isfinite(want_v).all()
+        assert params["w"].data.tobytes() == want_p.tobytes() and state["v"]["w"].tobytes() == want_v.tobytes()
+
+    @pytest.mark.parametrize("dtype, big", [(np.float64, 1.5e308), (np.float32, 3e38), (np.float64, 1.5e155)],
+                             ids=["float64 square", "float32 square", "float64 bias-corrected"])
+    def test_a_gradient_that_overflows_the_second_moment_changes_nothing(self, dtype, big):
+        # v = 0.999 * v + 0.001 * g * g would be inf, and that entry would never move again; or, at 1.5e155, v is
+        # finite but the step's v / (1 - 0.999**t) is not. Either is a NumericalError naming the tensor, before t,
+        # m, v or a parameter changes, and no overflow warning escapes.
+        start, grads = _flat_problem(dtype, steps=2)
+        params = {k: ag.Tensor(v.copy(), requires_grad=True, dtype=dtype) for k, v in start.items()}
+        state = ag.adam_init(params)
+        _adam_from(params, grads[0], state, lr=3e-3)
+        before = [flat.copy() for flat in state["flat"][:3]]
+        grads[1]["d"][2] = big
+        with pytest.raises(NumericalError, match="'d'.*second moment"):
+            _adam_from(params, grads[1], state, lr=3e-3)
+        assert state["t"] == 1
+        for flat, old in zip(state["flat"][:3], before):
+            assert flat.tobytes() == old.tobytes()
 
     def test_mixed_dtypes_rejected(self):
         params = {"a": ag.Tensor(np.ones(2), requires_grad=True),

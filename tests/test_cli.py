@@ -356,6 +356,41 @@ class TestErrors:
             assert err.startswith("ERROR ArgumentRangeError:") and "--head" in err and err.count("\n") == 1
         assert not (tmp_path / "maps").exists()
 
+    def test_layer_out_of_range_exit_code(self, workspace, overfit_run, tmp_path, capsys):
+        # -1 is the final layer; every other layer outside 0..num_layers-1 is out of range.
+        data = workspace[1]
+        capsys.readouterr()
+        for layer in ("-5", "-2", "2"):
+            code = cli.main(["attention", "--record", str(data / "synth00000.hea"), "--run", str(overfit_run),
+                             "--layer", layer, "--out", str(tmp_path / "maps")])
+            assert code == 4, layer
+            self._assert_one_error(capsys, "ArgumentRangeError", f"layer {layer} out of range for 2 layers")
+        assert not (tmp_path / "maps").exists()
+        assert cli.main(["attention", "--record", str(data / "synth00000.hea"), "--run", str(overfit_run),
+                         "--layer", "-1", "--out", str(tmp_path / "maps")]) == 0
+        assert (tmp_path / "maps" / "synth00000_L1_mean.pgm").exists()
+
+    @pytest.mark.parametrize("leads", [0, 13, -1])
+    def test_lead_count_out_of_range_exit_code(self, tmp_path, capsys, leads):
+        capsys.readouterr()
+        code = cli.main(["synth", "--out", str(tmp_path / "data"), "--records", "2", "--leads", str(leads)])
+        assert code == 4
+        self._assert_one_error(capsys, "ArgumentRangeError", f"num_leads must be in 1..12, got {leads}")
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("fs", [30.0, 25.0])
+    def test_a_record_at_30_hz_or_less_is_predicted(self, overfit_run, tmp_path, capsys, fs):
+        # The R-peak detector cannot run at such a rate, so the record's peak features are imputed.
+        rng = np.random.default_rng(5)
+        record = record_io.EcgRecord("slow", fs, rng.normal(size=(12, int(12 * fs))), record_io.STANDARD_12_LEADS,
+                                     age_years=40.0, sex="male", dx_codes={"SR"})
+        header, _, _ = record_io.write_record(record, tmp_path)
+        capsys.readouterr()
+        assert cli.main(["predict", "--record", str(header), "--run", str(overfit_run),
+                         "--out", str(tmp_path / "p.csv")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "p.csv").read_text().startswith("record_id,")
+
     def test_damaged_checkpoint_exit_code(self, workspace, tmp_path, capsys):
         root, data, ini, manifest, folds = workspace
         run = tmp_path / "run_damaged"

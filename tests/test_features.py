@@ -151,6 +151,19 @@ class TestWideFeatures:
         assert np.isfinite(wf.values).all()
         assert len(wf.values) == 22
 
+    @pytest.mark.parametrize("fs, detected", [(25.0, False), (30.0, False), (31.0, True), (60.0, True)])
+    def test_the_detector_runs_only_above_twice_the_qrs_band(self, fs, detected, monkeypatch):
+        # At 30 Hz or less the 5-15 Hz QRS band cannot be designed: the record's peak features are imputed, as a
+        # record shorter than 1 s has them.
+        calls = []
+        detect = features.detect_r_peaks
+        monkeypatch.setattr(features, "detect_r_peaks", lambda *args: calls.append(args) or detect(*args))
+        x, _ = impulse_train(fs=fs, duration_s=12.0)
+        wf = features.record_features(make_record(x, fs))
+        assert len(calls) == detected and np.isfinite(wf.values).all()
+        if not detected:
+            np.testing.assert_array_equal(wf.values[2:16], 0.0)
+
     def test_one_second_all_zero_record(self):
         rec = make_record(np.zeros(500))
         wf = features.record_features(rec)

@@ -85,6 +85,17 @@ class TestFitThresholds:
         assert 1 in tv.degenerate_classes
         assert tv.values[1] == 0.5
 
+    def test_an_undefined_target_is_the_metrics_own_error(self):
+        # The fit normalizes as the challenge metric does: on labels where a perfect and an always-normal predictor
+        # score alike, it raises the metric's own error.
+        labels = np.array([[0, 1], [0, 1], [0, 1]])
+        wm = metrics.WeightMatrix(np.eye(2), ["a", "n"], 1)
+        with pytest.raises(UndefinedScoreError) as fit:
+            train.fit_thresholds(np.full((3, 2), 0.7), labels, wm)
+        with pytest.raises(UndefinedScoreError) as metric:
+            metrics.challenge_metric(labels, labels, wm)
+        assert str(fit.value) == str(metric.value)
+
 
 def random_fit_instance(rng, dyadic):
     """Small labels/probabilities; probabilities on a coarse lattice so that grid ties occur."""
