@@ -26,27 +26,37 @@ which is many times slower than a product: `gelu` (tanh form) cubes as
 `x * x * x`, and squares are `x**2`, which NumPy computes as `x * x`.
 
 A graph's cost at small sizes is per node (each node's output and incoming
-gradient get one finiteness scan), so the model's chains run as fused
-nodes: `linear` (product plus bias) and the encoder's two pre-norm
+gradient get one finiteness scan), so the model runs as fused nodes:
+`patch_embedding` (the patch projection, the class token's broadcast and
+concat, the positional add and its dropout), the encoder's two pre-norm
 sublayers, `attention_sublayer` (`x + dropout(linear(attention(q, k, v)))`
 with q, k and v the projections of `layer_norm(x)`, the attention being the
 head split, the scaled scores `q @ kᵀ`, the key mask, the softmax, the map's
 dropout, the product with the values and the head merge) and
-`feed_forward_sublayer` (`x + dropout(linear(gelu(linear(layer_norm(x)))))`).
-Each runs the NumPy calls of the chain of ops it replaces, in the same order
-and on the same arrays, so it gives the chain's bytes; keeps no more than
-the chain's backwards keep; and scans its output once (`attention_sublayer`
-also scans its scores before the softmax, which would turn -inf scores into
-finite weights). The standalone ops and the fused nodes share their
-arithmetic through array-level functions (`_affine`, `_layer_norm_value`,
-`_gelu_value`, `_attention_value`, their gradients and the dropout draw), so
-each formula is written once. Sums, means and maxima are called as
-`np.add.reduce`, `np.true_divide` by the count and `np.maximum.reduce`, the
-bytes of the `.sum`, `.mean` and `.max` methods without their Python
-wrappers. The model calls none of `matmul`, `mul`, `transpose`, `softmax`
-and `embedding_row_select`: they stay because `ecgbench/tracer.py` traces
-them, and the tests' chains of ops, which the fused nodes are checked
-against bitwise, are built from the first four.
+`feed_forward_sublayer` (`x + dropout(linear(gelu(linear(layer_norm(x)))))`),
+and `classifier_head` (the final norm, the class token's row, fc1, GELU,
+dropout, the concat with the wide features, fc2, the reshape and the
+sigmoid). Each runs the NumPy calls of the chain of ops it replaces, in the
+same order and on the same arrays, so it gives the chain's bytes; keeps no
+more than the chain's backwards keep; and scans its output once
+(`attention_sublayer` also scans its scores before the softmax, which would
+turn -inf scores into finite weights; `classifier_head` scans its norm's
+output, of which it reads one row, and its logits instead of the sigmoid's
+output, which is finite for an infinite logit). The standalone ops and the
+fused nodes share their arithmetic through array-level functions
+(`_affine`, `_layer_norm_value`, `_gelu_value`, `_attention_value`,
+`_sigmoid_value`, their gradients and the dropout draw), so each formula is
+written once. Sums, means and maxima are called as `np.add.reduce`,
+`np.true_divide` by the count and `np.maximum.reduce`, the bytes of the
+`.sum`, `.mean` and `.max` methods without their Python wrappers. Of the
+standalone ops the model calls only the loss, `binary_cross_entropy`. The
+others are the pieces of the tests' chains of ops, against which the fused
+nodes are checked bitwise, and `ecgbench/tracer.py` traces all of them but
+`linear` and `broadcast_to`.
+
+A training forward's dropout sites draw from one `SlotDraws`, one
+generator per slot, which draws each run of small sites' doubles in one
+call per slot; an op also takes a plain list of generators.
 
 Graphs are batch-first: the leading axis of an activation holds one record
 per slot. A parameter shared by every slot gets the gradient each slot would
@@ -142,10 +152,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A constant over the same array (no copy, no finiteness scan): ops on it record no graph."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out._node = Node(False, self.data.shape, (), None, "leaf")
-        return out
+        return Tensor._result(self.data, (), None, "leaf", scanned=True)
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -158,12 +165,14 @@ class Tensor:
     # -- graph construction -------------------------------------------------
 
     @staticmethod
-    def _result(data, parents, backward, op):
+    def _result(data, parents, backward, op, scanned: bool = False):
         """A new tensor over `data`, recording `backward` under the nodes of the
         tensors in `parents` when any of them needs a gradient. `backward(grad,
         grads)` hands each parent's gradient to `grads(node, g)`, the parent
-        given as its node, so the backward need not keep the parent's tensor."""
-        _check_finite(data, op)
+        given as its node, so the backward need not keep the parent's tensor.
+        `data` is scanned unless the caller has `scanned` what makes it finite."""
+        if not scanned:
+            _check_finite(data, op)
         out = Tensor.__new__(Tensor)
         out.data = data
         nodes = tuple([p._node for p in parents])
@@ -521,10 +530,14 @@ def _sigmoid_backward(na, out, grad, grads):
     grads(na, grad * out * (1.0 - out))
 
 
+def _sigmoid_value(x: np.ndarray) -> np.ndarray:
+    """The logistic function of `x`, finite wherever `x` is."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    data = _sigmoid_value(a.data)
     return Tensor._result(data, (a,), partial(_sigmoid_backward, a._node, data), "sigmoid")
 
 
@@ -540,24 +553,84 @@ def _dropout_mask(kept: np.ndarray, keep: float, dtype) -> np.ndarray:
     return mask
 
 
-def _draw_kept(shape: tuple, p: float, rng: list[np.random.Generator] | None, op: str) -> tuple[np.ndarray, float]:
+def _uniforms(shape: tuple, generators: list[np.random.Generator]) -> np.ndarray:
+    """Uniform doubles of `shape`, its leading axis cut into one equal slot per generator, each slot drawn from
+    its own."""
+    draws = np.empty(shape)
+    rows = shape[0] // len(generators)
+    for slot, gen in enumerate(generators):
+        gen.random(out=draws[slot * rows : (slot + 1) * rows])
+    return draws
+
+
+# The most doubles per slot that the dropout sites of a forward draw ahead of time.
+DRAW_BUFFER = 1 << 12
+
+
+class SlotDraws:
+    """A forward's dropout draws from one generator per slot, for sites that draw in a known order.
+
+    `sizes` lists how many doubles each site takes from each slot, in the
+    order the sites draw (a site at rate 0 takes none and is not listed). A
+    run of consecutive sites that take at most `DRAW_BUFFER` doubles per slot
+    together is drawn when its first site draws, by one `Generator.random`
+    call per slot, and its sites read the buffer in turn; a larger site draws
+    directly, as a list of generators does. A generator's doubles are
+    consecutive words of its stream, so every site gets the doubles it would
+    draw on its own, and the generators end where per-site draws leave them.
+    """
+
+    def __init__(self, generators: list[np.random.Generator], sizes: list[int]):
+        self.generators = generators
+        self._sizes = sizes
+        self._site = 0
+        self._buffer, self._at = None, 0
+
+    def __len__(self) -> int:
+        return len(self.generators)
+
+    def draw(self, shape: tuple) -> np.ndarray:
+        """The next site's uniforms: an array of `shape`, or its [slots, doubles per slot] equivalent."""
+        size, sizes = math.prod(shape) // len(self.generators), self._sizes
+        if self._site == len(sizes) or sizes[self._site] != size:
+            raise ShapeError(f"dropout site {self._site} takes {size} draws per slot, which the forward's sites "
+                             f"{sizes} do not list there")
+        if self._buffer is None:
+            end, total = self._site, 0
+            while end < len(sizes) and total + sizes[end] <= DRAW_BUFFER:
+                total += sizes[end]
+                end += 1
+            if not total:
+                self._site += 1
+                return _uniforms(shape, self.generators)
+            self._buffer, self._at = np.empty((len(self.generators), total)), 0
+            for row, gen in zip(self._buffer, self.generators):
+                gen.random(out=row)
+        self._site += 1
+        draws = self._buffer[:, self._at : self._at + size]
+        self._at += size
+        if self._at == self._buffer.shape[1]:
+            self._buffer = None
+        return draws
+
+
+def _draw_kept(shape: tuple, p: float, rng: list[np.random.Generator] | SlotDraws | None,
+               op: str) -> tuple[np.ndarray, float]:
     """Which units of an array of `shape` inverted dropout at rate `p` keeps, and the keep rate.
 
-    `rng` holds one generator per slot: the leading axis is cut into that
-    many equal slots, and each slot draws from its own generator, as it
-    would alone."""
+    `rng` holds one generator per slot, as a list or a forward's `SlotDraws`:
+    the leading axis is cut into that many equal slots, and each slot draws
+    from its own generator, as it would alone."""
     if not (0.0 <= p < 1.0):
         raise ShapeError(f"{op} rate must be in [0, 1), got {p}")
     if rng is None:
         raise ShapeError(f"training-mode {op} requires a list of generators")
-    if not shape or not rng or shape[0] % len(rng):
+    if not shape or not len(rng) or shape[0] % len(rng):
         raise ShapeError(f"{op}: {len(rng)} generators do not split the leading axis of shape {shape}")
-    draws = np.empty(shape)
-    rows = shape[0] // len(rng)
-    for slot, gen in enumerate(rng):
-        gen.random(out=draws[slot * rows : (slot + 1) * rows])
+    draw = getattr(rng, "draw", None)
+    draws = _uniforms(shape, rng) if draw is None else draw(shape)
     keep = 1.0 - p
-    return draws < keep, keep
+    return (draws < keep).reshape(shape), keep
 
 
 def _dropout_value(x: np.ndarray, p: float, rng: list[np.random.Generator] | None, op: str):
@@ -793,6 +866,123 @@ def feed_forward_sublayer(x, gain, bias, w1, b1, w2, b2, p: float = 0.0,
     backward = partial(_feed_forward_sublayer_backward, tuple([t._node for t in tensors]), gain.data, xhat, inv_std,
                        pre, w1.data, hidden, phi_cdf, act, w2.data, drop)
     return Tensor._result(data, tensors, backward, op)
+
+
+# -- the embedding before the encoder and the head after it, one node each ------------
+
+
+def _patch_embedding_backward(nodes, tokens, w, drop, grad, grads):
+    """The backwards of the dropout, the positional add, the concat, the class token's broadcast and the
+    projection, in that order."""
+    ntokens, nw, nbias, ncls, npos = nodes
+    g = grad if drop is None else _dropout_grad(*drop, grad)
+    if npos.requires_grad:
+        grads(npos, _unbroadcast(g, npos.shape))
+    if ncls.requires_grad:
+        grads(ncls, _unbroadcast(g[:, :1], ncls.shape))
+    g = _linear_grads(nw, nbias, tokens, w, g[:, 1:], grads, ntokens.requires_grad)
+    if g is not None:
+        grads(ntokens, g)
+
+
+def patch_embedding(tokens, w, bias, class_token, positions, p: float = 0.0,
+                    rng: list[np.random.Generator] | SlotDraws | None = None) -> Tensor:
+    """The [B, N + 1, D] sequence the encoder reads, from [B, N, F] patch tokens, as one node:
+    `dropout(concat([broadcast_to(class_token), linear(tokens, w, bias)]) + positions)`.
+
+    The forward runs that chain's NumPy calls in their order and on the same
+    arrays, so it gives the chain's bytes; a rate `p` > 0 draws the dropout
+    from the slots' generators in `rng`. The graph keeps what the chain's
+    backwards keep: the tokens, the weight and the dropout's draw. It scans
+    its output, and the reverse pass scans its incoming gradient.
+    """
+    tensors = tuple([as_tensor(t) for t in (tokens, w, bias, class_token, positions)])
+    tokens, w, bias, class_token, positions = tensors
+    op = "patch_embedding"
+    _check_linear(tokens, w, bias, op)
+    if tokens.ndim != 3 or class_token.shape != bias.shape or positions.shape != (tokens.shape[1] + 1, w.shape[1]):
+        raise ShapeError(f"{op} expects [B, N, F] tokens, a class token of the width and N + 1 positions, got "
+                         f"{tokens.shape}, {class_token.shape} and {positions.shape} for a weight {w.shape}")
+    cls = np.broadcast_to(class_token.data, (tokens.shape[0], 1, w.shape[1]))
+    seq = np.concatenate([cls, _affine(tokens.data, w.data, bias.data)], axis=1)
+    data, drop = _dropout_value(seq + positions.data, p, rng, op)
+    backward = partial(_patch_embedding_backward, tuple([t._node for t in tensors]), tokens.data, w.data, drop)
+    return Tensor._result(data, tensors, backward, op)
+
+
+def _classifier_head_backward(nodes, gain, xhat, inv_std, state, w1, hidden, phi_cdf, drop, combined, w2, probs,
+                              grad, grads):
+    """The backwards of the sigmoid, the reshape, fc2, the concat, the dropout, the GELU, fc1, the class token's
+    row and the norm, in that order."""
+    nx, ngain, nbias, nw1, nb1, nw2, nb2, nwide = nodes
+    to_norm = nx.requires_grad or ngain.requires_grad or nbias.requires_grad
+    to_deep = to_norm or nw1.requires_grad or nb1.requires_grad
+    # Each stage's gradient is dropped once the next one is computed, as the chain's reverse pass drops it.
+    g = (grad * probs * (1.0 - probs)).reshape(probs.shape[0], 1, probs.shape[1])
+    g = _linear_grads(nw2, nb2, combined, w2, g, grads, to_deep or nwide.requires_grad)
+    if g is None:
+        return
+    deep = hidden.shape[2]
+    grads(nwide, g[:, :, deep:])
+    if not to_deep:
+        return
+    g = g[:, :, :deep]
+    if drop is not None:
+        g = _dropout_grad(*drop, g)
+    g = _gelu_grad(hidden, phi_cdf, g)
+    g = _linear_grads(nw1, nb1, state, w1, g, grads, to_norm)
+    if g is None:
+        return
+    full = np.zeros_like(xhat)
+    full[:, :1] += g
+    _layer_norm_backward(nx, ngain, nbias, gain, xhat, inv_std, full, grads)
+
+
+def classifier_head(x, gain, bias, w1, b1, w2, b2, wide, p: float = 0.0,
+                    rng: list[np.random.Generator] | SlotDraws | None = None, exact: bool = False,
+                    eps: float = 1e-5) -> tuple[Tensor, Tensor]:
+    """The [B, C] probabilities of the encoder's [B, T, D] output and [B, 1, W] wide features, as one node, and
+    their logits as a constant: `sigmoid(reshape(linear(concat([dropout(gelu(linear(layer_norm(x)[:, :1], w1,
+    b1))), wide]), w2, b2)))`.
+
+    The forward runs that chain's NumPy calls in their order and on the same
+    arrays, so it gives the chain's bytes; `exact` picks GELU's erf form, and
+    a rate `p` > 0 draws the dropout from the slots' generators in `rng`.
+    Each slot's class token stays a one-row matrix [B, 1, D]: a one-row
+    product takes another BLAS kernel than a row of a larger one. The graph
+    keeps what the chain's backwards keep: the norm's gain, normalized input
+    and inverse deviation, the class token's row, both weights, fc1's output
+    (GELU's input; the exact form also keeps its `Phi`), the dropout's draw,
+    fc2's input and the probabilities. It scans the norm's output, of which
+    the head reads one row, and the logits, since the sigmoid maps an
+    infinite logit to a finite probability; the reverse pass scans its
+    incoming gradient.
+    """
+    tensors = tuple([as_tensor(t) for t in (x, gain, bias, w1, b1, w2, b2, wide)])
+    x, gain, bias, w1, b1, w2, b2, wide = tensors
+    op = "classifier_head"
+    if x.ndim != 3 or wide.ndim != 3 or wide.shape[:2] != (x.shape[0], 1):
+        raise ShapeError(f"{op} expects a [B, T, D] input and [B, 1, W] wide features, got {x.shape} and "
+                         f"{wide.shape}")
+    _check_norm(x, gain, bias, op)
+    _check_linear(x, w1, b1, op)
+    if w2.ndim != 2 or w2.shape[0] != w1.shape[1] + wide.shape[2] or b2.shape != w2.shape[1:]:
+        raise ShapeError(f"{op}: a second weight {w2.shape} and bias {b2.shape} after a first weight {w1.shape} "
+                         f"and {wide.shape[2]} wide features")
+    normed, xhat, inv_std = _layer_norm_value(x.data, gain.data, bias.data, eps)
+    _check_finite(normed, op)
+    state = np.array(normed[:, :1], order="C")
+    hidden = _affine(state, w1.data, b1.data)
+    act, phi_cdf = _gelu_value(hidden, exact)
+    deep, drop = _dropout_value(act, p, rng, op)
+    combined = np.concatenate([deep, wide.data], axis=2)
+    logits = _affine(combined, w2.data, b2.data).reshape(x.shape[0], w2.shape[1])
+    _check_finite(logits, op)
+    probs = _sigmoid_value(logits)
+    backward = partial(_classifier_head_backward, tuple([t._node for t in tensors]), gain.data, xhat, inv_std, state,
+                       w1.data, hidden, phi_cdf, drop, combined, w2.data, probs)
+    return (Tensor._result(probs, tensors, backward, op, scanned=True),
+            Tensor._result(logits, (), None, op, scanned=True))
 
 
 BCE_EPS = 1e-7

@@ -329,6 +329,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:  # before any file is read
+            raise ArgumentRangeError(f"--threads must be at least 1, got {args.threads}")
         # The subcommand runs through this module's `cmd_<name>` as it stands now, so a wrapper put there
         # after the parser was built still runs.
         return globals()[f"cmd_{args.command}"](args)

@@ -240,10 +240,12 @@ def graph_bytes(config: ModelConfig, itemsize: int = 8) -> int:
     (fc1's output, which GELU keeps, and GELU's output), 1 attention map (the
     softmax output) and each norm's inverse deviations, plus the boolean
     dropout draws at one byte each: the attention map's and the two residual
-    ones. Before the layers come the tokens and the positional dropout draw;
-    after them the final norm's normalized input and the head's vectors (the
-    class token's state, fc1's output, its dropout draw, the row of deep and
-    wide features and the output probabilities)."""
+    ones, all kept by the layer's two nodes. Before the layers, the embedding
+    node keeps the tokens and the positional dropout draw; after them, the
+    head node keeps the final norm's normalized input and inverse deviations
+    and the head's vectors (the class token's state, fc1's output, its
+    dropout draw, the row of deep and wide features and the output
+    probabilities)."""
     t, d = config.num_patches + 1, config.d_model
     maps = config.num_heads * t
     per_layer = itemsize * t * (8 * d + 2 * config.d_ff + maps + 2) + t * (2 * d + maps)
@@ -257,14 +259,13 @@ def records_per_forward(config: ModelConfig, records: int, itemsize: int = 8) ->
     return max(1, min(records, GRAPH_BUDGET // graph_bytes(config, itemsize)))
 
 
-def _linear(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    return ag.linear(x, params[prefix + ".weight"], params[prefix + ".bias"])
-
-
 # Each encoder layer's parameters, in the order of the sublayers' arguments.
 ATTENTION_SUBLAYER = ("norm1.gain", "norm1.bias", "attn.w_q.weight", "attn.w_q.bias", "attn.w_k.weight",
                       "attn.w_k.bias", "attn.w_v.weight", "attn.w_v.bias", "attn.w_o.weight", "attn.w_o.bias")
 FEED_FORWARD_SUBLAYER = ("norm2.gain", "norm2.bias", "ff.fc1.weight", "ff.fc1.bias", "ff.fc2.weight", "ff.fc2.bias")
+# The head's parameters, in the order of `ag.classifier_head`'s arguments.
+CLASSIFIER_HEAD = ("final_norm.gain", "final_norm.bias", "head.fc1.weight", "head.fc1.bias", "head.fc2.weight",
+                   "head.fc2.bias")
 
 
 def forward(
@@ -289,10 +290,14 @@ def forward(
     constants of the parameters' dtype.
 
     The graph has one node per encoder sublayer (`ag.attention_sublayer` and
-    `ag.feed_forward_sublayer`), five before the layers (patch projection,
-    class token, sequence, positions and their dropout) and nine after them
-    (the final norm, the class token's row and the head), so a README-toy
-    training graph and its loss hold 19 op nodes.
+    `ag.feed_forward_sublayer`), one before the layers (`ag.patch_embedding`)
+    and one after them (`ag.classifier_head`), so a README-toy training graph
+    and its loss hold 7 op nodes, and a training step on it runs 19
+    finiteness scans: the two input constants, each node's output, each
+    attention sublayer's scores, the head's norm output, and each node's
+    incoming gradient. `logits` is a constant beside the graph. In train
+    mode the dropout sites draw from one `ag.SlotDraws` over `rng`, which
+    draws the small sites' doubles ahead in one call per slot.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be train|eval, got {mode!r}")
@@ -308,15 +313,22 @@ def forward(
         raise ShapeError(f"wide features have shape {wide.shape}, expected {batch} row(s) of {config.d_wide}")
 
     d, n = config.d_model, config.num_patches
-    tokens = Tensor(np.stack([patchify(w, config) for w in windows]), dtype=dtype)
-    projected = _linear(tokens, params, "patch_projection")
-    cls = ag.broadcast_to(params["class_token"], (batch, 1, d))
-    seq = ag.concat([cls, projected], axis=1)
-    x = ag.add(seq, params["positional_embedding"])
-    # Eval mode runs every dropout at rate 0, which hands back its input.
+    # Eval mode runs every dropout at rate 0, which draws nothing.
     rate = config.dropout_encoder if training else 0.0
-    if config.dropout_positional:
-        x = ag.dropout(x, rate, rng)
+    head_rate = config.dropout_head if training else 0.0
+    if rng is not None:
+        # Doubles per slot of each dropout site, in draw order: the positions, then per layer the attention map,
+        # the attention output and the feed-forward output, then the head.
+        t, sizes = n + 1, []
+        if rate:
+            sizes += [t * d] * config.dropout_positional + [config.num_heads * t * t, t * d, t * d] * config.num_layers
+        if head_rate:
+            sizes.append(config.d_deep)
+        rng = ag.SlotDraws(rng, sizes)
+    tokens = Tensor(np.stack([patchify(w, config) for w in windows]), dtype=dtype)
+    x = ag.patch_embedding(tokens, params["patch_projection.weight"], params["patch_projection.bias"],
+                           params["class_token"], params["positional_embedding"],
+                           rate if config.dropout_positional else 0.0, rng)
 
     key_mask = None
     if config.mask_padding:
@@ -334,15 +346,9 @@ def forward(
         x = ag.feed_forward_sublayer(x, *[params[prefix + name] for name in FEED_FORWARD_SUBLAYER], rate, rng,
                                      config.gelu_exact)
 
-    x = ag.layer_norm(x, params["final_norm.gain"], params["final_norm.bias"])
-    # Each slot's class token as a one-row matrix [B, 1, D]: a one-row product
-    # takes another BLAS kernel than a row of a larger one, so it stays one row.
-    cls_state = ag.tensor_slice(x, np.s_[:, :1, :])
-    deep = ag.gelu(_linear(cls_state, params, "head.fc1"), config.gelu_exact)
-    deep = ag.dropout(deep, config.dropout_head if training else 0.0, rng)
-    combined = ag.concat([deep, Tensor(wide.reshape(batch, 1, config.d_wide), dtype=dtype)], axis=2)
-    logits = ag.reshape(_linear(combined, params, "head.fc2"), (batch, config.d_class))
-    probabilities = ag.sigmoid(logits)
+    probabilities, logits = ag.classifier_head(x, *[params[name] for name in CLASSIFIER_HEAD],
+                                               Tensor(wide.reshape(batch, 1, config.d_wide), dtype=dtype),
+                                               head_rate, rng, config.gelu_exact)
     return ModelOutput(probabilities=probabilities, logits=logits, attention_maps=attention_maps)
 
 

@@ -376,6 +376,23 @@ def chain_feed_forward_sublayer(x, gain, bias, w1, b1, w2, b2, p=0.0, rng=None, 
     return ag.add(x, ag.dropout(out, p, rng))
 
 
+def chain_patch_embedding(tokens, w, bias, class_token, positions, p=0.0, rng=None):
+    """`ag.patch_embedding` as the chain of nodes it replaces: the projection, the class token's broadcast over the
+    slots, the concat, the positional add and the dropout."""
+    cls = ag.broadcast_to(class_token, (tokens.shape[0], 1, w.shape[1]))
+    return ag.dropout(ag.add(ag.concat([cls, ag.linear(tokens, w, bias)], axis=1), positions), p, rng)
+
+
+def chain_classifier_head(x, gain, bias, w1, b1, w2, b2, wide, p=0.0, rng=None, exact=False):
+    """`ag.classifier_head` as the chain of nodes it replaces, returning the probabilities and the logits: the norm,
+    the class token's row, fc1, the GELU, the dropout, the concat with the wide features, fc2, the reshape and the
+    sigmoid."""
+    state = ag.tensor_slice(ag.layer_norm(x, gain, bias), np.s_[:, :1, :])
+    deep = ag.dropout(ag.gelu(ag.linear(state, w1, b1), exact), p, rng)
+    logits = ag.reshape(ag.linear(ag.concat([deep, wide], axis=2), w2, b2), (x.shape[0], w2.shape[1]))
+    return ag.sigmoid(logits), logits
+
+
 def float_mask_dropout(a, p, rng):
     """Inverted dropout as one graph node whose backward keeps the float mask the forward multiplied by.
 
@@ -394,6 +411,22 @@ def float_mask_dropout(a, p, rng):
         grads(na, grad * mask)
 
     return type(a)._result(a.data * mask, (a,), backward_fn, "float_mask_dropout")
+
+
+class CountingGenerator:
+    """A NumPy generator that records how many doubles each of its `random(out=...)` calls draws."""
+
+    def __init__(self, seed):
+        self.generator, self.draws = np.random.default_rng(seed), []
+
+    def random(self, *, out):
+        self.draws.append(out.size)
+        return self.generator.random(out=out)
+
+
+def per_site_draws(generators, sizes):
+    """A stand-in for `ag.SlotDraws`: the list of generators itself, from which each dropout site draws on its own."""
+    return generators
 
 
 def chain_dropout_matmul(a, b, p, rng):

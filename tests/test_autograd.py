@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from ecgformer import autograd as ag
 from ecgformer.errors import NumericalError, RecordFormatError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, chain_attention_sublayer,
-                     chain_feed_forward_sublayer, chain_linear, chain_positions, float_mask_dropout,
-                     gradients_into_zeros, keep_t_gelu, max_rel_err, method_layer_norm, method_right_operand_grad, method_softmax, method_unbroadcast, permute,
-                     product_gelu, tensor_mean, tensor_sum, textbook_adam)
+from oracles import (CountingGenerator, allocating_collect_gradients, central_difference_grad,
+                     chain_attention_sublayer, chain_classifier_head, chain_feed_forward_sublayer, chain_linear,
+                     chain_patch_embedding, chain_positions, float_mask_dropout, gradients_into_zeros, keep_t_gelu,
+                     max_rel_err, method_layer_norm, method_right_operand_grad, method_softmax, method_unbroadcast,
+                     permute, product_gelu, tensor_mean, tensor_sum, textbook_adam)
 
 GRAD_TOL = 1e-6
 
@@ -622,6 +623,15 @@ class TestBatchedOps:
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {6: (7,)})),
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(1, 4, 7), {4: (4,)})),
         lambda: ag.feed_forward_sublayer(*_zero_inputs(_feed_forward_sublayer_shapes(2, 4, 7)), 0.1, None),
+        lambda: ag.patch_embedding(*_zero_inputs(_patch_embedding_shapes(2), {0: (4, 6)})),
+        lambda: ag.patch_embedding(*_zero_inputs(_patch_embedding_shapes(2), {4: (4, 5)})),
+        lambda: ag.patch_embedding(*_zero_inputs(_patch_embedding_shapes(2), {3: (4,)})),
+        lambda: ag.patch_embedding(*_zero_inputs(_patch_embedding_shapes(2), {1: (5, 5)})),
+        lambda: ag.classifier_head(*_zero_inputs(_classifier_head_shapes(2), {7: (3, 1, 3)})),
+        lambda: ag.classifier_head(*_zero_inputs(_classifier_head_shapes(2), {5: (6, 5)})),
+        lambda: ag.classifier_head(*_zero_inputs(_classifier_head_shapes(2), {6: (4,)})),
+        lambda: ag.classifier_head(*_zero_inputs(_classifier_head_shapes(2), {0: (2, 6)})),
+        lambda: ag.classifier_head(*_zero_inputs(_classifier_head_shapes(2), {3: (5, 4)})),
     ], ids=["linear inner", "linear bias", "linear 4-d input", "linear 3-d weight",
             "attention sublayer uneven heads", "attention sublayer 2-d", "attention sublayer key mask length",
             "attention sublayer norm width", "attention sublayer output width", "attention sublayer query bias",
@@ -629,7 +639,10 @@ class TestBatchedOps:
             "attention sublayer key mask slots", "attention sublayer generators per head",
             "attention sublayer no generators", "attention sublayer rate", "feed-forward sublayer 2-d", "feed-forward sublayer second weight rows",
             "feed-forward sublayer second weight width", "feed-forward sublayer second bias",
-            "feed-forward sublayer first bias", "feed-forward sublayer no generators"])
+            "feed-forward sublayer first bias", "feed-forward sublayer no generators", "patch embedding 2-d tokens",
+            "patch embedding positions", "patch embedding class token", "patch embedding weight rows",
+            "classifier head wide slots", "classifier head second weight rows", "classifier head second bias",
+            "classifier head 2-d input", "classifier head first weight rows"])
     def test_fused_nodes_reject_mismatched_shapes(self, build):
         with pytest.raises(ShapeError):
             build()
@@ -687,6 +700,41 @@ def _feed_forward_sublayer_shapes(slots, d, ff):
     return [(slots, 5, d), (d,), (d,), (d, ff), (ff,), (ff, d), (d,)]
 
 
+def _patch_embedding_case(slots, p=0.0):
+    """(fused, chain) for `ag.patch_embedding`, each slot drawing its dropout from its own generator."""
+
+    def run(embedding):
+        def build(*tensors):
+            return embedding(*tensors, p, [np.random.default_rng(70 + s) for s in range(slots)])
+
+        return build
+
+    return run(ag.patch_embedding), run(chain_patch_embedding)
+
+
+def _patch_embedding_shapes(slots, n=4, f=6, d=5):
+    """Tokens, projection weight and bias, class token and positional table."""
+    return [(slots, n, f), (f, d), (d,), (d,), (n + 1, d)]
+
+
+def _classifier_head_case(slots, exact=False, p=0.0):
+    """(fused, chain) for `ag.classifier_head`'s probabilities, each slot drawing its dropout from its own
+    generator."""
+
+    def run(head):
+        def build(*tensors):
+            return head(*tensors, p, [np.random.default_rng(80 + s) for s in range(slots)], exact)[0]
+
+        return build
+
+    return run(ag.classifier_head), run(chain_classifier_head)
+
+
+def _classifier_head_shapes(slots, d=6, deep=4, wide=3, classes=5):
+    """Encoder output, norm gain and bias, fc1 weight and bias, fc2 weight and bias and wide features."""
+    return [(slots, 5, d), (d,), (d,), (d, deep), (deep,), (deep + wide, classes), (classes,), (slots, 1, wide)]
+
+
 FUSED_CASES = {
     # name: (fused, chain, input shapes)
     "linear 2-d": (ag.linear, chain_linear, [(5, 4), (4, 3), (3,)]),
@@ -717,6 +765,17 @@ FUSED_CASES = {
                                            _feed_forward_sublayer_shapes(3, 4, 7)),
     "feed-forward sublayer slots, exact, dropout": (*_feed_forward_sublayer_case(3, exact=True, p=0.5),
                                                     _feed_forward_sublayer_shapes(3, 6, 5)),
+    # Freezing input 4, the positional table, is the model's sinusoidal table.
+    "patch embedding one slot": (*_patch_embedding_case(1), _patch_embedding_shapes(1)),
+    "patch embedding slots": (*_patch_embedding_case(3), _patch_embedding_shapes(3)),
+    "patch embedding one slot, dropout": (*_patch_embedding_case(1, p=0.3), _patch_embedding_shapes(1)),
+    "patch embedding slots, dropout": (*_patch_embedding_case(3, p=0.3), _patch_embedding_shapes(3, 3, 64, 8)),
+    "classifier head one slot": (*_classifier_head_case(1), _classifier_head_shapes(1)),
+    "classifier head slots": (*_classifier_head_case(3), _classifier_head_shapes(3)),
+    "classifier head slots, dropout": (*_classifier_head_case(3, p=0.3), _classifier_head_shapes(3)),
+    "classifier head one slot, exact": (*_classifier_head_case(1, exact=True), _classifier_head_shapes(1)),
+    "classifier head slots, exact, dropout": (*_classifier_head_case(3, exact=True, p=0.5),
+                                              _classifier_head_shapes(3, 16, 8, 4, 26)),
 }
 
 
@@ -744,6 +803,21 @@ class TestFusedNodesMatchTheirChains:
             assert grads.keys() == want_grads.keys()
             for name, g in grads.items():
                 assert g.tobytes() == want_grads[name].tobytes(), (case, frozen, name)
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("p, exact", [(0.0, False), (0.3, True)])
+    def test_classifier_head_logits_are_the_chains(self, p, exact, dtype):
+        # The head hands its logits out as a constant beside the graph, with the bytes of the chain's reshape node.
+        rng = np.random.default_rng(27)
+        arrays = [rng.normal(size=shape).astype(dtype) for shape in _classifier_head_shapes(3)]
+        outputs = [head(*[ag.Tensor(a, requires_grad=True, dtype=dtype) for a in arrays], p,
+                        [np.random.default_rng(80 + s) for s in range(3)], exact)
+                   for head in (ag.classifier_head, chain_classifier_head)]
+        (probs, logits), (want_probs, want_logits) = outputs
+        assert probs.data.tobytes() == want_probs.data.tobytes()
+        assert logits.data.dtype == dtype and logits.data.tobytes() == want_logits.data.tobytes()
+        assert logits._parents == () and not logits.requires_grad and probs.requires_grad
 
 
 def _spread(rng, shape):
@@ -857,12 +931,41 @@ class TestFusedNodesKeepTheFiniteCheck:
             with pytest.raises(NumericalError, match="attention_sublayer"):
                 ag.attention_sublayer(x, *norm, *projections, 1)
 
+    def test_overflowing_embedding_and_logits_raise(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="patch_embedding"):
+                ag.patch_embedding(ag.Tensor(np.full((1, 2, 2), 1e308)), ag.Tensor(np.full((2, 3), 10.0)),
+                                   ag.Tensor(np.zeros(3)), ag.Tensor(np.zeros(3)), ag.Tensor(np.zeros((3, 3))))
+            # Finite hidden units and wide features whose logits overflow, which the sigmoid maps to 1 and 0.
+            assert np.isfinite(ag._sigmoid_value(np.array([np.inf, -np.inf]))).all()
+            rng = np.random.default_rng(33)
+            head = [ag.Tensor(rng.normal(size=shape)) for shape in _classifier_head_shapes(2)]
+            head[5] = ag.Tensor(np.full((7, 5), 1e308) * np.array([1.0, -1.0, 1.0, -1.0, 1.0]))
+            head[7] = ag.Tensor(np.full((2, 1, 3), 10.0))
+            with pytest.raises(NumericalError, match="classifier_head"):
+                ag.classifier_head(*head)
+
+    def test_the_head_scans_the_rows_it_does_not_read(self):
+        # The last token's row overflows its norm's mean, which gives NaN in that row of the norm's output; the
+        # head reads only the class token's row, which stays finite.
+        x = np.zeros((1, 3, 2))
+        x[0, 1], x[0, 2] = [1.0, 2.0], [1.7e308, 1.7e308]
+        rng = np.random.default_rng(34)
+        rest = [ag.Tensor(rng.normal(size=shape)) for shape in _classifier_head_shapes(1, d=2)[1:]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="classifier_head"):
+                ag.classifier_head(ag.Tensor(x), *rest)
+
     @pytest.mark.parametrize("case, op, bad", [
         *[("attention sublayer slots", "attention_sublayer", i) for i in range(11)],
         *[("feed-forward sublayer slots", "feed_forward_sublayer", i) for i in range(7)],
+        *[("patch embedding slots", "patch_embedding", i) for i in range(5)],
+        *[("classifier head slots", "classifier_head", i) for i in range(8)],
     ], ids=[*[f"attention sublayer {name}" for name in ("x", "gain", "bias", "w_q", "b_q", "w_k", "b_k", "w_v",
                                                          "b_v", "w_o", "b_o")],
-            *[f"feed-forward sublayer {name}" for name in ("x", "gain", "bias", "w1", "b1", "w2", "b2")]])
+            *[f"feed-forward sublayer {name}" for name in ("x", "gain", "bias", "w1", "b1", "w2", "b2")],
+            *[f"patch embedding {name}" for name in ("tokens", "weight", "bias", "class token", "positions")],
+            *[f"classifier head {name}" for name in ("x", "gain", "bias", "w1", "b1", "w2", "b2", "wide")]])
     def test_non_finite_input_raises(self, case, op, bad):
         fused, _, shapes = FUSED_CASES[case]
         inputs = [ag.Tensor(np.zeros(shape)) for shape in shapes]
@@ -872,7 +975,9 @@ class TestFusedNodesKeepTheFiniteCheck:
 
     @pytest.mark.parametrize("case", ["linear slots", "attention sublayer slots",
                                       "attention sublayer slots, key mask, dropout",
-                                      "feed-forward sublayer slots", "feed-forward sublayer slots, exact, dropout"])
+                                      "feed-forward sublayer slots", "feed-forward sublayer slots, exact, dropout",
+                                      "patch embedding slots", "patch embedding slots, dropout",
+                                      "classifier head slots", "classifier head slots, exact, dropout"])
     def test_non_finite_incoming_gradient_raises(self, case):
         fused, _, shapes = FUSED_CASES[case]
         rng = np.random.default_rng(28)
@@ -993,10 +1098,11 @@ def _summary(arrays):
 
 
 class TestSublayerMemory:
-    """What a sublayer keeps, which `model.graph_bytes` counts."""
+    """What a fused node keeps, which `model.graph_bytes` counts."""
 
     @pytest.mark.parametrize("case", ["feed-forward sublayer slots, dropout",
-                                      "feed-forward sublayer slots, exact, dropout"])
+                                      "feed-forward sublayer slots, exact, dropout", "patch embedding slots, dropout",
+                                      "classifier head slots, dropout", "classifier head slots, exact, dropout"])
     def test_a_sublayer_keeps_what_its_chain_keeps(self, case):
         # The same arrays by shape, dtype and count as the chain's nodes keep together, the parameters by
         # reference.
@@ -1030,6 +1136,64 @@ class TestSublayerMemory:
         assert _summary(kept) == sorted([(shape, "<f8") for shape in floats] + [(shape, "|b1") for shape in draws])
         params = {id(t.data) for t in tensors[1:]}
         assert params & kept.keys() == {id(tensors[i].data) for i in (1, 3, 5, 7, 9)}
+
+
+    @pytest.mark.parametrize("p, exact", [(0.0, False), (0.5, True)])
+    def test_the_embedding_and_the_head_keep_what_their_docstrings_name(self, p, exact):
+        # The embedding: the tokens and the weight, by reference, and with dropout its one-byte draw. The head: the
+        # norm's gain, by reference, normalized input and inverse deviation; the class token's row; both weights, by
+        # reference; fc1's output (and with the exact GELU its Phi); with dropout its one-byte draw; fc2's input;
+        # the probabilities. Nothing else: no norm output, no GELU output, no logits.
+        slots, (n, f, d) = 3, (4, 6, 5)
+        rng = np.random.default_rng(66)
+        embedding = [ag.Tensor(rng.normal(size=shape), requires_grad=True) for shape in _patch_embedding_shapes(slots)]
+        kept = _kept_arrays(ag.patch_embedding(*embedding, p, [np.random.default_rng(s) for s in range(slots)])
+                            ._backward)
+        draws = [((slots, n + 1, d), "|b1")] if p else []
+        assert _summary(kept) == sorted([((slots, n, f), "<f8"), ((f, d), "<f8")] + draws)
+        assert {id(t.data) for t in embedding} & kept.keys() == {id(embedding[0].data), id(embedding[1].data)}
+
+        t, (d, deep, wide, classes) = 5, (6, 4, 3, 5)
+        head = [ag.Tensor(rng.normal(size=shape), requires_grad=True) for shape in _classifier_head_shapes(slots)]
+        probs, _ = ag.classifier_head(*head, p, [np.random.default_rng(s) for s in range(slots)], exact)
+        kept = _kept_arrays(probs._backward)
+        floats = [(d,), (slots, t, d), (slots, t, 1), (slots, 1, d), (d, deep), (slots, 1, deep)]
+        floats += [(slots, 1, deep)] * exact + [(slots, 1, deep + wide), (deep + wide, classes), (slots, classes)]
+        draws = [((slots, 1, deep), "|b1")] if p else []
+        assert _summary(kept) == sorted([(shape, "<f8") for shape in floats] + draws)
+        assert {id(t.data) for t in head} & kept.keys() == {id(head[i].data) for i in (1, 3, 5)}
+        assert any(a is probs.data for a in kept.values())
+
+
+class TestSlotDraws:
+    """A forward's one stream per slot: each site reads the doubles it would draw on its own."""
+
+    def test_each_site_reads_the_doubles_of_per_site_draws(self):
+        # A site larger than the buffer between runs of small ones, the second of which fills the buffer exactly.
+        sizes = [3, ag.DRAW_BUFFER + 1, 2, 4, ag.DRAW_BUFFER - 6, 2]
+        stream = ag.SlotDraws([CountingGenerator(s) for s in (1, 2)], sizes)
+        alone = [np.random.default_rng(s) for s in (1, 2)]
+        for size in sizes:
+            got = stream.draw((2, 1, size))
+            assert got.tobytes() == ag._uniforms((2, 1, size), alone).tobytes(), size
+        for gen, want in zip(stream.generators, alone):
+            assert gen.draws == [3, ag.DRAW_BUFFER + 1, ag.DRAW_BUFFER, 2]
+            assert gen.generator.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_ops_take_a_stream_or_a_list(self, p):
+        x = ag.Tensor(np.random.default_rng(35).normal(size=(3, 4, 5)), requires_grad=True)
+        streamed = ag.dropout(x, p, ag.SlotDraws([np.random.default_rng(s) for s in range(3)], [20]))
+        listed = ag.dropout(x, p, [np.random.default_rng(s) for s in range(3)])
+        assert streamed.data.tobytes() == listed.data.tobytes()
+
+    def test_a_site_the_forward_does_not_list_is_an_error(self):
+        stream = ag.SlotDraws([np.random.default_rng(0)], [4])
+        with pytest.raises(ShapeError, match="do not list"):
+            ag.dropout(ag.Tensor(np.ones((1, 5))), 0.5, stream)
+        ag.dropout(ag.Tensor(np.ones((1, 4))), 0.5, stream)
+        with pytest.raises(ShapeError, match="do not list"):
+            ag.dropout(ag.Tensor(np.ones((1, 4))), 0.5, stream)
 
 
 def _adam_from(params, grads, state, **kwargs):

@@ -914,6 +914,19 @@ class TestErrors:
                              "--out", str(tmp_path / "p.csv")]) == 5
             self._assert_one_error(capsys, "TruncationError", "synth00001.dat", f"found {len(damaged)} bytes")
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["train", "--manifest", "missing.csv", "--weights", "missing.csv", "--out", "run", "--fold", "-1"],
+        ["evaluate", "--manifest", "missing.csv", "--runs", "run", "--weights", "missing.csv", "--out", "r.csv"],
+    ], ids=["train", "evaluate"])
+    def test_threads_below_one_exit_code(self, tmp_path, capsys, monkeypatch, command, threads):
+        # The files named do not exist: the count is refused before any of them is read.
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert cli.main([*command, "--threads", threads]) == 4
+        self._assert_one_error(capsys, "ArgumentRangeError", f"--threads must be at least 1, got {threads}")
+        assert list(tmp_path.iterdir()) == []
+
     def test_evaluate_threads_default_to_one(self):
         args = cli.build_parser().parse_args(["evaluate", "--manifest", "m", "--runs", "r", "--weights", "w",
                                               "--out", "o"])

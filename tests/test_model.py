@@ -9,9 +9,9 @@ from ecgformer import model as wm
 from ecgformer.dsp import ProcessedWindow
 from ecgformer.errors import ConfigError, ShapeError
 
-from oracles import (allocating_collect_gradients, central_difference_grad, copy_arrays, forward_one,
-                     gradients_into_zeros, max_rel_err, per_head_attention, per_head_attention_backward,
-                     whole_tensor_truncated_normal)
+from oracles import (CountingGenerator, allocating_collect_gradients, central_difference_grad, copy_arrays,
+                     forward_one, gradients_into_zeros, max_rel_err, per_head_attention, per_head_attention_backward,
+                     per_site_draws, whole_tensor_truncated_normal)
 
 TOY = wm.ModelConfig(
     num_leads=2, d_patch=64, d_model=16, num_layers=2, num_heads=2, d_ff=16,
@@ -324,6 +324,8 @@ class TestFusedAttentionOracle:
         pad_start = config.window_samples - config.d_patch - 7
         fused_out, fused_grads = self._run(config, mode, pad_start)
         monkeypatch.setattr(ag, "attention_sublayer", _oracle_attention_sublayer)
+        # The oracle draws each head's dropout from the slot's generator, so every site draws on its own.
+        monkeypatch.setattr(ag, "SlotDraws", per_site_draws)
         oracle_out, oracle_grads = self._run(config, mode, pad_start)
 
         assert np.array_equal(fused_out.probabilities.data, oracle_out.probabilities.data)
@@ -446,6 +448,55 @@ class TestBatchedEngineOracle:
             wm.forward(windows, wide[:1], params, TOY)
         with pytest.raises(ShapeError):
             wm.forward(windows, wide, params, TOY, mode="train", rng=[np.random.default_rng(s) for s in (1, 2, 3)])
+
+
+# The paper's encoder shape (width 768, 12 heads, 121 tokens) in two layers on one lead, and a shape whose dropout
+# sites share the buffer in runs of two to four.
+PAPER_SHAPE = wm.ModelConfig(num_leads=1, num_layers=2, d_wide=4, d_class=3)
+MIXED_SHAPE = wm.ModelConfig(num_leads=2, d_model=128, num_layers=2, num_heads=4, d_ff=32, d_deep=8, d_wide=4,
+                             d_class=3, window_samples=640)
+
+
+class TestSlotDraws:
+    """A training forward's one stream per slot hands every dropout site the mask of per-site draws."""
+
+    @pytest.mark.parametrize("positional, head", [(True, 0.2), (False, 0.0)])
+    @pytest.mark.parametrize("base, calls", [(TOY, (1, 1)), (MIXED_SHAPE, (3, 2)), (PAPER_SHAPE, (8, 6))],
+                             ids=["toy", "mixed", "paper"])
+    def test_every_site_gets_the_mask_of_per_site_draws(self, monkeypatch, base, calls, positional, head):
+        config = wm.ModelConfig(**{**base.__dict__, "dropout_positional": positional, "dropout_head": head})
+        params = wm.init_params(config, seed=5)
+        windows, wide, targets = _batch_inputs(config, 2)
+        draw_kept = ag._draw_kept
+
+        def run():
+            sites, gens = [], [CountingGenerator(40 + s) for s in range(2)]
+
+            def recorded(shape, p, rng, op):
+                kept, keep = draw_kept(shape, p, rng, op)
+                sites.append((op, p, kept.copy()))
+                return kept, keep
+
+            monkeypatch.setattr(ag, "_draw_kept", recorded)
+            out = wm.forward(windows, wide, params, config, mode="train", rng=gens)
+            loss = ag.binary_cross_entropy(out.probabilities, targets, per_slot=True)
+            return sites, gens, out, gradients_into_zeros(loss, params.trainable())
+
+        sites, gens, out, grads = run()
+        monkeypatch.setattr(ag, "SlotDraws", per_site_draws)
+        want_sites, want_gens, want_out, want_grads = run()
+        assert len(sites) == len(want_sites) == positional + 3 * config.num_layers + bool(head)
+        for (op, p, kept), (want_op, want_p, want_kept) in zip(sites, want_sites):
+            assert (op, p, kept.shape) == (want_op, want_p, want_kept.shape)
+            assert kept.tobytes() == want_kept.tobytes(), op
+        for gen, want in zip(gens, want_gens):
+            # The same doubles in fewer calls, each one site larger than the buffer or a run of sites that fits it.
+            assert len(gen.draws) == calls[not positional] and len(want.draws) == len(want_sites)
+            assert all(n <= ag.DRAW_BUFFER or n in want.draws for n in gen.draws)
+            assert gen.generator.bit_generator.state == want.generator.bit_generator.state
+        assert out.probabilities.data.tobytes() == want_out.probabilities.data.tobytes()
+        assert out.logits.data.tobytes() == want_out.logits.data.tobytes()
+        assert all(grads[name].tobytes() == want_grads[name].tobytes() for name in want_grads)
 
 
 class TestEvalForward:

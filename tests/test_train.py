@@ -524,7 +524,8 @@ class TestGraphBudget:
 
 def test_toy_training_step_graph_size(monkeypatch):
     # One README-toy training step of 8 records (one graph): its non-leaf nodes, and the finiteness scans of its
-    # forward (each node's output, each input constant) and backward (each node's incoming gradient).
+    # forward (each node's output, each input constant, each attention sublayer's scores and the head's norm
+    # output) and backward (each node's incoming gradient).
     config = toy_model_config()
     params = model.init_params(config, seed=1)
     rng = np.random.default_rng(7)
@@ -545,17 +546,18 @@ def test_toy_training_step_graph_size(monkeypatch):
     monkeypatch.setattr(ag, "collect_gradients", counted_collect)
     train.batch_gradients(windows, wide, labels, [np.random.default_rng(s) for s in range(8)], params, config,
                           {name: np.zeros_like(t.data) for name, t in params.trainable().items()})
-    assert len(nodes) <= 57, len(nodes)
-    assert len(checks) <= 116, len(checks)
+    assert len(nodes) == 7, len(nodes)
+    assert len(checks) == 19, len(checks)
     checks.clear()
     model.forward(windows, wide, params, config, mode="eval")
-    assert len(checks) <= 50, len(checks)
+    assert len(checks) == 11, len(checks)
 
 
 def test_toy_training_graph_has_one_attention_node_per_layer():
     # The README-toy training graph of 4 records, taken from the reverse pass's own order: its op nodes (those with
     # a backward), two per encoder layer (its attention sublayer and its feed-forward sublayer, the attention core
-    # inside the first). A change that splits a sublayer into a chain again, or adds nodes, shows here.
+    # inside the first), the embedding, the head and the loss. A change that splits a fused node into a chain
+    # again, or adds nodes, shows here.
     config = toy_model_config()
     params = model.init_params(config, seed=1)
     rng = np.random.default_rng(8)
@@ -564,9 +566,9 @@ def test_toy_training_graph_has_one_attention_node_per_layer():
     out = model.forward(windows, wide, params, config, mode="train", rng=[np.random.default_rng(s) for s in range(4)])
     loss = ag.binary_cross_entropy(out.probabilities, labels, per_slot=True)
     ops = [node._op for node in ag._topo_order(loss) if node._backward is not None]
-    assert len(ops) == 19, len(ops)
+    assert len(ops) == 7, len(ops)
     assert ops.count("attention_sublayer") == ops.count("feed_forward_sublayer") == config.num_layers
-    assert ops.count("layer_norm") == 1  # the final norm
+    assert ops.count("layer_norm") == 0  # the final norm is inside the head
     assert not {"softmax", "matmul", "attention"} & set(ops)
 
 

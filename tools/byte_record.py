@@ -10,7 +10,10 @@ command's stdout as ``out_<command>[_<record>].txt``:
   ``train --fold all`` with README's toy INI (``max_steps = 500``) and
   ``precision`` set, ``evaluate``, then ``predict`` and
   ``attention --format svg --layer -1 --head mean`` on synth00000-00002 with
-  ``runs/fold0``; in float64 and in float32.
+  ``runs/fold0``; in float64 and in float32, and in float64 with
+  ``gelu_exact = true``, ``positional = sinusoidal`` and
+  ``dropout_positional = false`` (the exact GELU, a frozen positional table
+  and no positional dropout).
 - paper: ``synth --records 4 --seed 1``, ``manifest``, ``folds --k 2 --seed 7``,
   the default architecture on twelve leads, ``train --fold -1`` with
   ``batch_size_train = 2``, ``max_steps = 6`` and ``eval_every = 6``,
@@ -48,7 +51,7 @@ num_heads = 2
 d_ff = 16
 d_deep = 8
 d_wide = 4
-
+{model_keys}
 [train]
 batch_size_train = 8
 learning_rate = 0.003
@@ -56,6 +59,11 @@ max_steps = 500
 lead_subset = two
 normal_class = SR
 precision = {precision}
+"""
+
+TOY_VARIANT = """gelu_exact = true
+positional = sinusoidal
+dropout_positional = false
 """
 
 PAPER_INI = """[train]
@@ -114,8 +122,11 @@ def chains():
     """(name, INI text, commands) of every chain variant."""
     for threads in (1, 2):
         for precision in ("float64", "float32"):
-            yield f"toy-{precision}-threads{threads}", TOY_INI.format(precision=precision), toy_commands(threads)
+            yield (f"toy-{precision}-threads{threads}", TOY_INI.format(precision=precision, model_keys=""),
+                   toy_commands(threads))
         yield f"paper-threads{threads}", PAPER_INI, paper_commands(threads)
+        yield (f"toy-exact-sinusoidal-threads{threads}", TOY_INI.format(precision="float64", model_keys=TOY_VARIANT),
+               toy_commands(threads))
 
 
 def short_hash(data: bytes) -> str:
